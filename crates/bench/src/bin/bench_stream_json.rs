@@ -7,9 +7,9 @@
 //! 2. **stream**: `PgtSource` → `ChunkedTextReader` → `discover_stream`
 //!    (resident memory O(chunk)), and
 //! 3. **parallel**: `PgtSource` → `ReadAheadChunks` (producer thread) →
-//!    `discover_stream_parallel` (worker pool + in-order merge) — the
-//!    pipeline-parallel engine, recording thread count and read-ahead
-//!    depth —
+//!    `absorb_stream` on a worker pool (completion-order merge) → finalize
+//!    — the pipeline-parallel engine, recording thread count and
+//!    read-ahead depth —
 //!
 //! plus a **raw per-chunk** run (`discover_chunk_state` per chunk, results
 //! dropped) that isolates what the canonical `SchemaState` machinery —
@@ -42,10 +42,9 @@
 //! (default: all cores, min 2 so the pool is exercised even on 1-core CI)
 //! and `PGHIVE_READ_AHEAD` (default 4)).
 //!
-//! At full scale the run additionally enforces a throughput floor: the
-//! serial streaming path must reach [`STREAM_REQUIRED_RATIO`]× the
-//! elements/sec committed in `BENCH_stream.json` by the previous PR
-//! ([`STREAM_BASELINE_EPS`]) — the zero-copy ingestion acceptance bar.
+//! Every gate compares runs made in the same process: absolute throughput
+//! depends on the host, and end-to-end regressions are judged by
+//! `perfbench` (see `BENCHMARK.json`).
 //!
 //! Set `PGHIVE_BENCH_MATRIX=1` to also sweep a threads × chunk-size matrix
 //! through the pipeline-parallel path and record every cell under a
@@ -111,12 +110,6 @@ fn spec() -> DatasetSpec {
     }
 }
 
-/// Serial streaming throughput committed in `BENCH_stream.json` by the
-/// previous PR (elements/sec on this container class).
-const STREAM_BASELINE_EPS: f64 = 248_426.9;
-/// The zero-copy ingestion pass must beat the committed baseline by this
-/// factor (serial streaming path, best-of-2).
-const STREAM_REQUIRED_RATIO: f64 = 1.3;
 /// Steady-state warm pass (signature cache primed) must beat the cold
 /// uncached pass by this factor in per-element cost on the
 /// repeated-signature workload.
@@ -280,13 +273,16 @@ fn main() {
         let t = Instant::now();
         let file = BufReader::with_capacity(1 << 20, File::open(&path).expect("open temp dataset"));
         let mut ahead = ReadAheadChunks::spawn(PgtSource::new(file), chunk_size, read_ahead);
-        let result = discoverer.discover_stream_parallel(
+        let mut state = discoverer.new_state();
+        discoverer.absorb_stream(
             std::iter::from_fn(|| ahead.next_chunk().expect("stream temp dataset")),
+            &mut state,
             threads,
         );
+        let schema = state.finalize();
         let secs = t.elapsed().as_secs_f64();
         let summary = *ahead.summary().expect("summary after exhaustion");
-        (result, secs, summary)
+        (schema, secs, summary)
     };
     // Raw per-chunk compute: the same chunk pipeline but with results
     // dropped instead of absorbed — no cross-chunk merge, no finalize.
@@ -332,7 +328,7 @@ fn main() {
         (result, t.elapsed().as_secs_f64())
     };
     let (stream_result, serial_a, max_resident, warnings) = run_serial();
-    let (parallel_result, parallel_a, parallel_summary) = run_parallel();
+    let (parallel_schema, parallel_a, parallel_summary) = run_parallel();
     let (sharded_serial_result, sharded_serial_a) = run_sharded(1);
     let (sharded_result, sharded_a) = run_sharded(shards);
     let raw_a = run_raw();
@@ -425,14 +421,16 @@ fn main() {
                     File::open(&path).expect("open temp dataset"),
                 );
                 let mut ahead = ReadAheadChunks::spawn(PgtSource::new(file), mc, read_ahead);
-                let result = discoverer.discover_stream_parallel(
+                let mut state = discoverer.new_state();
+                discoverer.absorb_stream(
                     std::iter::from_fn(|| ahead.next_chunk().expect("stream temp dataset")),
+                    &mut state,
                     mt,
                 );
+                let schema = state.finalize();
                 let secs = t.elapsed().as_secs_f64();
                 let eps = elements as f64 / secs;
-                let ok =
-                    labeled_inventory(&result.schema) == labeled_inventory(&stream_result.schema);
+                let ok = labeled_inventory(&schema) == labeled_inventory(&stream_result.schema);
                 assert!(ok, "matrix cell threads={mt} chunk={mc} changed the schema");
                 println!("     threads={mt} chunk={mc}: {secs:.3}s ({eps:.0} elem/s)");
                 matrix_cells.push((mt, mc, eps));
@@ -445,7 +443,7 @@ fn main() {
     let schema_match =
         labeled_inventory(&baseline_result.schema) == labeled_inventory(&stream_result.schema);
     let parallel_match =
-        labeled_inventory(&stream_result.schema) == labeled_inventory(&parallel_result.schema);
+        labeled_inventory(&stream_result.schema) == labeled_inventory(&parallel_schema);
     // The merge-tree must be *byte*-identical across shard counts — not
     // just the same inventory — and close enough in throughput to its own
     // serial (one-shard) run that sharding is never a correctness/perf
@@ -492,11 +490,6 @@ fn main() {
     // Canonicalization (cross-chunk absorb + finalize) must keep at least
     // 0.9x the raw per-chunk throughput.
     let canonical_overhead_ok = stream_eps >= 0.9 * raw_eps;
-    // The absolute-throughput gate only fires at full scale — the committed
-    // baseline was measured at 500k elements; scaled-down CI runs spend a
-    // larger share of their time in fixed costs.
-    let full_scale = (scale - 1.0).abs() < 1e-9;
-    let throughput_ok = !full_scale || stream_eps >= STREAM_REQUIRED_RATIO * STREAM_BASELINE_EPS;
 
     println!(
         "   baseline: {baseline_secs:.3}s ({baseline_eps:.0} elem/s), resident {elements} elements"
@@ -661,20 +654,10 @@ fn main() {
         stream_result.schema.edge_types.len()
     );
     let _ = writeln!(json, "  \"schema_match\": {schema_match},");
-    let _ = writeln!(json, "  \"resident_within_2x_chunk\": {resident_ok},");
-    let _ = writeln!(
-        json,
-        "  \"stream_committed_baseline_elements_per_sec\": {STREAM_BASELINE_EPS:.1},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"stream_required_ratio\": {STREAM_REQUIRED_RATIO:.2},"
-    );
-    let _ = writeln!(json, "  \"stream_throughput_gate_active\": {full_scale},");
     if matrix_cells.is_empty() {
-        let _ = writeln!(json, "  \"stream_throughput_gate_ok\": {throughput_ok}");
+        let _ = writeln!(json, "  \"resident_within_2x_chunk\": {resident_ok}");
     } else {
-        let _ = writeln!(json, "  \"stream_throughput_gate_ok\": {throughput_ok},");
+        let _ = writeln!(json, "  \"resident_within_2x_chunk\": {resident_ok},");
         let _ = writeln!(json, "  \"matrix\": [");
         for (i, (mt, mc, eps)) in matrix_cells.iter().enumerate() {
             let _ = writeln!(
@@ -698,7 +681,6 @@ fn main() {
         || !parallel_not_slower
         || !sharded_not_slower
         || !canonical_overhead_ok
-        || !throughput_ok
         || !incremental_ok
         || !cache_hit_ratio_ok
         || !incremental_schema_match
@@ -730,13 +712,6 @@ fn main() {
         }
         if !incremental_schema_match {
             eprintln!("FAIL: cached steady-state pass diverged from the uncached engine");
-        }
-        if !throughput_ok {
-            eprintln!(
-                "FAIL: serial streaming at {stream_eps:.0} elem/s, below \
-                 {STREAM_REQUIRED_RATIO}x the committed baseline \
-                 ({STREAM_BASELINE_EPS:.0} elem/s)"
-            );
         }
         eprintln!("FAIL: streaming acceptance criteria not met");
         std::process::exit(1);

@@ -29,12 +29,12 @@
 //! JSON-Lines (one node/edge object per line).
 //!
 //! With `--stream`, `discover` runs the pipeline-parallel streaming engine:
-//! a dedicated producer thread parses `--read-ahead` chunks ahead
-//! ([`pg_hive_graph::stream::ReadAheadChunks`]), a pool of `--threads`
-//! workers discovers chunks concurrently, and per-chunk schemas merge in
-//! input order (`Discoverer::discover_stream_parallel`) — so resident
-//! memory stays O(chunk × in-flight), the output is byte-identical for
-//! every thread count, and wall-clock tracks the slower of I/O and compute
+//! the input is one unit of the ingest fold (`Discoverer::absorb_unit`),
+//! parsed `--read-ahead` chunks ahead by a dedicated producer thread
+//! ([`pg_hive_graph::stream::ReadAheadChunks`]) while a pool of
+//! `--threads` workers discovers chunks concurrently — so resident memory
+//! stays O(chunk × in-flight), the output is byte-identical for every
+//! thread count, and wall-clock tracks the slower of I/O and compute
 //! instead of their sum. Per-chunk progress (with the in-flight bound) goes
 //! to stderr; the report includes the peak-resident element count plus
 //! counted ingestion warnings (cross-chunk edges, dangling refs).
@@ -71,17 +71,17 @@ use pg_hive_core::schema::SchemaGraph;
 use pg_hive_core::serialize::{pg_schema_loose, pg_schema_strict, to_xsd};
 use pg_hive_core::sigcache::DEFAULT_CACHE_CAP;
 use pg_hive_core::snapshot::{
-    context_snapshot_cached, sigcache_from_snapshot, ResumeContext, Snapshot, SnapshotConfig,
+    context_snapshot, context_snapshot_cached, sigcache_from_snapshot, ResumeContext, Snapshot,
+    SnapshotConfig,
 };
 use pg_hive_core::{
-    diff_schemas, CompiledSchema, Discoverer, PipelineConfig, SamplingConfig, SignatureCache,
-    StreamResult, Validator, DEFAULT_MAX_EXAMPLES,
+    diff_schemas, AbsorbReport, CompiledSchema, Discoverer, Ingest, PipelineConfig, SamplingConfig,
+    SignatureCache, UnitSource, Validator, DEFAULT_MAX_EXAMPLES,
 };
 use pg_hive_graph::loader::load_text;
 use pg_hive_graph::stream::{csv::CsvSource, jsonl::JsonlSource, pgt::PgtSource};
 use pg_hive_graph::{
-    ChunkedTextReader, GraphStats, LabelSetRegistry, MultiSource, PropertyGraph, RawGraphSource,
-    ReadAheadChunks, ReadAheadRecords, StreamSummary, StreamWarnings,
+    GraphStats, MultiSource, PropertyGraph, RawGraphSource, ReadAheadRecords, StreamWarnings,
 };
 use std::io::{BufReader, Write};
 use std::path::Path;
@@ -174,6 +174,30 @@ fn report_warnings(w: &StreamWarnings) {
     );
 }
 
+/// Print `schema` in `format`; `--format summary` heads the per-type lines
+/// with `summary`.
+fn print_schema(schema: &SchemaGraph, format: OutputFormat, summary: &str) {
+    match format {
+        OutputFormat::Strict => print!("{}", pg_schema_strict(schema, "Discovered")),
+        OutputFormat::Loose => print!("{}", pg_schema_loose(schema, "Discovered")),
+        OutputFormat::Xsd => print!("{}", to_xsd(schema)),
+        OutputFormat::Summary => {
+            println!("{summary}");
+            print_type_lines(schema);
+        }
+    }
+}
+
+/// "N node types, M edge types (K abstract)" — the summary line's middle.
+fn type_counts(schema: &SchemaGraph) -> String {
+    format!(
+        "{} node types, {} edge types ({} abstract)",
+        schema.node_types.len(),
+        schema.edge_types.len(),
+        schema.node_types.iter().filter(|t| t.is_abstract()).count()
+    )
+}
+
 fn print_type_lines(schema: &SchemaGraph) {
     for t in &schema.node_types {
         let labels: Vec<&str> = t.labels.iter().map(String::as_str).collect();
@@ -199,6 +223,14 @@ fn print_type_lines(schema: &SchemaGraph) {
 /// (or CSV header-only) input as a legitimate empty schema.
 fn empty_input_error(path: &str) -> String {
     format!("empty input: {path} contains no graph elements (nodes or edges)")
+}
+
+/// The error for a directory tree with nothing [`MultiSource`] recognizes.
+fn no_inputs_error(path: &str) -> String {
+    format!(
+        "no recognized inputs under {path}: expected *.pgt / *.jsonl files or directories \
+         holding nodes.csv"
+    )
 }
 
 /// Effective worker count: the `--threads` value, or every available core.
@@ -235,28 +267,15 @@ fn run(args: Args) -> Result<ExitCode, String> {
             let discoverer = Discoverer::new(config);
 
             if stream.stream {
-                if shards > 1 || is_multi_input(&path, stream.input_format) {
-                    return discover_multi(
-                        &path,
-                        &stream,
-                        &discoverer,
-                        format,
-                        shards,
-                        save_state.as_deref(),
-                        load_state.as_deref(),
-                    );
-                }
-                if save_state.is_some() || load_state.is_some() {
-                    return discover_stream_stateful(
-                        &path,
-                        &stream,
-                        &discoverer,
-                        format,
-                        save_state.as_deref(),
-                        load_state.as_deref(),
-                    );
-                }
-                return discover_stream(&path, &stream, &discoverer, format);
+                return discover_stream(
+                    &path,
+                    &stream,
+                    &discoverer,
+                    format,
+                    shards,
+                    save_state.as_deref(),
+                    load_state.as_deref(),
+                );
             }
             if is_multi_input(&path, stream.input_format) {
                 return Err(format!(
@@ -271,31 +290,14 @@ fn run(args: Args) -> Result<ExitCode, String> {
             } else {
                 discoverer.discover(&graph)
             };
-            match format {
-                OutputFormat::Strict => {
-                    print!("{}", pg_schema_strict(&result.schema, "Discovered"))
-                }
-                OutputFormat::Loose => print!("{}", pg_schema_loose(&result.schema, "Discovered")),
-                OutputFormat::Xsd => print!("{}", to_xsd(&result.schema)),
-                OutputFormat::Summary => {
-                    println!(
-                        "{} nodes, {} edges -> {} node types, {} edge types \
-                         ({} abstract), discovery {:.3}s",
-                        graph.node_count(),
-                        graph.edge_count(),
-                        result.schema.node_types.len(),
-                        result.schema.edge_types.len(),
-                        result
-                            .schema
-                            .node_types
-                            .iter()
-                            .filter(|t| t.is_abstract())
-                            .count(),
-                        result.stats.timings.discovery().as_secs_f64()
-                    );
-                    print_type_lines(&result.schema);
-                }
-            }
+            let summary = format!(
+                "{} nodes, {} edges -> {}, discovery {:.3}s",
+                graph.node_count(),
+                graph.edge_count(),
+                type_counts(&result.schema),
+                result.stats.timings.discovery().as_secs_f64()
+            );
+            print_schema(&result.schema, format, &summary);
             Ok(ExitCode::SUCCESS)
         }
         Command::Diff {
@@ -315,18 +317,18 @@ fn run(args: Args) -> Result<ExitCode, String> {
             let discoverer = Discoverer::new(config);
             let schema_of = |p: &str| -> Result<SchemaGraph, String> {
                 if stream.stream {
-                    let (result, summary) = stream_discover(p, &stream, &discoverer, false)?;
+                    let acc = stream_fold(p, &stream, &discoverer, 1, None, false, false)?.acc;
                     // Streamed ingestion tolerates conditions the strict
                     // loader rejects (dangling refs become stubs) — the
                     // diff is only trustworthy if the user sees them.
-                    if !summary.warnings.is_empty() {
+                    if !acc.warnings.is_empty() {
                         eprintln!("warning: while streaming {p}:");
-                        report_warnings(&summary.warnings);
+                        report_warnings(&acc.warnings);
                     }
-                    if result.elements == 0 {
+                    if acc.elements == 0 {
                         return Err(empty_input_error(p));
                     }
-                    Ok(result.schema)
+                    Ok(acc.state.finalize())
                 } else {
                     let g = load_graph(p, stream.input_format)?;
                     if g.node_count() + g.edge_count() == 0 {
@@ -508,40 +510,97 @@ fn run(args: Args) -> Result<ExitCode, String> {
     }
 }
 
-/// Run the pipeline-parallel streaming engine over `path`: read-ahead
-/// producer → `--threads` discovery workers → in-order merge. Returns the
-/// merged result and the producer's final accounting.
-fn stream_discover(
+/// What `stream_fold` folded one input into.
+struct Streamed {
+    acc: Ingest,
+    /// The run's signature cache (loaded with `--load-state`, persisted
+    /// with `--save-state`).
+    cache: SignatureCache,
+    /// The unit's accounting for a single input; `None` for a tree.
+    report: Option<AbsorbReport>,
+}
+
+/// The one `--stream` path behind `discover` and `diff`: fold `path` on
+/// top of `resumed` (a `--load-state` context and its cache). A directory
+/// tree folds through the sharded merge tree
+/// (`Discoverer::discover_sharded`); any other input is one unit parsed by
+/// the read-ahead producer while `--threads` workers discover its chunks.
+/// Carried edges are then resolved against the accumulated registry; a
+/// single input's leftovers count as unresolved unless `keep_pending`
+/// (`--save-state` persists them instead), a tree's always do.
+fn stream_fold(
     path: &str,
     opts: &StreamOpts,
     discoverer: &Discoverer,
+    shards: usize,
+    resumed: Option<(ResumeContext, SignatureCache)>,
+    keep_pending: bool,
     progress: bool,
-) -> Result<(StreamResult, StreamSummary), String> {
-    let source = open_source(path, opts.input_format)?;
+) -> Result<Streamed, String> {
     let threads = resolve_threads(opts);
-    // Upper bound on simultaneously resident chunks: the producer's buffer,
-    // one chunk per worker (being processed), one per dispatch-channel slot,
-    // plus the one being parsed.
-    let in_flight_cap = opts.read_ahead + 2 * threads + 1;
+    let (resumed, cache) = match resumed {
+        Some((ctx, cache)) => (Some(Ingest::from(ctx)), cache),
+        None => (None, SignatureCache::default()),
+    };
+    if shards > 1 || is_multi_input(path, opts.input_format) {
+        let source = MultiSource::enumerate(Path::new(path))
+            .map_err(|e| format!("cannot enumerate {path}: {e}"))?;
+        if source.is_empty() {
+            return Err(no_inputs_error(path));
+        }
+        if progress {
+            eprintln!(
+                "discovering {} input(s) under {path}: {} shard(s) x {threads} worker thread(s)",
+                source.len(),
+                shards.max(1)
+            );
+        }
+        let mut acc = discoverer
+            .discover_sharded(&source, shards, opts.chunk_size, threads)
+            .map_err(|e| format!("parse {path}: {e}"))?;
+        if let Some(loaded) = resumed {
+            // Re-resolve: edges unresolvable on either side alone may
+            // resolve against the union registry.
+            acc.warnings.unresolved_edges -= acc.pending.len() as u64;
+            acc.merge(loaded);
+            acc.resolve(discoverer);
+            acc.warnings.unresolved_edges += acc.pending.len() as u64;
+        }
+        // The merge tree absorbs per-file states; a loaded cache has no
+        // absorb site there.
+        let cache = SignatureCache::default();
+        return Ok(Streamed {
+            acc,
+            cache,
+            report: None,
+        });
+    }
+
+    let mut acc = resumed.unwrap_or_else(|| Ingest::new(discoverer.new_state()));
+    let source = UnitSource::ReadAhead(open_source(path, opts.input_format)?, opts.read_ahead);
     if progress {
+        // Upper bound on simultaneously resident chunks: the producer's
+        // buffer, one chunk per worker (being processed), one per
+        // dispatch-channel slot, plus the one being parsed.
+        let in_flight_cap = opts.read_ahead + 2 * threads + 1;
         eprintln!(
-            "streaming {path}: {} worker thread(s), read-ahead {} \
+            "streaming {path}: {threads} worker thread(s), read-ahead {} \
              (<= {in_flight_cap} chunks in flight)",
-            threads, opts.read_ahead
+            opts.read_ahead
         );
     }
-    let mut reader = ReadAheadChunks::spawn(source, opts.chunk_size, opts.read_ahead);
-    let mut stream_err: Option<String> = None;
     let mut chunk_no = 0usize;
-    // Run-local signature cache: structurally repeated chunks (steady-shape
-    // logs) skip embedding + LSH and broadcast the memoized clustering —
-    // byte-identical to the uncached run (proptested in
-    // `tests/tests/incremental_equivalence.rs`).
-    let cache = SignatureCache::default();
-    let mut state = discoverer.new_state();
-    let report = discoverer.absorb_stream_cached(
-        std::iter::from_fn(|| match reader.next_chunk() {
-            Ok(Some(g)) => {
+    // Structurally repeated chunks (steady-shape logs) skip embedding + LSH
+    // and broadcast the memoized clustering — byte-identical to the
+    // uncached run (proptested in `tests/tests/incremental_equivalence.rs`).
+    let report = discoverer
+        .absorb_unit(
+            &mut acc,
+            source,
+            opts.chunk_size,
+            threads,
+            Some(&cache),
+            &mut |g| {
                 chunk_no += 1;
                 if progress {
                     eprintln!(
@@ -551,40 +610,28 @@ fn stream_discover(
                     );
                     let _ = std::io::stderr().flush();
                 }
-                Some(g)
-            }
-            Ok(None) => None,
-            Err(e) => {
-                stream_err = Some(e.to_string());
-                None
-            }
-        }),
-        &mut state,
-        threads,
-        &cache,
-    );
-    if let Some(e) = stream_err {
-        return Err(format!("parse {path}: {e}"));
+            },
+        )
+        .map_err(|e| format!("parse {path}: {e}"))?;
+    let stats = cache.stats();
+    if progress && stats.hits > 0 {
+        eprintln!(
+            "signature cache: {} of {} chunk(s) re-used a memoized clustering",
+            stats.hits,
+            stats.hits + stats.misses
+        );
     }
-    if progress {
-        let stats = cache.stats();
-        if stats.hits > 0 {
-            eprintln!(
-                "signature cache: {} of {} chunk(s) re-used a memoized clustering",
-                stats.hits,
-                stats.hits + stats.misses
-            );
-        }
+    // Edges carried in from a loaded snapshot may resolve against node ids
+    // this input declared.
+    acc.resolve(discoverer);
+    if !keep_pending {
+        acc.warnings.unresolved_edges += acc.pending.len() as u64;
     }
-    let result = StreamResult {
-        schema: state.finalize(),
-        chunk_times: report.chunk_times,
-        elements: report.elements,
-    };
-    let summary = *reader
-        .summary()
-        .expect("stream exhausted without error: summary available");
-    Ok((result, summary))
+    Ok(Streamed {
+        acc,
+        cache,
+        report: Some(report),
+    })
 }
 
 /// Whether `path` names a *tree* of inputs for [`MultiSource`] enumeration
@@ -634,20 +681,9 @@ fn load_validation_schema(
         return Ok(ctx.state.finalize());
     }
     if is_multi_input(path, opts.input_format) {
-        let source =
-            MultiSource::enumerate(p).map_err(|e| format!("cannot enumerate {path}: {e}"))?;
-        if source.is_empty() {
-            return Err(format!(
-                "no recognized inputs under {path}: expected *.pgt / *.jsonl files or \
-                 directories holding nodes.csv"
-            ));
-        }
-        let threads = resolve_threads(opts);
-        let result = discoverer
-            .discover_sharded(&source, 1, opts.chunk_size, threads)
-            .map_err(|e| format!("parse {path}: {e}"))?;
-        report_warnings(&result.warnings);
-        return Ok(result.state.finalize());
+        let acc = stream_fold(path, opts, discoverer, 1, None, false, false)?.acc;
+        report_warnings(&acc.warnings);
+        return Ok(acc.state.finalize());
     }
     let g = load_graph(path, opts.input_format)?;
     if g.node_count() + g.edge_count() == 0 {
@@ -689,10 +725,7 @@ fn run_validation(
         let source = MultiSource::enumerate(Path::new(input_path))
             .map_err(|e| format!("cannot enumerate {input_path}: {e}"))?;
         if source.is_empty() {
-            return Err(format!(
-                "no recognized inputs under {input_path}: expected *.pgt / *.jsonl files or \
-                 directories holding nodes.csv"
-            ));
+            return Err(no_inputs_error(input_path));
         }
         let shards = resolve_threads(opts).min(source.len()).max(1);
         eprintln!(
@@ -833,104 +866,17 @@ fn load_discover_state(
     Ok((ctx, cache))
 }
 
-/// The `discover --stream` path with `--save-state`/`--load-state`: run
-/// the streaming engine over a registry-carrying serial reader (the same
-/// shape `watch` uses, so the id → label-set registry can be persisted and
-/// resumed), optionally seeding from a snapshot and optionally writing one
-/// afterwards. Chained invocations — part 1 with `--save-state`, part 2
-/// with `--load-state` — finalize byte-identically to a single
-/// uninterrupted run over the concatenated input (proptested in
-/// `tests/tests/snapshot_resume.rs`). With `--save-state`, edges whose
-/// endpoints this input never declared are carried into the snapshot's
-/// `[pending]` section instead of being dropped, so a later `--load-state`
-/// run or `merge-state` can resolve them against inputs that do.
-fn discover_stream_stateful(
-    path: &str,
-    opts: &StreamOpts,
-    discoverer: &Discoverer,
-    format: OutputFormat,
-    save_state: Option<&str>,
-    load_state: Option<&str>,
-) -> Result<ExitCode, String> {
-    let threads = resolve_threads(opts);
-    let config = SnapshotConfig::new(discoverer.config(), opts.chunk_size);
-    let (mut state, registry, mut pending, cache) = match load_state {
-        Some(p) => {
-            let (ctx, cache) = load_discover_state(p, &config)?;
-            (ctx.state, ctx.registry, ctx.pending, cache)
-        }
-        None => (
-            discoverer.new_state(),
-            LabelSetRegistry::default(),
-            Vec::new(),
-            SignatureCache::default(),
-        ),
-    };
-    let source = open_source(path, opts.input_format)?;
-    let mut reader = ChunkedTextReader::with_registry(source, opts.chunk_size, registry);
-    // When a snapshot will be written, end-of-stream unresolved edges are
-    // carried into it (rather than dropped and counted), so split inputs
-    // merged later equal the one-shot run.
-    reader.set_carry_unresolved(save_state.is_some());
-    let mut stream_err: Option<String> = None;
-    let report = discoverer.absorb_stream_cached(
-        std::iter::from_fn(|| match reader.next_chunk() {
-            Ok(c) => c,
-            Err(e) => {
-                stream_err = Some(e.to_string());
-                None
-            }
-        }),
-        &mut state,
-        threads,
-        &cache,
-    );
-    if let Some(e) = stream_err {
-        return Err(format!("parse {path}: {e}"));
-    }
-    // Extract carried edges before reading the warning counters, so they
-    // are not double-counted as unresolved.
-    pending.extend(reader.take_pending());
-    let mut warnings = reader.warnings();
-    let max_resident = reader.max_resident_elements();
-    let registry = reader.into_registry();
-    // Edges carried in from the loaded snapshot may resolve against node
-    // ids this input declared.
-    let (pending, resolved) = discoverer.resolve_pending(&mut state, &registry, pending);
-    if save_state.is_none() {
-        warnings.unresolved_edges += pending.len() as u64;
-    }
-    report_warnings(&warnings);
-    let result = StreamResult {
-        schema: state.finalize(),
-        chunk_times: report.chunk_times,
-        elements: report.elements + resolved,
-    };
-    if let Some(p) = save_state {
-        let carried = pending.len();
-        // Persist the signature cache alongside the engine state (the
-        // optional `[sigcache]` section) so a chained `--load-state` run
-        // over same-shaped input resumes warm.
-        context_snapshot_cached(&config, &state, &registry, None, &pending, Some(&cache))
-            .write_atomic(Path::new(p))
-            .map_err(|e| e.to_string())?;
-        if carried > 0 {
-            eprintln!("state saved to {p} ({carried} cross-input edge(s) carried)");
-        } else {
-            eprintln!("state saved to {p}");
-        }
-    }
-
-    print_stream_schema(&result, max_resident, threads, format);
-    Ok(ExitCode::SUCCESS)
-}
-
-/// `discover` over a directory tree of mixed-format inputs: enumerate,
-/// partition across `--shards`, fold the per-file states up the merge tree
-/// (`Discoverer::discover_sharded`) — byte-identical to the serial
-/// single-shard run for every shard count — and optionally persist the
-/// merged engine state.
-fn discover_multi(
+/// `discover --stream`: fold the input through the one `--stream` path
+/// (`stream_fold`), optionally on top of a `--load-state` snapshot and
+/// optionally persisting the result with `--save-state`. Chained
+/// invocations — part 1 with `--save-state`, part 2 with `--load-state` —
+/// finalize byte-identically to a single uninterrupted run over the
+/// concatenated input (proptested in `tests/tests/snapshot_resume.rs`).
+/// With `--save-state`, edges whose endpoints the input never declared are
+/// carried into the snapshot's `[pending]` section, so a later
+/// `--load-state` run or `merge-state` can resolve them against inputs
+/// that do.
+fn discover_stream(
     path: &str,
     opts: &StreamOpts,
     discoverer: &Discoverer,
@@ -939,203 +885,102 @@ fn discover_multi(
     save_state: Option<&str>,
     load_state: Option<&str>,
 ) -> Result<ExitCode, String> {
-    let source = MultiSource::enumerate(Path::new(path))
-        .map_err(|e| format!("cannot enumerate {path}: {e}"))?;
-    if source.is_empty() {
-        return Err(format!(
-            "no recognized inputs under {path}: expected *.pgt / *.jsonl files or \
-             directories holding nodes.csv"
-        ));
-    }
-    let threads = resolve_threads(opts);
     let config = SnapshotConfig::new(discoverer.config(), opts.chunk_size);
-    let shards = shards.max(1);
-    eprintln!(
-        "discovering {} input(s) under {path}: {} shard(s) x {} worker thread(s)",
-        source.len(),
+    let resumed = load_state
+        .map(|p| load_discover_state(p, &config))
+        .transpose()?;
+    let Streamed { acc, cache, report } = stream_fold(
+        path,
+        opts,
+        discoverer,
         shards,
-        threads
-    );
-    let mut result = discoverer
-        .discover_sharded(&source, shards, opts.chunk_size, threads)
-        .map_err(|e| format!("parse {path}: {e}"))?;
-    if let Some(p) = load_state {
-        // The sharded path absorbs per-file states; a loaded cache has no
-        // absorb site here, so only the context is used.
-        let (ctx, _cache) = load_discover_state(p, &config)?;
-        result.state.merge(ctx.state);
-        result.warnings.duplicate_nodes += result.registry.merge(&ctx.registry);
-        // Re-resolve: edges unresolvable on either side alone may resolve
-        // against the union registry.
-        let mut pending = std::mem::take(&mut result.pending);
-        result.warnings.unresolved_edges -= pending.len() as u64;
-        pending.extend(ctx.pending);
-        let (left, resolved) =
-            discoverer.resolve_pending(&mut result.state, &result.registry, pending);
-        result.elements += resolved;
-        result.warnings.unresolved_edges += left.len() as u64;
-        result.pending = left;
-    }
-    report_warnings(&result.warnings);
-    let schema = result.state.finalize();
+        resumed,
+        save_state.is_some(),
+        true,
+    )?;
+    report_warnings(&acc.warnings);
+    let schema = acc.state.finalize();
     if let Some(p) = save_state {
-        let carried = result.pending.len();
-        let ctx = ResumeContext {
-            config,
-            state: result.state,
-            registry: result.registry,
-            watch: None,
-            pending: result.pending,
-        };
-        ctx.save(Path::new(p)).map_err(|e| e.to_string())?;
-        if carried > 0 {
-            eprintln!("state saved to {p} ({carried} cross-input edge(s) carried)");
-        } else {
-            eprintln!("state saved to {p}");
+        // The signature cache rides along (the optional `[sigcache]`
+        // section) so a chained `--load-state` run over same-shaped input
+        // resumes warm.
+        context_snapshot_cached(
+            &config,
+            &acc.state,
+            &acc.registry,
+            None,
+            &acc.pending,
+            Some(&cache),
+        )
+        .write_atomic(Path::new(p))
+        .map_err(|e| e.to_string())?;
+        match acc.pending.len() {
+            0 => eprintln!("state saved to {p}"),
+            carried => eprintln!("state saved to {p} ({carried} cross-input edge(s) carried)"),
         }
     }
-    match format {
-        OutputFormat::Strict => print!("{}", pg_schema_strict(&schema, "Discovered")),
-        OutputFormat::Loose => print!("{}", pg_schema_loose(&schema, "Discovered")),
-        OutputFormat::Xsd => print!("{}", to_xsd(&schema)),
-        OutputFormat::Summary => {
-            println!(
-                "{} elements from {} input(s) across {} shard(s) -> {} node types, \
-                 {} edge types ({} abstract)",
-                result.elements,
-                result.inputs,
-                shards,
-                schema.node_types.len(),
-                schema.edge_types.len(),
-                schema.node_types.iter().filter(|t| t.is_abstract()).count(),
-            );
-            print_type_lines(&schema);
-        }
-    }
+    let types = type_counts(&schema);
+    let summary = match report {
+        Some(r) => format!(
+            "{} elements in {} chunk(s) (peak resident {} elements) -> {types}, {:.3}s compute \
+             across {} thread(s)",
+            acc.elements,
+            r.chunk_times.len(),
+            r.max_chunk_elements,
+            r.chunk_times.iter().map(|t| t.as_secs_f64()).sum::<f64>(),
+            resolve_threads(opts)
+        ),
+        None => format!(
+            "{} elements from {} input(s) across {} shard(s) -> {types}",
+            acc.elements,
+            acc.inputs,
+            shards.max(1)
+        ),
+    };
+    print_schema(&schema, format, &summary);
     Ok(ExitCode::SUCCESS)
 }
 
 /// `pg-hive merge-state <out> <in>...` — fold saved engine states into one
-/// snapshot. Snapshots written under different method/theta/seed/chunk-size
-/// are refused with a named `snapshot:` error; carried cross-input edges
-/// resolve against the merged registry and the rest stay pending in the
-/// output, ready for the next merge.
-///
-/// The fold is **streaming**: the first snapshot becomes the base and each
-/// further one is loaded, merged, and dropped before the next is opened, so
-/// peak residency is two contexts no matter how many snapshots are folded.
-/// `SchemaState::merge` is associative and commutative, so this is
-/// byte-identical to materializing every context and folding all at once
-/// (asserted e2e in `tests/tests/cli_merge_state.rs`).
+/// snapshot ([`Snapshot::merge_files`]: snapshots written under different
+/// method/theta/seed/chunk-size are refused with a named `snapshot:`
+/// error), then resolve carried cross-input edges against the merged
+/// registry; the rest stay pending in the output, ready for the next
+/// merge. The fold is streaming — each further snapshot is loaded, merged
+/// and dropped before the next is opened — and byte-identical to folding
+/// all at once (asserted e2e in `tests/tests/cli_merge_state.rs`).
 fn merge_state(out: &str, inputs: &[String], format: OutputFormat) -> Result<ExitCode, String> {
-    let mut iter = inputs.iter();
-    let first = iter
-        .next()
-        .ok_or_else(|| "snapshot: merge needs at least one snapshot file".to_string())?;
-    let mut ctx = ResumeContext::load(Path::new(first))
-        .map_err(|e| format!("{e} (while loading {first})"))?;
-    // A merged state is no longer any single watch's checkpoint, even when
-    // only one input was given.
-    ctx.watch = None;
-    let mut collisions = 0u64;
-    for p in iter {
-        let next =
-            ResumeContext::load(Path::new(p)).map_err(|e| format!("{e} (while loading {p})"))?;
-        collisions += ctx.merge(next).map_err(|e| e.to_string())?;
-    }
-    // Rebuild the discoverer the snapshots were produced under (the guard
-    // above proved they all agree) so pending-edge resolution embeds with
-    // the same clustering parameters.
+    let (ctx, collisions) = Snapshot::merge_files(inputs).map_err(|e| e.to_string())?;
+    let config = ctx.config.clone();
+    // Rebuild the discoverer the snapshots were produced under (the merge
+    // proved they all agree) so pending-edge resolution embeds with the
+    // same clustering parameters.
     let discoverer = Discoverer::new(PipelineConfig {
-        method: ctx.config.method,
-        theta: ctx.config.theta,
-        seed: ctx.config.seed,
+        method: config.method,
+        theta: config.theta,
+        seed: config.seed,
         ..PipelineConfig::default()
     });
-    let pending = std::mem::take(&mut ctx.pending);
-    let (left, resolved) = discoverer.resolve_pending(&mut ctx.state, &ctx.registry, pending);
-    ctx.pending = left;
-    ctx.save(Path::new(out)).map_err(|e| e.to_string())?;
+    let mut acc = Ingest::from(ctx);
+    let resolved = acc.resolve(&discoverer);
+    context_snapshot(&config, &acc.state, &acc.registry, None, &acc.pending)
+        .write_atomic(Path::new(out))
+        .map_err(|e| e.to_string())?;
     eprintln!(
         "merged {} snapshot(s) into {out}: {} pooled type(s), {} registered id(s), \
          {} duplicate id(s) across inputs, {} carried edge(s) resolved, {} still pending",
         inputs.len(),
-        ctx.state.pooled_types(),
-        ctx.registry.len(),
+        acc.state.pooled_types(),
+        acc.registry.len(),
         collisions,
         resolved,
-        ctx.pending.len()
+        acc.pending.len()
     );
-    let schema = ctx.state.finalize();
-    match format {
-        OutputFormat::Strict => print!("{}", pg_schema_strict(&schema, "Discovered")),
-        OutputFormat::Loose => print!("{}", pg_schema_loose(&schema, "Discovered")),
-        OutputFormat::Xsd => print!("{}", to_xsd(&schema)),
-        OutputFormat::Summary => {
-            println!(
-                "merged schema: {} node types, {} edge types ({} abstract)",
-                schema.node_types.len(),
-                schema.edge_types.len(),
-                schema.node_types.iter().filter(|t| t.is_abstract()).count(),
-            );
-            print_type_lines(&schema);
-        }
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-/// Print a streamed discovery's schema in the requested output format —
-/// shared by the plain and stateful `discover --stream` paths so their
-/// output cannot drift apart.
-fn print_stream_schema(
-    result: &StreamResult,
-    max_resident: usize,
-    threads: usize,
-    format: OutputFormat,
-) {
-    match format {
-        OutputFormat::Strict => print!("{}", pg_schema_strict(&result.schema, "Discovered")),
-        OutputFormat::Loose => print!("{}", pg_schema_loose(&result.schema, "Discovered")),
-        OutputFormat::Xsd => print!("{}", to_xsd(&result.schema)),
-        OutputFormat::Summary => {
-            let total: f64 = result.chunk_times.iter().map(|t| t.as_secs_f64()).sum();
-            println!(
-                "{} elements in {} chunk(s) (peak resident {} elements) -> \
-                 {} node types, {} edge types ({} abstract), {total:.3}s compute \
-                 across {} thread(s)",
-                result.elements,
-                result.chunk_times.len(),
-                max_resident,
-                result.schema.node_types.len(),
-                result.schema.edge_types.len(),
-                result
-                    .schema
-                    .node_types
-                    .iter()
-                    .filter(|t| t.is_abstract())
-                    .count(),
-                threads,
-            );
-            print_type_lines(&result.schema);
-        }
-    }
-}
-
-/// The `discover --stream` path: report the merged schema plus streaming
-/// accounting.
-fn discover_stream(
-    path: &str,
-    opts: &StreamOpts,
-    discoverer: &Discoverer,
-    format: OutputFormat,
-) -> Result<ExitCode, String> {
-    let (result, summary) = stream_discover(path, opts, discoverer, true)?;
-    report_warnings(&summary.warnings);
-    print_stream_schema(
-        &result,
-        summary.max_resident_elements,
-        resolve_threads(opts),
+    let schema = acc.state.finalize();
+    print_schema(
+        &schema,
         format,
+        &format!("merged schema: {}", type_counts(&schema)),
     );
     Ok(ExitCode::SUCCESS)
 }

@@ -19,6 +19,7 @@
 
 use crate::args::DriftSinkSpec;
 use pg_hive_core::SchemaDiff;
+use pg_hive_graph::json_escape;
 use std::io::Write;
 use std::path::PathBuf;
 
@@ -75,24 +76,6 @@ impl DriftEvent<'_> {
             "non-monotone"
         }
     }
-}
-
-/// Escape a string for embedding in a hand-rolled JSON document. Shared by
-/// the drift events and the `validate --report` violation events.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// A materialized `--on-drift` sink.
@@ -291,12 +274,6 @@ mod tests {
         }
         .to_json();
         assert!(!without.contains("tenant"), "{without}");
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]

@@ -18,13 +18,13 @@
 //! fixed at watch start (restart the watcher to pick up new files).
 //!
 //! Edges appended in a later pass usually reference nodes ingested in an
-//! earlier one; the chunk reader's id → label-set registry is carried
-//! across passes ([`ChunkedTextReader::with_registry`]), so such edges
-//! resolve through labeled stubs and are counted as cross-chunk warnings
-//! instead of being dropped. Warnings are aggregated **per category**
-//! across passes — whenever the totals change, one breakdown line with the
-//! running counts is printed, never the same warning repeated pass after
-//! pass.
+//! earlier one; each pass is one accumulator of the ingest fold
+//! ([`Ingest`]) through which the id → label-set registry moves from pass
+//! to pass, so such edges resolve through labeled stubs and are counted as
+//! cross-chunk warnings instead of being dropped. Warnings are aggregated
+//! **per category** across passes — whenever the totals change, one
+//! breakdown line with the running counts is printed, never the same
+//! warning repeated pass after pass.
 //!
 //! Partially written trailing lines are left unconsumed (the delta is cut
 //! at the last newline), so appending concurrently with a pass never
@@ -81,12 +81,9 @@ use pg_hive_core::snapshot::{
     context_snapshot, context_snapshot_cached, sigcache_from_snapshot, FileCheckpoint,
     ResumeContext, Snapshot, SnapshotConfig, WatchCheckpoint,
 };
-use pg_hive_core::{diff_schemas, AbsorbReport, Discoverer, SchemaState, SignatureCache};
+use pg_hive_core::{diff_schemas, Discoverer, Ingest, SchemaState, SignatureCache, UnitSource};
 use pg_hive_graph::stream::{csv::CsvSource, jsonl::JsonlSource, pgt::PgtSource};
-use pg_hive_graph::{
-    ChunkedTextReader, LabelSetRegistry, MultiSource, RawGraphSource, Record, SourceKind,
-    StreamWarnings,
-};
+use pg_hive_graph::{LabelSetRegistry, MultiSource, RawGraphSource, SourceKind, StreamWarnings};
 use std::collections::VecDeque;
 use std::io::{Cursor, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
@@ -375,68 +372,49 @@ fn warning_breakdown(w: &StreamWarnings) -> String {
     parts.join(", ")
 }
 
-/// Chunk `source` (seeding the reader with the carried registry) and absorb
-/// every chunk into the resident state. Edges whose endpoints are still
-/// unknown at this source's EOF are pushed to `pending` instead of being
-/// dropped: a directory tree is enumerated alphabetically, so an input can
-/// reference nodes an input absorbed *later in the same pass* declares —
-/// the pass resolves its leftovers once every source has been read.
-fn absorb_source(
-    source: Box<dyn RawGraphSource>,
+/// Absorb one pass — every source's appended records — into the run as one
+/// pass accumulator, returning `(elements, chunks)`. The run's registry is
+/// moved through each source's unit in turn, so edges that cross passes or
+/// inputs become in-chunk stubs and bindings keep their generation stamps
+/// (the `--partition` GC depends on them); chunks go through the
+/// cross-pass signature cache. A directory tree is enumerated
+/// alphabetically, so an input can reference nodes a *later* input of the
+/// same pass declares: carried edges resolve once every source is in, and
+/// what still does not resolve is counted as unresolved and dropped (its
+/// endpoint may yet arrive in a later pass, but the resident state cannot
+/// hold unembedded records indefinitely). The pass's state is a delta
+/// merged into both the resident state and the combined fold —
+/// associativity makes this byte-identical to folding chunk states
+/// straight into the resident state.
+fn absorb_pass(
+    run: &mut WatchRun,
+    sources: Vec<Box<dyn RawGraphSource>>,
     opts: &StreamOpts,
     threads: usize,
     discoverer: &Discoverer,
-    run: &mut WatchRun,
-    pending: &mut Vec<Record>,
-) -> Result<AbsorbReport, String> {
-    let mut reader = ChunkedTextReader::with_registry(
-        source,
-        opts.chunk_size,
-        std::mem::take(&mut run.registry),
-    );
-    reader.set_carry_unresolved(true);
-    let mut stream_err: Option<String> = None;
-    // Absorb into a pass-local delta (through the cross-pass signature
-    // cache), then merge the delta into both the resident state and the
-    // combined fold — associativity makes this byte-identical to folding
-    // chunk states straight into the resident state.
-    let mut delta = discoverer.new_state();
-    let report = discoverer.absorb_stream_cached(
-        std::iter::from_fn(|| match reader.next_chunk() {
-            Ok(c) => c,
-            Err(e) => {
-                stream_err = Some(e.to_string());
-                None
-            }
-        }),
-        &mut delta,
-        threads,
-        &run.cache,
-    );
-    if let Some(e) = stream_err {
-        return Err(format!("parse error while watching: {e}"));
+) -> Result<(u64, usize), String> {
+    let mut pass = Ingest::new(discoverer.new_state());
+    pass.registry = std::mem::take(&mut run.registry);
+    let mut chunks = 0;
+    for source in sources {
+        let report = discoverer
+            .absorb_unit(
+                &mut pass,
+                UnitSource::Inline(source),
+                opts.chunk_size,
+                threads,
+                Some(&run.cache),
+                &mut |_| {},
+            )
+            .map_err(|e| format!("parse error while watching: {e}"))?;
+        chunks += report.chunk_times.len();
     }
-    run.merge_delta(delta);
-    pending.extend(reader.take_pending());
-    run.warnings.absorb(&reader.warnings());
-    run.registry = reader.into_registry();
-    Ok(report)
-}
-
-/// End-of-pass leftover resolution: try every carried edge against the full
-/// registry accumulated across all of this pass's sources; what still does
-/// not resolve is counted as unresolved (its endpoint may yet arrive in a
-/// later pass, but the resident state cannot hold unembedded records
-/// indefinitely). Returns the number of edges resolved into the state.
-fn resolve_pass_pending(discoverer: &Discoverer, run: &mut WatchRun, pending: Vec<Record>) -> u64 {
-    if pending.is_empty() {
-        return 0;
-    }
-    let mut delta = discoverer.new_state();
-    let (left, resolved) = discoverer.resolve_pending(&mut delta, &run.registry, pending);
-    run.merge_delta(delta);
-    run.warnings.unresolved_edges += left.len() as u64;
-    resolved
+    pass.resolve(discoverer);
+    run.warnings.absorb(&pass.warnings);
+    run.warnings.unresolved_edges += pass.pending.len() as u64;
+    run.registry = pass.registry;
+    run.merge_delta(pass.state);
+    Ok((pass.elements, chunks))
 }
 
 impl TrackedFile {
@@ -534,22 +512,11 @@ impl WatchRun {
     }
 }
 
-/// Shift the rotated snapshot chain one slot up (`.i` → `.i+1`), pruning
-/// everything beyond `keep`, leaving slot `.1` free for the next rotation.
-fn shift_rotated(dir: &Path, keep: usize) {
-    let _ = std::fs::remove_file(dir.join(format!("{SNAPSHOT_FILE}.{keep}")));
-    for i in (1..keep).rev() {
-        let from = dir.join(format!("{SNAPSHOT_FILE}.{i}"));
-        if from.exists() {
-            let _ = std::fs::rename(&from, dir.join(format!("{SNAPSHOT_FILE}.{}", i + 1)));
-        }
-    }
-}
-
 /// Write the full resumable context to `<dir>/watch.snapshot` atomically
 /// (temp file + rename — the promote step). With `rotate_keep` set
 /// (`--keep` without `--partition`), the previous checkpoint is first
-/// rotated into the `.1..K` chain instead of being overwritten.
+/// rotated into the `.1..K` chain instead of being overwritten; a rotation
+/// that fails is a `snapshot:` error and nothing is written.
 fn save_checkpoint(
     dir: &Path,
     config: &SnapshotConfig,
@@ -562,11 +529,7 @@ fn save_checkpoint(
     std::fs::create_dir_all(dir)
         .map_err(|e| format!("cannot create state dir {}: {e}", dir.display()))?;
     if let Some(keep) = rotate_keep {
-        shift_rotated(dir, keep);
-        let current = dir.join(SNAPSHOT_FILE);
-        if current.exists() {
-            let _ = std::fs::rename(&current, dir.join(format!("{SNAPSHOT_FILE}.1")));
-        }
+        Snapshot::rotate(&dir.join(SNAPSHOT_FILE), keep, true).map_err(|e| e.to_string())?;
     }
     let watch = WatchCheckpoint {
         input: path.to_string(),
@@ -607,7 +570,7 @@ fn save_partition(
 ) -> Result<(), String> {
     std::fs::create_dir_all(dir)
         .map_err(|e| format!("cannot create state dir {}: {e}", dir.display()))?;
-    shift_rotated(dir, keep);
+    Snapshot::rotate(&dir.join(SNAPSHOT_FILE), keep, false).map_err(|e| e.to_string())?;
     context_snapshot(config, &run.state, &run.registry, None, &[])
         .write_atomic(&dir.join(format!("{SNAPSHOT_FILE}.1")))
         .map_err(|e| e.to_string())
@@ -786,15 +749,8 @@ pub fn run_watch(
             };
             // Baseline pass.
             let read = input.read_pass()?;
-            let mut elements = 0u64;
-            let mut chunks = 0usize;
-            let mut pending = Vec::new();
-            for src in read.sources {
-                let report = absorb_source(src, opts, threads, discoverer, &mut run, &mut pending)?;
-                elements += report.elements;
-                chunks += report.chunk_times.len();
-            }
-            elements += resolve_pass_pending(discoverer, &mut run, pending);
+            let (elements, chunks) =
+                absorb_pass(&mut run, read.sources, opts, threads, discoverer)?;
             if elements == 0 {
                 // The named empty-input error: an empty (or CSV header-only)
                 // input would otherwise masquerade as a stable empty schema
@@ -855,13 +811,7 @@ pub fn run_watch(
             }
         }
         let warnings_before = run.warnings;
-        let mut elements = 0u64;
-        let mut pending = Vec::new();
-        for src in read.sources {
-            let report = absorb_source(src, opts, threads, discoverer, &mut run, &mut pending)?;
-            elements += report.elements;
-        }
-        elements += resolve_pass_pending(discoverer, &mut run, pending);
+        let (elements, _) = absorb_pass(&mut run, read.sources, opts, threads, discoverer)?;
         if run.warnings != warnings_before {
             eprintln!(
                 "pass {pass}: warnings so far: {}",
@@ -1085,17 +1035,12 @@ mod tests {
             cache: SignatureCache::default(),
         };
         let absorb = |run: &mut WatchRun, text: &'static str| {
-            let mut pending = Vec::new();
-            absorb_source(
-                Box::new(PgtSource::new(Cursor::new(text.as_bytes().to_vec()))),
-                &opts,
-                1,
-                &discoverer,
-                run,
-                &mut pending,
-            )
-            .unwrap();
-            assert!(pending.is_empty(), "node-only input carries no edges");
+            let source = PgtSource::new(Cursor::new(text.as_bytes().to_vec()));
+            absorb_pass(run, vec![Box::new(source)], &opts, 1, &discoverer).unwrap();
+            assert_eq!(
+                run.warnings.unresolved_edges, 0,
+                "node-only input carries no edges"
+            );
         };
 
         absorb(&mut run, "N a1 Person -\nN a2 Person -\n");
@@ -1144,18 +1089,8 @@ mod tests {
             retained: VecDeque::new(),
             cache: SignatureCache::default(),
         };
-        let mut pending = Vec::new();
-        absorb_source(
-            Box::new(PgtSource::new(Cursor::new(
-                b"N a1 Person -\nN a2 Person -\n".to_vec(),
-            ))),
-            &opts,
-            1,
-            &discoverer,
-            &mut run,
-            &mut pending,
-        )
-        .unwrap();
+        let source = PgtSource::new(Cursor::new(b"N a1 Person -\nN a2 Person -\n".to_vec()));
+        absorb_pass(&mut run, vec![Box::new(source)], &opts, 1, &discoverer).unwrap();
         assert_eq!(run.registry.generation(), 0, "bindings land in gen 0");
 
         // Pass 1 rolls (passes:1 → 1 % 1 == 0).
@@ -1172,15 +1107,8 @@ mod tests {
 
         // Pass 2 absorbs into generation 1, then rolls: partition 1 (and
         // exactly its generation-0 bindings) leaves the window.
-        absorb_source(
-            Box::new(PgtSource::new(Cursor::new(b"N b1 Org -\n".to_vec()))),
-            &opts,
-            1,
-            &discoverer,
-            &mut run,
-            &mut pending,
-        )
-        .unwrap();
+        let source = PgtSource::new(Cursor::new(b"N b1 Org -\n".to_vec()));
+        absorb_pass(&mut run, vec![Box::new(source)], &opts, 1, &discoverer).unwrap();
         assert_eq!(run.registry.len(), 3);
         run.roll_partition(1, discoverer.new_state());
         assert_eq!(run.registry.generation(), 2);

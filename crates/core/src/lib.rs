@@ -38,13 +38,13 @@
 //! the discovered schema is invariant to interning order and chunk arrival
 //! grouping. For datasets that do not fit in memory,
 //! [`Discoverer::discover_stream`] folds independent chunks with O(chunk)
-//! residency, and [`Discoverer::discover_stream_parallel`] overlaps chunk
-//! discovery across a worker pool, folding chunk states in completion order
-//! — the result is byte-identical to the serial path for every thread
-//! count. [`Discoverer::absorb_stream`] exposes the same engine over a
-//! caller-resident state, which is what `pg-hive watch` builds its drift
-//! monitoring on. `docs/ARCHITECTURE.md` at the repository root maps the
-//! whole system.
+//! residency, and [`Discoverer::absorb_stream`] folds them into a
+//! caller-resident state on a worker pool — byte-identical to the serial
+//! path for every thread count. [`Discoverer::absorb_unit`] and the
+//! [`Ingest`] accumulator wrap that engine into the one ingest fold every
+//! streaming surface (`discover --stream`, sharding, `watch`, `serve`,
+//! `merge-state`) runs: absorb a unit, merge, resolve carried edges.
+//! `docs/ARCHITECTURE.md` at the repository root maps the whole system.
 //!
 //! ## Quickstart
 //!
@@ -90,8 +90,8 @@ pub use config::{ClusterMethod, EmbeddingStrategy, PipelineConfig, SamplingConfi
 pub use diff::{diff_schemas, SchemaDiff};
 pub use parse::{parse_pg_schema, ParseError, ParsedMode};
 pub use pipeline::{
-    AbsorbReport, Discoverer, DiscoveryResult, PipelineStats, ShardedResult, StageTimings,
-    StreamResult,
+    AbsorbReport, Discoverer, DiscoveryResult, Ingest, PipelineStats, StageTimings, StreamResult,
+    UnitSource,
 };
 pub use retract::{retract_batch, RetractionStats};
 pub use schema::{

@@ -21,16 +21,17 @@ use crate::preprocess::{
 };
 use crate::schema::SchemaGraph;
 use crate::sigcache::{CachedChunk, SignatureCache};
-use crate::snapshot::SnapshotError;
+use crate::snapshot::ResumeContext;
 use crate::state::SchemaState;
 use pg_hive_embed::{HashEmbedder, LabelEmbedder, Word2Vec};
 use pg_hive_graph::stream::multi::SourceEntry;
 use pg_hive_graph::{
     split_batches, ChunkedTextReader, GraphBatch, GraphBuilder, LabelSetRegistry, MultiSource,
-    PropertyGraph, Record, StreamError, StreamWarnings,
+    PropertyGraph, RawGraphSource, ReadAheadChunks, Record, StreamError, StreamWarnings, UnitEnd,
 };
 use pg_hive_lsh::{AdaptiveParams, Clustering, ElementClass};
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -121,39 +122,48 @@ pub struct StreamResult {
     pub elements: u64,
 }
 
-/// Result of a [`Discoverer::discover_sharded`] merge-tree run: the root
-/// of the fold, after cross-shard pending-edge resolution.
+/// The accumulator of the ingest fold — §4.6's `S ← updateSchema(S')` over
+/// units of observation (a file, a request body, a watch pass delta).
+/// Every streaming caller runs the same three steps on it:
+/// [`Discoverer::absorb_unit`] folds a unit in, [`Ingest::merge`] folds in a
+/// sibling accumulator, and [`Ingest::resolve`] resolves carried edges
+/// against the accumulated registry. `docs/ARCHITECTURE.md` ("The ingest
+/// fold") lists which caller uses which registry rule and what each does
+/// with the edges left pending.
 #[derive(Debug)]
-pub struct ShardedResult {
-    /// The folded root state — finalize for the schema. Byte-identical to
-    /// the serial (`shards = 1`) run's for every shard count.
+pub struct Ingest {
+    /// The folded schema state — finalize for the schema.
     pub state: SchemaState,
-    /// The merged id → label-set registry across every input.
+    /// The id → label-set registry of every unit folded in.
     pub registry: LabelSetRegistry,
-    /// Carried edges no input's registry could resolve — persisted by
-    /// `--save-state` so a later `merge-state` can resolve them.
+    /// Carried edges the registry could not resolve (yet), in arrival order.
     pub pending: Vec<Record>,
-    /// Per-category warning counts summed across shards and files.
+    /// Per-category warning counts summed across units.
     pub warnings: StreamWarnings,
     /// Elements (nodes + edges) consumed, including resolved carried edges.
     pub elements: u64,
-    /// Number of inputs (files / CSV dataset dirs) processed.
+    /// Number of units (files, CSV dataset dirs, bodies) folded in.
     pub inputs: usize,
 }
 
-/// One shard's (or merge level's) accumulator while the tree folds.
-struct ShardOutcome {
-    state: SchemaState,
-    registry: LabelSetRegistry,
-    warnings: StreamWarnings,
-    pending: Vec<Record>,
-    elements: u64,
-    inputs: usize,
-}
+impl Ingest {
+    /// An empty accumulator over `state` (usually
+    /// [`Discoverer::new_state`]) with a fresh registry.
+    pub fn new(state: SchemaState) -> Self {
+        Self {
+            state,
+            registry: LabelSetRegistry::default(),
+            pending: Vec::new(),
+            warnings: StreamWarnings::default(),
+            elements: 0,
+            inputs: 0,
+        }
+    }
 
-impl ShardOutcome {
-    /// Fold a sibling into this node of the merge tree.
-    fn absorb(&mut self, other: ShardOutcome) {
+    /// Fold a sibling into this accumulator: states merge, counts add,
+    /// carried edges concatenate, and `other`'s registry merges in — its
+    /// bindings win on duplicate ids, which count as `duplicate_nodes`.
+    pub fn merge(&mut self, other: Ingest) {
         self.state.merge(other.state);
         self.warnings.absorb(&other.warnings);
         self.warnings.duplicate_nodes += self.registry.merge(&other.registry);
@@ -161,6 +171,41 @@ impl ShardOutcome {
         self.elements += other.elements;
         self.inputs += other.inputs;
     }
+
+    /// Resolve the carried edges against this accumulator's registry
+    /// ([`Discoverer::resolve_pending`]) into its state, adding them to
+    /// `elements`. Edges that still do not resolve stay in `pending`; what
+    /// they mean is the caller's call. Returns the number resolved.
+    pub fn resolve(&mut self, discoverer: &Discoverer) -> u64 {
+        if self.pending.is_empty() {
+            return 0;
+        }
+        let pending = std::mem::take(&mut self.pending);
+        let (left, resolved) = discoverer.resolve_pending(&mut self.state, &self.registry, pending);
+        self.pending = left;
+        self.elements += resolved;
+        resolved
+    }
+}
+
+impl From<ResumeContext> for Ingest {
+    /// A saved context's engine state, ready to fold more units into.
+    fn from(ctx: ResumeContext) -> Self {
+        Self {
+            registry: ctx.registry,
+            pending: ctx.pending,
+            ..Self::new(ctx.state)
+        }
+    }
+}
+
+/// Where [`Discoverer::absorb_unit`] parses a unit's records.
+pub enum UnitSource<'a> {
+    /// On the calling thread, through a [`ChunkedTextReader`].
+    Inline(Box<dyn RawGraphSource + 'a>),
+    /// On a [`ReadAheadChunks`] producer thread that parses up to the
+    /// given number of chunks ahead of the discovery workers.
+    ReadAhead(Box<dyn RawGraphSource + Send>, usize),
 }
 
 /// Accounting from one [`Discoverer::absorb_stream`] pass (the schema lives
@@ -172,6 +217,9 @@ pub struct AbsorbReport {
     pub elements: u64,
     /// Wall-clock per chunk of this pass, in input order.
     pub chunk_times: Vec<Duration>,
+    /// Largest `node_count + edge_count` of any chunk (stubs included) —
+    /// the peak element count the pass held resident per chunk.
+    pub max_chunk_elements: usize,
 }
 
 /// The PG-HIVE schema discoverer (Algorithm 1).
@@ -358,28 +406,21 @@ impl Discoverer {
         }
     }
 
-    /// Pipeline-parallel [`Self::discover_stream`]: a worker pool of
-    /// `threads` threads runs preprocess → LSH → extract → post-process on
-    /// chunks *concurrently*, folding per-chunk [`SchemaState`]s into the
-    /// running state as they complete. Because `SchemaState` absorption is
+    /// Fold a stream of chunks into an **existing** [`SchemaState`] with
+    /// `threads` workers — the engine under [`Self::discover_stream`] and
+    /// [`Self::absorb_unit`].
+    ///
+    /// With `threads > 1` a worker pool runs preprocess → LSH → extract →
+    /// post-process on chunks *concurrently*, folding per-chunk states into
+    /// `state` as they complete. Because `SchemaState` absorption is
     /// associative **and commutative**, completion order does not matter —
     /// the result is byte-identical to the serial path for every thread
-    /// count *without* the reorder buffer the pre-canonical engine needed
-    /// (the proptests in `tests/tests/stream_parallel.rs` gate exactly
-    /// this).
-    ///
-    /// Chunks are pulled from the iterator on the calling thread and handed
-    /// to workers through a bounded channel, so at most `2 × threads`
-    /// chunks are resident at once (plus whatever read-ahead the producer
-    /// feeding the iterator keeps in flight); the result channel is bounded
-    /// too, so in-flight state stays O(threads). Pair it with
-    /// `pg_hive_graph::stream::ReadAheadChunks` and wall-clock tracks the
-    /// *slower* of I/O and compute instead of their sum.
-    ///
-    /// `threads == 1` (or ≤ 1 chunk of work) degrades to the serial path.
-    /// `chunk_times[i]` is chunk `i`'s processing time on its worker;
-    /// cross-chunk merge time is excluded (it happens concurrently with
-    /// later chunks' processing).
+    /// count (the proptests in `tests/tests/stream_parallel.rs` gate
+    /// exactly this). Chunks are pulled on the calling thread and handed to
+    /// workers through a bounded channel, so at most `2 × threads` chunks
+    /// are resident at once (plus whatever read-ahead the producer feeding
+    /// the iterator keeps in flight). `chunk_times[i]` is chunk `i`'s
+    /// processing time on its worker; cross-chunk merge time is excluded.
     ///
     /// ```
     /// use pg_hive_core::{Discoverer, PipelineConfig};
@@ -392,28 +433,10 @@ impl Discoverer {
     /// let mut ahead = ReadAheadChunks::spawn(source, 2, 2);
     /// // ...while 2 workers discover chunks concurrently.
     /// let d = Discoverer::new(PipelineConfig::elsh_adaptive());
-    /// let result =
-    ///     d.discover_stream_parallel(std::iter::from_fn(|| ahead.next_chunk().unwrap()), 2);
-    /// assert_eq!(result.schema.node_types.len(), 2); // identical to the serial path
+    /// let mut state = d.new_state();
+    /// d.absorb_stream(std::iter::from_fn(|| ahead.next_chunk().unwrap()), &mut state, 2);
+    /// assert_eq!(state.finalize().node_types.len(), 2); // identical to the serial path
     /// ```
-    pub fn discover_stream_parallel<I>(&self, chunks: I, threads: usize) -> StreamResult
-    where
-        I: IntoIterator<Item = PropertyGraph>,
-    {
-        let mut state = self.new_state();
-        let report = self.absorb_stream(chunks, &mut state, threads);
-        StreamResult {
-            schema: state.finalize(),
-            chunk_times: report.chunk_times,
-            elements: report.elements,
-        }
-    }
-
-    /// Fold a stream of chunks into an **existing** [`SchemaState`] with
-    /// `threads` workers (1 = serial). This is the engine under both
-    /// `discover_stream*` entry points and the `pg-hive watch` drift
-    /// monitor, which keeps one resident state across passes and absorbs
-    /// only newly appended chunks — incremental, not re-discovery.
     pub fn absorb_stream<I>(
         &self,
         chunks: I,
@@ -423,7 +446,13 @@ impl Discoverer {
     where
         I: IntoIterator<Item = PropertyGraph>,
     {
-        self.absorb_stream_inner(chunks, state, threads, None)
+        let Ok(report) = self.fold_chunks(
+            chunks.into_iter().map(Ok::<_, Infallible>),
+            state,
+            threads,
+            None,
+        );
+        report
     }
 
     /// [`Self::absorb_stream`] with a [`SignatureCache`] memoizing the
@@ -446,47 +475,141 @@ impl Discoverer {
     where
         I: IntoIterator<Item = PropertyGraph>,
     {
-        self.absorb_stream_inner(chunks, state, threads, Some(cache))
+        let Ok(report) = self.fold_chunks(
+            chunks.into_iter().map(Ok::<_, Infallible>),
+            state,
+            threads,
+            Some(cache),
+        );
+        report
     }
 
-    fn absorb_stream_inner<I>(
+    /// Absorb one unit of observation — a file, a request body, the bytes a
+    /// watch pass found appended — into `acc`.
+    ///
+    /// The unit's reader is seeded with `acc`'s registry, which is moved
+    /// through it (bindings keep their generation stamps), and always
+    /// carries end-of-unit unresolved edges. Chunk states fold into
+    /// `acc.state` on `threads` workers, through `cache` when given
+    /// ([`Self::absorb_stream_cached`]); `on_chunk` sees each chunk as it
+    /// is dispatched. The reader's registry, carried edges and warnings
+    /// then come back into `acc`, and `elements` / `inputs` advance.
+    ///
+    /// Carried edges are not resolved here: call [`Ingest::resolve`] once
+    /// every unit that may declare their endpoints is in. A caller that
+    /// wants each unit read with a fresh registry (tree files, serve bodies)
+    /// absorbs it into a fresh [`Ingest`] and [`Ingest::merge`]s that.
+    ///
+    /// ```
+    /// use pg_hive_core::pipeline::UnitSource;
+    /// use pg_hive_core::{Discoverer, Ingest, PipelineConfig};
+    /// use pg_hive_graph::stream::pgt::PgtSource;
+    ///
+    /// let d = Discoverer::new(PipelineConfig::elsh_adaptive());
+    /// let mut acc = Ingest::new(d.new_state());
+    /// // Two units: the second one's edge references the first one's nodes.
+    /// for text in ["N a Person -\nN c Org -\n", "E a c WORKS_AT -\nE a x KNOWS -\n"] {
+    ///     let source = UnitSource::Inline(Box::new(PgtSource::new(text.as_bytes())));
+    ///     d.absorb_unit(&mut acc, source, 100, 1, None, &mut |_| {}).unwrap();
+    /// }
+    /// assert_eq!(acc.resolve(&d), 0); // WORKS_AT resolved in-unit; `x` is unknown
+    /// assert_eq!((acc.inputs, acc.pending.len()), (2, 1));
+    /// assert_eq!(acc.state.finalize().edge_types.len(), 1);
+    /// ```
+    ///
+    /// # Errors
+    /// The unit's first parse error; `acc` is then partly folded and must
+    /// be discarded.
+    pub fn absorb_unit(
+        &self,
+        acc: &mut Ingest,
+        source: UnitSource<'_>,
+        chunk_size: usize,
+        threads: usize,
+        cache: Option<&SignatureCache>,
+        on_chunk: &mut dyn FnMut(&PropertyGraph),
+    ) -> Result<AbsorbReport, StreamError> {
+        let registry = std::mem::take(&mut acc.registry);
+        let see = |c: &Result<PropertyGraph, StreamError>| {
+            if let Ok(g) = c {
+                on_chunk(g);
+            }
+        };
+        let (report, end) = match source {
+            UnitSource::Inline(source) => {
+                let mut reader = ChunkedTextReader::with_registry(source, chunk_size, registry);
+                reader.set_carry_unresolved(true);
+                let chunks = std::iter::from_fn(|| reader.next_chunk().transpose()).inspect(see);
+                let report = self.fold_chunks(chunks, &mut acc.state, threads, cache)?;
+                let end = UnitEnd {
+                    pending: reader.take_pending(),
+                    warnings: reader.warnings(),
+                    registry: reader.into_registry(),
+                };
+                (report, end)
+            }
+            UnitSource::ReadAhead(source, depth) => {
+                let mut ahead =
+                    ReadAheadChunks::spawn_with_registry(source, chunk_size, depth, registry);
+                let chunks = std::iter::from_fn(|| ahead.next_chunk().transpose()).inspect(see);
+                let report = self.fold_chunks(chunks, &mut acc.state, threads, cache)?;
+                let end = ahead
+                    .take_end()
+                    .expect("a drained producer hands back its end");
+                (report, end)
+            }
+        };
+        acc.pending.extend(end.pending);
+        acc.warnings.absorb(&end.warnings);
+        acc.registry = end.registry;
+        acc.elements += report.elements;
+        acc.inputs += 1;
+        Ok(report)
+    }
+
+    /// Fold fallible chunks into `state` on `threads` workers (1 = serial),
+    /// stopping at the first error.
+    fn fold_chunks<I, E>(
         &self,
         chunks: I,
         state: &mut SchemaState,
         threads: usize,
         cache: Option<&SignatureCache>,
-    ) -> AbsorbReport
+    ) -> Result<AbsorbReport, E>
     where
-        I: IntoIterator<Item = PropertyGraph>,
+        I: IntoIterator<Item = Result<PropertyGraph, E>>,
     {
         let threads = threads.max(1);
         if threads == 1 {
             let shared = self.shared_embedder();
-            let mut chunk_times = Vec::new();
-            let mut elements = 0u64;
-            for chunk in chunks {
-                let t = Instant::now();
-                elements += (chunk.node_count() + chunk.edge_count()) as u64;
-                state.merge(self.chunk_state_cached(&chunk, shared.as_deref(), cache));
-                chunk_times.push(t.elapsed());
-            }
-            return AbsorbReport {
-                elements,
-                chunk_times,
+            let mut report = AbsorbReport {
+                elements: 0,
+                chunk_times: Vec::new(),
+                max_chunk_elements: 0,
             };
+            for chunk in chunks {
+                let chunk = chunk?;
+                let t = Instant::now();
+                let n = chunk.node_count() + chunk.edge_count();
+                report.elements += n as u64;
+                report.max_chunk_elements = report.max_chunk_elements.max(n);
+                state.merge(self.chunk_state_cached(&chunk, shared.as_deref(), cache));
+                report.chunk_times.push(t.elapsed());
+            }
+            return Ok(report);
         }
-        self.absorb_stream_parallel(chunks, state, threads, cache)
+        self.fold_chunks_parallel(chunks, state, threads, cache)
     }
 
-    fn absorb_stream_parallel<I>(
+    fn fold_chunks_parallel<I, E>(
         &self,
         chunks: I,
         state: &mut SchemaState,
         threads: usize,
         cache: Option<&SignatureCache>,
-    ) -> AbsorbReport
+    ) -> Result<AbsorbReport, E>
     where
-        I: IntoIterator<Item = PropertyGraph>,
+        I: IntoIterator<Item = Result<PropertyGraph, E>>,
     {
         struct ChunkOutcome {
             state: SchemaState,
@@ -509,6 +632,7 @@ impl Discoverer {
         // completion order; the schema itself is order-insensitive).
         let mut per_chunk: Vec<Option<(u64, Duration)>> = Vec::new();
         let mut merged = 0usize;
+        let mut failed = None;
         std::thread::scope(|scope| {
             for _ in 0..threads {
                 let work_rx = Arc::clone(&work_rx);
@@ -555,6 +679,14 @@ impl Discoverer {
                 *merged += 1;
             };
             for chunk in chunks {
+                let chunk = match chunk {
+                    Ok(c) => c,
+                    Err(e) => {
+                        // Stop dispatching; the workers still drain below.
+                        failed = Some(e);
+                        break;
+                    }
+                };
                 // Dispatch with backpressure: when the work queue is full
                 // (workers may themselves be blocked on the full result
                 // channel), fold a finished result to make progress instead
@@ -592,17 +724,21 @@ impl Discoverer {
             );
         });
 
-        let mut chunk_times = Vec::with_capacity(per_chunk.len());
-        let mut elements = 0u64;
+        if let Some(e) = failed {
+            return Err(e);
+        }
+        let mut report = AbsorbReport {
+            elements: 0,
+            chunk_times: Vec::with_capacity(per_chunk.len()),
+            max_chunk_elements: 0,
+        };
         for slot in per_chunk {
             let (n, time) = slot.expect("every dispatched chunk was folded");
-            chunk_times.push(time);
-            elements += n;
+            report.chunk_times.push(time);
+            report.elements += n;
+            report.max_chunk_elements = report.max_chunk_elements.max(n as usize);
         }
-        AbsorbReport {
-            elements,
-            chunk_times,
-        }
+        Ok(report)
     }
 
     /// Fresh [`SchemaState`] carrying this discoverer's θ — the accumulator
@@ -611,79 +747,29 @@ impl Discoverer {
         SchemaState::new(self.config.theta)
     }
 
-    /// Resume a streaming discovery from a previously persisted state (see
-    /// [`crate::snapshot`]): verify the loaded state is compatible with
-    /// this discoverer's configuration, absorb the remaining chunks into
-    /// it with `threads` workers, and finalize. Because snapshot
-    /// persistence is lossless and absorption is associative and
-    /// commutative, a run cut at any chunk boundary, saved, reloaded, and
-    /// resumed through this method finalizes **byte-identically** to the
-    /// uninterrupted run (`tests/tests/snapshot_resume.rs` proptests this
-    /// across formats and thread counts).
-    ///
-    /// The state is borrowed mutably, not consumed, so a caller that wants
-    /// to checkpoint again after the pass (e.g. `discover --save-state`)
-    /// still owns it; [`SchemaState::finalize`] is non-consuming.
-    ///
-    /// # Errors
-    /// [`SnapshotError::Incompatible`] when the loaded state's θ differs
-    /// from this discoverer's — absorbing under a different merge
-    /// threshold would produce a schema no single-config run could have
-    /// produced. (Method/seed/chunk-size guards live in
-    /// [`crate::snapshot::SnapshotConfig::ensure_matches`], which callers
-    /// holding a full [`crate::snapshot::ResumeContext`] should apply
-    /// first.)
-    pub fn resume_stream<I>(
-        &self,
-        state: &mut SchemaState,
-        chunks: I,
-        threads: usize,
-    ) -> Result<StreamResult, SnapshotError>
-    where
-        I: IntoIterator<Item = PropertyGraph>,
-    {
-        if state.theta().to_bits() != self.config.theta.to_bits() {
-            return Err(SnapshotError::Incompatible {
-                field: "theta",
-                saved: state.theta().to_string(),
-                requested: self.config.theta.to_string(),
-            });
-        }
-        let report = self.absorb_stream(chunks, state, threads);
-        Ok(StreamResult {
-            schema: state.finalize(),
-            chunk_times: report.chunk_times,
-            elements: report.elements,
-        })
-    }
-
     /// Sharded discovery over a [`MultiSource`] — the merge-tree run.
     ///
     /// The entry list is balanced by byte length (LPT) across `shards`
-    /// partitions ([`MultiSource::partition`]); each
-    /// shard reads **its files one at a time with a fresh reader** (fresh
-    /// registry, so a file's chunk boundaries depend only on that file and
-    /// the chunk size, never on which shard it landed on) and folds the
-    /// per-file states with the associative+commutative
-    /// [`SchemaState::merge`]. Shards run on their own threads, each with
-    /// `threads` chunk workers ([`Self::absorb_stream`]); shard states then
-    /// fold pairwise up a merge tree. Because every per-file state is
-    /// partition-invariant and the fold is order-insensitive,
-    /// `discover_sharded(src, n, ..)` finalizes **byte-identically** to
-    /// `discover_sharded(src, 1, ..)` — the serial single-state run — for
-    /// every shard count.
+    /// partitions ([`MultiSource::partition`]). Each shard absorbs **its
+    /// files one at a time as units with a fresh registry**
+    /// ([`Self::absorb_unit`] into a fresh [`Ingest`], then
+    /// [`Ingest::merge`]), so a file's chunk boundaries depend only on that
+    /// file and the chunk size, never on which shard it landed on. Shards
+    /// run on their own threads, each with `threads` chunk workers; shard
+    /// accumulators then merge pairwise up a merge tree. Because every
+    /// per-file state is partition-invariant and the fold is
+    /// order-insensitive, `discover_sharded(src, n, ..)` finalizes
+    /// **byte-identically** to `discover_sharded(src, 1, ..)` for every
+    /// shard count.
     ///
     /// Cross-file edges (an edge in one file whose endpoint node only some
-    /// other file declares) are carried out of each reader
-    /// ([`ChunkedTextReader::take_pending`]) and resolved at the root
-    /// against the merged registry, batched per edge signature on
-    /// distinct stub pairs ([`Self::resolve_pending`]), so each
+    /// other file declares) are carried out of each unit and resolved at
+    /// the root against the merged registry ([`Ingest::resolve`]), so each
     /// contributes cardinality 1:1 and an endpoint-label pair no matter
     /// when or where it resolves — which is what makes split
     /// `--save-state` runs merged later with `merge-state` equal to the
-    /// one-shot run. Edges whose endpoints no
-    /// input declares stay in [`ShardedResult::pending`] (and count as
-    /// unresolved warnings).
+    /// one-shot run. Edges whose endpoints no input declares stay in
+    /// [`Ingest::pending`] and count as unresolved warnings.
     ///
     /// Node ids are expected to be unique across the whole tree; a
     /// duplicate id re-declared by another file counts toward
@@ -694,10 +780,10 @@ impl Discoverer {
         shards: usize,
         chunk_size: usize,
         threads: usize,
-    ) -> Result<ShardedResult, StreamError> {
+    ) -> Result<Ingest, StreamError> {
         let shards = shards.max(1);
         let parts = source.partition(shards);
-        let outcomes: Vec<Result<ShardOutcome, StreamError>> = if shards == 1 {
+        let outcomes: Vec<Result<Ingest, StreamError>> = if shards == 1 {
             vec![self.run_shard(&parts[0], chunk_size, threads)]
         } else {
             std::thread::scope(|scope| {
@@ -711,7 +797,7 @@ impl Discoverer {
                     .collect()
             })
         };
-        let mut folds: Vec<ShardOutcome> = outcomes.into_iter().collect::<Result<_, _>>()?;
+        let mut folds: Vec<Ingest> = outcomes.into_iter().collect::<Result<_, _>>()?;
         // Hierarchical fold: merge adjacent pairs until one state remains.
         // Any tree shape would finalize identically; pairwise rounds keep
         // each merge between states of similar size.
@@ -720,69 +806,34 @@ impl Discoverer {
             let mut iter = folds.into_iter();
             while let Some(mut left) = iter.next() {
                 if let Some(right) = iter.next() {
-                    left.absorb(right);
+                    left.merge(right);
                 }
                 next.push(left);
             }
             folds = next;
         }
         let mut root = folds.pop().expect("at least one shard");
-        let (pending, resolved) =
-            self.resolve_pending(&mut root.state, &root.registry, root.pending);
-        root.elements += resolved;
-        root.warnings.unresolved_edges += pending.len() as u64;
-        Ok(ShardedResult {
-            state: root.state,
-            registry: root.registry,
-            pending,
-            warnings: root.warnings,
-            elements: root.elements,
-            inputs: root.inputs,
-        })
+        root.resolve(self);
+        root.warnings.unresolved_edges += root.pending.len() as u64;
+        Ok(root)
     }
 
-    /// One shard's serial fold over its file partition.
+    /// One shard's serial fold over its file partition: each file is its
+    /// own unit with a fresh registry, merged in afterwards.
     fn run_shard(
         &self,
         entries: &[SourceEntry],
         chunk_size: usize,
         threads: usize,
-    ) -> Result<ShardOutcome, StreamError> {
-        let mut out = ShardOutcome {
-            state: self.new_state(),
-            registry: LabelSetRegistry::default(),
-            warnings: StreamWarnings::default(),
-            pending: Vec::new(),
-            elements: 0,
-            inputs: 0,
-        };
+    ) -> Result<Ingest, StreamError> {
+        let mut shard = Ingest::new(self.new_state());
         for entry in entries {
-            let mut reader = ChunkedTextReader::new(entry.open()?, chunk_size);
-            reader.set_carry_unresolved(true);
-            let mut err = None;
-            let report = self.absorb_stream(
-                std::iter::from_fn(|| match reader.next_chunk() {
-                    Ok(c) => c,
-                    Err(e) => {
-                        err = Some(e);
-                        None
-                    }
-                }),
-                &mut out.state,
-                threads,
-            );
-            if let Some(e) = err {
-                return Err(e);
-            }
-            out.elements += report.elements;
-            // Order matters: extract carried edges before the warning
-            // counters, so they are not double-counted as unresolved.
-            out.pending.extend(reader.take_pending());
-            out.warnings.absorb(&reader.warnings());
-            out.warnings.duplicate_nodes += out.registry.merge(&reader.into_registry());
-            out.inputs += 1;
+            let mut file = Ingest::new(self.new_state());
+            let source = UnitSource::Inline(entry.open()?);
+            self.absorb_unit(&mut file, source, chunk_size, threads, None, &mut |_| {})?;
+            shard.merge(file);
         }
-        Ok(out)
+        Ok(shard)
     }
 
     /// Resolve carried cross-file edges against a (merged) registry,
@@ -1320,6 +1371,17 @@ mod tests {
         advance_cluster_offset(0, u32::MAX as usize + 1, "edge");
     }
 
+    /// `absorb_stream(.., threads)` into a fresh state, finalized.
+    fn stream_with(d: &Discoverer, chunks: Vec<PropertyGraph>, threads: usize) -> StreamResult {
+        let mut state = d.new_state();
+        let report = d.absorb_stream(chunks, &mut state, threads);
+        StreamResult {
+            schema: state.finalize(),
+            chunk_times: report.chunk_times,
+            elements: report.elements,
+        }
+    }
+
     #[test]
     fn parallel_stream_is_byte_identical_to_serial() {
         use pg_hive_graph::loader::save_text;
@@ -1339,7 +1401,7 @@ mod tests {
             let serial = d.discover_stream(chunks(size));
             let serial_text = crate::serialize::pg_schema_strict(&serial.schema, "G");
             for threads in [2, 3, 4] {
-                let par = d.discover_stream_parallel(chunks(size), threads);
+                let par = stream_with(&d, chunks(size), threads);
                 assert_eq!(par.elements, serial.elements, "size {size} x{threads}");
                 assert_eq!(par.chunk_times.len(), serial.chunk_times.len());
                 assert_eq!(
@@ -1354,16 +1416,50 @@ mod tests {
     #[test]
     fn parallel_stream_with_one_thread_or_no_chunks_degrades_gracefully() {
         let d = Discoverer::new(PipelineConfig::elsh_adaptive());
-        let one = d.discover_stream_parallel(vec![figure1()], 1);
+        let one = stream_with(&d, vec![figure1()], 1);
         assert_eq!(one.chunk_times.len(), 1);
         assert_eq!(one.elements, 14);
-        let none = d.discover_stream_parallel(Vec::new(), 4);
+        let none = stream_with(&d, Vec::new(), 4);
         assert_eq!(none.elements, 0);
         assert!(none.schema.node_types.is_empty());
         // More threads than chunks is fine — idle workers just exit.
-        let few = d.discover_stream_parallel(vec![figure1()], 8);
+        let few = stream_with(&d, vec![figure1()], 8);
         assert_eq!(few.elements, 14);
         assert_eq!(few.schema.node_types.len(), 4);
+    }
+
+    #[test]
+    fn units_read_inline_and_ahead_alike_and_stop_at_parse_errors() {
+        use pg_hive_graph::loader::save_text;
+        use pg_hive_graph::stream::pgt::PgtSource;
+        let text = save_text(&figure1());
+        let strict = |acc: &Ingest| crate::serialize::pg_schema_strict(&acc.state.finalize(), "G");
+        let d = Discoverer::new(PipelineConfig::elsh_adaptive());
+        for threads in [1, 3] {
+            let mut inline = Ingest::new(d.new_state());
+            let source = UnitSource::Inline(Box::new(PgtSource::new(text.as_bytes())));
+            d.absorb_unit(&mut inline, source, 3, threads, None, &mut |_| {})
+                .unwrap();
+            let mut ahead = Ingest::new(d.new_state());
+            let mut seen = 0;
+            let bytes = std::io::Cursor::new(text.clone().into_bytes());
+            let source = UnitSource::ReadAhead(Box::new(PgtSource::new(bytes)), 2);
+            let report = d
+                .absorb_unit(&mut ahead, source, 3, threads, None, &mut |_| seen += 1)
+                .unwrap();
+            assert_eq!(seen, report.chunk_times.len());
+            assert!(report.max_chunk_elements <= 6, "{report:?}");
+            assert_eq!((inline.elements, inline.inputs), (ahead.elements, 1));
+            assert_eq!(inline.warnings, ahead.warnings);
+            assert_eq!(ahead.registry.len(), 7);
+            assert_eq!(strict(&inline), strict(&ahead), "x{threads}");
+
+            let bad = format!("{text}not a record\n");
+            let mut acc = Ingest::new(d.new_state());
+            let source = UnitSource::Inline(Box::new(PgtSource::new(bad.as_bytes())));
+            let err = d.absorb_unit(&mut acc, source, 3, threads, None, &mut |_| {});
+            assert!(matches!(err, Err(StreamError::Parse { .. })), "x{threads}");
+        }
     }
 
     #[test]

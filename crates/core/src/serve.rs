@@ -19,22 +19,24 @@
 //! enforces exactly that property over raw `TcpStream`s.
 //!
 //! "Fixed observation" is load-bearing and mirrors the offline sharded
-//! path's per-file rule (see `docs/ARCHITECTURE.md`): every request body
-//! is chunked by a **fresh reader with a fresh registry**, so its
-//! contribution — label sets, property types, and the per-chunk distinct
-//! endpoint counts that bound cardinality — depends only on the body and
-//! the chunk size, never on arrival order. Cross-request edges (endpoint
-//! declared by some *other* request) always travel the carried-pending
-//! path: the batch registry is merged into the tenant registry after
-//! absorb, and [`Discoverer::resolve_pending`] materializes each resolved
-//! edge as its own stub mini-graph — a per-edge observation identical no
-//! matter *when* the endpoint finally shows up. Request bodies are the
-//! unit of observation exactly as shard files are offline, so the shard
-//! equivalence proof carries over verbatim.
+//! path's per-file rule (see "The ingest fold" in `docs/ARCHITECTURE.md`):
+//! every request body is absorbed as one unit into a **fresh
+//! [`Ingest`] with a fresh registry**, so its contribution — label sets,
+//! property types, and the per-chunk distinct endpoint counts that bound
+//! cardinality — depends only on the body and the chunk size, never on
+//! arrival order. Cross-request edges (endpoint declared by some *other*
+//! request) always travel the carried-pending path: the body's unit is
+//! merged into the tenant's accumulator and [`Ingest::resolve`]
+//! materializes each resolved edge as its own stub mini-graph — a
+//! per-edge observation identical no matter *when* the endpoint finally
+//! shows up. Request bodies are the unit of observation exactly as shard
+//! files are offline, so the shard equivalence proof carries over
+//! verbatim.
 //!
-//! Each ingest request is **atomic**: the body is parsed into chunks in
-//! full *before* any tenant state is touched, so a malformed body returns
-//! `400 bad-body` and leaves the tenant exactly as it was.
+//! Each ingest request is **atomic**: the body folds into its own unit,
+//! which is merged into the tenant only once the whole body parsed, so a
+//! malformed body returns `400 bad-body` and leaves the tenant's schema,
+//! registry and counters exactly as they were.
 //!
 //! ## Lock ordering
 //!
@@ -64,7 +66,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fs;
-use std::io::{self, BufRead, BufReader, Cursor, ErrorKind, Write};
+use std::io::{self, BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -73,13 +75,12 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
+use pg_hive_graph::json_escape;
 use pg_hive_graph::stream::{csv::CsvSource, jsonl::JsonlSource, pgt::PgtSource};
-use pg_hive_graph::{
-    ChunkedTextReader, LabelSetRegistry, PropertyGraph, RawGraphSource, Record, StreamWarnings,
-};
+use pg_hive_graph::RawGraphSource;
 
 use crate::diff::{diff_schemas, SchemaDiff};
-use crate::pipeline::Discoverer;
+use crate::pipeline::{Discoverer, Ingest, UnitSource};
 use crate::schema::SchemaGraph;
 use crate::serialize::pg_schema_strict;
 use crate::sigcache::{SignatureCache, DEFAULT_CACHE_CAP};
@@ -164,29 +165,22 @@ pub type DriftHook = Box<dyn Fn(&DriftNotice) + Send + Sync>;
 /// Everything mutable about one tenant, guarded by one mutex (level 2 of
 /// the lock order documented at module level).
 struct TenantState {
-    state: crate::state::SchemaState,
-    registry: LabelSetRegistry,
-    pending: Vec<Record>,
+    /// Schema state, registry, pending edges, warnings and element count.
+    ingest: Ingest,
     cache: SignatureCache,
     pass: u64,
-    elements: u64,
-    warnings: StreamWarnings,
     history: VecDeque<(u64, SchemaGraph)>,
     last_schema: SchemaGraph,
 }
 
 impl TenantState {
-    fn fresh(discoverer: &Discoverer) -> Self {
+    fn new(ingest: Ingest, cache: SignatureCache, pass: u64, last_schema: SchemaGraph) -> Self {
         TenantState {
-            state: discoverer.new_state(),
-            registry: LabelSetRegistry::default(),
-            pending: Vec::new(),
-            cache: SignatureCache::default(),
-            pass: 0,
-            elements: 0,
-            warnings: StreamWarnings::default(),
-            history: VecDeque::from([(0, SchemaGraph::default())]),
-            last_schema: SchemaGraph::default(),
+            ingest,
+            cache,
+            pass,
+            history: VecDeque::from([(pass, last_schema.clone())]),
+            last_schema,
         }
     }
 
@@ -325,25 +319,6 @@ impl Response {
     }
 }
 
-/// Escape a string for embedding in a JSON double-quoted literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn parse_query(q: &str) -> Vec<(String, String)> {
     q.split('&')
         .filter(|kv| !kv.is_empty())
@@ -448,7 +423,12 @@ impl ServeCore {
         }
         let mut map = self.tenants.write().expect("tenant map poisoned");
         map.entry(name.to_string())
-            .or_insert_with(|| Arc::new(Mutex::new(TenantState::fresh(&self.discoverer))))
+            .or_insert_with(|| {
+                let ingest = Ingest::new(self.discoverer.new_state());
+                let fresh =
+                    TenantState::new(ingest, SignatureCache::default(), 0, SchemaGraph::default());
+                Arc::new(Mutex::new(fresh))
+            })
             .clone()
     }
 
@@ -569,66 +549,46 @@ impl ServeCore {
         let handle = self.tenant_or_create(tenant);
         let mut guard = handle.lock().expect("tenant state poisoned");
         let t = &mut *guard;
-        // Phase 1 — parse the whole body into chunks with a *fresh* reader
-        // and registry, exactly like one shard file in the offline sharded
-        // path: the batch's contribution (including its per-chunk
-        // cardinality observations) depends only on the body and the chunk
-        // size, never on what other clients ingested first. Any parse
-        // error aborts here with the tenant untouched: ingest is
-        // all-or-nothing.
-        let source: Box<dyn RawGraphSource + Send> = match format {
-            BodyFormat::Pgt => Box::new(PgtSource::new(Cursor::new(req.body.clone()))),
-            BodyFormat::Jsonl => Box::new(JsonlSource::new(Cursor::new(req.body.clone()))),
-            BodyFormat::CsvNodes => Box::new(CsvSource::new(
-                Cursor::new(req.body.clone()),
-                None::<Cursor<Vec<u8>>>,
-            )),
-            BodyFormat::CsvEdges => Box::new(CsvSource::new(
-                Cursor::new(Vec::new()),
-                Some(Cursor::new(req.body.clone())),
-            )),
+        // The body is one unit with a *fresh* registry, exactly like one
+        // shard file in the offline sharded path: its contribution
+        // (including its per-chunk cardinality observations) depends only
+        // on the body and the chunk size, never on what other clients
+        // ingested first. It is read in place, inline (threads = 1): the
+        // tenant mutex is the only coarse lock held and the signature
+        // cache's internal mutex is a leaf below it.
+        let body = req.body.as_slice();
+        let source: Box<dyn RawGraphSource + '_> = match format {
+            BodyFormat::Pgt => Box::new(PgtSource::new(body)),
+            BodyFormat::Jsonl => Box::new(JsonlSource::new(body)),
+            BodyFormat::CsvNodes => Box::new(CsvSource::new(body, None)),
+            BodyFormat::CsvEdges => Box::new(CsvSource::new(&[][..], Some(body))),
         };
-        let mut reader = ChunkedTextReader::with_registry(
-            source,
+        let mut unit = Ingest::new(self.discoverer.new_state());
+        let read = self.discoverer.absorb_unit(
+            &mut unit,
+            UnitSource::Inline(source),
             self.opts.chunk_size,
-            LabelSetRegistry::default(),
+            1,
+            Some(&t.cache),
+            &mut |_| {},
         );
-        reader.set_carry_unresolved(true);
-        let mut chunks: Vec<PropertyGraph> = Vec::new();
-        loop {
-            match reader.next_chunk() {
-                Ok(Some(chunk)) => chunks.push(chunk),
-                Ok(None) => break,
-                Err(e) => {
-                    return (
-                        Response::error(400, "bad-body", &format!("parse error: {e}")),
-                        None,
-                    )
-                }
-            }
+        if let Err(e) = read {
+            // Nothing was committed: ingest is all-or-nothing.
+            return (
+                Response::error(400, "bad-body", &format!("parse error: {e}")),
+                None,
+            );
         }
-        // Phase 2 — commit. Absorb runs inline (threads = 1): the tenant
-        // mutex is the only coarse lock held and the signature cache's
-        // internal mutex is a leaf below it.
-        let report = self
-            .discoverer
-            .absorb_stream_cached(chunks, &mut t.state, 1, &t.cache);
-        // Cross-batch edges (endpoint declared by some other request, past
-        // or future) always travel the carried-pending path and resolve as
-        // stub mini-graphs — a fixed per-edge observation, so resolution
-        // *timing* can never change the schema bytes.
-        t.pending.extend(reader.take_pending());
-        t.warnings.absorb(&reader.warnings());
-        t.warnings.duplicate_nodes += t.registry.merge(&reader.into_registry());
-        let carried = std::mem::take(&mut t.pending);
-        let (left, resolved) = self
-            .discoverer
-            .resolve_pending(&mut t.state, &t.registry, carried);
-        t.pending = left;
+        // Commit. Cross-batch edges (endpoint declared by some other
+        // request, past or future) always travel the carried-pending path
+        // and resolve as stub mini-graphs — a fixed per-edge observation,
+        // so resolution *timing* can never change the schema bytes.
+        let before = t.ingest.elements;
+        t.ingest.merge(unit);
+        let resolved = t.ingest.resolve(&self.discoverer);
         t.pass += 1;
-        let absorbed = report.elements + resolved;
-        t.elements += absorbed;
-        let schema = t.state.finalize_cached();
+        let absorbed = t.ingest.elements - before;
+        let schema = t.ingest.state.finalize_cached();
         let diff = diff_schemas(&t.last_schema, &schema);
         let pass = t.pass;
         let body = format!(
@@ -636,8 +596,8 @@ impl ServeCore {
              \"elements_resolved\":{resolved},\"elements_total\":{},\"pending_edges\":{},\
              \"node_types\":{},\"edge_types\":{},\"drift\":{},\"monotone\":{}}}",
             json_escape(tenant),
-            t.elements,
-            t.pending.len(),
+            t.ingest.elements,
+            t.ingest.pending.len(),
             schema.node_types.len(),
             schema.edge_types.len(),
             !diff.is_empty(),
@@ -672,7 +632,7 @@ impl ServeCore {
             );
         }
         let mut t = handle.lock().expect("tenant state poisoned");
-        let schema = t.state.finalize_cached();
+        let schema = t.ingest.state.finalize_cached();
         let strict = pg_schema_strict(&schema, "Discovered");
         if format == "json" {
             Response::json(
@@ -697,9 +657,9 @@ impl ServeCore {
             return unknown_tenant(tenant);
         };
         let mut t = handle.lock().expect("tenant state poisoned");
-        let schema = t.state.finalize_cached();
+        let schema = t.ingest.state.finalize_cached();
         let cache = t.cache.stats();
-        let w = &t.warnings;
+        let w = &t.ingest.warnings;
         Response::json(
             200,
             format!(
@@ -710,11 +670,11 @@ impl ServeCore {
                  \"deferred_edges\":{},\"evicted_edges\":{},\"duplicate_nodes\":{}}}}}",
                 json_escape(tenant),
                 t.pass,
-                t.elements,
-                t.state.pooled_types(),
+                t.ingest.elements,
+                t.ingest.state.pooled_types(),
                 schema.node_types.len(),
                 schema.edge_types.len(),
-                t.pending.len(),
+                t.ingest.pending.len(),
                 t.history.len(),
                 t.cache.len(),
                 cache.hits,
@@ -768,7 +728,7 @@ impl ServeCore {
                 ),
             );
         };
-        let current = t.state.finalize_cached();
+        let current = t.ingest.state.finalize_cached();
         let diff = diff_schemas(&old, &current);
         Response::json(
             200,
@@ -807,22 +767,28 @@ impl ServeCore {
             input: tenant.to_string(),
             format: "serve".to_string(),
             pass: t.pass,
-            warnings: t.warnings,
+            warnings: t.ingest.warnings,
             files: Vec::new(),
         };
         let snap = context_snapshot_cached(
             &self.snapshot_config,
-            &t.state,
-            &t.registry,
+            &t.ingest.state,
+            &t.ingest.registry,
             Some(&watch),
-            &t.pending,
+            &t.ingest.pending,
             Some(&t.cache),
         );
+        // Chains are keyed by the full tenant name, so two tenants' chains
+        // can never cross-contaminate.
         let path = dir.join(format!("{tenant}.snapshot"));
-        let rotated = if let Some(keep) = self.opts.keep {
-            rotate_chain(&dir, tenant, keep)
-        } else {
-            0
+        let rotated = match self
+            .opts
+            .keep
+            .map(|keep| Snapshot::rotate(&path, keep, true))
+        {
+            None => 0,
+            Some(Ok(n)) => n,
+            Some(Err(e)) => return Response::error(500, "checkpoint-failed", &e.to_string()),
         };
         match snap.write_atomic(&path) {
             Ok(()) => Response::json(
@@ -853,29 +819,6 @@ fn method_not_allowed(allow: &str) -> Response {
         "method-not-allowed",
         &format!("this route accepts {allow} only"),
     )
-}
-
-/// Shift `<tenant>.snapshot` into a `.1..keep` rotation chain, dropping
-/// the oldest link. Returns how many links were shifted. Chains are keyed
-/// by the full tenant name, so two tenants' chains can never
-/// cross-contaminate.
-fn rotate_chain(dir: &Path, tenant: &str, keep: usize) -> usize {
-    if keep == 0 {
-        return 0;
-    }
-    let link = |i: usize| dir.join(format!("{tenant}.snapshot.{i}"));
-    let _ = fs::remove_file(link(keep));
-    let mut shifted = 0;
-    for i in (1..keep).rev() {
-        if link(i).exists() && fs::rename(link(i), link(i + 1)).is_ok() {
-            shifted += 1;
-        }
-    }
-    let current = dir.join(format!("{tenant}.snapshot"));
-    if current.exists() && fs::rename(&current, link(1)).is_ok() {
-        shifted += 1;
-    }
-    shifted
 }
 
 /// Scan `dir` for `<tenant>.snapshot` files and rebuild each tenant's
@@ -909,19 +852,11 @@ fn resume_tenants(
         let pass = ctx.watch.as_ref().map(|w| w.pass).unwrap_or(0);
         let warnings = ctx.watch.as_ref().map(|w| w.warnings).unwrap_or_default();
         let last_schema = ctx.state.finalize();
+        let mut ingest = Ingest::from(ctx);
+        ingest.warnings = warnings;
         out.push((
             tenant.to_string(),
-            TenantState {
-                state: ctx.state,
-                registry: ctx.registry,
-                pending: ctx.pending,
-                cache,
-                pass,
-                elements: 0,
-                warnings,
-                history: VecDeque::from([(pass, last_schema.clone())]),
-                last_schema,
-            },
+            TenantState::new(ingest, cache, pass, last_schema),
         ));
     }
     Ok(out)
@@ -1346,6 +1281,8 @@ fn accept_loop(listener: TcpListener, core: Arc<ServeCore>, stop: Arc<AtomicBool
 mod tests {
     use super::*;
     use crate::config::PipelineConfig;
+    use pg_hive_graph::{ChunkedTextReader, LabelSetRegistry};
+    use std::io::Cursor;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Barrier;
 
@@ -1471,6 +1408,61 @@ E 1 3 MEMBER_OF from=1835\n";
             before,
             "failed ingest must be atomic"
         );
+
+        // Again with one-element chunks and valid records first: the error
+        // lands after chunks were already folded into the body's unit.
+        let core = test_core(ServeOptions {
+            chunk_size: 1,
+            ..ServeOptions::default()
+        });
+        let counters = || {
+            let (resp, _) = core.dispatch(&Request::new("GET", "/v1/t/stats", Vec::new()));
+            let body = String::from_utf8(resp.body).unwrap();
+            let field = |name: &str| {
+                let start = body.find(&format!("\"{name}\":")).expect(name) + name.len() + 3;
+                body[start..]
+                    .split(|c: char| !c.is_ascii_digit())
+                    .next()
+                    .unwrap()
+                    .parse::<u64>()
+                    .unwrap()
+            };
+            (field("pass"), field("elements_ingested"))
+        };
+        ingest(&core, "t", BATCH_A);
+        let before = (schema_bytes(&core, "t"), counters());
+        let bad = format!("{BATCH_B}N 4 Person name=Ada\nN 5 Org name=X\nnot a record at all\n");
+        let resp = ingest(&core, "t", &bad);
+        assert_eq!(resp.status, 400);
+        assert_eq!((schema_bytes(&core, "t"), counters()), before);
+        assert_eq!(before.1 .0, 1, "one committed pass");
+    }
+
+    #[test]
+    fn failed_rotation_is_a_named_error_and_keeps_the_checkpoint() {
+        let dir = temp_dir("rotate-fail");
+        let core = test_core(ServeOptions {
+            state_dir: Some(dir.clone()),
+            keep: Some(1),
+            ..ServeOptions::default()
+        });
+        let checkpoint = || {
+            let (resp, _) = core.dispatch(&Request::new("POST", "/v1/t/checkpoint", Vec::new()));
+            (resp.status, String::from_utf8(resp.body).unwrap())
+        };
+        ingest(&core, "t", BATCH_A);
+        assert_eq!(checkpoint().0, 200);
+        let current = dir.join("t.snapshot");
+        let saved = fs::read(&current).unwrap();
+        // The rotation slot cannot be replaced: neither unlinked nor
+        // renamed onto.
+        fs::create_dir(dir.join("t.snapshot.1")).unwrap();
+        ingest(&core, "t", BATCH_B);
+        let (status, body) = checkpoint();
+        assert_eq!(status, 500, "{body}");
+        assert!(body.contains("\"error\":\"checkpoint-failed\""), "{body}");
+        assert_eq!(fs::read(&current).unwrap(), saved, "not overwritten");
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -334,6 +334,44 @@ impl Snapshot {
         std::fs::rename(&tmp, path).map_err(io_err)
     }
 
+    /// Make room in `path`'s rotation chain `path.1` (most recent) …
+    /// `path.{keep}`: drop `path.{keep}`, shift every other link one slot
+    /// up, and with `rotate_current` move `path` itself into `.1`. Returns
+    /// how many files moved; `keep == 0` does nothing.
+    ///
+    /// Missing links are skipped. Any other failure (a slot that is a
+    /// directory, a permission error) stops the rotation with
+    /// [`SnapshotError::Io`] — call this before writing the new snapshot,
+    /// so a failed rotation never overwrites the file it was meant to keep.
+    pub fn rotate(path: &Path, keep: usize, rotate_current: bool) -> Result<usize, SnapshotError> {
+        let link = |i: usize| {
+            let mut name = path.as_os_str().to_owned();
+            name.push(format!(".{i}"));
+            std::path::PathBuf::from(name)
+        };
+        let tolerate_missing = |p: &Path, r: std::io::Result<()>| match r {
+            Ok(()) => Ok(true),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
+            Err(e) => Err(SnapshotError::Io {
+                path: p.display().to_string(),
+                detail: e.to_string(),
+            }),
+        };
+        if keep == 0 {
+            return Ok(0);
+        }
+        tolerate_missing(&link(keep), std::fs::remove_file(link(keep)))?;
+        let mut moves: Vec<_> = (1..keep).rev().map(|i| (link(i), link(i + 1))).collect();
+        if rotate_current {
+            moves.push((path.to_path_buf(), link(1)));
+        }
+        let mut moved = 0;
+        for (from, to) in moves {
+            moved += usize::from(tolerate_missing(&from, std::fs::rename(&from, &to))?);
+        }
+        Ok(moved)
+    }
+
     /// Read and [`Self::parse`] a snapshot file.
     pub fn read(path: &Path) -> Result<Snapshot, SnapshotError> {
         let text = std::fs::read_to_string(path).map_err(|e| SnapshotError::Io {

@@ -24,10 +24,10 @@
 //! - [`stream`]: streaming ingestion — a [`stream::GraphSource`] trait over
 //!   `.pgt` / CSV / JSON-Lines exports and a [`stream::ChunkedTextReader`]
 //!   that yields independent graph chunks with O(chunk) resident memory,
-//!   feeding `Discoverer::discover_stream` (§4.6); plus
+//!   feeding `Discoverer::absorb_unit` (§4.6); plus
 //!   [`stream::ReadAheadChunks`] / [`stream::ReadAheadRecords`], the
 //!   bounded-channel producer stages that overlap parsing with downstream
-//!   discovery (`Discoverer::discover_stream_parallel`) or stats folding.
+//!   discovery (`absorb_unit`'s read-ahead units) or stats folding.
 //!
 //! See `docs/ARCHITECTURE.md` at the repository root for the crate map and
 //! the streaming chunk lifecycle.
@@ -53,9 +53,11 @@ pub use element::{Edge, EdgeId, Node, NodeId};
 pub use graph::PropertyGraph;
 pub use interner::{Interner, Symbol};
 pub use stats::GraphStats;
+pub use stream::jsonl::json_escape;
 pub use stream::multi::{MultiSource, SourceEntry, SourceKind};
 pub use stream::{
     ChunkedTextReader, GraphSource, LabelSetRegistry, OwnedSource, RawGraphSource, ReadAheadChunks,
     ReadAheadRecords, Record, RecordBuf, RecordRef, StreamError, StreamSummary, StreamWarnings,
+    UnitEnd,
 };
 pub use value::{Value, ValueKind};

@@ -162,8 +162,15 @@ fn push_props(g: &PropertyGraph, out: &mut String, props: &[(crate::Symbol, Valu
 }
 
 fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
+    format!("\"{}\"", json_escape(s))
+}
+
+/// Escape `s` for embedding in a JSON double-quoted string literal: quote,
+/// backslash and control characters become escapes, everything else passes
+/// through. The one escaper behind every hand-rolled JSON document in the
+/// workspace (JSON-Lines export, drift and violation events, HTTP bodies).
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -175,7 +182,6 @@ fn json_string(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out.push('"');
     out
 }
 
@@ -736,6 +742,12 @@ mod tests {
             Some(&Value::Float(2.0)),
             "the .0 marker keeps integral floats floats"
         );
+    }
+
+    #[test]
+    fn json_escape_handles_specials() {
+        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]

@@ -184,6 +184,21 @@ impl StreamWarnings {
     }
 }
 
+/// A drained reader's end-of-unit state: what `Discoverer::absorb_unit`
+/// folds back into its accumulator once a unit's stream is exhausted.
+#[derive(Debug, Default)]
+pub struct UnitEnd {
+    /// The reader's id → label-set registry: its seed plus every binding
+    /// the unit declared.
+    pub registry: LabelSetRegistry,
+    /// Edges whose endpoints the registry never bound, in arrival order
+    /// (see [`ChunkedTextReader::take_pending`]).
+    pub pending: Vec<Record>,
+    /// The unit's warning counts; carried edges are not counted as
+    /// unresolved.
+    pub warnings: StreamWarnings,
+}
+
 struct PendingEdge {
     src: String,
     tgt: String,

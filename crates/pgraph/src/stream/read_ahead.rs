@@ -9,9 +9,11 @@
 //!
 //! - [`ReadAheadChunks`] — drives any [`GraphSource`] through a
 //!   [`ChunkedTextReader`] on a background thread; the consumer pulls
-//!   ready-made [`PropertyGraph`] chunks. This is the producer stage of the
-//!   pipeline-parallel streaming engine (see
-//!   `pg_hive_core::Discoverer::discover_stream_parallel`).
+//!   ready-made [`PropertyGraph`] chunks. This is the producer stage of
+//!   `pg_hive_core::Discoverer::absorb_unit`'s read-ahead units, which is
+//!   how `discover --stream` reads a file. At the end of such a unit it
+//!   hands back the drained reader's registry, carried edges and warnings
+//!   ([`ReadAheadChunks::take_end`]).
 //! - [`ReadAheadRecords`] — the record-level equivalent: parses
 //!   [`Record`]s ahead of a single-pass consumer (e.g. streaming stats
 //!   folding) and re-exposes them as a [`GraphSource`].
@@ -39,7 +41,9 @@
 //! ```
 
 use super::raw::{RawGraphSource, RecordBuf};
-use super::{ChunkedTextReader, GraphSource, Record, StreamError, StreamWarnings};
+use super::{
+    ChunkedTextReader, GraphSource, LabelSetRegistry, Record, StreamError, StreamWarnings, UnitEnd,
+};
 use crate::graph::PropertyGraph;
 use std::collections::VecDeque;
 use std::sync::mpsc::{sync_channel, Receiver};
@@ -66,7 +70,7 @@ pub struct StreamSummary {
 
 enum ChunkMsg {
     Chunk(PropertyGraph),
-    Done(StreamSummary),
+    Done(StreamSummary, Option<Box<UnitEnd>>),
     Failed(StreamError),
 }
 
@@ -76,14 +80,41 @@ pub struct ReadAheadChunks {
     rx: Option<Receiver<ChunkMsg>>,
     handle: Option<JoinHandle<()>>,
     summary: Option<StreamSummary>,
+    end: Option<UnitEnd>,
     format: &'static str,
 }
 
 impl ReadAheadChunks {
     /// Spawn a producer thread chunking `source` into ~`chunk_size`-element
     /// graphs, buffering up to `depth` parsed chunks ahead of the consumer
-    /// (`depth` is clamped to ≥ 1).
+    /// (`depth` is clamped to ≥ 1). Edges whose endpoints never appear are
+    /// dropped and counted in the summary's warnings.
     pub fn spawn<S>(source: S, chunk_size: usize, depth: usize) -> Self
+    where
+        S: RawGraphSource + Send + 'static,
+    {
+        Self::start(source, chunk_size, depth, None)
+    }
+
+    /// [`Self::spawn`] for one unit of the ingest fold: the producer's
+    /// reader is seeded with `registry` (see
+    /// [`ChunkedTextReader::with_registry`]) and carries end-of-stream
+    /// unresolved edges instead of counting them; the registry, grown by
+    /// this stream's bindings, comes back with those edges in
+    /// [`Self::take_end`].
+    pub fn spawn_with_registry<S>(
+        source: S,
+        chunk_size: usize,
+        depth: usize,
+        registry: LabelSetRegistry,
+    ) -> Self
+    where
+        S: RawGraphSource + Send + 'static,
+    {
+        Self::start(source, chunk_size, depth, Some(registry))
+    }
+
+    fn start<S>(source: S, chunk_size: usize, depth: usize, unit: Option<LabelSetRegistry>) -> Self
     where
         S: RawGraphSource + Send + 'static,
     {
@@ -92,7 +123,10 @@ impl ReadAheadChunks {
         let handle = std::thread::Builder::new()
             .name("pg-hive-read-ahead".into())
             .spawn(move || {
-                let mut reader = ChunkedTextReader::new(source, chunk_size);
+                let hand_back = unit.is_some();
+                let registry = unit.unwrap_or_default();
+                let mut reader = ChunkedTextReader::with_registry(source, chunk_size, registry);
+                reader.set_carry_unresolved(hand_back);
                 loop {
                     match reader.next_chunk() {
                         Ok(Some(g)) => {
@@ -102,11 +136,19 @@ impl ReadAheadChunks {
                             }
                         }
                         Ok(None) => {
-                            let _ = tx.send(ChunkMsg::Done(StreamSummary {
+                            let summary = StreamSummary {
                                 warnings: reader.warnings(),
                                 max_resident_elements: reader.max_resident_elements(),
                                 chunks: reader.chunks_emitted(),
-                            }));
+                            };
+                            let end = hand_back.then(|| {
+                                Box::new(UnitEnd {
+                                    pending: reader.take_pending(),
+                                    warnings: reader.warnings(),
+                                    registry: reader.into_registry(),
+                                })
+                            });
+                            let _ = tx.send(ChunkMsg::Done(summary, end));
                             return;
                         }
                         Err(e) => {
@@ -121,21 +163,24 @@ impl ReadAheadChunks {
             rx: Some(rx),
             handle: Some(handle),
             summary: None,
+            end: None,
             format,
         }
     }
 
     /// Next parsed chunk, or `Ok(None)` once the stream is exhausted —
     /// blocking only when the producer has not read ahead far enough yet.
-    /// After `Ok(None)`, [`Self::summary`] is available.
+    /// After `Ok(None)`, [`Self::summary`] and [`Self::take_end`] are
+    /// available.
     pub fn next_chunk(&mut self) -> Result<Option<PropertyGraph>, StreamError> {
         let Some(rx) = self.rx.as_ref() else {
             return Ok(None);
         };
         match rx.recv() {
             Ok(ChunkMsg::Chunk(g)) => Ok(Some(g)),
-            Ok(ChunkMsg::Done(summary)) => {
+            Ok(ChunkMsg::Done(summary, end)) => {
                 self.summary = Some(summary);
+                self.end = end.map(|e| *e);
                 self.shutdown();
                 Ok(None)
             }
@@ -157,6 +202,14 @@ impl ReadAheadChunks {
     /// `Ok(None)`.
     pub fn summary(&self) -> Option<&StreamSummary> {
         self.summary.as_ref()
+    }
+
+    /// The drained reader's registry, carried edges and warnings, once
+    /// [`Self::next_chunk`] returned `Ok(None)` on a producer started with
+    /// [`Self::spawn_with_registry`]; `None` before that, after an error,
+    /// for [`Self::spawn`], or when already taken.
+    pub fn take_end(&mut self) -> Option<UnitEnd> {
+        self.end.take()
     }
 
     /// Underlying source's format name (`"pgt"`, `"csv"`, `"jsonl"`).
@@ -362,6 +415,29 @@ mod tests {
         assert!(matches!(err, StreamError::Parse { line: 2, .. }), "{err}");
         // After an error the reader is terminal.
         assert!(ahead.next_chunk().unwrap().is_none());
+        assert!(ahead.take_end().is_none());
+    }
+
+    #[test]
+    fn drained_producer_hands_back_registry_and_carried_edges() {
+        let mut seed = LabelSetRegistry::default();
+        seed.insert("o", &["Org".into()]);
+        let text = "N a Person -\nE a o WORKS_AT -\nE a ghost KNOWS -\n";
+        let mut ahead =
+            ReadAheadChunks::spawn_with_registry(PgtSource::new(text.as_bytes()), 10, 2, seed);
+        let mut edges = 0;
+        while let Some(c) = ahead.next_chunk().unwrap() {
+            edges += c.edge_count();
+        }
+        // The seeded endpoint resolves through a stub; the undeclared one
+        // is carried, not counted.
+        assert_eq!(edges, 1);
+        let end = ahead.take_end().expect("end state after exhaustion");
+        assert_eq!(end.pending.len(), 1);
+        assert_eq!(end.warnings.unresolved_edges, 0);
+        assert_eq!(end.warnings.cross_chunk_edges, 1);
+        assert_eq!(end.registry.len(), 2);
+        assert!(ahead.take_end().is_none(), "taken once");
     }
 
     #[test]

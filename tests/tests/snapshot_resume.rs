@@ -253,15 +253,13 @@ proptest! {
                     chunk,
                     std::mem::take(&mut registry),
                 );
-                let result = d
-                    .resume_stream(
-                        &mut state,
-                        std::iter::from_fn(|| reader.next_chunk().expect("valid input")),
-                        threads,
-                    )
-                    .expect("theta matches");
+                d.absorb_stream(
+                    std::iter::from_fn(|| reader.next_chunk().expect("valid input")),
+                    &mut state,
+                    threads,
+                );
                 let _ = std::fs::remove_file(&path);
-                pg_schema_strict(&result.schema, "G")
+                pg_schema_strict(&state.finalize(), "G")
             };
 
             prop_assert_eq!(

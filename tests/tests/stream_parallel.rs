@@ -1,5 +1,5 @@
 //! The determinism contract of the pipeline-parallel streaming engine:
-//! `Discoverer::discover_stream_parallel` must be **byte-identical** to the
+//! `Discoverer::absorb_stream` on N workers must be **byte-identical** to the
 //! serial `discover_stream` — same serialized schema, same element totals,
 //! same chunk count, same ingestion warnings — for every thread count and
 //! every wire format. This is the CI gate behind `BENCH_stream.json`'s
@@ -72,6 +72,20 @@ fn run_digest(result: &pg_hive_core::StreamResult) -> (String, u64, usize) {
     )
 }
 
+/// `absorb_stream(.., threads)` into a fresh state, finalized.
+fn absorb_with<I>(d: &Discoverer, chunks: I, threads: usize) -> pg_hive_core::StreamResult
+where
+    I: IntoIterator<Item = PropertyGraph>,
+{
+    let mut state = d.new_state();
+    let report = d.absorb_stream(chunks, &mut state, threads);
+    pg_hive_core::StreamResult {
+        schema: state.finalize(),
+        chunk_times: report.chunk_times,
+        elements: report.elements,
+    }
+}
+
 /// Collect a chunk stream from a source, returning chunks + final warnings.
 fn chunks_of<S: RawGraphSource>(
     source: S,
@@ -103,7 +117,7 @@ fn assert_parallel_equals_serial(
             "{} ingestion warnings must not depend on the run",
             format
         );
-        let par = run_digest(&d.discover_stream_parallel(chunks, threads));
+        let par = run_digest(&absorb_with(&d, chunks, threads));
         prop_assert_eq!(
             &par,
             &serial,
@@ -156,7 +170,8 @@ proptest! {
             let source = PgtSource::new(std::io::Cursor::new(pgt.clone().into_bytes()));
             let mut ahead = ReadAheadChunks::spawn(source, chunk, depth);
             let mut err = None;
-            let result = d.discover_stream_parallel(
+            let result = absorb_with(
+                &d,
                 std::iter::from_fn(|| match ahead.next_chunk() {
                     Ok(c) => c,
                     Err(e) => { err = Some(e); None }
