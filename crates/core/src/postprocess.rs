@@ -46,9 +46,10 @@ pub fn edge_property_constraints(schema: &SchemaGraph) -> Vec<Vec<(String, bool)
 }
 
 /// Priority-based inference of a single lexical value (§4.4): integer,
-/// float, boolean, ISO date/timestamp, else string.
+/// float, boolean, ISO date/timestamp, else string. Builds no value, so a
+/// string never gets copied just to learn that it is one.
 pub fn infer_value_kind(lexical: &str) -> ValueKind {
-    Value::parse_lexical(lexical).kind()
+    Value::lexical_kind(lexical)
 }
 
 /// Join the kinds of a sequence of lexical values ("the most specific

@@ -11,18 +11,25 @@
 //!
 //! `-` stands for "no labels" / "no properties". Values are parsed with
 //! [`Value::parse_lexical`], so `age=42` becomes an integer and
-//! `bday=1999-12-19` a date. Reserved characters inside values (space,
-//! comma, equals, percent) are percent-encoded by [`save_text`] and decoded
-//! on load, so arbitrary strings round-trip. Label names must not contain
-//! `;` (the label-set separator here and in the CSV exporter) or
-//! whitespace.
+//! `bday=1999-12-19` a date. Inside values, whitespace, comma, equals and
+//! percent are written by [`save_text`] as the `%XX` escapes of their UTF-8
+//! bytes and decoded on load. A string value therefore reloads with the
+//! same characters, except that `parse_lexical` trims leading and trailing
+//! whitespace (and a string that reads as another kind, such as `"42"`,
+//! reloads as that kind). Label names must not contain `;` (the label-set
+//! separator here and in the CSV exporter) or whitespace.
+//!
+//! One line parser serves [`load_text`] and the streaming
+//! [`crate::stream::pgt::PgtSource`]: it records field spans over a reused
+//! [`RecordBuf`] instead of allocating per field.
 
 use crate::builder::GraphBuilder;
 use crate::element::NodeId;
 use crate::graph::PropertyGraph;
-use crate::stream::Record;
+use crate::interner::Interner;
+use crate::stream::raw::{span_str, RecordKind, Span};
+use crate::stream::RecordBuf;
 use crate::value::Value;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Errors produced while parsing the text format.
@@ -87,99 +94,66 @@ impl fmt::Display for LoadError {
 
 impl std::error::Error for LoadError {}
 
-/// Parse one line of the text format into a [`Record`]. Returns `Ok(None)`
-/// for blank lines and `#` comments. Shared by [`load_text`] and the
-/// streaming [`crate::stream::pgt::PgtSource`].
-pub fn parse_line(line: usize, raw: &str) -> Result<Option<Record>, LoadError> {
-    let trimmed = raw.trim();
-    if trimmed.is_empty() || trimmed.starts_with('#') {
-        return Ok(None);
-    }
-    // Consume the whitespace-separated fields positionally instead of
-    // collecting them into a `Vec<&str>` — this runs once per line of every
-    // `.pgt` input, and the vector was the only allocation for records
-    // without labels or properties.
-    let mut fields = trimmed.split_whitespace();
-    let kind = fields.next().expect("non-blank trimmed line has a field");
-    match kind {
-        "N" => {
-            let (Some(id), Some(labels), Some(props), None) =
-                (fields.next(), fields.next(), fields.next(), fields.next())
-            else {
-                return Err(LoadError::Malformed { line, expected: 4 });
-            };
-            Ok(Some(Record::Node {
-                id: id.to_string(),
-                labels: parse_labels(labels),
-                props: parse_props(props, line)?,
-            }))
+/// `N` needs 4 fields and `E` 5; a sixth makes either record malformed, so
+/// the splitter never records more than six.
+const MAX_FIELDS: usize = 6;
+
+/// `char::is_whitespace` restricted to ASCII: 0x09–0x0D and 0x20. Unlike
+/// `u8::is_ascii_whitespace` this includes VT (0x0B), so the byte split
+/// agrees with `str::split_whitespace` on every ASCII line.
+fn is_ascii_space(b: u8) -> bool {
+    matches!(b, b'\t'..=b'\r' | b' ')
+}
+
+/// Record the whitespace-separated fields of `text` as spans, exactly as
+/// `str::split_whitespace` splits it, stopping once `spans` is full.
+/// Returns the number of fields recorded. An ASCII line splits over bytes;
+/// a line with any non-ASCII byte keeps `split_whitespace`, so Unicode
+/// whitespace such as U+00A0 or U+3000 still separates fields.
+fn split_fields(text: &str, spans: &mut [Span; MAX_FIELDS]) -> usize {
+    let base = text.as_ptr() as usize;
+    let mut n = 0;
+    let mut record = |field: &[u8]| {
+        spans[n] = ((field.as_ptr() as usize - base) as u32, field.len() as u32);
+        n += 1;
+        n < MAX_FIELDS
+    };
+    if text.is_ascii() {
+        for field in text.as_bytes().split(|&b| is_ascii_space(b)) {
+            if !field.is_empty() && !record(field) {
+                break;
+            }
         }
-        "E" => {
-            let (Some(src), Some(tgt), Some(labels), Some(props), None) = (
-                fields.next(),
-                fields.next(),
-                fields.next(),
-                fields.next(),
-                fields.next(),
-            ) else {
-                return Err(LoadError::Malformed { line, expected: 5 });
-            };
-            Ok(Some(Record::Edge {
-                src: src.to_string(),
-                tgt: tgt.to_string(),
-                labels: parse_labels(labels),
-                props: parse_props(props, line)?,
-            }))
+    } else {
+        for field in text.split_whitespace() {
+            if !record(field.as_bytes()) {
+                break;
+            }
         }
-        _ => Err(LoadError::UnknownRecord { line }),
     }
+    n
 }
 
 /// Parse the `.pgt` line held in `buf.text` **in place**, recording field
 /// spans instead of allocating owned strings. Returns `Ok(false)` for blank
-/// lines and `#` comments. This is the zero-copy twin of [`parse_line`],
-/// used by the streaming [`crate::stream::pgt::PgtSource`]; the two are
-/// pinned equivalent by the raw-vs-owned property tests.
-pub(crate) fn parse_line_into(
-    line: usize,
-    buf: &mut crate::stream::RecordBuf,
-) -> Result<bool, LoadError> {
-    use crate::stream::raw::RecordKind;
-
-    let trimmed = buf.text.trim();
-    if trimmed.is_empty() || trimmed.starts_with('#') {
+/// lines and `#` comments. Every pgt consumer parses through here: the
+/// resident [`load_text`] and the streaming
+/// [`crate::stream::pgt::PgtSource`].
+pub(crate) fn parse_line_into(line: usize, buf: &mut RecordBuf) -> Result<bool, LoadError> {
+    let mut spans = [(0u32, 0u32); MAX_FIELDS];
+    let n = split_fields(&buf.text, &mut spans);
+    if n == 0 || buf.text.as_bytes()[spans[0].0 as usize] == b'#' {
         return Ok(false);
     }
-    // Record the whitespace-separated fields as byte offsets into the
-    // line. `N` needs 4 fields, `E` needs 5; anything beyond 6 is
-    // malformed for both, so a fixed-size span array suffices.
-    let base = buf.text.as_ptr() as usize;
-    let mut spans = [(0u32, 0u32); 6];
-    let mut n = 0usize;
-    let mut fields = trimmed.split_whitespace();
-    for f in fields.by_ref() {
-        if n == spans.len() {
-            break;
-        }
-        spans[n] = ((f.as_ptr() as usize - base) as u32, f.len() as u32);
-        n += 1;
-    }
-    let overflow = n == spans.len() && fields.next().is_some();
-    match buf.str(spans[0]) {
-        "N" => {
-            if n != 4 || overflow {
-                return Err(LoadError::Malformed { line, expected: 4 });
-            }
+    match (buf.str(spans[0]), n) {
+        ("N", 4) => {
             buf.kind = RecordKind::Node;
             buf.id = spans[1];
             parse_labels_into(buf, spans[2]);
             parse_props_into(buf, spans[3], line)?;
             Ok(true)
         }
-        "E" => {
-            if n != 5 || overflow {
-                return Err(LoadError::Malformed { line, expected: 5 });
-            }
+        ("E", 5) => {
             buf.kind = RecordKind::Edge;
             buf.id = spans[1];
             buf.tgt = spans[2];
@@ -187,18 +161,19 @@ pub(crate) fn parse_line_into(
             parse_props_into(buf, spans[4], line)?;
             Ok(true)
         }
+        ("N", _) => Err(LoadError::Malformed { line, expected: 4 }),
+        ("E", _) => Err(LoadError::Malformed { line, expected: 5 }),
         _ => Err(LoadError::UnknownRecord { line }),
     }
 }
 
-fn parse_labels_into(buf: &mut crate::stream::RecordBuf, span: (u32, u32)) {
+fn parse_labels_into(buf: &mut RecordBuf, span: Span) {
     if buf.str(span) == "-" {
         return;
     }
     let text = &buf.text;
     let base = text.as_ptr() as usize;
-    let field = &text[span.0 as usize..(span.0 + span.1) as usize];
-    for part in field.split(';') {
+    for part in span_str(text, span).split(';') {
         if part.is_empty() {
             continue;
         }
@@ -207,18 +182,13 @@ fn parse_labels_into(buf: &mut crate::stream::RecordBuf, span: (u32, u32)) {
     }
 }
 
-fn parse_props_into(
-    buf: &mut crate::stream::RecordBuf,
-    span: (u32, u32),
-    line: usize,
-) -> Result<(), LoadError> {
+fn parse_props_into(buf: &mut RecordBuf, span: Span, line: usize) -> Result<(), LoadError> {
     if buf.str(span) == "-" {
         return Ok(());
     }
     let text = &buf.text;
     let base = text.as_ptr() as usize;
-    let field = &text[span.0 as usize..(span.0 + span.1) as usize];
-    for token in field.split(',') {
+    for token in span_str(text, span).split(',') {
         if token.is_empty() {
             continue;
         }
@@ -229,75 +199,103 @@ fn parse_props_into(
             });
         };
         let key = ((k.as_ptr() as usize - base) as u32, k.len() as u32);
-        let value = Value::parse_lexical(&percent_decode(v));
+        let value = Value::parse_lexical(percent_decode(v, &mut buf.decoded));
         buf.props.push((key, value));
     }
     Ok(())
 }
 
+/// An `E` record parked until every `N` line has been read. Its text stays
+/// in the input: `start..end` locates the line, and the spans are the ones
+/// [`parse_line_into`] recorded relative to it. Its label spans and
+/// moved property values are the next `labels` / `props` entries of the
+/// loader's flat tables, which hold every parked edge in E-line order.
+struct ParkedEdge {
+    line: usize,
+    start: usize,
+    end: usize,
+    src: Span,
+    tgt: Span,
+    labels: u32,
+    props: u32,
+}
+
 /// Parse the text format into a [`PropertyGraph`].
 ///
 /// `E` lines may reference node ids declared *later* in the file —
-/// concatenated or re-ordered exports are common — so edges are deferred
-/// and resolved after the full pass. Edge ids are assigned in `E`-line
-/// order. [`LoadError::UnknownNode`] is reserved for ids never declared by
-/// any `N` line.
+/// concatenated or re-ordered exports are common — so edges are parked
+/// and added after the full pass. Node ids follow `N`-line order and edge
+/// ids `E`-line order; labels and keys are interned nodes first, then
+/// edges. Any parse error comes before any [`LoadError::UnknownNode`],
+/// which is reserved for ids never declared by any `N` line: the first
+/// such edge in `E`-line order is reported, its source before its target.
 pub fn load_text(input: &str) -> Result<PropertyGraph, LoadError> {
-    struct DeferredEdge {
-        line: usize,
-        src: String,
-        tgt: String,
-        labels: Vec<String>,
-        props: Vec<(String, Value)>,
-    }
     let mut b = GraphBuilder::new();
-    let mut ids: HashMap<String, NodeId> = HashMap::new();
-    let mut edges: Vec<DeferredEdge> = Vec::new();
+    let mut buf = RecordBuf::new();
+    // Every `N` line interns a fresh id (a repeat is an error), so the
+    // symbol of a node id is also its `NodeId`.
+    let mut ids = Interner::new();
+    let mut parked: Vec<ParkedEdge> = Vec::new();
+    let mut parked_labels: Vec<Span> = Vec::new();
+    let mut parked_props: Vec<(Span, Value)> = Vec::new();
 
     for (lineno, raw) in input.lines().enumerate() {
         let line = lineno + 1;
-        match parse_line(line, raw)? {
-            None => {}
-            Some(Record::Node { id, labels, props }) => {
-                if ids.contains_key(&id) {
-                    return Err(LoadError::DuplicateNode { line, id });
+        buf.clear();
+        buf.text.push_str(raw);
+        if !parse_line_into(line, &mut buf)? {
+            continue;
+        }
+        match buf.kind {
+            RecordKind::Node => {
+                let id = buf.str(buf.id);
+                if ids.intern(id).index() < b.node_count() {
+                    return Err(LoadError::DuplicateNode {
+                        line,
+                        id: id.to_string(),
+                    });
                 }
-                let prop_refs: Vec<(&str, Value)> =
-                    props.iter().map(|(k, v)| (k.as_str(), v.clone())).collect();
-                let label_refs: Vec<&str> = labels.iter().map(String::as_str).collect();
-                let nid = b.add_node(&label_refs, &prop_refs);
-                ids.insert(id, nid);
+                b.add_node_from_buf(&mut buf);
             }
-            Some(Record::Edge {
-                src,
-                tgt,
-                labels,
-                props,
-            }) => edges.push(DeferredEdge {
-                line,
-                src,
-                tgt,
-                labels,
-                props,
-            }),
+            RecordKind::Edge => {
+                let start = raw.as_ptr() as usize - input.as_ptr() as usize;
+                parked.push(ParkedEdge {
+                    line,
+                    start,
+                    end: start + raw.len(),
+                    src: buf.id,
+                    tgt: buf.tgt,
+                    labels: buf.labels.len() as u32,
+                    props: buf.props.len() as u32,
+                });
+                parked_labels.extend_from_slice(&buf.labels);
+                parked_props.append(&mut buf.props);
+            }
         }
     }
 
-    for e in edges {
-        let line = e.line;
-        let src = *ids
-            .get(&e.src)
-            .ok_or(LoadError::UnknownNode { line, id: e.src })?;
-        let tgt = *ids
-            .get(&e.tgt)
-            .ok_or(LoadError::UnknownNode { line, id: e.tgt })?;
-        let prop_refs: Vec<(&str, Value)> = e
-            .props
-            .iter()
-            .map(|(k, v)| (k.as_str(), v.clone()))
-            .collect();
-        let label_refs: Vec<&str> = e.labels.iter().map(String::as_str).collect();
-        b.add_edge(src, tgt, &label_refs, &prop_refs);
+    let mut labels = parked_labels.into_iter();
+    let mut props = parked_props.into_iter();
+    for e in parked {
+        let text = &input[e.start..e.end];
+        let node = |span: Span| {
+            let id = span_str(text, span);
+            ids.get(id)
+                .map(|sym| NodeId(sym.0))
+                .ok_or_else(|| LoadError::UnknownNode {
+                    line: e.line,
+                    id: id.to_string(),
+                })
+        };
+        let (src, tgt) = (node(e.src)?, node(e.tgt)?);
+        buf.clear();
+        buf.text.push_str(text);
+        buf.kind = RecordKind::Edge;
+        buf.id = e.src;
+        buf.tgt = e.tgt;
+        buf.labels.extend(labels.by_ref().take(e.labels as usize));
+        buf.props.extend(props.by_ref().take(e.props as usize));
+        b.add_edge_from_buf(src, tgt, &mut buf);
     }
     Ok(b.finish())
 }
@@ -350,47 +348,84 @@ fn props_field(g: &PropertyGraph, props: &[(crate::Symbol, Value)]) -> String {
     }
 }
 
-/// Encode the characters the line format reserves (space splits fields,
-/// comma splits properties, equals splits key from value, percent is the
-/// escape itself).
+/// Encode the characters the line format reserves inside a value — any
+/// whitespace (it splits fields and lines), comma (splits properties),
+/// equals (splits key from value) and percent (the escape itself) — as the
+/// `%XX` escapes of their UTF-8 bytes.
 fn percent_encode(s: &str) -> String {
+    const HEX: &[u8; 16] = b"0123456789ABCDEF";
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
-        match c {
-            ' ' => out.push_str("%20"),
-            ',' => out.push_str("%2C"),
-            '=' => out.push_str("%3D"),
-            '%' => out.push_str("%25"),
-            other => out.push(other),
+        if c.is_whitespace() || matches!(c, ',' | '=' | '%') {
+            for byte in c.encode_utf8(&mut [0; 4]).bytes() {
+                out.push('%');
+                out.push(char::from(HEX[usize::from(byte >> 4)]));
+                out.push(char::from(HEX[usize::from(byte & 0xF)]));
+            }
+        } else {
+            out.push(c);
         }
     }
     out
 }
 
-/// Decode `%XX` escapes; borrows the input unchanged when it contains no
-/// `%` at all (the overwhelmingly common case for property values).
-pub(crate) fn percent_decode(s: &str) -> std::borrow::Cow<'_, str> {
+/// Decode `%XX` escapes. Consecutive escapes that spell a valid UTF-8
+/// sequence decode to its char; any other escaped byte decodes to the char
+/// of the same code point (`char::from(byte)`), as every escape did before
+/// multibyte escapes were understood. A `%` not followed by two hex digits
+/// is kept as is. Returns `s` itself when it has no `%` (the common case
+/// for property values), else the decoded text, written into `out`.
+pub(crate) fn percent_decode<'a>(s: &'a str, out: &'a mut String) -> &'a str {
     if !s.contains('%') {
-        return std::borrow::Cow::Borrowed(s);
+        return s;
     }
-    let mut out = String::with_capacity(s.len());
+    out.clear();
     let bytes = s.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'%' {
-            if let (Some(&h), Some(&l)) = (bytes.get(i + 1), bytes.get(i + 2)) {
-                if let (Some(h), Some(l)) = (hex_val(h), hex_val(l)) {
-                    out.push((h * 16 + l) as char);
-                    i += 3;
-                    continue;
-                }
+    let escape_at = |i: usize| -> Option<u8> {
+        if bytes.get(i) != Some(&b'%') {
+            return None;
+        }
+        Some(hex_val(*bytes.get(i + 1)?)? * 16 + hex_val(*bytes.get(i + 2)?)?)
+    };
+    // `copied` is where the text not yet written to `out` begins; both it
+    // and `i` only ever sit on ASCII bytes or the end, so slicing is safe.
+    let (mut copied, mut i) = (0, 0);
+    while let Some(off) = s[i..].find('%') {
+        i += off;
+        let Some(lead) = escape_at(i) else {
+            i += 1;
+            continue;
+        };
+        out.push_str(&s[copied..i]);
+        let width = match lead {
+            0xC2..=0xDF => 2,
+            0xE0..=0xEF => 3,
+            0xF0..=0xF4 => 4,
+            _ => 1,
+        };
+        let mut seq = [lead, 0, 0, 0];
+        let mut n = 1;
+        while n < width {
+            match escape_at(i + 3 * n) {
+                Some(byte) => seq[n] = byte,
+                None => break,
+            }
+            n += 1;
+        }
+        match std::str::from_utf8(&seq[..n]) {
+            Ok(c) if n == width && width > 1 => {
+                out.push_str(c);
+                i += 3 * n;
+            }
+            _ => {
+                out.push(char::from(lead));
+                i += 3;
             }
         }
-        let c = s[i..].chars().next().expect("i is on a char boundary");
-        out.push(c);
-        i += c.len_utf8();
+        copied = i;
     }
-    std::borrow::Cow::Owned(out)
+    out.push_str(&s[copied..]);
+    out
 }
 
 fn hex_val(b: u8) -> Option<u8> {
@@ -400,34 +435,6 @@ fn hex_val(b: u8) -> Option<u8> {
         b'a'..=b'f' => Some(b - b'a' + 10),
         _ => None,
     }
-}
-
-fn parse_labels(field: &str) -> Vec<String> {
-    if field == "-" {
-        return vec![];
-    }
-    field
-        .split(';')
-        .filter(|s| !s.is_empty())
-        .map(str::to_string)
-        .collect()
-}
-
-fn parse_props(field: &str, line: usize) -> Result<Vec<(String, Value)>, LoadError> {
-    if field == "-" {
-        return Ok(vec![]);
-    }
-    let mut out = Vec::new();
-    for token in field.split(',').filter(|s| !s.is_empty()) {
-        let Some((k, v)) = token.split_once('=') else {
-            return Err(LoadError::BadProperty {
-                line,
-                token: token.to_string(),
-            });
-        };
-        out.push((k.to_string(), Value::parse_lexical(&percent_decode(v))));
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -456,8 +463,20 @@ mod tests {
 
     #[test]
     fn rejects_unknown_node() {
-        let err = load_text("E a b KNOWS -").unwrap_err();
-        assert!(matches!(err, LoadError::UnknownNode { line: 1, .. }));
+        // The first bad edge in E-line order wins, its source checked
+        // before its target; line numbers count blank and comment lines.
+        for (input, line, id) in [
+            ("E a b KNOWS -", 1, "a"),
+            ("E a ghost1 X -\nE ghost2 a X -\nN a - -\n", 1, "ghost1"),
+            ("N a - -\nE a a X -\nE src tgt X -\n", 3, "src"),
+            ("\r\n# c\r\nN a - -\r\n\r\nE a b X -\r\n", 5, "b"),
+        ] {
+            let want = LoadError::UnknownNode {
+                line,
+                id: id.into(),
+            };
+            assert_eq!(load_text(input).unwrap_err(), want, "{input:?}");
+        }
     }
 
     #[test]
@@ -477,6 +496,14 @@ mod tests {
         let (_, e0) = g.edges().next().unwrap();
         // Edge ids follow E-line order: first edge is a -> b.
         assert_eq!((e0.src.0, e0.tgt.0), (0, 1));
+        // Labels and keys are interned nodes first, then edges, even though
+        // an edge line comes first; the parked edge keeps its value.
+        let labels: Vec<&str> = g.labels().iter().map(|(_, s)| s).collect();
+        assert_eq!(labels, ["Person", "KNOWS"]);
+        let keys: Vec<&str> = g.keys().iter().map(|(_, s)| s).collect();
+        assert_eq!(keys, ["name", "since"]);
+        let since = g.keys().get("since").unwrap();
+        assert_eq!(e0.get(since), Some(&Value::Int(2020)));
         // The error is kept for ids never declared anywhere.
         let err = load_text("N a - -\nE a ghost KNOWS -").unwrap_err();
         assert!(
@@ -499,7 +526,7 @@ mod tests {
 
     #[test]
     fn malformed_arity_reports_expected_field_counts() {
-        // Regression for the allocation-free `parse_line` rewrite: too few
+        // Regression for the allocation-free line parser: too few
         // AND too many fields must still report the record type's arity —
         // 4 for `N`, 5 for `E` — exactly as the Vec-collecting parser did.
         for (input, want) in [
@@ -527,8 +554,23 @@ mod tests {
 
     #[test]
     fn rejects_duplicate_node_ids() {
-        let err = load_text("N a - -\nN a - -").unwrap_err();
-        assert!(matches!(err, LoadError::DuplicateNode { line: 2, .. }));
+        // Reported at the repeat's own line, counting blank and comment
+        // lines, and in line order against parse errors.
+        let dup = |line| LoadError::DuplicateNode {
+            line,
+            id: "a".into(),
+        };
+        for (input, want) in [
+            ("N a - -\nN a - -", dup(2)),
+            ("# c\n\nN a - -\n\n# x\nN a - -\n", dup(6)),
+            ("N a - -\nN a - -\nX bad\n", dup(2)),
+            (
+                "N a - -\nX bad\nN a - -\n",
+                LoadError::UnknownRecord { line: 2 },
+            ),
+        ] {
+            assert_eq!(load_text(input).unwrap_err(), want, "{input:?}");
+        }
     }
 
     #[test]
@@ -582,29 +624,115 @@ mod tests {
 
     #[test]
     fn values_with_reserved_characters_round_trip() {
-        let mut b = GraphBuilder::new();
-        b.add_node(
-            &["Doc"],
-            &[
-                ("text", Value::from("graph schema, node=edge 100%")),
-                ("clean", Value::Int(7)),
-            ],
-        );
-        let original = b.finish();
-        let reloaded = load_text(&save_text(&original)).unwrap();
-        let (_, n) = reloaded.nodes().next().unwrap();
-        let key = reloaded.keys().get("text").unwrap();
-        assert_eq!(
-            n.get(key),
-            Some(&Value::from("graph schema, node=edge 100%"))
-        );
+        for text in [
+            "graph schema, node=edge 100%",
+            "tab\there",
+            "cr\rhere",
+            "nbsp\u{a0}here",
+            "ideo\u{3000}space",
+            "line one\nline two",
+        ] {
+            let mut b = GraphBuilder::new();
+            b.add_node(
+                &["Doc"],
+                &[("text", Value::from(text)), ("clean", Value::Int(7))],
+            );
+            let original = b.finish();
+            let reloaded = load_text(&save_text(&original)).unwrap();
+            let (_, n) = reloaded.nodes().next().unwrap();
+            let key = reloaded.keys().get("text").unwrap();
+            assert_eq!(n.get(key), Some(&Value::from(text)), "{text:?}");
+        }
+    }
+
+    #[test]
+    fn percent_encoding_escapes_utf8_bytes_and_stays_compatible() {
+        assert_eq!(percent_encode("a b,c=d%"), "a%20b%2Cc%3Dd%25");
+        assert_eq!(percent_encode("x\u{a0}y"), "x%C2%A0y");
+        assert_eq!(percent_encode("é"), "é", "only reserved chars are escaped");
+        let mut out = String::new();
+        assert_eq!(percent_decode("%C3%A9", &mut out), "é");
+        assert_eq!(percent_decode("%E3%80%80", &mut out), "\u{3000}");
+        // Bytes outside a valid sequence keep their one-byte decoding.
+        assert_eq!(percent_decode("%C3", &mut out), "\u{c3}");
+        assert_eq!(percent_decode("%C3%41", &mut out), "\u{c3}A");
+        assert_eq!(percent_decode("%E3%80x", &mut out), "\u{e3}\u{80}x");
+        assert_eq!(percent_decode("%FF%A9", &mut out), "\u{ff}\u{a9}");
+        assert_eq!(percent_decode("%ED%A0%80", &mut out), "\u{ed}\u{a0}\u{80}");
     }
 
     #[test]
     fn percent_decode_tolerates_bare_percent() {
-        assert_eq!(percent_decode("50%"), "50%");
-        assert_eq!(percent_decode("a%2Gb"), "a%2Gb", "invalid hex left as-is");
-        assert_eq!(percent_decode("%20"), " ");
+        let mut out = String::new();
+        assert_eq!(percent_decode("50%", &mut out), "50%");
+        assert_eq!(
+            percent_decode("a%2Gb", &mut out),
+            "a%2Gb",
+            "invalid hex left as-is"
+        );
+        assert_eq!(percent_decode("%20", &mut out), " ");
+        assert_eq!(percent_decode("a%2", &mut out), "a%2", "truncated escape");
+        assert_eq!(percent_decode("%%41", &mut out), "%A");
+        assert_eq!(percent_decode("é%20é", &mut out), "é é");
+    }
+
+    /// The fields `split_fields` records for `line`, as strings.
+    fn fields(line: &str) -> Vec<String> {
+        let mut spans = [(0u32, 0u32); MAX_FIELDS];
+        let n = split_fields(line, &mut spans);
+        spans[..n]
+            .iter()
+            .map(|&s| span_str(line, s).to_string())
+            .collect()
+    }
+
+    #[test]
+    fn field_split_matches_split_whitespace() {
+        for line in [
+            "N a Person -",
+            "N\x0Ba\x0BPerson\x0B-",
+            "N\x0Ca\tPerson\r-\n",
+            "N\u{a0}a\u{a0}Person\u{a0}-",
+            "N\u{3000}a\u{3000}Person\u{3000}-",
+            "E a\u{85}b X -",
+            "  N é  Person;Ünï name=日本 ",
+            "N a b c d e f g h",
+            "",
+            " \t\x0B ",
+        ] {
+            let want: Vec<String> = line
+                .split_whitespace()
+                .take(MAX_FIELDS)
+                .map(str::to_string)
+                .collect();
+            assert_eq!(fields(line), want, "{line:?}");
+        }
+        // The splits above are what the loader sees: VT, U+00A0 and U+3000
+        // all separate fields.
+        for sep in ["\x0B", "\u{a0}", "\u{3000}"] {
+            let g = load_text(&["N", "a", "Person", "k=v"].join(sep)).unwrap();
+            assert_eq!(g.node_count(), 1, "{sep:?}");
+            assert_eq!(g.label_str(g.node(NodeId(0)).labels[0]), "Person");
+        }
+    }
+
+    #[test]
+    fn parse_errors_come_before_unknown_nodes() {
+        // The dangling edge on line 1 is never reported: a parse error
+        // anywhere in the file wins.
+        let err = load_text("E a ghost X -\nN a - -\nN b - - extra\n").unwrap_err();
+        assert_eq!(
+            err,
+            LoadError::Malformed {
+                line: 3,
+                expected: 4
+            }
+        );
+        let err = load_text("E a ghost X -\nN a - k=v,oops\n").unwrap_err();
+        assert!(
+            matches!(err, LoadError::BadProperty { line: 2, ref token } if token == "oops"),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -49,6 +49,9 @@ pub struct RecordBuf {
     /// (parsing `age=42` yields `Value::Int` — only string values allocate,
     /// inside [`Value`] itself) and are moved out by the consumer.
     pub(crate) props: Vec<(Span, Value)>,
+    /// Scratch the pgt parser percent-decodes a value into before parsing
+    /// it; reused across values and records.
+    pub(crate) decoded: String,
 }
 
 impl RecordBuf {

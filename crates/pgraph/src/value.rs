@@ -126,32 +126,49 @@ impl Value {
 
     /// Parse a lexical form back into the most specific value, following the
     /// paper's priority order: integer, float, boolean, date, timestamp,
-    /// string fallback.
+    /// string fallback. Leading and trailing whitespace is trimmed.
     pub fn parse_lexical(s: &str) -> Value {
         let t = s.trim();
+        parse_non_string(t).unwrap_or_else(|| Value::Str(t.to_string()))
+    }
+
+    /// The kind [`Value::parse_lexical`] would give `s`, without building
+    /// the value: the same decision procedure, minus the string copy.
+    pub fn lexical_kind(s: &str) -> ValueKind {
+        parse_non_string(s.trim()).map_or(ValueKind::String, |v| v.kind())
+    }
+}
+
+/// The §4.4 decision procedure on a trimmed lexical form: the most specific
+/// non-string value `t` denotes, or `None` for the string fallback. None of
+/// these values allocate.
+fn parse_non_string(t: &str) -> Option<Value> {
+    // A letter-initial form can only be a boolean literal or a string: the
+    // integer, float and date parsers all reject a leading letter, and the
+    // only floats that start with one (`inf`, `nan`) fail the finiteness
+    // check.
+    let letter_initial = t.as_bytes().first().is_some_and(u8::is_ascii_alphabetic);
+    if !letter_initial {
         if let Ok(i) = t.parse::<i64>() {
             // Reject forms like "05" that round-trip differently? Keep them:
             // Neo4j CSV loaders treat any integral literal as an integer.
-            return Value::Int(i);
+            return Some(Value::Int(i));
         }
         if let Ok(f) = t.parse::<f64>() {
             if f.is_finite() {
-                return Value::Float(f);
+                return Some(Value::Float(f));
             }
         }
-        match t {
-            "true" | "TRUE" | "True" => return Value::Bool(true),
-            "false" | "FALSE" | "False" => return Value::Bool(false),
-            _ => {}
-        }
-        if let Some(d) = parse_iso_date(t) {
-            return d;
-        }
-        if let Some(dt) = parse_iso_datetime(t) {
-            return dt;
-        }
-        Value::Str(t.to_string())
     }
+    match t {
+        "true" | "TRUE" | "True" => return Some(Value::Bool(true)),
+        "false" | "FALSE" | "False" => return Some(Value::Bool(false)),
+        _ => {}
+    }
+    if letter_initial {
+        return None;
+    }
+    parse_iso_date(t).or_else(|| parse_iso_datetime(t))
 }
 
 impl fmt::Display for Value {

@@ -5,11 +5,61 @@
 use pg_hive_core::merge::{is_generalization_of, merge_schemas};
 use pg_hive_core::{label_set, NodeType, PropertySpec, SchemaGraph};
 use pg_hive_eval::majority_f1;
-use pg_hive_graph::Value;
+use pg_hive_graph::value::{parse_iso_date, parse_iso_datetime};
+use pg_hive_graph::{Value, ValueKind};
 use pg_hive_lsh::minhash::{jaccard, signature};
 use pg_hive_lsh::{elsh_cluster, ElshParams, UnionFind, VectorMatrix};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+
+/// Pieces that concatenate into every kind of lexical form, including the
+/// letter-initial floats (`inf`, `NaN`) and the boolean spellings.
+const LEXICAL_PARTS: &[&str] = &[
+    "0",
+    "7",
+    "-",
+    "+",
+    ".",
+    "e",
+    "E",
+    "inf",
+    "infinity",
+    "NaN",
+    "nan",
+    "True",
+    "true",
+    "TRUE",
+    "False",
+    "false",
+    "x",
+    " ",
+    "\t",
+    "2024",
+    "-02-29",
+    "1999-12-19",
+    "T01:02:03",
+    "Z",
+    ":",
+];
+
+/// The §4.4 priority order written out in full, without the letter-initial
+/// shortcut: the oracle for `Value::lexical_kind`.
+fn reference_kind(s: &str) -> ValueKind {
+    let t = s.trim();
+    if t.parse::<i64>().is_ok() {
+        ValueKind::Integer
+    } else if t.parse::<f64>().is_ok_and(f64::is_finite) {
+        ValueKind::Float
+    } else if matches!(t, "true" | "TRUE" | "True" | "false" | "FALSE" | "False") {
+        ValueKind::Boolean
+    } else if parse_iso_date(t).is_some() {
+        ValueKind::Date
+    } else if parse_iso_datetime(t).is_some() {
+        ValueKind::Timestamp
+    } else {
+        ValueKind::String
+    }
+}
 
 fn arb_node_type() -> impl Strategy<Value = NodeType> {
     (
@@ -173,6 +223,22 @@ proptest! {
         let sv = Value::parse_lexical(&s);
         let reparsed = Value::parse_lexical(&sv.lexical());
         prop_assert_eq!(reparsed.kind(), sv.kind());
+    }
+
+    /// `lexical_kind` is `parse_lexical(..).kind()` without building the
+    /// value, and the letter-initial shortcut they share agrees with the
+    /// full §4.4 priority order written out in `reference_kind`.
+    #[test]
+    fn lexical_kind_matches_parse_lexical(
+        s in "[-0-9+.eEinfaTruslFALSENZ: \t]{0,12}",
+        parts in proptest::collection::vec(0usize..LEXICAL_PARTS.len(), 0..5)
+    ) {
+        let joined: String = parts.iter().map(|&i| LEXICAL_PARTS[i]).collect();
+        for s in [s, joined] {
+            let kind = Value::lexical_kind(&s);
+            prop_assert_eq!(kind, Value::parse_lexical(&s).kind(), "{:?}", s);
+            prop_assert_eq!(kind, reference_kind(&s), "{:?}", s);
+        }
     }
 
     #[test]

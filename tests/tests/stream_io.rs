@@ -10,8 +10,9 @@ use pg_hive_graph::loader::{load_text, save_text};
 use pg_hive_graph::stream::csv::{save_edges_csv, save_nodes_csv, CsvSource};
 use pg_hive_graph::stream::jsonl::{save_jsonl, JsonlSource};
 use pg_hive_graph::stream::{pgt::PgtSource, read_all};
-use pg_hive_graph::{ChunkedTextReader, GraphBuilder, PropertyGraph, Value};
+use pg_hive_graph::{ChunkedTextReader, GraphBuilder, Interner, PropertyGraph, Value};
 use proptest::prelude::*;
+use proptest::TestCaseError;
 use std::collections::BTreeSet;
 
 fn node_inventory(s: &SchemaGraph) -> BTreeSet<Vec<String>> {
@@ -200,6 +201,37 @@ fn strict_text(d: &Discoverer, g: &PropertyGraph) -> String {
     pg_schema_strict(&d.discover(g).schema, "G")
 }
 
+/// Element-by-element equality: the same label and key symbol tables,
+/// node and edge order, symbol ids, property order and values, endpoints
+/// and stub marks.
+fn same_graph(a: &PropertyGraph, b: &PropertyGraph) -> Result<(), TestCaseError> {
+    let table = |i: &Interner| -> Vec<String> { i.iter().map(|(_, s)| s.to_string()).collect() };
+    prop_assert_eq!(table(a.labels()), table(b.labels()));
+    prop_assert_eq!(table(a.keys()), table(b.keys()));
+    prop_assert_eq!(a.node_count(), b.node_count());
+    prop_assert_eq!(a.edge_count(), b.edge_count());
+    for ((id, x), (_, y)) in a.nodes().zip(b.nodes()) {
+        prop_assert_eq!(&x.labels, &y.labels, "labels of node {:?}", id);
+        prop_assert_eq!(&x.props, &y.props, "props of node {:?}", id);
+        prop_assert_eq!(a.is_stub(id), b.is_stub(id), "stub mark of node {:?}", id);
+    }
+    for ((id, x), (_, y)) in a.edges().zip(b.edges()) {
+        prop_assert_eq!((x.src, x.tgt), (y.src, y.tgt), "endpoints of edge {:?}", id);
+        prop_assert_eq!(&x.labels, &y.labels, "labels of edge {:?}", id);
+        prop_assert_eq!(&x.props, &y.props, "props of edge {:?}", id);
+    }
+    Ok(())
+}
+
+/// `text` with CRLF line endings and a comment and a blank line (with
+/// stray whitespace) interleaved before every record.
+fn with_crlf_and_comments(text: &str) -> String {
+    text.lines()
+        .enumerate()
+        .map(|(i, line)| format!("# record {i}\r\n \t\r\n{line}\r\n"))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -251,6 +283,15 @@ proptest! {
         let (via_pgt, w) = read_all(PgtSource::new(text.as_bytes())).unwrap();
         prop_assert!(w.is_empty());
         prop_assert_eq!(&strict_text(&d, &via_pgt), &want_text);
+        // The resident loader and the chunked reader share one line parser
+        // and must build the very same graph, also from CRLF text with
+        // comments and blank lines in between.
+        same_graph(&via_loader, &via_pgt)?;
+        let noisy = with_crlf_and_comments(&text);
+        same_graph(&load_text(&noisy).unwrap(), &via_loader)?;
+        let (noisy_pgt, w) = read_all(PgtSource::new(noisy.as_bytes())).unwrap();
+        prop_assert!(w.is_empty());
+        same_graph(&noisy_pgt, &via_loader)?;
 
         let nodes_csv = save_nodes_csv(&g);
         let edges_csv = save_edges_csv(&g);
