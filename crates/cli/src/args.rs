@@ -64,7 +64,8 @@ STREAMING (discover, diff, validate, stats):
                            stats folds a single record stream, so --threads
                            has no effect there
   --read-ahead <N>         chunks parsed ahead of the workers by the
-                           producer thread (default: 2; N >= 1)
+                           producer thread (default: 2; N >= 1).
+                           stats folds on one thread and ignores it
 
 DISCOVER / DIFF / WATCH OPTIONS:
   --method elsh|minhash    LSH family (default: elsh)

@@ -20,7 +20,6 @@
 //!                  [--threads N] [--max-violations N]
 //!                  [--report jsonl:<path>]
 //! pg-hive stats    <input> [--input-format pgt|csv|jsonl] [--stream]
-//!                  [--read-ahead N]
 //! ```
 //!
 //! Inputs are read in one of three formats (see [`pg_hive_graph::stream`]):
@@ -80,9 +79,7 @@ use pg_hive_core::{
 };
 use pg_hive_graph::loader::load_text;
 use pg_hive_graph::stream::{csv::CsvSource, jsonl::JsonlSource, pgt::PgtSource};
-use pg_hive_graph::{
-    GraphStats, MultiSource, PropertyGraph, RawGraphSource, ReadAheadRecords, StreamWarnings,
-};
+use pg_hive_graph::{GraphStats, MultiSource, PropertyGraph, RawGraphSource, StreamWarnings};
 use std::io::{BufReader, Write};
 use std::path::Path;
 use std::process::ExitCode;
@@ -437,18 +434,13 @@ fn run(args: Args) -> Result<ExitCode, String> {
         }
         Command::Stats { path, stream } => {
             let s = if stream.stream {
-                // Fold records directly — no resident graph at all, so
-                // --chunk-size is accepted for flag symmetry but unused.
-                // The producer thread parses --read-ahead batches ahead of
-                // the fold; --threads has no effect on the single-pass fold.
+                // Fold records on this thread with no resident graph at
+                // all, so --chunk-size and --read-ahead are accepted for
+                // flag symmetry but unused, and --threads has no effect.
                 if stream.threads.is_some_and(|t| t > 1) {
-                    eprintln!(
-                        "note: stats folds a single record stream; --threads has no effect \
-                         (--read-ahead still overlaps parsing with folding)"
-                    );
+                    eprintln!("note: stats folds a single record stream; --threads has no effect");
                 }
                 let source = open_source(&path, stream.input_format)?;
-                let source = ReadAheadRecords::spawn(source, stream.read_ahead);
                 let (s, dangling) = pg_hive_graph::stats::stream_stats(source)
                     .map_err(|e| format!("parse {path}: {e}"))?;
                 if dangling > 0 {

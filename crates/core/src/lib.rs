@@ -105,6 +105,6 @@ pub use snapshot::{
 };
 pub use state::SchemaState;
 pub use validate::{
-    validate, CompiledSchema, StreamValidationReport, StreamViolation, ValidationMode,
-    ValidationReport, Validator, Violation, ViolationKind, DEFAULT_MAX_EXAMPLES,
+    CompiledSchema, StreamValidationReport, StreamViolation, Validator, ViolationKind,
+    DEFAULT_MAX_EXAMPLES,
 };

@@ -877,29 +877,16 @@ impl Discoverer {
         let mut groups: BTreeMap<GroupKey, Vec<Vec<(String, pg_hive_graph::Value)>>> =
             BTreeMap::new();
         for rec in pending {
-            let Record::Edge {
-                src,
-                tgt,
-                labels,
-                props,
-            } = rec
+            let (Some(src_ls), Some(tgt_ls)) =
+                (registry.label_set(&rec.src), registry.label_set(&rec.tgt))
             else {
+                unresolved.push(rec);
                 continue;
             };
-            let (Some(src_ls), Some(tgt_ls)) = (registry.label_set(&src), registry.label_set(&tgt))
-            else {
-                unresolved.push(Record::Edge {
-                    src,
-                    tgt,
-                    labels,
-                    props,
-                });
-                continue;
-            };
-            let mut keys: Vec<String> = props.iter().map(|(k, _)| k.clone()).collect();
+            let mut keys: Vec<String> = rec.props.iter().map(|(k, _)| k.clone()).collect();
             keys.sort_unstable();
-            let key = (src_ls.to_vec(), tgt_ls.to_vec(), labels, keys);
-            groups.entry(key).or_default().push(props);
+            let key = (src_ls.to_vec(), tgt_ls.to_vec(), rec.labels, keys);
+            groups.entry(key).or_default().push(rec.props);
         }
         for ((src_labels, tgt_labels, edge_labels, _), edges) in groups {
             let mut b = GraphBuilder::new();
@@ -935,23 +922,10 @@ impl Discoverer {
         let mut unresolved = Vec::new();
         let mut resolved = 0u64;
         for rec in pending {
-            let Record::Edge {
-                src,
-                tgt,
-                labels,
-                props,
-            } = rec
+            let (Some(src_ls), Some(tgt_ls)) =
+                (registry.label_set(&rec.src), registry.label_set(&rec.tgt))
             else {
-                continue;
-            };
-            let (Some(src_ls), Some(tgt_ls)) = (registry.label_set(&src), registry.label_set(&tgt))
-            else {
-                unresolved.push(Record::Edge {
-                    src,
-                    tgt,
-                    labels,
-                    props,
-                });
+                unresolved.push(rec);
                 continue;
             };
             let mut b = GraphBuilder::new();
@@ -959,9 +933,12 @@ impl Discoverer {
             let tgt_labels: Vec<&str> = tgt_ls.iter().map(String::as_str).collect();
             let s = b.add_stub_node(&src_labels);
             let t = b.add_stub_node(&tgt_labels);
-            let edge_labels: Vec<&str> = labels.iter().map(String::as_str).collect();
-            let edge_props: Vec<(&str, pg_hive_graph::Value)> =
-                props.iter().map(|(k, v)| (k.as_str(), v.clone())).collect();
+            let edge_labels: Vec<&str> = rec.labels.iter().map(String::as_str).collect();
+            let edge_props: Vec<(&str, pg_hive_graph::Value)> = rec
+                .props
+                .iter()
+                .map(|(k, v)| (k.as_str(), v.clone()))
+                .collect();
             b.add_edge(s, t, &edge_labels, &edge_props);
             let g = b.finish();
             state.merge(self.chunk_state_with(&g, shared.as_deref()));

@@ -967,20 +967,16 @@ fn watch_from_sections(
 /// `edge <src> <tgt> <labels> <key>:<value> ...`, every field escaped,
 /// labels `,`-joined (`-` when unlabeled), values in their lexical form.
 /// Kind inference runs on lexical forms ([`Value::parse_lexical`]), so the
-/// round-trip loses nothing schema-relevant. Non-edge records are skipped
-/// defensively — only edges are ever carried.
+/// round-trip loses nothing schema-relevant.
 pub fn pending_section_lines(pending: &[Record]) -> Vec<String> {
     let mut lines = Vec::with_capacity(pending.len());
-    for rec in pending {
-        let Record::Edge {
-            src,
-            tgt,
-            labels,
-            props,
-        } = rec
-        else {
-            continue;
-        };
+    for Record {
+        src,
+        tgt,
+        labels,
+        props,
+    } in pending
+    {
         let labels_tok = if labels.is_empty() {
             "-".to_string()
         } else {
@@ -1047,7 +1043,7 @@ pub fn pending_from_lines(lines: &[String]) -> Result<Vec<Record>, SnapshotError
                 ))
             })
             .collect::<Result<_, SnapshotError>>()?;
-        out.push(Record::Edge {
+        out.push(Record {
             src,
             tgt,
             labels,
@@ -1404,7 +1400,7 @@ mod tests {
                 ],
             }),
             pending: vec![
-                Record::Edge {
+                Record {
                     src: "node one".into(),
                     tgt: "n2".into(),
                     labels: vec!["KNOWS OF".into()],
@@ -1414,7 +1410,7 @@ mod tests {
                         ("weight".into(), Value::parse_lexical("2.5")),
                     ],
                 },
-                Record::Edge {
+                Record {
                     src: "n2".into(),
                     tgt: "ghost".into(),
                     labels: Vec::new(),

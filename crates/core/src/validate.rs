@@ -1,365 +1,31 @@
-//! Schema validation: check a property graph against a (discovered or
-//! hand-written) schema graph.
+//! Schema validation: stream a property graph's records through a
+//! (discovered or hand-written) schema graph.
 //!
 //! The paper's motivation for schema discovery is downstream "integration,
-//! querying, and data quality assurance" (§1), and §4.5 distinguishes the
-//! two PG-Schema conformance levels:
+//! querying, and data quality assurance" (§1), and §4.5's PG-Schema STRICT
+//! level "demands a rigorous structure". [`CompiledSchema`] compiles a
+//! finalized [`SchemaGraph`] into lookup tables once, and a [`Validator`]
+//! folds [`RawGraphSource`] records through it with O(chunk) residency,
+//! counting violations in seven categories ([`ViolationKind`]):
 //!
-//! - **LOOSE** — "can be used for flexible data insertions, allowing nodes
-//!   and edges to deviate": elements whose label set matches no type are
-//!   fine, extra properties are fine; only *known* properties of matched
-//!   types are checked for datatype compatibility.
-//! - **STRICT** — "demands a rigorous structure": every element must match
-//!   a type, mandatory properties must be present, no unknown properties,
-//!   datatypes must be compatible, edge endpoints must be declared, and
-//!   observed cardinalities must not exceed the schema's bounds.
+//! - **labels** — a node's or an edge's label set matches no declared type
+//!   (`unknown-node-labels`, `unknown-edge-labels`);
+//! - **keys** — a mandatory property of the matched type is absent
+//!   (`missing-key`), or a property the type does not declare is present
+//!   (`extra-key`);
+//! - **datatypes** — an observed value does not fit the declared kind
+//!   (`type-mismatch`);
+//! - **endpoints** — an edge endpoint id is never declared as a node
+//!   (`dangling-endpoint`), or the (source, target) label-set pair is not
+//!   declared for the edge type (`ill-typed-endpoint`).
 
 use crate::postprocess::infer_value_kind;
 use crate::schema::{LabelSet, SchemaGraph};
 use pg_hive_graph::{
-    EdgeId, LabelSetRegistry, NodeId, PropertyGraph, RawGraphSource, RecordBuf, RecordRef,
-    StreamError, Value, ValueKind,
+    LabelSetRegistry, RawGraphSource, RecordBuf, RecordRef, StreamError, Value, ValueKind,
 };
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-
-/// Conformance level (§4.5 / PG-Schema).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ValidationMode {
-    /// Flexible insertions: unmatched elements and extra properties pass.
-    Loose,
-    /// Rigorous structure: every element must match a declared type exactly.
-    Strict,
-}
-
-/// One conformance violation.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Violation {
-    /// A node's label set matches no node type (STRICT only).
-    UnknownNodeType {
-        /// The offending node.
-        node: NodeId,
-        /// Its resolved label set.
-        labels: Vec<String>,
-    },
-    /// An edge's label set matches no edge type (STRICT only).
-    UnknownEdgeType {
-        /// The offending edge.
-        edge: EdgeId,
-        /// Its resolved label set.
-        labels: Vec<String>,
-    },
-    /// A mandatory property is absent (STRICT only).
-    MissingMandatory {
-        /// The offending node, when the element is a node.
-        node: Option<NodeId>,
-        /// The offending edge, when the element is an edge.
-        edge: Option<EdgeId>,
-        /// The missing property key.
-        key: String,
-    },
-    /// A property key is not declared by the matched type (STRICT only).
-    UndeclaredProperty {
-        /// The offending node, when the element is a node.
-        node: Option<NodeId>,
-        /// The offending edge, when the element is an edge.
-        edge: Option<EdgeId>,
-        /// The undeclared property key.
-        key: String,
-    },
-    /// A value's inferred kind is incompatible with the declared kind.
-    DatatypeMismatch {
-        /// The offending node, when the element is a node.
-        node: Option<NodeId>,
-        /// The offending edge, when the element is an edge.
-        edge: Option<EdgeId>,
-        /// The property key whose value mismatched.
-        key: String,
-        /// The kind the schema declares for the key.
-        declared: ValueKind,
-        /// The kind inferred from the observed value.
-        observed: ValueKind,
-    },
-    /// An edge connects endpoint label sets the type does not declare
-    /// (STRICT only).
-    UndeclaredEndpoints {
-        /// The offending edge.
-        edge: EdgeId,
-        /// Source endpoint's label set.
-        src_labels: Vec<String>,
-        /// Target endpoint's label set.
-        tgt_labels: Vec<String>,
-    },
-    /// Observed degree exceeds the schema's cardinality bound (STRICT only).
-    CardinalityExceeded {
-        /// Index of the edge type in `SchemaGraph::edge_types`.
-        edge_type: usize,
-        /// Largest out-degree observed in the data.
-        observed_max_out: u64,
-        /// Largest in-degree observed in the data.
-        observed_max_in: u64,
-        /// The schema's out-degree bound.
-        bound_max_out: u64,
-        /// The schema's in-degree bound.
-        bound_max_in: u64,
-    },
-}
-
-impl fmt::Display for Violation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Violation::UnknownNodeType { node, labels } => {
-                write!(f, "node #{}: no type for labels {:?}", node.0, labels)
-            }
-            Violation::UnknownEdgeType { edge, labels } => {
-                write!(f, "edge #{}: no type for labels {:?}", edge.0, labels)
-            }
-            Violation::MissingMandatory { node, edge, key } => match (node, edge) {
-                (Some(n), _) => write!(f, "node #{}: missing mandatory '{key}'", n.0),
-                (_, Some(e)) => write!(f, "edge #{}: missing mandatory '{key}'", e.0),
-                _ => write!(f, "missing mandatory '{key}'"),
-            },
-            Violation::UndeclaredProperty { node, edge, key } => match (node, edge) {
-                (Some(n), _) => write!(f, "node #{}: undeclared property '{key}'", n.0),
-                (_, Some(e)) => write!(f, "edge #{}: undeclared property '{key}'", e.0),
-                _ => write!(f, "undeclared property '{key}'"),
-            },
-            Violation::DatatypeMismatch {
-                key,
-                declared,
-                observed,
-                ..
-            } => write!(
-                f,
-                "property '{key}': declared {declared:?}, observed {observed:?}"
-            ),
-            Violation::UndeclaredEndpoints {
-                edge,
-                src_labels,
-                tgt_labels,
-            } => write!(
-                f,
-                "edge #{}: endpoints {:?} -> {:?} not declared",
-                edge.0, src_labels, tgt_labels
-            ),
-            Violation::CardinalityExceeded {
-                edge_type,
-                observed_max_out,
-                observed_max_in,
-                bound_max_out,
-                bound_max_in,
-            } => write!(
-                f,
-                "edge type #{edge_type}: observed degrees ({observed_max_out},{observed_max_in}) \
-                 exceed bounds ({bound_max_out},{bound_max_in})"
-            ),
-        }
-    }
-}
-
-/// Validation outcome.
-#[derive(Debug, Clone, Default)]
-pub struct ValidationReport {
-    /// Every violation found, in element order.
-    pub violations: Vec<Violation>,
-    /// Nodes examined.
-    pub nodes_checked: usize,
-    /// Edges examined.
-    pub edges_checked: usize,
-}
-
-impl ValidationReport {
-    /// True when the graph conforms to the schema under the chosen mode.
-    pub fn is_valid(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
-
-/// Validate `g` against `schema` under `mode`.
-pub fn validate(g: &PropertyGraph, schema: &SchemaGraph, mode: ValidationMode) -> ValidationReport {
-    let mut report = ValidationReport::default();
-    let strict = mode == ValidationMode::Strict;
-
-    // Index types by label set.
-    let node_idx: HashMap<LabelSet, usize> = schema
-        .node_types
-        .iter()
-        .enumerate()
-        .map(|(i, t)| (t.labels.clone(), i))
-        .collect();
-    let edge_idx: HashMap<LabelSet, usize> = schema
-        .edge_types
-        .iter()
-        .enumerate()
-        .map(|(i, t)| (t.labels.clone(), i))
-        .collect();
-
-    for (id, n) in g.nodes() {
-        report.nodes_checked += 1;
-        let labels: LabelSet = n
-            .labels
-            .iter()
-            .map(|&l| g.label_str(l).to_string())
-            .collect();
-        let Some(&t) = node_idx.get(&labels) else {
-            if strict {
-                report.violations.push(Violation::UnknownNodeType {
-                    node: id,
-                    labels: labels.into_iter().collect(),
-                });
-            }
-            continue;
-        };
-        let ty = &schema.node_types[t];
-        let keys: HashSet<&str> = n.keys().map(|k| g.key_str(k)).collect();
-        if strict {
-            for (key, spec) in &ty.props {
-                if spec.is_mandatory(ty.instance_count) && !keys.contains(key.as_str()) {
-                    report.violations.push(Violation::MissingMandatory {
-                        node: Some(id),
-                        edge: None,
-                        key: key.clone(),
-                    });
-                }
-            }
-        }
-        for (ksym, value) in &n.props {
-            let key = g.key_str(*ksym);
-            match ty.props.get(key) {
-                None => {
-                    if strict {
-                        report.violations.push(Violation::UndeclaredProperty {
-                            node: Some(id),
-                            edge: None,
-                            key: key.to_string(),
-                        });
-                    }
-                }
-                Some(spec) => {
-                    if let Some(declared) = spec.kind {
-                        let observed = infer_value_kind(&value.lexical());
-                        if declared.join(observed) != declared {
-                            report.violations.push(Violation::DatatypeMismatch {
-                                node: Some(id),
-                                edge: None,
-                                key: key.to_string(),
-                                declared,
-                                observed,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    let mut degree_out: HashMap<(usize, u32), HashSet<u32>> = HashMap::new();
-    let mut degree_in: HashMap<(usize, u32), HashSet<u32>> = HashMap::new();
-
-    for (id, e) in g.edges() {
-        report.edges_checked += 1;
-        let labels: LabelSet = e
-            .labels
-            .iter()
-            .map(|&l| g.label_str(l).to_string())
-            .collect();
-        let Some(&t) = edge_idx.get(&labels) else {
-            if strict {
-                report.violations.push(Violation::UnknownEdgeType {
-                    edge: id,
-                    labels: labels.into_iter().collect(),
-                });
-            }
-            continue;
-        };
-        let ty = &schema.edge_types[t];
-        let keys: HashSet<&str> = e.keys().map(|k| g.key_str(k)).collect();
-        if strict {
-            for (key, spec) in &ty.props {
-                if spec.is_mandatory(ty.instance_count) && !keys.contains(key.as_str()) {
-                    report.violations.push(Violation::MissingMandatory {
-                        node: None,
-                        edge: Some(id),
-                        key: key.clone(),
-                    });
-                }
-            }
-        }
-        for (ksym, value) in &e.props {
-            let key = g.key_str(*ksym);
-            match ty.props.get(key) {
-                None => {
-                    if strict {
-                        report.violations.push(Violation::UndeclaredProperty {
-                            node: None,
-                            edge: Some(id),
-                            key: key.to_string(),
-                        });
-                    }
-                }
-                Some(spec) => {
-                    if let Some(declared) = spec.kind {
-                        let observed = infer_value_kind(&value.lexical());
-                        if declared.join(observed) != declared {
-                            report.violations.push(Violation::DatatypeMismatch {
-                                node: None,
-                                edge: Some(id),
-                                key: key.to_string(),
-                                declared,
-                                observed,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        if strict {
-            let (src, tgt) = g.edge_endpoint_labels(e);
-            let src_set: LabelSet = src.iter().map(|&l| g.label_str(l).to_string()).collect();
-            let tgt_set: LabelSet = tgt.iter().map(|&l| g.label_str(l).to_string()).collect();
-            if !ty.endpoints.contains(&(src_set.clone(), tgt_set.clone())) {
-                report.violations.push(Violation::UndeclaredEndpoints {
-                    edge: id,
-                    src_labels: src_set.into_iter().collect(),
-                    tgt_labels: tgt_set.into_iter().collect(),
-                });
-            }
-            degree_out.entry((t, e.src.0)).or_default().insert(e.tgt.0);
-            degree_in.entry((t, e.tgt.0)).or_default().insert(e.src.0);
-        }
-    }
-
-    if strict {
-        for (t, ty) in schema.edge_types.iter().enumerate() {
-            let Some(bound) = ty.cardinality else {
-                continue;
-            };
-            let observed_max_out = degree_out
-                .iter()
-                .filter(|((tt, _), _)| *tt == t)
-                .map(|(_, s)| s.len() as u64)
-                .max()
-                .unwrap_or(0);
-            let observed_max_in = degree_in
-                .iter()
-                .filter(|((tt, _), _)| *tt == t)
-                .map(|(_, s)| s.len() as u64)
-                .max()
-                .unwrap_or(0);
-            if observed_max_out > bound.max_out || observed_max_in > bound.max_in {
-                report.violations.push(Violation::CardinalityExceeded {
-                    edge_type: t,
-                    observed_max_out,
-                    observed_max_in,
-                    bound_max_out: bound.max_out,
-                    bound_max_in: bound.max_in,
-                });
-            }
-        }
-    }
-
-    report
-}
 
 // ---------------------------------------------------------------------------
 // Streaming validation: CompiledSchema + Validator
@@ -980,8 +646,8 @@ fn check_props<'v>(
                 );
             }
             Some(Some(declared)) => {
-                // Same inference as discovery and the resident validator:
-                // the kind of the lexical form. Non-string values take the
+                // Same inference as discovery: the kind of the lexical
+                // form. Non-string values take the
                 // (allocating) lexical detour only on the mismatch-free
                 // path's rare branch; string values borrow directly.
                 let observed = match value {
@@ -1045,7 +711,7 @@ mod tests {
     use super::*;
     use crate::pipeline::Discoverer;
     use crate::PipelineConfig;
-    use pg_hive_graph::{GraphBuilder, Value};
+    use pg_hive_graph::{GraphBuilder, PropertyGraph, Value};
 
     fn training_graph() -> PropertyGraph {
         let mut b = GraphBuilder::new();
@@ -1068,142 +734,6 @@ mod tests {
             .discover(&training_graph())
             .schema
     }
-
-    #[test]
-    fn training_graph_validates_against_its_own_schema() {
-        let schema = discovered_schema();
-        let g = training_graph();
-        let strict = validate(&g, &schema, ValidationMode::Strict);
-        assert!(strict.is_valid(), "violations: {:?}", strict.violations);
-        assert_eq!(strict.nodes_checked, 11);
-        assert_eq!(strict.edges_checked, 10);
-        assert!(validate(&g, &schema, ValidationMode::Loose).is_valid());
-    }
-
-    #[test]
-    fn unknown_type_fails_strict_passes_loose() {
-        let schema = discovered_schema();
-        let mut b = GraphBuilder::new();
-        b.add_node(&["Alien"], &[]);
-        let g = b.finish();
-        let strict = validate(&g, &schema, ValidationMode::Strict);
-        assert!(matches!(
-            strict.violations[0],
-            Violation::UnknownNodeType { .. }
-        ));
-        assert!(validate(&g, &schema, ValidationMode::Loose).is_valid());
-    }
-
-    #[test]
-    fn missing_mandatory_property_fails_strict() {
-        let schema = discovered_schema();
-        let mut b = GraphBuilder::new();
-        b.add_node(&["Person"], &[("name", Value::from("x"))]); // no age
-        let g = b.finish();
-        let strict = validate(&g, &schema, ValidationMode::Strict);
-        assert!(strict
-            .violations
-            .iter()
-            .any(|v| matches!(v, Violation::MissingMandatory { key, .. } if key == "age")));
-        // LOOSE allows deviation.
-        assert!(validate(&g, &schema, ValidationMode::Loose).is_valid());
-    }
-
-    #[test]
-    fn undeclared_property_fails_strict() {
-        let schema = discovered_schema();
-        let mut b = GraphBuilder::new();
-        b.add_node(
-            &["Person"],
-            &[
-                ("name", Value::from("x")),
-                ("age", Value::Int(1)),
-                ("sneaky", Value::Int(1)),
-            ],
-        );
-        let g = b.finish();
-        let strict = validate(&g, &schema, ValidationMode::Strict);
-        assert!(strict
-            .violations
-            .iter()
-            .any(|v| matches!(v, Violation::UndeclaredProperty { key, .. } if key == "sneaky")));
-    }
-
-    #[test]
-    fn datatype_mismatch_fails_in_both_modes() {
-        let schema = discovered_schema();
-        let mut b = GraphBuilder::new();
-        b.add_node(
-            &["Person"],
-            &[("name", Value::from("x")), ("age", Value::from("forty"))],
-        );
-        let g = b.finish();
-        for mode in [ValidationMode::Strict, ValidationMode::Loose] {
-            let r = validate(&g, &schema, mode);
-            assert!(
-                r.violations
-                    .iter()
-                    .any(|v| matches!(v, Violation::DatatypeMismatch { key, .. } if key == "age")),
-                "mode {mode:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn undeclared_endpoints_fail_strict() {
-        let schema = discovered_schema();
-        let mut b = GraphBuilder::new();
-        let o1 = b.add_node(&["Org"], &[("url", Value::from("a"))]);
-        let o2 = b.add_node(&["Org"], &[("url", Value::from("b"))]);
-        // WORKS_AT between two Orgs was never declared (Person -> Org only).
-        b.add_edge(o1, o2, &["WORKS_AT"], &[("from", Value::Int(2000))]);
-        let g = b.finish();
-        let strict = validate(&g, &schema, ValidationMode::Strict);
-        assert!(strict
-            .violations
-            .iter()
-            .any(|v| matches!(v, Violation::UndeclaredEndpoints { .. })));
-    }
-
-    #[test]
-    fn cardinality_bound_enforced_in_strict() {
-        // Training data: each Person works at exactly one Org (max_out 1).
-        let schema = discovered_schema();
-        let mut b = GraphBuilder::new();
-        let p = b.add_node(
-            &["Person"],
-            &[("name", Value::from("x")), ("age", Value::Int(1))],
-        );
-        let o1 = b.add_node(&["Org"], &[("url", Value::from("a"))]);
-        let o2 = b.add_node(&["Org"], &[("url", Value::from("b"))]);
-        b.add_edge(p, o1, &["WORKS_AT"], &[("from", Value::Int(1))]);
-        b.add_edge(p, o2, &["WORKS_AT"], &[("from", Value::Int(2))]);
-        let g = b.finish();
-        let strict = validate(&g, &schema, ValidationMode::Strict);
-        assert!(strict
-            .violations
-            .iter()
-            .any(|v| matches!(v, Violation::CardinalityExceeded { .. })));
-    }
-
-    #[test]
-    fn violation_display_is_readable() {
-        let v = Violation::MissingMandatory {
-            node: Some(NodeId(3)),
-            edge: None,
-            key: "age".into(),
-        };
-        assert_eq!(v.to_string(), "node #3: missing mandatory 'age'");
-    }
-
-    #[test]
-    fn empty_graph_is_always_valid() {
-        let schema = discovered_schema();
-        let g = PropertyGraph::new();
-        assert!(validate(&g, &schema, ValidationMode::Strict).is_valid());
-    }
-
-    // --- streaming validator -------------------------------------------
 
     /// The training graph as pgt wire text, ids p0..p9 / org.
     fn training_pgt() -> String {
@@ -1233,7 +763,49 @@ mod tests {
             assert!(report.is_valid(), "chunk {chunk}: {:?}", report.examples);
             assert_eq!(report.nodes_checked, 11);
             assert_eq!(report.edges_checked, 10);
+            let empty = stream_check("", chunk);
+            assert!(empty.is_valid(), "the empty input conforms to any schema");
+            assert_eq!(empty.nodes_checked + empty.edges_checked, 0);
         }
+    }
+
+    #[test]
+    fn training_graph_validates_against_its_own_schema() {
+        let text = pg_hive_graph::loader::save_text(&training_graph());
+        let report = stream_check(&text, 4);
+        assert!(report.is_valid(), "violations: {:?}", report.examples);
+        assert_eq!(report.nodes_checked, 11);
+        assert_eq!(report.edges_checked, 10);
+    }
+
+    /// The one violation `record`, appended to the training data, raises.
+    fn sole_violation(record: &str) -> StreamViolation {
+        let report = stream_check(&format!("{}{record}\n", training_pgt()), 4);
+        assert_eq!(report.total(), 1, "{:?}", report.examples);
+        report.examples.into_iter().next().unwrap()
+    }
+
+    #[test]
+    fn missing_mandatory_property_fails_strict() {
+        let v = sole_violation("N x Person name=x"); // no age
+        assert_eq!(v.kind, ViolationKind::MissingKey);
+        assert_eq!(v.element, "x");
+        assert!(v.detail.contains("'age'"), "{v}");
+    }
+
+    #[test]
+    fn undeclared_property_fails_strict() {
+        let v = sole_violation("N x Person name=x,age=1,sneaky=1");
+        assert_eq!(v.kind, ViolationKind::ExtraKey);
+        assert!(v.detail.contains("'sneaky'"), "{v}");
+    }
+
+    #[test]
+    fn undeclared_endpoints_fail_strict() {
+        // WORKS_AT between two Orgs was never declared (Person -> Org only).
+        let v = sole_violation("E org org WORKS_AT from=2000");
+        assert_eq!(v.kind, ViolationKind::IllTypedEndpoint);
+        assert_eq!(v.element, "org->org");
     }
 
     #[test]

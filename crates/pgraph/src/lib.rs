@@ -21,13 +21,13 @@
 //!   durable `pg-hive watch` checkpoints (see `docs/PERSISTENCE.md`),
 //!   plus [`Interner`] persistence on the canonical-id view for consumers
 //!   that checkpoint interner-keyed state.
-//! - [`stream`]: streaming ingestion — a [`stream::GraphSource`] trait over
-//!   `.pgt` / CSV / JSON-Lines exports and a [`stream::ChunkedTextReader`]
-//!   that yields independent graph chunks with O(chunk) resident memory,
-//!   feeding `Discoverer::absorb_unit` (§4.6); plus
-//!   [`stream::ReadAheadChunks`] / [`stream::ReadAheadRecords`], the
-//!   bounded-channel producer stages that overlap parsing with downstream
-//!   discovery (`absorb_unit`'s read-ahead units) or stats folding.
+//! - [`stream`]: streaming ingestion — one zero-copy record trait,
+//!   [`stream::RawGraphSource`], over `.pgt` / CSV / JSON-Lines exports and
+//!   a [`stream::ChunkedTextReader`] that yields independent graph chunks
+//!   with O(chunk) resident memory, feeding `Discoverer::absorb_unit`
+//!   (§4.6); plus [`stream::ReadAheadChunks`], the bounded-channel producer
+//!   stage that overlaps parsing with downstream discovery
+//!   (`absorb_unit`'s read-ahead units).
 //!
 //! See `docs/ARCHITECTURE.md` at the repository root for the crate map and
 //! the streaming chunk lifecycle.
@@ -56,8 +56,7 @@ pub use stats::GraphStats;
 pub use stream::jsonl::json_escape;
 pub use stream::multi::{MultiSource, SourceEntry, SourceKind};
 pub use stream::{
-    ChunkedTextReader, GraphSource, LabelSetRegistry, OwnedSource, RawGraphSource, ReadAheadChunks,
-    ReadAheadRecords, Record, RecordBuf, RecordRef, StreamError, StreamSummary, StreamWarnings,
-    UnitEnd,
+    ChunkedTextReader, LabelSetRegistry, RawGraphSource, ReadAheadChunks, Record, RecordBuf,
+    RecordRef, StreamError, StreamSummary, StreamWarnings, UnitEnd,
 };
 pub use value::{Value, ValueKind};

@@ -6,7 +6,7 @@
 
 use crate::graph::PropertyGraph;
 use crate::interner::Symbol;
-use crate::stream::{GraphSource, LabelSetRegistry, Record, StreamError};
+use crate::stream::{LabelSetRegistry, RawGraphSource, RecordBuf, RecordRef, StreamError};
 use std::collections::HashSet;
 
 /// Structural statistics of a property graph.
@@ -86,14 +86,15 @@ impl GraphStats {
 /// Compute [`GraphStats`] straight from a record stream with O(distinct
 /// patterns + node ids) memory — no resident graph, no per-chunk stub
 /// nodes. Element and pattern counts match [`GraphStats::compute`] on the
-/// fully-loaded graph.
+/// fully-loaded graph. The fold runs on the calling thread over one reused
+/// [`RecordBuf`].
 ///
 /// Edge patterns need endpoint label sets; a compact id → label-set
 /// registry provides them. Edges referencing a node id that only appears
 /// *later* in the stream are buffered (bounded at ~1M) and resolved at end
 /// of stream. The second return value counts edges whose endpoints were
 /// never declared — their patterns fall back to unlabeled endpoints.
-pub fn stream_stats<S: GraphSource>(mut source: S) -> Result<(GraphStats, u64), StreamError> {
+pub fn stream_stats<S: RawGraphSource>(mut source: S) -> Result<(GraphStats, u64), StreamError> {
     const PENDING_CAP: usize = 1 << 20;
     let mut nodes = 0usize;
     let mut edges = 0usize;
@@ -103,71 +104,71 @@ pub fn stream_stats<S: GraphSource>(mut source: S) -> Result<(GraphStats, u64), 
     let mut edge_label_sets: HashSet<Vec<String>> = HashSet::new();
     let mut node_patterns: HashSet<(Vec<String>, Vec<String>)> = HashSet::new();
     #[allow(clippy::type_complexity)]
-    let mut edge_patterns: HashSet<(Vec<String>, Vec<String>, u32, u32)> = HashSet::new();
+    let mut edge_patterns: HashSet<(Vec<String>, Vec<String>, Vec<String>, Vec<String>)> =
+        HashSet::new();
 
     let mut registry = LabelSetRegistry::default();
     #[allow(clippy::type_complexity)]
     let mut pending: Vec<(Vec<String>, Vec<String>, String, String)> = Vec::new();
     let mut fallback = 0u64;
+    // The registry keeps a node's labels in record order; a pattern needs
+    // the set.
+    let endpoint = |registry: &LabelSetRegistry, id: &str| {
+        registry
+            .label_set(id)
+            .map(|ls| sorted_set(ls.iter().map(String::as_str)))
+    };
 
-    while let Some(rec) = source.next_record()? {
-        match rec {
-            Record::Node { id, labels, props } => {
+    let mut buf = RecordBuf::new();
+    while source.read_record(&mut buf)? {
+        match buf.view() {
+            RecordRef::Node { labels, props, .. } => {
                 nodes += 1;
-                let mut ls = labels;
-                ls.sort_unstable();
-                ls.dedup();
-                let mut keys: Vec<String> = props.into_iter().map(|(k, _)| k).collect();
-                keys.sort_unstable();
-                keys.dedup();
-                for l in &ls {
-                    node_labels.insert(l.clone());
-                }
-                registry.insert(&id, &ls);
+                registry.insert_record(&buf);
+                let ls = sorted_set(labels.iter());
+                let keys = sorted_set(props.iter().map(|(k, _)| k));
+                node_labels.extend(ls.iter().cloned());
                 node_label_sets.insert(ls.clone());
                 node_patterns.insert((ls, keys));
             }
-            Record::Edge {
+            RecordRef::Edge {
                 src,
                 tgt,
                 labels,
                 props,
             } => {
                 edges += 1;
-                let mut ls = labels;
-                ls.sort_unstable();
-                ls.dedup();
-                let mut keys: Vec<String> = props.into_iter().map(|(k, _)| k).collect();
-                keys.sort_unstable();
-                keys.dedup();
-                for l in &ls {
-                    edge_labels.insert(l.clone());
-                }
+                let ls = sorted_set(labels.iter());
+                let keys = sorted_set(props.iter().map(|(k, _)| k));
+                edge_labels.extend(ls.iter().cloned());
                 edge_label_sets.insert(ls.clone());
-                match (registry.get(&src), registry.get(&tgt)) {
+                match (endpoint(&registry, src), endpoint(&registry, tgt)) {
                     (Some(s), Some(t)) => {
                         edge_patterns.insert((ls, keys, s, t));
                     }
-                    _ if pending.len() < PENDING_CAP => pending.push((ls, keys, src, tgt)),
-                    _ => {
+                    _ if pending.len() < PENDING_CAP => {
+                        pending.push((ls, keys, src.to_string(), tgt.to_string()));
+                    }
+                    (s, t) => {
                         // Buffer overflowed: resolve now with what we have.
                         fallback += 1;
-                        let empty = registry.intern(&[]);
-                        let s = registry.get(&src).unwrap_or(empty);
-                        let t = registry.get(&tgt).unwrap_or(empty);
-                        edge_patterns.insert((ls, keys, s, t));
+                        edge_patterns.insert((
+                            ls,
+                            keys,
+                            s.unwrap_or_default(),
+                            t.unwrap_or_default(),
+                        ));
                     }
                 }
             }
         }
     }
     for (ls, keys, src, tgt) in pending {
-        let empty = registry.intern(&[]);
-        let (s, t) = match (registry.get(&src), registry.get(&tgt)) {
+        let (s, t) = match (endpoint(&registry, &src), endpoint(&registry, &tgt)) {
             (Some(s), Some(t)) => (s, t),
             (s, t) => {
                 fallback += 1;
-                (s.unwrap_or(empty), t.unwrap_or(empty))
+                (s.unwrap_or_default(), t.unwrap_or_default())
             }
         };
         edge_patterns.insert((ls, keys, s, t));
@@ -186,6 +187,14 @@ pub fn stream_stats<S: GraphSource>(mut source: S) -> Result<(GraphStats, u64), 
         },
         fallback,
     ))
+}
+
+/// The sorted, deduplicated set of `items`.
+fn sorted_set<'a>(items: impl Iterator<Item = &'a str>) -> Vec<String> {
+    let mut set: Vec<String> = items.map(str::to_string).collect();
+    set.sort_unstable();
+    set.dedup();
+    set
 }
 
 #[cfg(test)]
@@ -296,6 +305,13 @@ mod tests {
             stream_stats(crate::stream::pgt::PgtSource::new(text.as_bytes())).unwrap();
         assert_eq!(fallback, 0);
         assert_eq!(streamed, GraphStats::compute(&g));
+        // Label order within a record makes no new set or pattern.
+        let text = "N a A;B -\nN b B;A -\nE a b X -\nE b a X -\n";
+        let (streamed, _) =
+            stream_stats(crate::stream::pgt::PgtSource::new(text.as_bytes())).unwrap();
+        let resident = GraphStats::compute(&crate::loader::load_text(text).unwrap());
+        assert_eq!(streamed, resident);
+        assert_eq!(streamed.edge_patterns, 1);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!   physical lines).
 
 use super::raw::{RawGraphSource, RecordBuf, RecordKind, Span};
-use super::{GraphSource, Record, StreamError};
+use super::StreamError;
 use crate::graph::PropertyGraph;
 use crate::value::Value;
 use std::fs::File;
@@ -39,8 +39,6 @@ pub struct CsvSource<R> {
     nodes: CsvHalf<R>,
     edges: Option<CsvHalf<R>>,
     in_edges: bool,
-    /// Scratch buffer backing the owned [`GraphSource`] shim only.
-    shim: RecordBuf,
 }
 
 struct CsvHalf<R> {
@@ -91,7 +89,6 @@ impl<R: BufRead> CsvSource<R> {
                 cells: Vec::new(),
             }),
             in_edges: false,
-            shim: RecordBuf::new(),
         }
     }
 }
@@ -235,27 +232,6 @@ impl<R: BufRead> RawGraphSource for CsvSource<R> {
         buf.tgt = tgt;
         edges.fill_buf(buf, 2);
         Ok(true)
-    }
-
-    fn format_name(&self) -> &'static str {
-        "csv"
-    }
-}
-
-impl<R: BufRead> GraphSource for CsvSource<R> {
-    fn next_record(&mut self) -> Result<Option<Record>, StreamError> {
-        let mut buf = std::mem::take(&mut self.shim);
-        let result = self.read_record(&mut buf);
-        let rec = match result {
-            Ok(true) => Some(buf.take_record()),
-            Ok(false) => None,
-            Err(e) => {
-                self.shim = buf;
-                return Err(e);
-            }
-        };
-        self.shim = buf;
-        Ok(rec)
     }
 
     fn format_name(&self) -> &'static str {

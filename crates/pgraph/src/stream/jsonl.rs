@@ -19,7 +19,7 @@
 //! offline), so a minimal recursive-descent parser lives here.
 
 use super::raw::{RawGraphSource, RecordBuf, RecordKind, Span};
-use super::{GraphSource, Record, StreamError};
+use super::StreamError;
 use crate::graph::PropertyGraph;
 use crate::value::Value;
 use std::io::BufRead;
@@ -29,8 +29,7 @@ use std::io::BufRead;
 /// Parses **zero-copy** through [`RawGraphSource`]: instead of building a
 /// JSON value tree per line, the record fields pg-hive cares about are
 /// decoded straight into the caller's [`RecordBuf`] and everything else is
-/// skipped (syntax-checked but never materialized). The owned
-/// [`GraphSource`] impl remains as a compatibility shim.
+/// skipped (syntax-checked but never materialized).
 pub struct JsonlSource<R> {
     reader: R,
     line: u64,
@@ -40,8 +39,6 @@ pub struct JsonlSource<R> {
     keybuf: String,
     /// Reused string-value decode scratch.
     valbuf: String,
-    /// Scratch buffer backing the owned [`GraphSource`] shim only.
-    shim: RecordBuf,
 }
 
 impl<R: BufRead> JsonlSource<R> {
@@ -53,7 +50,6 @@ impl<R: BufRead> JsonlSource<R> {
             linebuf: String::new(),
             keybuf: String::new(),
             valbuf: String::new(),
-            shim: RecordBuf::new(),
         }
     }
 }
@@ -79,27 +75,6 @@ impl<R: BufRead> RawGraphSource for JsonlSource<R> {
                 }),
             };
         }
-    }
-
-    fn format_name(&self) -> &'static str {
-        "jsonl"
-    }
-}
-
-impl<R: BufRead> GraphSource for JsonlSource<R> {
-    fn next_record(&mut self) -> Result<Option<Record>, StreamError> {
-        let mut buf = std::mem::take(&mut self.shim);
-        let result = self.read_record(&mut buf);
-        let rec = match result {
-            Ok(true) => Some(buf.take_record()),
-            Ok(false) => None,
-            Err(e) => {
-                self.shim = buf;
-                return Err(e);
-            }
-        };
-        self.shim = buf;
-        Ok(rec)
     }
 
     fn format_name(&self) -> &'static str {

@@ -3,13 +3,13 @@
 //! The paper motivates incremental discovery with "process large datasets on
 //! machines with limited memory". This module supplies the I/O side of that
 //! scenario: instead of slurping a whole export into one [`PropertyGraph`],
-//! a [`ChunkedTextReader`] wraps any [`GraphSource`] — a format-specific
+//! a [`ChunkedTextReader`] wraps any [`RawGraphSource`] — a format-specific
 //! record parser over a [`std::io::BufRead`] — and yields *independent*
 //! graph chunks of roughly `chunk_size` elements. Each chunk has its own
 //! interners and ids and can be dropped as soon as the discovery pipeline
 //! has consumed it, so resident memory is O(chunk), not O(dataset).
 //!
-//! Three wire formats implement [`GraphSource`]:
+//! Three wire formats implement [`RawGraphSource`]:
 //!
 //! - [`pgt::PgtSource`] — the line-oriented `.pgt` text format of
 //!   [`crate::loader`];
@@ -47,8 +47,8 @@ pub mod pgt;
 pub mod raw;
 pub mod read_ahead;
 
-pub use raw::{OwnedSource, RawGraphSource, RecordBuf, RecordRef};
-pub use read_ahead::{ReadAheadChunks, ReadAheadRecords, StreamSummary};
+pub use raw::{RawGraphSource, RecordBuf, RecordRef};
+pub use read_ahead::{ReadAheadChunks, StreamSummary};
 
 use crate::builder::GraphBuilder;
 use crate::element::NodeId;
@@ -59,29 +59,19 @@ use raw::RecordKind;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
-/// One parsed ingestion record, independent of the wire format.
+/// A carried edge: an edge record whose endpoint ids its reader's registry
+/// never bound, held as owned strings so it can outlive the record buffer
+/// that parsed it (see [`ChunkedTextReader::take_pending`]).
 #[derive(Debug, Clone, PartialEq)]
-pub enum Record {
-    /// A node declaration with a dataset-scoped id.
-    Node {
-        /// Dataset-scoped node id (referenced by edges).
-        id: String,
-        /// The node's labels (may be empty).
-        labels: Vec<String>,
-        /// The node's `(key, value)` properties.
-        props: Vec<(String, Value)>,
-    },
-    /// An edge between two node ids.
-    Edge {
-        /// Source node id.
-        src: String,
-        /// Target node id.
-        tgt: String,
-        /// The edge's labels (may be empty).
-        labels: Vec<String>,
-        /// The edge's `(key, value)` properties.
-        props: Vec<(String, Value)>,
-    },
+pub struct Record {
+    /// Source node id.
+    pub src: String,
+    /// Target node id.
+    pub tgt: String,
+    /// The edge's labels (may be empty).
+    pub labels: Vec<String>,
+    /// The edge's `(key, value)` properties.
+    pub props: Vec<(String, Value)>,
 }
 
 /// Errors produced while streaming records from a source.
@@ -113,37 +103,6 @@ impl std::error::Error for StreamError {}
 impl From<std::io::Error> for StreamError {
     fn from(e: std::io::Error) -> Self {
         StreamError::Io(e)
-    }
-}
-
-/// A format-specific record parser: the one trait the CLI, benches and the
-/// chunker program against, so they stay format-agnostic.
-///
-/// ```
-/// use pg_hive_graph::stream::{pgt::PgtSource, GraphSource, Record};
-///
-/// let mut src = PgtSource::new("N a Person name=Ann\nE a a SELF -\n".as_bytes());
-/// let first = src.next_record().unwrap().unwrap();
-/// assert!(matches!(first, Record::Node { ref id, .. } if id == "a"));
-/// let second = src.next_record().unwrap().unwrap();
-/// assert!(matches!(second, Record::Edge { .. }));
-/// assert!(src.next_record().unwrap().is_none()); // end of stream
-/// assert_eq!(src.format_name(), "pgt");
-/// ```
-pub trait GraphSource {
-    /// Next record, `Ok(None)` at end of stream.
-    fn next_record(&mut self) -> Result<Option<Record>, StreamError>;
-
-    /// Short format name for diagnostics (`"pgt"`, `"csv"`, `"jsonl"`).
-    fn format_name(&self) -> &'static str;
-}
-
-impl<S: GraphSource + ?Sized> GraphSource for Box<S> {
-    fn next_record(&mut self) -> Result<Option<Record>, StreamError> {
-        (**self).next_record()
-    }
-    fn format_name(&self) -> &'static str {
-        (**self).format_name()
     }
 }
 
@@ -197,13 +156,6 @@ pub struct UnitEnd {
     /// The unit's warning counts; carried edges are not counted as
     /// unresolved.
     pub warnings: StreamWarnings,
-}
-
-struct PendingEdge {
-    src: String,
-    tgt: String,
-    labels: Vec<String>,
-    props: Vec<(String, Value)>,
 }
 
 /// Compact id → label-set registry: interns every distinct label set once
@@ -288,6 +240,7 @@ impl LabelSetRegistry {
 
     /// Register a node id; returns `true` when the id was already present
     /// (the new label set wins).
+    #[cfg(test)]
     pub(crate) fn insert(&mut self, id: &str, labels: &[String]) -> bool {
         let ls = self.intern(labels);
         self.bind(id, ls).1
@@ -351,9 +304,10 @@ impl LabelSetRegistry {
 
     /// Register the node record currently held in `buf` (id → label set),
     /// returning `true` when the id was already present (the new set wins).
-    /// External streaming consumers — the schema validator rides the
-    /// registry for its cross-chunk endpoint checks — go through this
-    /// entry point; the chunked reader uses the internal span-level path.
+    /// External streaming consumers — the schema validator's cross-chunk
+    /// endpoint checks, the statistics fold's edge patterns — go through
+    /// this entry point; the chunked reader uses the internal span-level
+    /// path.
     /// Calling it with an edge record registers the edge's *source* id,
     /// so callers must route node records only.
     pub fn insert_record(&mut self, buf: &RecordBuf) -> bool {
@@ -433,7 +387,7 @@ impl LabelSetRegistry {
     }
 }
 
-/// Chunks any [`GraphSource`] into independent [`PropertyGraph`]s of
+/// Chunks any [`RawGraphSource`] into independent [`PropertyGraph`]s of
 /// roughly `chunk_size` elements (nodes + edges + endpoint stubs), so a
 /// dataset can be discovered with O(chunk) resident memory via
 /// `Discoverer::discover_stream`.
@@ -462,7 +416,7 @@ pub struct ChunkedTextReader<S> {
     chunk_size: usize,
     pending_cap: usize,
     registry: LabelSetRegistry,
-    pending: VecDeque<PendingEdge>,
+    pending: VecDeque<Record>,
     /// When set, end-of-stream pending edges whose endpoints never appeared
     /// are **retained** (extractable via [`Self::take_pending`]) instead of
     /// being dropped and counted unresolved — the sharded-ingestion mode,
@@ -565,15 +519,7 @@ impl<S: RawGraphSource> ChunkedTextReader<S> {
     /// the sharded pipeline collects these and resolves them against the
     /// cross-shard **merged** registry. Returned in arrival order.
     pub fn take_pending(&mut self) -> Vec<Record> {
-        self.pending
-            .drain(..)
-            .map(|e| Record::Edge {
-                src: e.src,
-                tgt: e.tgt,
-                labels: e.labels,
-                props: e.props,
-            })
-            .collect()
+        self.pending.drain(..).collect()
     }
 
     /// Warnings accumulated so far (final after the last chunk).
@@ -597,13 +543,13 @@ impl<S: RawGraphSource> ChunkedTextReader<S> {
         self.source.format_name()
     }
 
-    fn resolvable(&self, e: &PendingEdge) -> bool {
+    fn resolvable(&self, e: &Record) -> bool {
         self.registry.contains(&e.src) && self.registry.contains(&e.tgt)
     }
 
     /// Move every currently-resolvable pending edge into `ready`,
     /// preserving arrival order.
-    fn refill_ready(&mut self, ready: &mut VecDeque<PendingEdge>) {
+    fn refill_ready(&mut self, ready: &mut VecDeque<Record>) {
         let mut rest = VecDeque::with_capacity(self.pending.len());
         while let Some(e) = self.pending.pop_front() {
             if self.resolvable(&e) {
@@ -624,7 +570,7 @@ impl<S: RawGraphSource> ChunkedTextReader<S> {
         }
 
         let mut b = GraphBuilder::with_capacity(self.last_nodes, self.last_edges);
-        let mut ready: VecDeque<PendingEdge> = VecDeque::new();
+        let mut ready: VecDeque<Record> = VecDeque::new();
         let mut budget = 0usize;
         self.generation += 1; // invalidates every chunk/stub mark at once
         self.refill_ready(&mut ready);
@@ -695,10 +641,7 @@ impl<S: RawGraphSource> ChunkedTextReader<S> {
             }
         }
 
-        let any_resolvable = self
-            .pending
-            .iter()
-            .any(|e| self.registry.contains(&e.src) && self.registry.contains(&e.tgt));
+        let any_resolvable = self.pending.iter().any(|e| self.resolvable(e));
         if self.done && ready.is_empty() && !any_resolvable {
             // Whatever is still pending references ids that never appeared
             // in *this* stream. In carry mode they are kept for the caller
@@ -824,9 +767,9 @@ impl<S: RawGraphSource> ChunkedTextReader<S> {
     }
 }
 
-/// Move the edge in `buf` out as an owned [`PendingEdge`] (the deferred
-/// path — property values are moved, never cloned).
-fn pending_from_buf(buf: &mut RecordBuf) -> PendingEdge {
+/// Move the edge in `buf` out as an owned [`Record`] (the deferred path —
+/// property values are moved, never cloned).
+fn pending_from_buf(buf: &mut RecordBuf) -> Record {
     let src = buf.str(buf.id).to_string();
     let tgt = buf.str(buf.tgt).to_string();
     let labels: Vec<String> = buf.labels.iter().map(|&s| buf.str(s).to_string()).collect();
@@ -836,7 +779,7 @@ fn pending_from_buf(buf: &mut RecordBuf) -> PendingEdge {
         .drain(..)
         .map(|(k, v)| (raw::span_str(text, k).to_string(), v))
         .collect();
-    PendingEdge {
+    Record {
         src,
         tgt,
         labels,
@@ -846,7 +789,7 @@ fn pending_from_buf(buf: &mut RecordBuf) -> PendingEdge {
 
 /// Load a deferred edge back into the record buffer for acceptance through
 /// the same zero-copy path as freshly parsed edges.
-fn load_pending(buf: &mut RecordBuf, e: PendingEdge) {
+fn load_pending(buf: &mut RecordBuf, e: Record) {
     buf.clear();
     buf.kind = RecordKind::Edge;
     buf.id = buf.push_str(&e.src);
@@ -1077,20 +1020,16 @@ E d f LOCATED_IN -
         assert_eq!(r.warnings().unresolved_edges, 0, "not dropped");
         let pending = r.take_pending();
         assert_eq!(pending.len(), 1);
-        match &pending[0] {
-            Record::Edge {
-                src,
-                tgt,
-                labels,
-                props,
-            } => {
-                assert_eq!(src, "a");
-                assert_eq!(tgt, "other");
-                assert_eq!(labels, &["WORKS_AT"]);
-                assert_eq!(props.len(), 1);
-            }
-            other => panic!("expected edge, got {other:?}"),
-        }
+        let Record {
+            src,
+            tgt,
+            labels,
+            props,
+        } = &pending[0];
+        assert_eq!(src, "a");
+        assert_eq!(tgt, "other");
+        assert_eq!(labels, &["WORKS_AT"]);
+        assert_eq!(props.len(), 1);
         // Without carry mode, the same edge is dropped and counted.
         let mut bare = ChunkedTextReader::new(PgtSource::new(text.as_bytes()), 10);
         while bare.next_chunk().unwrap().is_some() {}

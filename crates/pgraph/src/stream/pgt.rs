@@ -3,7 +3,7 @@
 //! record at a time from any [`BufRead`] instead of a full in-memory string.
 
 use super::raw::{RawGraphSource, RecordBuf};
-use super::{GraphSource, Record, StreamError};
+use super::StreamError;
 use crate::loader::parse_line_into;
 use std::io::BufRead;
 
@@ -11,23 +11,16 @@ use std::io::BufRead;
 ///
 /// Parses **zero-copy** through [`RawGraphSource`]: each line is read into
 /// the caller's [`RecordBuf`] and fields are recorded as spans, so steady-
-/// state parsing performs no per-record allocations. The owned
-/// [`GraphSource`] impl remains as a compatibility shim.
+/// state parsing performs no per-record allocations.
 pub struct PgtSource<R> {
     reader: R,
     line: u64,
-    /// Scratch buffer backing the owned [`GraphSource`] shim only.
-    shim: RecordBuf,
 }
 
 impl<R: BufRead> PgtSource<R> {
     /// Source over any buffered reader.
     pub fn new(reader: R) -> Self {
-        Self {
-            reader,
-            line: 0,
-            shim: RecordBuf::new(),
-        }
+        Self { reader, line: 0 }
     }
 }
 
@@ -57,32 +50,11 @@ impl<R: BufRead> RawGraphSource for PgtSource<R> {
     }
 }
 
-impl<R: BufRead> GraphSource for PgtSource<R> {
-    fn next_record(&mut self) -> Result<Option<Record>, StreamError> {
-        let mut buf = std::mem::take(&mut self.shim);
-        let result = self.read_record(&mut buf);
-        let rec = match result {
-            Ok(true) => Some(buf.take_record()),
-            Ok(false) => None,
-            Err(e) => {
-                self.shim = buf;
-                return Err(e);
-            }
-        };
-        self.shim = buf;
-        Ok(rec)
-    }
-
-    fn format_name(&self) -> &'static str {
-        "pgt"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::loader::{load_text, save_text};
-    use crate::stream::read_all;
+    use crate::stream::{read_all, RecordRef};
     use crate::GraphBuilder;
     use crate::Value;
 
@@ -93,13 +65,15 @@ mod tests {
                     N b - -\n\
                     E a b KNOWS since=2020\n";
         let mut src = PgtSource::new(text.as_bytes());
+        let mut buf = RecordBuf::new();
         let mut records = Vec::new();
-        while let Some(r) = src.next_record().unwrap() {
-            records.push(r);
+        while src.read_record(&mut buf).unwrap() {
+            records.push(match buf.view() {
+                RecordRef::Node { id, .. } => format!("N {id}"),
+                RecordRef::Edge { src, tgt, .. } => format!("E {src} {tgt}"),
+            });
         }
-        assert_eq!(records.len(), 3);
-        assert!(matches!(&records[0], Record::Node { id, .. } if id == "a"));
-        assert!(matches!(&records[2], Record::Edge { src, tgt, .. } if src == "a" && tgt == "b"));
+        assert_eq!(records, ["N a", "N b", "E a b"]);
     }
 
     #[test]
@@ -124,8 +98,9 @@ mod tests {
     fn parse_errors_carry_line_numbers() {
         let text = "N a - -\nX bogus\n";
         let mut src = PgtSource::new(text.as_bytes());
-        src.next_record().unwrap();
-        let err = src.next_record().unwrap_err();
+        let mut buf = RecordBuf::new();
+        assert!(src.read_record(&mut buf).unwrap());
+        let err = src.read_record(&mut buf).unwrap_err();
         assert!(matches!(err, StreamError::Parse { line: 2, .. }), "{err}");
     }
 }

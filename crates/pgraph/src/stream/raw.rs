@@ -1,23 +1,15 @@
 //! Zero-copy ingestion: borrowed record views over a reused line buffer.
 //!
-//! The owned [`Record`] allocates a `String` per field —
-//! fine for tests and small inputs, but the streaming hot path parses
-//! millions of records whose bytes are immediately interned and never
-//! needed again. [`RawGraphSource`] is the allocation-free counterpart of
-//! [`GraphSource`](super::GraphSource): the caller owns one [`RecordBuf`]
-//! and the source parses each record **into** it, storing field *spans*
-//! (byte ranges) over the buffer's backing text instead of owned strings.
-//! Spans are index pairs, not pointers, so the backing `String` may grow
-//! (reallocate) mid-record without invalidating earlier fields.
-//!
-//! [`RecordRef`] is the borrowed view handed to consumers; its
-//! [`RecordRef::to_owned`] shim rebuilds the old owned `Record`, which is
-//! how the compatibility [`GraphSource`](super::GraphSource) impls of the
-//! pgt/CSV/JSONL sources keep every existing caller compiling. Conversely
-//! [`OwnedSource`] adapts any owned-record source to the raw trait, so the
-//! two paths stay interchangeable (and testable against each other).
+//! The streaming hot path parses millions of records whose bytes are
+//! immediately interned and never needed again, so no parser allocates a
+//! `String` per field. Through [`RawGraphSource`] the caller owns one
+//! [`RecordBuf`] and the source parses each record **into** it, storing
+//! field *spans* (byte ranges) over the buffer's backing text instead of
+//! owned strings. Spans are index pairs, not pointers, so the backing
+//! `String` may grow (reallocate) mid-record without invalidating earlier
+//! fields. [`RecordRef`] is the borrowed view handed to consumers.
 
-use super::{Record, StreamError};
+use super::StreamError;
 use crate::value::Value;
 
 /// Byte range `(offset, len)` into [`RecordBuf`]'s backing text.
@@ -109,73 +101,6 @@ impl RecordBuf {
             },
         }
     }
-
-    /// Move the buffered record out as an owned [`Record`], draining the
-    /// property values (strings are copied, values are moved).
-    pub(crate) fn take_record(&mut self) -> Record {
-        let text = &self.text;
-        let labels: Vec<String> = self
-            .labels
-            .iter()
-            .map(|&s| span_str(text, s).to_string())
-            .collect();
-        let props: Vec<(String, Value)> = self
-            .props
-            .drain(..)
-            .map(|(k, v)| (span_str(text, k).to_string(), v))
-            .collect();
-        match self.kind {
-            RecordKind::Node => Record::Node {
-                id: self.str(self.id).to_string(),
-                labels,
-                props,
-            },
-            RecordKind::Edge => Record::Edge {
-                src: self.str(self.id).to_string(),
-                tgt: self.str(self.tgt).to_string(),
-                labels,
-                props,
-            },
-        }
-    }
-
-    /// Load an owned [`Record`] into the buffer (the [`OwnedSource`]
-    /// adapter and the pending-edge replay path).
-    pub(crate) fn load_owned(&mut self, rec: Record) {
-        self.clear();
-        match rec {
-            Record::Node { id, labels, props } => {
-                self.kind = RecordKind::Node;
-                self.id = self.push_str(&id);
-                for l in &labels {
-                    let span = self.push_str(l);
-                    self.labels.push(span);
-                }
-                for (k, v) in props {
-                    let span = self.push_str(&k);
-                    self.props.push((span, v));
-                }
-            }
-            Record::Edge {
-                src,
-                tgt,
-                labels,
-                props,
-            } => {
-                self.kind = RecordKind::Edge;
-                self.id = self.push_str(&src);
-                self.tgt = self.push_str(&tgt);
-                for l in &labels {
-                    let span = self.push_str(l);
-                    self.labels.push(span);
-                }
-                for (k, v) in props {
-                    let span = self.push_str(&k);
-                    self.props.push((span, v));
-                }
-            }
-        }
-    }
 }
 
 pub(crate) fn span_str(text: &str, span: Span) -> &str {
@@ -256,42 +181,11 @@ pub enum RecordRef<'a> {
     },
 }
 
-impl RecordRef<'_> {
-    /// Rebuild the owned [`Record`] — the compatibility shim the existing
-    /// `GraphSource` callers go through.
-    pub fn to_owned(&self) -> Record {
-        match self {
-            RecordRef::Node { id, labels, props } => Record::Node {
-                id: (*id).to_string(),
-                labels: labels.iter().map(str::to_string).collect(),
-                props: props
-                    .iter()
-                    .map(|(k, v)| (k.to_string(), v.clone()))
-                    .collect(),
-            },
-            RecordRef::Edge {
-                src,
-                tgt,
-                labels,
-                props,
-            } => Record::Edge {
-                src: (*src).to_string(),
-                tgt: (*tgt).to_string(),
-                labels: labels.iter().map(str::to_string).collect(),
-                props: props
-                    .iter()
-                    .map(|(k, v)| (k.to_string(), v.clone()))
-                    .collect(),
-            },
-        }
-    }
-}
-
 /// Allocation-free record parser: fills a caller-owned [`RecordBuf`]
-/// instead of returning owned records. This is the trait the streaming hot
-/// path ([`ChunkedTextReader`](super::ChunkedTextReader), the read-ahead
-/// pipeline, the CLI) programs against; the owned
-/// [`GraphSource`](super::GraphSource) remains as a compatibility shim.
+/// instead of returning owned records. The one record trait every consumer
+/// programs against: the [`ChunkedTextReader`](super::ChunkedTextReader),
+/// the read-ahead pipeline, the statistics fold, the schema validator and
+/// the CLI.
 ///
 /// ```
 /// use pg_hive_graph::stream::pgt::PgtSource;
@@ -329,120 +223,25 @@ impl<S: RawGraphSource + ?Sized> RawGraphSource for Box<S> {
     }
 }
 
-/// Adapt any owned-record [`GraphSource`](super::GraphSource) to
-/// [`RawGraphSource`] by loading each record into the buffer. Used by
-/// consumers that accept custom sources, and by the equivalence tests that
-/// pit the zero-copy parsers against the owned path.
-pub struct OwnedSource<S>(pub S);
-
-impl<S: super::GraphSource> RawGraphSource for OwnedSource<S> {
-    fn read_record(&mut self, buf: &mut RecordBuf) -> Result<bool, StreamError> {
-        match self.0.next_record()? {
-            None => {
-                buf.clear();
-                Ok(false)
-            }
-            Some(rec) => {
-                buf.load_owned(rec);
-                Ok(true)
-            }
-        }
-    }
-    fn format_name(&self) -> &'static str {
-        self.0.format_name()
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::super::GraphSource;
+    use super::super::csv::CsvSource;
     use super::*;
+    use std::io::Cursor;
 
-    struct TwoRecords(u8);
-    impl GraphSource for TwoRecords {
-        fn next_record(&mut self) -> Result<Option<Record>, StreamError> {
-            self.0 += 1;
-            Ok(match self.0 {
-                1 => Some(Record::Node {
-                    id: "a".into(),
-                    labels: vec!["Person".into(), "Student".into()],
-                    props: vec![("age".into(), Value::Int(30))],
-                }),
-                2 => Some(Record::Edge {
-                    src: "a".into(),
-                    tgt: "a".into(),
-                    labels: vec!["SELF".into()],
-                    props: vec![],
-                }),
-                _ => None,
-            })
-        }
-        fn format_name(&self) -> &'static str {
-            "test"
-        }
-    }
-
-    #[test]
-    fn owned_adapter_round_trips_records() {
-        let mut src = OwnedSource(TwoRecords(0));
+    /// Drain a CSV input through the span parser, as `(id, props)` pairs.
+    fn csv_nodes(nodes: &str) -> Vec<(String, Vec<(String, Value)>)> {
+        let mut src = CsvSource::new(Cursor::new(nodes.to_string()), None);
         let mut buf = RecordBuf::new();
-        assert!(src.read_record(&mut buf).unwrap());
-        match buf.view() {
-            RecordRef::Node { id, labels, props } => {
-                assert_eq!(id, "a");
-                assert_eq!(labels.iter().collect::<Vec<_>>(), ["Person", "Student"]);
-                let props: Vec<(&str, &Value)> = props.iter().collect();
-                assert_eq!(props, vec![("age", &Value::Int(30))]);
-            }
-            other => panic!("expected node, got {other:?}"),
+        let mut out = Vec::new();
+        while src.read_record(&mut buf).unwrap() {
+            let RecordRef::Node { id, props, .. } = buf.view() else {
+                panic!("nodes.csv yields nodes only");
+            };
+            let props = props.iter().map(|(k, v)| (k.to_string(), v.clone()));
+            out.push((id.to_string(), props.collect()));
         }
-        // to_owned rebuilds the original record exactly.
-        assert_eq!(
-            buf.view().to_owned(),
-            Record::Node {
-                id: "a".into(),
-                labels: vec!["Person".into(), "Student".into()],
-                props: vec![("age".into(), Value::Int(30))],
-            }
-        );
-        assert!(src.read_record(&mut buf).unwrap());
-        assert!(matches!(
-            buf.view(),
-            RecordRef::Edge {
-                src: "a",
-                tgt: "a",
-                ..
-            }
-        ));
-        assert!(!src.read_record(&mut buf).unwrap());
-        assert_eq!(src.format_name(), "test");
-    }
-
-    /// Drain a CSV input through both parse paths: the zero-copy span
-    /// parser (`RawGraphSource`) and the owned compatibility shim. The two
-    /// must agree record-for-record — this is the span-level equality the
-    /// quoting corner-case tests below assert.
-    fn csv_both_paths(nodes: &str, edges: Option<&str>) -> (Vec<Record>, Vec<Record>) {
-        use super::super::csv::CsvSource;
-        use std::io::Cursor;
-        let mut raw = CsvSource::new(
-            Cursor::new(nodes.to_string()),
-            edges.map(|e| Cursor::new(e.to_string())),
-        );
-        let mut buf = RecordBuf::new();
-        let mut via_spans = Vec::new();
-        while raw.read_record(&mut buf).unwrap() {
-            via_spans.push(buf.view().to_owned());
-        }
-        let mut owned = OwnedSource(CsvSource::new(
-            Cursor::new(nodes.to_string()),
-            edges.map(|e| Cursor::new(e.to_string())),
-        ));
-        let mut via_owned = Vec::new();
-        while owned.read_record(&mut buf).unwrap() {
-            via_owned.push(buf.view().to_owned());
-        }
-        (via_spans, via_owned)
+        out
     }
 
     #[test]
@@ -450,20 +249,15 @@ mod tests {
         // RFC 4180: a quoted field may span lines; the line break belongs
         // to the cell verbatim, including the `\r` of a CRLF terminator.
         let nodes = "id,labels,bio\r\na,Person,\"line one\r\nline two\"\r\n";
-        let (spans, owned) = csv_both_paths(nodes, None);
-        assert_eq!(spans, owned, "raw span path must match the owned path");
-        assert_eq!(spans.len(), 1);
-        match &spans[0] {
-            Record::Node { id, props, .. } => {
-                assert_eq!(id, "a");
-                assert_eq!(
-                    props,
-                    &vec![("bio".to_string(), Value::from("line one\r\nline two"))],
-                    "embedded CRLF inside quotes is part of the value"
-                );
-            }
-            other => panic!("expected node, got {other:?}"),
-        }
+        let rows = csv_nodes(nodes);
+        assert_eq!(
+            rows,
+            vec![(
+                "a".to_string(),
+                vec![("bio".to_string(), Value::from("line one\r\nline two"))]
+            )],
+            "embedded CRLF inside quotes is part of the value"
+        );
     }
 
     #[test]
@@ -471,45 +265,20 @@ mod tests {
         // A row ending in a bare comma has an *absent* trailing cell;
         // a quoted-empty trailing cell is *present* with value "".
         let nodes = "id,labels,age,nick\na,Person,41,\nb,Person,42,\"\"\n";
-        let (spans, owned) = csv_both_paths(nodes, None);
-        assert_eq!(spans, owned, "raw span path must match the owned path");
-        assert_eq!(spans.len(), 2);
-        match &spans[0] {
-            Record::Node { props, .. } => {
-                assert_eq!(
-                    props,
-                    &vec![("age".to_string(), Value::Int(41))],
-                    "unquoted trailing empty cell is an absent property"
-                );
-            }
-            other => panic!("expected node, got {other:?}"),
-        }
-        match &spans[1] {
-            Record::Node { props, .. } => {
-                assert_eq!(
-                    props,
-                    &vec![
-                        ("age".to_string(), Value::Int(42)),
-                        ("nick".to_string(), Value::from("")),
-                    ],
-                    "quoted empty trailing cell is a present empty string"
-                );
-            }
-            other => panic!("expected node, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn take_record_moves_values_and_resets_props() {
-        let mut buf = RecordBuf::new();
-        buf.load_owned(Record::Node {
-            id: "n1".into(),
-            labels: vec![],
-            props: vec![("k".into(), Value::from("v"))],
-        });
-        let rec = buf.take_record();
-        assert!(matches!(rec, Record::Node { ref id, ref props, .. }
-            if id == "n1" && props.len() == 1));
-        assert!(buf.props.is_empty(), "values drained out of the buffer");
+        let rows = csv_nodes(nodes);
+        assert_eq!(rows.len(), 2);
+        assert_eq!(
+            rows[0].1,
+            vec![("age".to_string(), Value::Int(41))],
+            "unquoted trailing empty cell is an absent property"
+        );
+        assert_eq!(
+            rows[1].1,
+            vec![
+                ("age".to_string(), Value::Int(42)),
+                ("nick".to_string(), Value::from("")),
+            ],
+            "quoted empty trailing cell is a present empty string"
+        );
     }
 }

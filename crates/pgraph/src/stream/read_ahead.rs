@@ -2,27 +2,21 @@
 //!
 //! [`ChunkedTextReader`] is a pull API — the discovery pipeline parses chunk
 //! N+1 only after it finished processing chunk N, so the CPU idles during
-//! I/O and the disk idles during clustering. The types here move the
-//! producer side onto a dedicated thread and hand results over through a
-//! *bounded* channel, so at most `depth` chunks (or record batches) are ever
-//! in flight and resident memory stays O(depth × chunk):
+//! I/O and the disk idles during clustering. [`ReadAheadChunks`] moves the
+//! producer side onto a dedicated thread: it drives any [`RawGraphSource`]
+//! through a [`ChunkedTextReader`] and hands ready-made [`PropertyGraph`]
+//! chunks over a *bounded* channel, so at most `depth` chunks are ever in
+//! flight and resident memory stays O(depth × chunk). This is the producer
+//! stage of `pg_hive_core::Discoverer::absorb_unit`'s read-ahead units,
+//! which is how `discover --stream` reads a file. At the end of such a unit
+//! it hands back the drained reader's registry, carried edges and warnings
+//! ([`ReadAheadChunks::take_end`]).
 //!
-//! - [`ReadAheadChunks`] — drives any [`GraphSource`] through a
-//!   [`ChunkedTextReader`] on a background thread; the consumer pulls
-//!   ready-made [`PropertyGraph`] chunks. This is the producer stage of
-//!   `pg_hive_core::Discoverer::absorb_unit`'s read-ahead units, which is
-//!   how `discover --stream` reads a file. At the end of such a unit it
-//!   hands back the drained reader's registry, carried edges and warnings
-//!   ([`ReadAheadChunks::take_end`]).
-//! - [`ReadAheadRecords`] — the record-level equivalent: parses
-//!   [`Record`]s ahead of a single-pass consumer (e.g. streaming stats
-//!   folding) and re-exposes them as a [`GraphSource`].
-//!
-//! Both propagate the first [`StreamError`] to the consumer, deliver the
-//! final [`StreamSummary`] (warnings, peak residency, chunk count) after the
-//! last item, and shut the producer down promptly when the consumer is
-//! dropped early — the producer's blocked `send` fails as soon as the
-//! receiving half disappears, so no thread leaks and no deadlock occurs.
+//! The producer propagates the first [`StreamError`] to the consumer,
+//! delivers the final [`StreamSummary`] (warnings, peak residency, chunk
+//! count) after the last chunk, and shuts down promptly when the consumer
+//! is dropped early — its blocked `send` fails as soon as the receiving
+//! half disappears, so no thread leaks and no deadlock occurs.
 //!
 //! ```
 //! use pg_hive_graph::stream::pgt::PgtSource;
@@ -40,19 +34,11 @@
 //! assert!(chunks.summary().unwrap().warnings.cross_chunk_edges > 0);
 //! ```
 
-use super::raw::{RawGraphSource, RecordBuf};
-use super::{
-    ChunkedTextReader, GraphSource, LabelSetRegistry, Record, StreamError, StreamWarnings, UnitEnd,
-};
+use super::raw::RawGraphSource;
+use super::{ChunkedTextReader, LabelSetRegistry, StreamError, StreamWarnings, UnitEnd};
 use crate::graph::PropertyGraph;
-use std::collections::VecDeque;
 use std::sync::mpsc::{sync_channel, Receiver};
 use std::thread::JoinHandle;
-
-/// Records handed over per channel message by [`ReadAheadRecords`] — large
-/// enough to amortize channel synchronization, small enough to keep the
-/// pipeline responsive.
-const RECORD_BATCH: usize = 1024;
 
 /// Final accounting of a finished read-ahead producer: what
 /// [`ChunkedTextReader::warnings`], [`ChunkedTextReader::max_resident_elements`]
@@ -233,126 +219,6 @@ impl Drop for ReadAheadChunks {
     }
 }
 
-enum RecordMsg {
-    Batch(Vec<Record>),
-    Done,
-    Failed(StreamError),
-}
-
-/// A [`GraphSource`] adaptor that parses records on a dedicated producer
-/// thread, buffering up to `depth` batches of records (1024 per batch) ahead
-/// of the consumer — the record-level sibling of [`ReadAheadChunks`], used
-/// by single-pass consumers such as `pg_hive_graph::stats::stream_stats`.
-pub struct ReadAheadRecords {
-    rx: Option<Receiver<RecordMsg>>,
-    handle: Option<JoinHandle<()>>,
-    buf: VecDeque<Record>,
-    format: &'static str,
-}
-
-impl ReadAheadRecords {
-    /// Spawn a producer thread draining `source`, with at most `depth`
-    /// record batches in flight (`depth` is clamped to ≥ 1).
-    pub fn spawn<S>(source: S, depth: usize) -> Self
-    where
-        S: RawGraphSource + Send + 'static,
-    {
-        let format = source.format_name();
-        let (tx, rx) = sync_channel(depth.max(1));
-        let handle = std::thread::Builder::new()
-            .name("pg-hive-read-ahead-records".into())
-            .spawn(move || {
-                let mut source = source;
-                let mut buf = RecordBuf::new();
-                let mut batch = Vec::with_capacity(RECORD_BATCH);
-                loop {
-                    match source.read_record(&mut buf) {
-                        Ok(true) => {
-                            batch.push(buf.take_record());
-                            if batch.len() == RECORD_BATCH
-                                && tx
-                                    .send(RecordMsg::Batch(std::mem::take(&mut batch)))
-                                    .is_err()
-                            {
-                                return;
-                            }
-                        }
-                        Ok(false) => {
-                            if !batch.is_empty() {
-                                let _ = tx.send(RecordMsg::Batch(batch));
-                            }
-                            let _ = tx.send(RecordMsg::Done);
-                            return;
-                        }
-                        Err(e) => {
-                            if !batch.is_empty() {
-                                let _ = tx.send(RecordMsg::Batch(batch));
-                            }
-                            let _ = tx.send(RecordMsg::Failed(e));
-                            return;
-                        }
-                    }
-                }
-            })
-            .expect("spawn read-ahead record producer thread");
-        Self {
-            rx: Some(rx),
-            handle: Some(handle),
-            buf: VecDeque::new(),
-            format,
-        }
-    }
-
-    fn shutdown(&mut self) {
-        self.rx = None;
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl GraphSource for ReadAheadRecords {
-    fn next_record(&mut self) -> Result<Option<Record>, StreamError> {
-        loop {
-            if let Some(rec) = self.buf.pop_front() {
-                return Ok(Some(rec));
-            }
-            let Some(rx) = self.rx.as_ref() else {
-                return Ok(None);
-            };
-            match rx.recv() {
-                Ok(RecordMsg::Batch(batch)) => {
-                    self.buf = batch.into();
-                }
-                Ok(RecordMsg::Done) => {
-                    self.shutdown();
-                    return Ok(None);
-                }
-                Ok(RecordMsg::Failed(e)) => {
-                    self.shutdown();
-                    return Err(e);
-                }
-                Err(_) => {
-                    self.shutdown();
-                    return Err(StreamError::Io(std::io::Error::other(
-                        "read-ahead record producer terminated unexpectedly",
-                    )));
-                }
-            }
-        }
-    }
-
-    fn format_name(&self) -> &'static str {
-        self.format
-    }
-}
-
-impl Drop for ReadAheadRecords {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::pgt::PgtSource;
@@ -453,36 +319,6 @@ mod tests {
         let first = ahead.next_chunk().unwrap();
         assert!(first.is_some());
         drop(ahead); // must not deadlock
-    }
-
-    #[test]
-    fn record_read_ahead_preserves_the_record_sequence() {
-        let text = dataset(RECORD_BATCH + 37); // force multiple batches
-        let mut direct = PgtSource::new(text.as_bytes());
-        let mut ahead = ReadAheadRecords::spawn(
-            PgtSource::new(std::io::Cursor::new(text.clone().into_bytes())),
-            2,
-        );
-        assert_eq!(ahead.format_name(), "pgt");
-        loop {
-            let a = direct.next_record().unwrap();
-            let b = ahead.next_record().unwrap();
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
-    fn record_read_ahead_delivers_prefix_then_error() {
-        let text = "N a Person -\nN b Person -\n???\n";
-        let mut ahead = ReadAheadRecords::spawn(PgtSource::new(text.as_bytes()), 2);
-        assert!(ahead.next_record().unwrap().is_some());
-        assert!(ahead.next_record().unwrap().is_some());
-        assert!(ahead.next_record().is_err());
-        // Terminal after the error.
-        assert!(ahead.next_record().unwrap().is_none());
     }
 
     #[test]

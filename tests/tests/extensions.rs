@@ -6,24 +6,40 @@ use pg_hive_core::align::{align_node_types, AlignmentConfig};
 use pg_hive_core::diff::diff_schemas;
 use pg_hive_core::preprocess::label_sentences;
 use pg_hive_core::retract::retract_batch;
-use pg_hive_core::{validate, Discoverer, PipelineConfig, ValidationMode};
+use pg_hive_core::schema::SchemaGraph;
+use pg_hive_core::{
+    CompiledSchema, Discoverer, PipelineConfig, StreamValidationReport, Validator, ViolationKind,
+};
 use pg_hive_datasets::integration::integration_scenario;
 use pg_hive_datasets::{inject_noise, DatasetId, NoiseSpec};
 use pg_hive_embed::{Word2Vec, Word2VecConfig};
-use pg_hive_graph::{split_batches, GraphBatch};
+use pg_hive_graph::loader::save_text;
+use pg_hive_graph::stream::pgt::PgtSource;
+use pg_hive_graph::{split_batches, GraphBatch, PropertyGraph};
+
+/// Stream `g`'s `.pgt` text through a [`Validator`] over `schema`, as
+/// `pg-hive validate` does.
+fn validate(g: &PropertyGraph, schema: &SchemaGraph) -> StreamValidationReport {
+    let compiled = CompiledSchema::compile(schema);
+    let mut v = Validator::new(&compiled);
+    let text = save_text(g);
+    let mut source = PgtSource::new(text.as_bytes());
+    assert!(v.validate_source(&mut source, 10_000, |_, _| {}).unwrap());
+    v.finish()
+}
 
 #[test]
 fn discovered_schema_validates_its_training_data_strictly() {
     for id in [DatasetId::Pole, DatasetId::Ldbc] {
         let d = id.generate(0.05, 41);
         let r = Discoverer::new(PipelineConfig::elsh_adaptive()).discover(&d.graph);
-        let report = validate(&d.graph, &r.schema, ValidationMode::Strict);
+        let report = validate(&d.graph, &r.schema);
         assert!(
             report.is_valid(),
-            "{}: {} violations, first: {:?}",
+            "{}: {:?}, first: {:?}",
             id.name(),
-            report.violations.len(),
-            report.violations.first()
+            report.by_category(),
+            report.examples.first()
         );
     }
 }
@@ -35,11 +51,12 @@ fn unseen_data_from_same_distribution_validates_loosely() {
     let schema = Discoverer::new(PipelineConfig::elsh_adaptive())
         .discover(&train.graph)
         .schema;
-    let report = validate(&test.graph, &schema, ValidationMode::Loose);
-    assert!(
-        report.is_valid(),
-        "loose validation should tolerate fresh same-shape data: {:?}",
-        report.violations.first()
+    let report = validate(&test.graph, &schema);
+    assert_eq!(
+        report.count(ViolationKind::TypeMismatch),
+        0,
+        "fresh same-shape data must fit every declared datatype: {:?}",
+        report.examples.first()
     );
 }
 
@@ -51,10 +68,16 @@ fn noisy_data_fails_strict_validation_against_clean_schema() {
         .schema;
     let mut noisy = DatasetId::Pole.generate(0.05, 44);
     inject_noise(&mut noisy.graph, &NoiseSpec::grid(40, 100, 44));
-    let report = validate(&noisy.graph, &schema, ValidationMode::Strict);
+    let report = validate(&noisy.graph, &schema);
     assert!(
-        !report.is_valid(),
+        report.count(ViolationKind::MissingKey) > 0,
         "40% property removal must violate mandatory constraints"
+    );
+    assert_eq!(
+        report.total(),
+        report.count(ViolationKind::MissingKey),
+        "removing properties raises nothing but missing keys: {:?}",
+        report.by_category()
     );
 }
 

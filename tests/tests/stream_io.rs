@@ -1,12 +1,13 @@
 //! Integration tests for the streaming *ingestion* layer: the
 //! `ChunkedTextReader` end-to-end into `discover_stream`, and a proptest
 //! that pgt / CSV / JSONL round-trips through the exporters reproduce the
-//! same discovered schema.
+//! same discovered schema and the same statistics.
 
 use pg_hive_core::schema::SchemaGraph;
 use pg_hive_core::serialize::pg_schema_strict;
 use pg_hive_core::{Discoverer, PipelineConfig};
 use pg_hive_graph::loader::{load_text, save_text};
+use pg_hive_graph::stats::stream_stats;
 use pg_hive_graph::stream::csv::{save_edges_csv, save_nodes_csv, CsvSource};
 use pg_hive_graph::stream::jsonl::{save_jsonl, JsonlSource};
 use pg_hive_graph::stream::{pgt::PgtSource, read_all};
@@ -306,6 +307,14 @@ proptest! {
         prop_assert!(w.is_empty());
         prop_assert_eq!(&pg_hive_graph::GraphStats::compute(&via_jsonl), &want_stats);
         prop_assert_eq!(&strict_text(&d, &via_jsonl), &want_text);
+
+        // The record-level statistics fold sees the same patterns in every
+        // format, with no dangling edge.
+        let want = (want_stats, 0);
+        prop_assert_eq!(&stream_stats(PgtSource::new(text.as_bytes())).unwrap(), &want);
+        let csv = CsvSource::new(nodes_csv.as_bytes(), Some(edges_csv.as_bytes()));
+        prop_assert_eq!(&stream_stats(csv).unwrap(), &want);
+        prop_assert_eq!(&stream_stats(JsonlSource::new(jsonl.as_bytes())).unwrap(), &want);
     }
 
     /// The same element multiset under a shuffled interning order (elements
