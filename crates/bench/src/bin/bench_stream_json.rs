@@ -274,15 +274,14 @@ fn main() {
         let file = BufReader::with_capacity(1 << 20, File::open(&path).expect("open temp dataset"));
         let mut ahead = ReadAheadChunks::spawn(PgtSource::new(file), chunk_size, read_ahead);
         let mut state = discoverer.new_state();
-        discoverer.absorb_stream(
+        let report = discoverer.absorb_stream(
             std::iter::from_fn(|| ahead.next_chunk().expect("stream temp dataset")),
             &mut state,
             threads,
         );
         let schema = state.finalize();
         let secs = t.elapsed().as_secs_f64();
-        let summary = *ahead.summary().expect("summary after exhaustion");
-        (schema, secs, summary)
+        (schema, secs, report.max_chunk_elements)
     };
     // Raw per-chunk compute: the same chunk pipeline but with results
     // dropped instead of absorbed — no cross-chunk merge, no finalize.
@@ -328,7 +327,7 @@ fn main() {
         (result, t.elapsed().as_secs_f64())
     };
     let (stream_result, serial_a, max_resident, warnings) = run_serial();
-    let (parallel_schema, parallel_a, parallel_summary) = run_parallel();
+    let (parallel_schema, parallel_a, parallel_max_resident) = run_parallel();
     let (sharded_serial_result, sharded_serial_a) = run_sharded(1);
     let (sharded_result, sharded_a) = run_sharded(shards);
     let raw_a = run_raw();
@@ -473,8 +472,7 @@ fn main() {
     // every repeated chunk, and finalize byte-identically.
     let incremental_ok = incr_speedup >= INCREMENTAL_REQUIRED_SPEEDUP;
     let cache_hit_ratio_ok = cache_hit_ratio >= CACHE_HIT_RATIO_FLOOR;
-    let resident_ok =
-        max_resident <= 2 * chunk_size && parallel_summary.max_resident_elements <= 2 * chunk_size;
+    let resident_ok = max_resident <= 2 * chunk_size && parallel_max_resident <= 2 * chunk_size;
     // The overlap must at least pay for its own coordination: require the
     // parallel path to reach the serial streaming throughput. Both sides are
     // best-of-2, plus a tolerance for shared-runner noise. On a 1-core
@@ -516,7 +514,7 @@ fn main() {
     println!(
         "   parallel: {parallel_secs:.3}s ({parallel_eps:.0} elem/s), {threads} thread(s), \
          read-ahead {read_ahead}, peak resident {} elements",
-        parallel_summary.max_resident_elements
+        parallel_max_resident
     );
     println!(
         "   sharded:  {sharded_secs:.3}s ({sharded_eps:.0} elem/s) at {shards} shards x \
@@ -578,7 +576,7 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"parallel_max_chunk_resident_elements\": {},",
-        parallel_summary.max_resident_elements
+        parallel_max_resident
     );
     let _ = writeln!(json, "  \"parallel_schema_match\": {parallel_match},");
     let _ = writeln!(json, "  \"parallel_not_slower\": {parallel_not_slower},");

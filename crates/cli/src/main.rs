@@ -68,11 +68,7 @@
 
 use pg_hive_core::schema::SchemaGraph;
 use pg_hive_core::serialize::{pg_schema_loose, pg_schema_strict, to_xsd};
-use pg_hive_core::sigcache::DEFAULT_CACHE_CAP;
-use pg_hive_core::snapshot::{
-    context_snapshot, context_snapshot_cached, sigcache_from_snapshot, ResumeContext, Snapshot,
-    SnapshotConfig,
-};
+use pg_hive_core::snapshot::{context_snapshot_cached, ResumeContext, SnapshotConfig};
 use pg_hive_core::{
     diff_schemas, AbsorbReport, CompiledSchema, Discoverer, Ingest, PipelineConfig, SamplingConfig,
     SignatureCache, UnitSource, Validator, DEFAULT_MAX_EXAMPLES,
@@ -513,8 +509,8 @@ struct Streamed {
 }
 
 /// The one `--stream` path behind `discover` and `diff`: fold `path` on
-/// top of `resumed` (a `--load-state` context and its cache). A directory
-/// tree folds through the sharded merge tree
+/// top of `resumed` (a `--load-state` context). A directory tree folds
+/// through the sharded merge tree
 /// (`Discoverer::discover_sharded`); any other input is one unit parsed by
 /// the read-ahead producer while `--threads` workers discover its chunks.
 /// Carried edges are then resolved against the accumulated registry; a
@@ -525,13 +521,13 @@ fn stream_fold(
     opts: &StreamOpts,
     discoverer: &Discoverer,
     shards: usize,
-    resumed: Option<(ResumeContext, SignatureCache)>,
+    resumed: Option<ResumeContext>,
     keep_pending: bool,
     progress: bool,
 ) -> Result<Streamed, String> {
     let threads = resolve_threads(opts);
     let (resumed, cache) = match resumed {
-        Some((ctx, cache)) => (Some(Ingest::from(ctx)), cache),
+        Some(ctx) => (Some(ctx.ingest), ctx.cache),
         None => (None, SignatureCache::default()),
     };
     if shards > 1 || is_multi_input(path, opts.input_format) {
@@ -663,14 +659,14 @@ fn load_validation_schema(
         let ctx = ResumeContext::load(p).map_err(|e| format!("{e} (while loading {path})"))?;
         eprintln!(
             "schema from snapshot {path}: {} pooled type(s){}",
-            ctx.state.pooled_types(),
+            ctx.ingest.state.pooled_types(),
             if ctx.watch.is_some() {
                 " (watch checkpoint)"
             } else {
                 ""
             }
         );
-        return Ok(ctx.state.finalize());
+        return Ok(ctx.ingest.state.finalize());
     }
     if is_multi_input(path, opts.input_format) {
         let acc = stream_fold(path, opts, discoverer, 1, None, false, false)?.acc;
@@ -824,17 +820,11 @@ fn run_validation(
 }
 
 /// Load a `discover --save-state` snapshot for resuming, with the config
-/// guard and the named refusal of watch checkpoints. Also rebuilds the
-/// snapshot's persisted [`SignatureCache`] (cold when the optional
-/// `[sigcache]` section is absent) so a resumed stream starts warm.
-fn load_discover_state(
-    p: &str,
-    config: &SnapshotConfig,
-) -> Result<(ResumeContext, SignatureCache), String> {
-    let load_err = |e: pg_hive_core::snapshot::SnapshotError| format!("{e} (while loading {p})");
-    let snap = Snapshot::read(Path::new(p)).map_err(load_err)?;
-    let ctx = ResumeContext::from_snapshot(&snap).map_err(load_err)?;
-    let cache = sigcache_from_snapshot(&snap, DEFAULT_CACHE_CAP).map_err(load_err)?;
+/// guard and the named refusal of watch checkpoints. The snapshot's
+/// persisted [`SignatureCache`] comes along, so a resumed stream starts
+/// warm.
+fn load_discover_state(p: &str, config: &SnapshotConfig) -> Result<ResumeContext, String> {
+    let ctx = ResumeContext::load(Path::new(p)).map_err(|e| format!("{e} (while loading {p})"))?;
     ctx.config
         .ensure_matches(config)
         .map_err(|e| e.to_string())?;
@@ -851,11 +841,11 @@ fn load_discover_state(
     }
     eprintln!(
         "resuming from {p}: {} pooled type(s), {} registered id(s), {} carried edge(s)",
-        ctx.state.pooled_types(),
-        ctx.registry.len(),
-        ctx.pending.len()
+        ctx.ingest.state.pooled_types(),
+        ctx.ingest.registry.len(),
+        ctx.ingest.pending.len()
     );
-    Ok((ctx, cache))
+    Ok(ctx)
 }
 
 /// `discover --stream`: fold the input through the one `--stream` path
@@ -934,16 +924,33 @@ fn discover_stream(
 }
 
 /// `pg-hive merge-state <out> <in>...` — fold saved engine states into one
-/// snapshot ([`Snapshot::merge_files`]: snapshots written under different
-/// method/theta/seed/chunk-size are refused with a named `snapshot:`
-/// error), then resolve carried cross-input edges against the merged
-/// registry; the rest stay pending in the output, ready for the next
-/// merge. The fold is streaming — each further snapshot is loaded, merged
-/// and dropped before the next is opened — and byte-identical to folding
-/// all at once (asserted e2e in `tests/tests/cli_merge_state.rs`).
+/// snapshot with [`Ingest::merge`] (snapshots written under a different
+/// method/theta/seed/chunk-size than the first are refused with a named
+/// `snapshot:` error), then resolve carried cross-input edges against the
+/// merged registry; the rest stay pending in the output, ready for the
+/// next merge. The fold is streaming — each further snapshot is loaded,
+/// merged and dropped before the next is opened — and byte-identical to
+/// folding all at once (asserted in `tests/tests/cli_merge_state.rs`).
 fn merge_state(out: &str, inputs: &[String], format: OutputFormat) -> Result<ExitCode, String> {
-    let (ctx, collisions) = Snapshot::merge_files(inputs).map_err(|e| e.to_string())?;
-    let config = ctx.config.clone();
+    let load = |p: &String| ResumeContext::load(Path::new(p)).map_err(|e| e.to_string());
+    let (first, rest) = inputs
+        .split_first()
+        .expect("the argument parser requires an input snapshot");
+    let ResumeContext {
+        config,
+        ingest: mut acc,
+        ..
+    } = load(first)?;
+    for p in rest {
+        let next = load(p)?;
+        config
+            .ensure_matches(&next.config)
+            .map_err(|e| e.to_string())?;
+        acc.merge(next.ingest);
+    }
+    // Loaded accumulators carry no warnings, so every duplicate counted is
+    // a node id bound by two inputs.
+    let collisions = acc.warnings.duplicate_nodes;
     // Rebuild the discoverer the snapshots were produced under (the merge
     // proved they all agree) so pending-edge resolution embeds with the
     // same clustering parameters.
@@ -953,9 +960,8 @@ fn merge_state(out: &str, inputs: &[String], format: OutputFormat) -> Result<Exi
         seed: config.seed,
         ..PipelineConfig::default()
     });
-    let mut acc = Ingest::from(ctx);
     let resolved = acc.resolve(&discoverer);
-    context_snapshot(&config, &acc.state, &acc.registry, None, &acc.pending)
+    context_snapshot_cached(&config, &acc.state, &acc.registry, None, &acc.pending, None)
         .write_atomic(Path::new(out))
         .map_err(|e| e.to_string())?;
     eprintln!(

@@ -76,10 +76,9 @@ use crate::args::{InputFormat, StreamOpts};
 use crate::sink::{emit_all, unix_timestamp, DriftEvent, DriftSink};
 use pg_hive_core::schema::SchemaGraph;
 use pg_hive_core::serialize::pg_schema_strict;
-use pg_hive_core::sigcache::DEFAULT_CACHE_CAP;
 use pg_hive_core::snapshot::{
-    context_snapshot, context_snapshot_cached, sigcache_from_snapshot, FileCheckpoint,
-    ResumeContext, Snapshot, SnapshotConfig, WatchCheckpoint,
+    context_snapshot_cached, FileCheckpoint, ResumeContext, Snapshot, SnapshotConfig,
+    WatchCheckpoint,
 };
 use pg_hive_core::{diff_schemas, Discoverer, Ingest, SchemaState, SignatureCache, UnitSource};
 use pg_hive_graph::stream::{csv::CsvSource, jsonl::JsonlSource, pgt::PgtSource};
@@ -571,7 +570,7 @@ fn save_partition(
     std::fs::create_dir_all(dir)
         .map_err(|e| format!("cannot create state dir {}: {e}", dir.display()))?;
     Snapshot::rotate(&dir.join(SNAPSHOT_FILE), keep, false).map_err(|e| e.to_string())?;
-    context_snapshot(config, &run.state, &run.registry, None, &[])
+    context_snapshot_cached(config, &run.state, &run.registry, None, &[], None)
         .write_atomic(&dir.join(format!("{SNAPSHOT_FILE}.1")))
         .map_err(|e| e.to_string())
 }
@@ -594,7 +593,7 @@ fn load_retained(
         ctx.config
             .ensure_matches(config)
             .map_err(|e| e.to_string())?;
-        retained.push_back(ctx.state);
+        retained.push_back(ctx.ingest.state);
     }
     Ok(retained)
 }
@@ -618,10 +617,7 @@ fn try_resume(
     }
     let load_err =
         |e: pg_hive_core::SnapshotError| format!("{e} (while loading {})", snapshot_path.display());
-    let snap = Snapshot::read(&snapshot_path).map_err(load_err)?;
-    let ctx = ResumeContext::from_snapshot(&snap).map_err(load_err)?;
-    // The cache section is optional: pre-cache checkpoints resume cold.
-    let cache = sigcache_from_snapshot(&snap, DEFAULT_CACHE_CAP).map_err(load_err)?;
+    let ctx = ResumeContext::load(&snapshot_path).map_err(load_err)?;
     ctx.config
         .ensure_matches(config)
         .map_err(|e| e.to_string())?;
@@ -663,13 +659,13 @@ fn try_resume(
         }
     }
     Ok(Some(WatchRun {
-        combined: ctx.state.clone(),
-        state: ctx.state,
-        registry: ctx.registry,
+        combined: ctx.ingest.state.clone(),
+        state: ctx.ingest.state,
+        registry: ctx.ingest.registry,
         warnings: watch.warnings,
         pass: watch.pass,
         retained: VecDeque::new(),
-        cache,
+        cache: ctx.cache,
     }))
 }
 

@@ -67,10 +67,6 @@ pub struct PipelineConfig {
     /// property noise in the Euclidean distance (implementation choice; the
     /// paper relies on the raw Word2Vec norms).
     pub label_weight: f32,
-    /// Run the optional post-processing (constraints, datatypes,
-    /// cardinalities — Algorithm 1 lines 7–10) after every batch instead of
-    /// only at the end.
-    pub post_process_each_batch: bool,
     /// Cluster on deduplicated signatures and broadcast assignments back to
     /// elements (default), instead of hashing every element individually.
     /// Both paths produce the **same clustering** (identical vectors share
@@ -94,7 +90,6 @@ impl Default for PipelineConfig {
             embedding: EmbeddingStrategy::Hash,
             embedding_dim: 16,
             label_weight: 6.0,
-            post_process_each_batch: false,
             dedup: true,
             datatype_sampling: None,
             seed: 0xD15C,

@@ -6,12 +6,16 @@
 //!     X, b, T     <- preprocess(D)                  (b)
 //!     C           <- LSHClustering(X, b, T)         (c)
 //!     S'          <- extractTypes(C, S, θ = 0.9)    (d)  Algorithm 2
-//!     if postProcessing or last batch:
+//!     if last batch:
 //!         inferPropertyConstraints(S')              (e)
 //!         inferDataTypes(S')                        (f)
 //!         computeCardinalities(S')                  (g)
 //!     S <- updateSchema(S')
 //! ```
+//!
+//! The resident path post-processes once, after the last batch; a
+//! streaming chunk is post-processed on its own, since its values die with
+//! it.
 
 use crate::cluster::cluster_elements;
 use crate::config::{EmbeddingStrategy, PipelineConfig};
@@ -21,7 +25,6 @@ use crate::preprocess::{
 };
 use crate::schema::SchemaGraph;
 use crate::sigcache::{CachedChunk, SignatureCache};
-use crate::snapshot::ResumeContext;
 use crate::state::SchemaState;
 use pg_hive_embed::{HashEmbedder, LabelEmbedder, Word2Vec};
 use pg_hive_graph::stream::multi::SourceEntry;
@@ -129,7 +132,8 @@ pub struct StreamResult {
 /// sibling accumulator, and [`Ingest::resolve`] resolves carried edges
 /// against the accumulated registry. `docs/ARCHITECTURE.md` ("The ingest
 /// fold") lists which caller uses which registry rule and what each does
-/// with the edges left pending.
+/// with the edges left pending. Snapshots save and load it as part of a
+/// [`crate::snapshot::ResumeContext`].
 #[derive(Debug)]
 pub struct Ingest {
     /// The folded schema state — finalize for the schema.
@@ -188,17 +192,6 @@ impl Ingest {
     }
 }
 
-impl From<ResumeContext> for Ingest {
-    /// A saved context's engine state, ready to fold more units into.
-    fn from(ctx: ResumeContext) -> Self {
-        Self {
-            registry: ctx.registry,
-            pending: ctx.pending,
-            ..Self::new(ctx.state)
-        }
-    }
-}
-
 /// Where [`Discoverer::absorb_unit`] parses a unit's records.
 pub enum UnitSource<'a> {
     /// On the calling thread, through a [`ChunkedTextReader`].
@@ -254,9 +247,8 @@ impl Discoverer {
         self.discover_batches(g, &batches)
     }
 
-    /// Algorithm 1 over explicit batches. Post-processing runs after every
-    /// batch when `post_process_each_batch` is set, and always after the
-    /// final batch. Candidate types pool into a [`SchemaState`]; the final
+    /// Algorithm 1 over explicit batches. Post-processing runs once, after
+    /// the final batch. Candidate types pool into a [`SchemaState`]; the final
     /// schema is its canonical finalization, so the result is invariant to
     /// interning order and to how elements were grouped into batches.
     pub fn discover_batches(&self, g: &PropertyGraph, batches: &[GraphBatch]) -> DiscoveryResult {
@@ -344,9 +336,8 @@ impl Discoverer {
             ));
             stats.timings.extraction += t2.elapsed();
 
-            // (e)–(g) optional post-processing.
-            let last = i + 1 == batches.len();
-            if self.config.post_process_each_batch || last {
+            // (e)–(g) post-processing, once every batch is in.
+            if i + 1 == batches.len() {
                 let t3 = Instant::now();
                 state.postprocess(g, self.config.datatype_sampling.as_ref());
                 stats.timings.postprocess += t3.elapsed();
@@ -1502,7 +1493,7 @@ mod tests {
 
     #[test]
     fn split_runs_merged_equal_one_shot() {
-        use crate::snapshot::{ResumeContext, Snapshot, SnapshotConfig};
+        use crate::snapshot::{ResumeContext, SnapshotConfig};
         use std::fs;
         let root = std::env::temp_dir().join(format!("pg-hive-merge-unit-{}", std::process::id()));
         let _ = fs::remove_dir_all(&root);
@@ -1533,38 +1524,41 @@ mod tests {
         let one_shot_text = crate::serialize::pg_schema_strict(&one_shot.state.finalize(), "G");
         assert!(one_shot.pending.is_empty());
 
-        // Save each half as a snapshot file, merge, resolve, finalize.
+        // Save each half as a snapshot file, then fold them the way
+        // `merge-state` does: load, check the config, `Ingest::merge`.
         let mut paths = Vec::new();
         for half in ["left", "right"] {
-            let r = run(half);
             let ctx = ResumeContext {
                 config: SnapshotConfig::new(d.config(), chunk),
-                state: r.state,
-                registry: r.registry,
+                ingest: run(half),
+                cache: SignatureCache::default(),
                 watch: None,
-                pending: r.pending,
             };
             let path = root.join(format!("{half}.snapshot"));
             ctx.save(&path).unwrap();
             paths.push(path);
         }
-        let (mut merged, collisions) = Snapshot::merge_files(&paths).unwrap();
-        assert_eq!(collisions, 0);
+        let merge = |first: usize, second: usize| {
+            let mut base = ResumeContext::load(&paths[first]).unwrap();
+            let next = ResumeContext::load(&paths[second]).unwrap();
+            base.config.ensure_matches(&next.config).unwrap();
+            base.ingest.merge(next.ingest);
+            base.ingest
+        };
+        let mut merged = merge(0, 1);
+        assert_eq!(merged.warnings.duplicate_nodes, 0);
         // The WORKS_AT edges were pending in the right half (their Person
         // endpoints live in the left half) and resolve only now.
         assert_eq!(merged.pending.len(), 2);
-        let (left_over, resolved) =
-            d.resolve_pending(&mut merged.state, &merged.registry, merged.pending);
-        assert_eq!((left_over.len(), resolved), (0, 2));
+        let resolved = merged.resolve(&d);
+        assert_eq!((merged.pending.len(), resolved), (0, 2));
         assert_eq!(
             crate::serialize::pg_schema_strict(&merged.state.finalize(), "G"),
             one_shot_text
         );
         // Merge order must not matter either.
-        let rev: Vec<_> = paths.iter().rev().collect();
-        let (mut merged_rev, _) = Snapshot::merge_files(&rev).unwrap();
-        let pending = std::mem::take(&mut merged_rev.pending);
-        d.resolve_pending(&mut merged_rev.state, &merged_rev.registry, pending);
+        let mut merged_rev = merge(1, 0);
+        merged_rev.resolve(&d);
         assert_eq!(
             crate::serialize::pg_schema_strict(&merged_rev.state.finalize(), "G"),
             one_shot_text

@@ -108,10 +108,12 @@ impl NodeType {
 
     /// Merge `other` into `self` (Lemma 1): labels and properties are
     /// unioned, counts summed, kinds joined — nothing is ever dropped.
+    /// Counts saturate at `u64::MAX` (a snapshot may carry any count), which
+    /// keeps the merge associative and commutative.
     pub fn absorb(&mut self, other: NodeType) {
         self.labels.extend(other.labels);
         merge_props(&mut self.props, other.props);
-        self.instance_count += other.instance_count;
+        self.instance_count = self.instance_count.saturating_add(other.instance_count);
         self.members.extend(other.members);
     }
 
@@ -152,7 +154,7 @@ impl EdgeType {
         self.labels.extend(other.labels);
         merge_props(&mut self.props, other.props);
         self.endpoints.extend(other.endpoints);
-        self.instance_count += other.instance_count;
+        self.instance_count = self.instance_count.saturating_add(other.instance_count);
         self.members.extend(other.members);
         self.cardinality = match (self.cardinality, other.cardinality) {
             (Some(a), Some(b)) => Some(Cardinality {
@@ -173,7 +175,7 @@ fn merge_props(into: &mut BTreeMap<String, PropertySpec>, from: BTreeMap<String,
     for (k, spec) in from {
         match into.get_mut(&k) {
             Some(existing) => {
-                existing.occurrences += spec.occurrences;
+                existing.occurrences = existing.occurrences.saturating_add(spec.occurrences);
                 existing.kind = match (existing.kind, spec.kind) {
                     (Some(a), Some(b)) => Some(a.join(b)),
                     (a, b) => a.or(b),

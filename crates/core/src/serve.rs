@@ -83,10 +83,9 @@ use crate::diff::{diff_schemas, SchemaDiff};
 use crate::pipeline::{Discoverer, Ingest, UnitSource};
 use crate::schema::SchemaGraph;
 use crate::serialize::pg_schema_strict;
-use crate::sigcache::{SignatureCache, DEFAULT_CACHE_CAP};
+use crate::sigcache::SignatureCache;
 use crate::snapshot::{
-    context_snapshot_cached, sigcache_from_snapshot, ResumeContext, Snapshot, SnapshotConfig,
-    WatchCheckpoint,
+    context_snapshot_cached, ResumeContext, Snapshot, SnapshotConfig, WatchCheckpoint,
 };
 
 /// Default number of worker threads handling connections.
@@ -845,18 +844,15 @@ fn resume_tenants(
         }
         let path = entry.path();
         let load = |e: &dyn std::fmt::Display| format!("{e} (while resuming {})", path.display());
-        let snap = Snapshot::read(&path).map_err(|e| load(&e))?;
-        let ctx = ResumeContext::from_snapshot(&snap).map_err(|e| load(&e))?;
-        let cache = sigcache_from_snapshot(&snap, DEFAULT_CACHE_CAP).map_err(|e| load(&e))?;
+        let ctx = ResumeContext::load(&path).map_err(|e| load(&e))?;
         ctx.config.ensure_matches(config).map_err(|e| load(&e))?;
         let pass = ctx.watch.as_ref().map(|w| w.pass).unwrap_or(0);
-        let warnings = ctx.watch.as_ref().map(|w| w.warnings).unwrap_or_default();
-        let last_schema = ctx.state.finalize();
-        let mut ingest = Ingest::from(ctx);
-        ingest.warnings = warnings;
+        let mut ingest = ctx.ingest;
+        ingest.warnings = ctx.watch.map(|w| w.warnings).unwrap_or_default();
+        let last_schema = ingest.state.finalize();
         out.push((
             tenant.to_string(),
-            TenantState::new(ingest, cache, pass, last_schema),
+            TenantState::new(ingest, ctx.cache, pass, last_schema),
         ));
     }
     Ok(out)
@@ -1594,10 +1590,9 @@ E 1 3 MEMBER_OF from=1835\n";
         // Every link of alpha's chain resumes to an alpha schema, never
         // beta's (no cross-contamination).
         for link in ["alpha.snapshot", "alpha.snapshot.1", "alpha.snapshot.2"] {
-            let snap = Snapshot::read(&dir.join(link)).unwrap();
-            let ctx = ResumeContext::from_snapshot(&snap).unwrap();
+            let ctx = ResumeContext::load(&dir.join(link)).unwrap();
             assert_eq!(ctx.watch.as_ref().unwrap().input, "alpha", "{link}");
-            let strict = pg_schema_strict(&ctx.state.finalize(), "Discovered");
+            let strict = pg_schema_strict(&ctx.ingest.state.finalize(), "Discovered");
             assert!(strict.contains("Person"), "{link}: {strict}");
             assert!(!strict.contains("RoyalSociety"), "{link}: {strict}");
         }

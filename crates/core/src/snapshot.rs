@@ -7,7 +7,9 @@
 //! per-file byte offsets/fingerprints of the watched input. A process
 //! restart used to lose all three and force a full re-ingest. This module
 //! defines the on-disk **snapshot format** that makes the whole context
-//! durable, and the typed [`ResumeContext`] that saves/loads it:
+//! durable, and the typed [`ResumeContext`] — the saved form of the ingest
+//! fold ([`Ingest`]) — that [`ResumeContext::load`] reads back and
+//! [`context_snapshot_cached`] writes:
 //!
 //! ```text
 //! pg-hive-snapshot 1            ← magic + format version
@@ -53,8 +55,9 @@
 //! before absorbing — see [`SchemaState::clear_members`]).
 
 use crate::config::{ClusterMethod, PipelineConfig};
+use crate::pipeline::Ingest;
 use crate::schema::{Cardinality, EdgeType, LabelSet, NodeType, PropertySpec};
-use crate::sigcache::SignatureCache;
+use crate::sigcache::{SignatureCache, DEFAULT_CACHE_CAP};
 use crate::state::SchemaState;
 use pg_hive_graph::snapshot::{bytes_from_hex, bytes_to_hex, escape_field, unescape_field};
 use pg_hive_graph::{LabelSetRegistry, Record, StreamWarnings, Value, ValueKind};
@@ -370,39 +373,6 @@ impl Snapshot {
             moved += usize::from(tolerate_missing(&from, std::fs::rename(&from, &to))?);
         }
         Ok(moved)
-    }
-
-    /// Read and [`Self::parse`] a snapshot file.
-    pub fn read(path: &Path) -> Result<Snapshot, SnapshotError> {
-        let text = std::fs::read_to_string(path).map_err(|e| SnapshotError::Io {
-            path: path.display().to_string(),
-            detail: e.to_string(),
-        })?;
-        Self::parse(&text)
-    }
-
-    /// Load every snapshot file and fold them into one [`ResumeContext`]
-    /// with [`ResumeContext::merge`] — the engine under `pg-hive
-    /// merge-state`. The first file is the base; each further file must
-    /// carry an identical configuration or the fold stops with
-    /// [`SnapshotError::Incompatible`]. Returns the merged context plus the
-    /// total node-id collision count across all merges (carried pending
-    /// edges are concatenated, **not** yet resolved — resolve them against
-    /// the merged registry with the discovery pipeline before finalizing).
-    pub fn merge_files<P: AsRef<Path>>(paths: &[P]) -> Result<(ResumeContext, u64), SnapshotError> {
-        let mut iter = paths.iter();
-        let first = iter
-            .next()
-            .ok_or_else(|| malformed("merge needs at least one snapshot file"))?;
-        let mut merged = ResumeContext::load(first.as_ref())?;
-        // A merged state is no longer any single watch's checkpoint, even
-        // when only one input was given.
-        merged.watch = None;
-        let mut collisions = 0u64;
-        for path in iter {
-            collisions += merged.merge(ResumeContext::load(path.as_ref())?)?;
-        }
-        Ok((merged, collisions))
     }
 }
 
@@ -789,32 +759,6 @@ pub fn state_from_lines(lines: &[String]) -> Result<SchemaState, SnapshotError> 
     Ok(state)
 }
 
-impl SchemaState {
-    /// Save this state alone (no config guard, no registry) as a snapshot
-    /// file — the minimal persistence surface. Long-running consumers that
-    /// must also survive config drift and keep resolving cross-pass edges
-    /// should persist a full [`ResumeContext`] instead (that is what
-    /// `pg-hive watch --state-dir` and `discover --save-state` write).
-    pub fn save(&self, path: &Path) -> Result<(), SnapshotError> {
-        let mut snap = Snapshot::new();
-        snap.push_section(SECTION_STATE, state_to_lines(self));
-        snap.write_atomic(path)
-    }
-
-    /// Load a state saved by [`SchemaState::save`] (or the `[state]`
-    /// section of any pg-hive snapshot). Corrupt, truncated, or
-    /// future-version files are refused with named `snapshot:` errors.
-    pub fn load(path: &Path) -> Result<SchemaState, SnapshotError> {
-        let snap = Snapshot::read(path)?;
-        state_from_lines(
-            snap.section(SECTION_STATE)
-                .ok_or(SnapshotError::MissingSection {
-                    name: SECTION_STATE,
-                })?,
-        )
-    }
-}
-
 // ---------------------------------------------------------------------------
 // [watch] + [files] — watch progress and per-file read positions.
 // ---------------------------------------------------------------------------
@@ -1057,38 +1001,41 @@ pub fn pending_from_lines(lines: &[String]) -> Result<Vec<Record>, SnapshotError
 // The full resumable context.
 // ---------------------------------------------------------------------------
 
-/// The full resumable engine context a snapshot file carries: the
-/// config guard, the canonical [`SchemaState`], the id → label-set
-/// [`LabelSetRegistry`], and (for watch checkpoints) the per-file read
-/// positions. `discover --save-state` writes one with `watch: None`;
-/// `watch --state-dir` writes one with the watch section filled in.
+/// The saved form of the ingest fold: the config guard, the [`Ingest`]
+/// accumulator (state, registry and carried edges), its
+/// [`SignatureCache`], and, for `watch` and `serve` checkpoints, their
+/// progress. Every snapshot is read through [`ResumeContext::load`] and
+/// written by [`context_snapshot_cached`].
 #[derive(Debug)]
 pub struct ResumeContext {
     /// Settings the state is only valid under.
     pub config: SnapshotConfig,
-    /// The resident schema state.
-    pub state: SchemaState,
-    /// The id → label-set registry (cross-pass edge resolution).
-    pub registry: LabelSetRegistry,
+    /// The saved state, id → label-set registry, and carried edges whose
+    /// endpoints no input of the saving run declared. `warnings`,
+    /// `elements` and `inputs` are not saved and load as zero; a
+    /// checkpoint's warning totals live in [`WatchCheckpoint::warnings`].
+    pub ingest: Ingest,
+    /// The `[sigcache]` entries, bounded to [`DEFAULT_CACHE_CAP`] — cold
+    /// when the section is absent.
+    pub cache: SignatureCache,
     /// Watch progress; `None` for plain `discover` save-states.
     pub watch: Option<WatchCheckpoint>,
-    /// Carried edges whose endpoints no input of the saving run declared —
-    /// kept verbatim so a later [`ResumeContext::merge`] can resolve them
-    /// against the unioned registry. Empty for most snapshots.
-    pub pending: Vec<Record>,
 }
 
-/// Render a snapshot from **borrowed** context parts — the serializer
-/// under [`ResumeContext::to_snapshot`], exposed so a hot checkpoint loop
-/// (`watch --state-dir` checkpoints after *every* pass) can serialize
-/// without first deep-cloning the state and registry into an owned
-/// context.
-pub fn context_snapshot(
+/// Render a snapshot from **borrowed** context parts — the one snapshot
+/// writer, so a hot checkpoint loop (`watch --state-dir` checkpoints after
+/// *every* pass) serializes without first deep-cloning the state and
+/// registry into an owned context. The `[sigcache]` section carrying the
+/// run's [`SignatureCache`] (so a resumed process starts warm) is omitted
+/// when the cache is absent or empty: the common one-shot case stays
+/// byte-identical to pre-cache snapshots.
+pub fn context_snapshot_cached(
     config: &SnapshotConfig,
     state: &SchemaState,
     registry: &LabelSetRegistry,
     watch: Option<&WatchCheckpoint>,
     pending: &[Record],
+    cache: Option<&SignatureCache>,
 ) -> Snapshot {
     let mut snap = Snapshot::new();
     snap.push_section(SECTION_CONFIG, config.section_lines());
@@ -1101,60 +1048,17 @@ pub fn context_snapshot(
     if !pending.is_empty() {
         snap.push_section(SECTION_PENDING, pending_section_lines(pending));
     }
-    snap
-}
-
-/// [`context_snapshot`] plus an optional `[sigcache]` section carrying the
-/// run's [`SignatureCache`] so a resumed process starts warm. The section
-/// is omitted when the cache is absent or empty (the common one-shot case
-/// stays byte-identical to pre-cache snapshots).
-pub fn context_snapshot_cached(
-    config: &SnapshotConfig,
-    state: &SchemaState,
-    registry: &LabelSetRegistry,
-    watch: Option<&WatchCheckpoint>,
-    pending: &[Record],
-    cache: Option<&SignatureCache>,
-) -> Snapshot {
-    let mut snap = context_snapshot(config, state, registry, watch, pending);
-    if let Some(cache) = cache {
-        let lines = cache.snapshot_lines();
-        if !lines.is_empty() {
-            snap.push_section(SECTION_SIGCACHE, lines);
-        }
+    let cache_lines = cache.map(SignatureCache::snapshot_lines);
+    if let Some(lines) = cache_lines.filter(|l| !l.is_empty()) {
+        snap.push_section(SECTION_SIGCACHE, lines);
     }
     snap
-}
-
-/// Rebuild the [`SignatureCache`] persisted in a snapshot's `[sigcache]`
-/// section, bounded to `cap` entries. A snapshot without the section (any
-/// snapshot written before the cache existed, or with an empty cache)
-/// yields a cold cache — never an error.
-pub fn sigcache_from_snapshot(
-    snap: &Snapshot,
-    cap: usize,
-) -> Result<SignatureCache, SnapshotError> {
-    match snap.section(SECTION_SIGCACHE) {
-        None => Ok(SignatureCache::new(cap)),
-        Some(lines) => SignatureCache::from_snapshot_lines(lines, cap).map_err(malformed),
-    }
 }
 
 impl ResumeContext {
-    /// Render into the snapshot container.
-    pub fn to_snapshot(&self) -> Snapshot {
-        context_snapshot(
-            &self.config,
-            &self.state,
-            &self.registry,
-            self.watch.as_ref(),
-            &self.pending,
-        )
-    }
-
     /// Rebuild from a parsed snapshot. `[config]`, `[state]` and
     /// `[registry]` are required; `[watch]`/`[files]` are optional as a
-    /// pair.
+    /// pair; `[pending]` and `[sigcache]` are optional.
     pub fn from_snapshot(snap: &Snapshot) -> Result<Self, SnapshotError> {
         let need = |name: &'static str| {
             snap.section(name)
@@ -1174,48 +1078,46 @@ impl ResumeContext {
             None => Vec::new(),
             Some(lines) => pending_from_lines(lines)?,
         };
+        let cache = match snap.section(SECTION_SIGCACHE) {
+            None => SignatureCache::new(DEFAULT_CACHE_CAP),
+            Some(lines) => {
+                SignatureCache::from_snapshot_lines(lines, DEFAULT_CACHE_CAP).map_err(malformed)?
+            }
+        };
         Ok(Self {
             config,
-            state,
-            registry,
+            ingest: Ingest {
+                registry,
+                pending,
+                ..Ingest::new(state)
+            },
+            cache,
             watch,
-            pending,
         })
-    }
-
-    /// Merge another context into this one — the snapshot-to-snapshot
-    /// aggregation under `pg-hive merge-state`. States merge with the
-    /// associative+commutative [`SchemaState::merge`], registries union
-    /// (the other side's binding wins on node-id collisions), and carried
-    /// pending edges concatenate for later resolution against the unioned
-    /// registry. Any watch checkpoint is dropped: per-file read positions
-    /// are meaningless for a state aggregated across machines.
-    ///
-    /// Returns the number of node-id collisions (ids bound by both
-    /// registries — expected to be 0 when inputs were split cleanly).
-    ///
-    /// # Errors
-    /// [`SnapshotError::Incompatible`] when the other context was produced
-    /// under a different method, θ, seed, or chunk size — merging states
-    /// from different configurations would produce a schema no single run
-    /// could have produced.
-    pub fn merge(&mut self, other: ResumeContext) -> Result<u64, SnapshotError> {
-        self.config.ensure_matches(&other.config)?;
-        self.state.merge(other.state);
-        let collisions = self.registry.merge(&other.registry);
-        self.pending.extend(other.pending);
-        self.watch = None;
-        Ok(collisions)
     }
 
     /// Atomically write the context as a snapshot file.
     pub fn save(&self, path: &Path) -> Result<(), SnapshotError> {
-        self.to_snapshot().write_atomic(path)
+        context_snapshot_cached(
+            &self.config,
+            &self.ingest.state,
+            &self.ingest.registry,
+            self.watch.as_ref(),
+            &self.ingest.pending,
+            Some(&self.cache),
+        )
+        .write_atomic(path)
     }
 
-    /// Read, verify, and rebuild a context from a snapshot file.
+    /// Read, verify, and rebuild a context from a snapshot file — the one
+    /// snapshot loader. Corrupt, truncated, or future-version files are
+    /// refused with named `snapshot:` errors.
     pub fn load(path: &Path) -> Result<Self, SnapshotError> {
-        Self::from_snapshot(&Snapshot::read(path)?)
+        let text = std::fs::read_to_string(path).map_err(|e| SnapshotError::Io {
+            path: path.display().to_string(),
+            detail: e.to_string(),
+        })?;
+        Self::from_snapshot(&Snapshot::parse(&text)?)
     }
 }
 
@@ -1256,6 +1158,16 @@ mod tests {
         (d, s)
     }
 
+    /// A `discover --save-state` context over `state`.
+    fn context(d: &Discoverer, state: SchemaState) -> ResumeContext {
+        ResumeContext {
+            config: SnapshotConfig::new(d.config(), 512),
+            ingest: Ingest::new(state),
+            cache: SignatureCache::default(),
+            watch: None,
+        }
+    }
+
     fn temp(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
         p.push(format!(
@@ -1283,11 +1195,12 @@ mod tests {
 
     #[test]
     fn state_save_load_via_file() {
-        let (_, state) = sample_state();
+        let (d, state) = sample_state();
+        let expected = state.finalize();
         let path = temp("state");
-        state.save(&path).unwrap();
-        let back = SchemaState::load(&path).unwrap();
-        assert_eq!(back.finalize(), state.finalize());
+        context(&d, state).save(&path).unwrap();
+        let back = ResumeContext::load(&path).unwrap();
+        assert_eq!(back.ingest.state.finalize(), expected);
         // The temp file is gone after the rename.
         assert!(!path
             .with_file_name(format!(
@@ -1299,9 +1212,9 @@ mod tests {
 
     #[test]
     fn corrupt_truncated_and_future_version_files_are_named_errors() {
-        let (_, state) = sample_state();
+        let (d, state) = sample_state();
         let path = temp("corrupt");
-        state.save(&path).unwrap();
+        context(&d, state).save(&path).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
 
         // Corrupt: flip a payload byte.
@@ -1369,8 +1282,29 @@ mod tests {
         .unwrap();
         let ctx = ResumeContext {
             config: SnapshotConfig::new(d.config(), 512),
-            state,
-            registry,
+            ingest: Ingest {
+                registry,
+                pending: vec![
+                    Record {
+                        src: "node one".into(),
+                        tgt: "n2".into(),
+                        labels: vec!["KNOWS OF".into()],
+                        props: vec![
+                            ("since".into(), Value::parse_lexical("2020-01-01")),
+                            ("note".into(), Value::from("has space")),
+                            ("weight".into(), Value::parse_lexical("2.5")),
+                        ],
+                    },
+                    Record {
+                        src: "n2".into(),
+                        tgt: "ghost".into(),
+                        labels: Vec::new(),
+                        props: Vec::new(),
+                    },
+                ],
+                ..Ingest::new(state)
+            },
+            cache: SignatureCache::default(),
             watch: Some(WatchCheckpoint {
                 input: "data dir/with space".into(),
                 format: "csv".into(),
@@ -1399,38 +1333,25 @@ mod tests {
                     },
                 ],
             }),
-            pending: vec![
-                Record {
-                    src: "node one".into(),
-                    tgt: "n2".into(),
-                    labels: vec!["KNOWS OF".into()],
-                    props: vec![
-                        ("since".into(), Value::parse_lexical("2020-01-01")),
-                        ("note".into(), Value::from("has space")),
-                        ("weight".into(), Value::parse_lexical("2.5")),
-                    ],
-                },
-                Record {
-                    src: "n2".into(),
-                    tgt: "ghost".into(),
-                    labels: Vec::new(),
-                    props: Vec::new(),
-                },
-            ],
         };
         let path = temp("ctx");
         ctx.save(&path).unwrap();
         let back = ResumeContext::load(&path).unwrap();
         assert_eq!(back.config, ctx.config);
         assert_eq!(back.watch, ctx.watch);
-        assert_eq!(back.pending, ctx.pending);
-        assert_eq!(back.state.finalize(), ctx.state.finalize());
+        assert_eq!(back.ingest.pending, ctx.ingest.pending);
+        assert_eq!(back.ingest.state.finalize(), ctx.ingest.state.finalize());
         assert_eq!(
-            back.registry.snapshot_lines(),
-            ctx.registry.snapshot_lines()
+            back.ingest.registry.snapshot_lines(),
+            ctx.ingest.registry.snapshot_lines()
         );
         // Saving the reloaded context reproduces the exact file bytes.
-        assert_eq!(back.to_snapshot().to_text(), ctx.to_snapshot().to_text());
+        let again = temp("ctx-again");
+        back.save(&again).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&again).unwrap(),
+            std::fs::read_to_string(&path).unwrap()
+        );
     }
 
     #[test]
@@ -1440,15 +1361,7 @@ mod tests {
         assert!(err.contains("[config]"), "{err}");
         let path = temp("stateless");
         let (d, state) = sample_state();
-        ResumeContext {
-            config: SnapshotConfig::new(d.config(), 1),
-            state,
-            registry: LabelSetRegistry::default(),
-            watch: None,
-            pending: Vec::new(),
-        }
-        .save(&path)
-        .unwrap();
+        context(&d, state).save(&path).unwrap();
         let loaded = ResumeContext::load(&path).unwrap();
         assert!(loaded.watch.is_none());
     }
@@ -1469,7 +1382,10 @@ mod tests {
         let still_bare =
             context_snapshot_cached(&config, &state, &registry, None, &[], Some(&empty));
         assert_eq!(still_bare.to_text(), bare.to_text());
-        assert!(sigcache_from_snapshot(&bare, 8).unwrap().is_empty());
+        assert!(ResumeContext::from_snapshot(&bare)
+            .unwrap()
+            .cache
+            .is_empty());
 
         // A populated cache round-trips through the section.
         let cache = SignatureCache::default();
@@ -1488,11 +1404,36 @@ mod tests {
         );
         let snap = context_snapshot_cached(&config, &state, &registry, None, &[], Some(&cache));
         let reparsed = Snapshot::parse(&snap.to_text()).unwrap();
-        // Unknown-to-ResumeContext sections are ignored: the context loads.
-        assert!(ResumeContext::from_snapshot(&reparsed).is_ok());
-        let back = sigcache_from_snapshot(&reparsed, 8).unwrap();
+        let back = ResumeContext::from_snapshot(&reparsed).unwrap().cache;
         assert_eq!(back.snapshot_lines(), cache.snapshot_lines());
         assert!(back.lookup(0xABCD, 2, 0).is_some());
+
+        // A malformed section is a named error, not a silently cold cache.
+        let mut broken = context_snapshot_cached(&config, &state, &registry, None, &[], None);
+        broken.push_section(SECTION_SIGCACHE, vec!["zz".into()]);
+        let err = ResumeContext::from_snapshot(&broken)
+            .unwrap_err()
+            .to_string();
+        assert!(err.starts_with("snapshot: malformed content"), "{err}");
+    }
+
+    #[test]
+    fn duplicate_state_types_saturate_instead_of_overflowing() {
+        // A checksum-valid [state] may list one type twice with counts that
+        // sum past u64::MAX; the pooled counts saturate.
+        let max = u64::MAX;
+        let lines = vec![
+            format!("theta {:016x}", 0.9f64.to_bits()),
+            format!("node Person {max} name:{max}:string"),
+            "node Person 1 name:1:string".to_string(),
+            format!("edge KNOWS {max} - Person>Person w:{max}:int"),
+            "edge KNOWS 1 - Person>Person w:1:int".to_string(),
+        ];
+        let schema = state_from_lines(&lines).unwrap().finalize();
+        assert_eq!(schema.node_types[0].instance_count, max);
+        assert_eq!(schema.node_types[0].props["name"].occurrences, max);
+        assert_eq!(schema.edge_types[0].instance_count, max);
+        assert_eq!(schema.edge_types[0].props["w"].occurrences, max);
     }
 
     #[test]

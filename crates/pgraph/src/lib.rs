@@ -57,6 +57,6 @@ pub use stream::jsonl::json_escape;
 pub use stream::multi::{MultiSource, SourceEntry, SourceKind};
 pub use stream::{
     ChunkedTextReader, LabelSetRegistry, RawGraphSource, ReadAheadChunks, Record, RecordBuf,
-    RecordRef, StreamError, StreamSummary, StreamWarnings, UnitEnd,
+    RecordRef, StreamError, StreamWarnings, UnitEnd,
 };
 pub use value::{Value, ValueKind};

@@ -9,20 +9,12 @@
 //!   safe to embed in the line-oriented snapshot text;
 //! - [`LabelSetRegistry`] (de)serialization — a section of every watch
 //!   checkpoint, so a resumed `pg-hive watch` run keeps resolving appended
-//!   edges against node ids ingested before the checkpoint;
-//! - [`Interner`] (de)serialization **on the canonical-id view**: strings
-//!   are written in sorted order, so a reloaded interner assigns every
-//!   string the symbol equal to its canonical rank — two interners restored
-//!   from the same snapshot agree on every id regardless of the insertion
-//!   order the original saw. (The shipped checkpoint sections store
-//!   resolved strings and do not embed an interner; this is the library
-//!   facility for consumers that checkpoint interner-keyed state, e.g.
-//!   persisted canonical-coordinate caches.)
+//!   edges against node ids ingested before the checkpoint.
 //!
+//! Checkpoint sections store resolved strings, never an interner.
 //! Everything here is deterministic: serializing equal content produces
 //! byte-identical lines no matter what order the content was built in.
 
-use crate::interner::Interner;
 use crate::stream::LabelSetRegistry;
 use std::collections::HashMap;
 
@@ -121,47 +113,6 @@ pub fn bytes_from_hex(s: &str) -> Result<Vec<u8>, String> {
                 .map_err(|_| format!("byte field '{s}' is not hex"))
         })
         .collect()
-}
-
-impl Interner {
-    /// Serialize the interned string set as one escaped string per line,
-    /// in **canonical (lexicographically sorted) order** — the same order
-    /// [`Interner::canonical_ids`] ranks by. Insertion order is deliberately
-    /// not preserved: two interners holding the same strings serialize
-    /// byte-identically.
-    pub fn snapshot_lines(&self) -> Vec<String> {
-        let mut strings: Vec<&str> = self.iter().map(|(_, s)| s).collect();
-        strings.sort_unstable();
-        strings.into_iter().map(escape_field).collect()
-    }
-
-    /// Rebuild an interner from [`Interner::snapshot_lines`] output. Strings
-    /// are interned in file (= canonical) order, so the restored interner
-    /// assigns `Symbol(rank)` to the rank-th smallest string — its
-    /// [`Interner::canonical_ids`] view is the identity, and every consumer
-    /// keyed on canonical ids sees exactly the pre-snapshot mapping.
-    ///
-    /// ```
-    /// use pg_hive_graph::Interner;
-    /// let mut a = Interner::new();
-    /// a.intern("beta");
-    /// a.intern("alpha");
-    /// let b = Interner::from_snapshot_lines(a.snapshot_lines().iter().map(String::as_str))
-    ///     .unwrap();
-    /// // Restored symbols are canonical ranks: alpha = 0, beta = 1.
-    /// assert_eq!(b.canonical_ids(), vec![0, 1]);
-    /// assert_eq!(b.resolve(b.get("alpha").unwrap()), "alpha");
-    /// ```
-    pub fn from_snapshot_lines<'a, I>(lines: I) -> Result<Interner, String>
-    where
-        I: IntoIterator<Item = &'a str>,
-    {
-        let mut interner = Interner::new();
-        for line in lines {
-            interner.intern(&unescape_field(line.trim())?);
-        }
-        Ok(interner)
-    }
 }
 
 impl LabelSetRegistry {
@@ -311,27 +262,6 @@ mod tests {
         // error, not a char-boundary slice panic (3-byte char + 1 ASCII
         // byte passes the even-length check).
         assert!(bytes_from_hex("0xﬀa").is_err(), "non-ascii hex");
-    }
-
-    #[test]
-    fn interner_snapshot_is_canonical_and_insertion_order_free() {
-        let mut fwd = Interner::new();
-        let mut rev = Interner::new();
-        for w in ["gamma", "alpha", "beta"] {
-            fwd.intern(w);
-        }
-        for w in ["beta", "alpha", "gamma"] {
-            rev.intern(w);
-        }
-        assert_eq!(fwd.snapshot_lines(), rev.snapshot_lines());
-        let restored =
-            Interner::from_snapshot_lines(fwd.snapshot_lines().iter().map(String::as_str)).unwrap();
-        assert_eq!(restored.len(), 3);
-        // Restored symbols equal canonical ranks.
-        let canon = restored.canonical_ids();
-        for (sym, s) in restored.iter() {
-            assert_eq!(canon[sym.index()], sym.0, "{s}");
-        }
     }
 
     #[test]

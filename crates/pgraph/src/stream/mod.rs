@@ -48,7 +48,7 @@ pub mod raw;
 pub mod read_ahead;
 
 pub use raw::{RawGraphSource, RecordBuf, RecordRef};
-pub use read_ahead::{ReadAheadChunks, StreamSummary};
+pub use read_ahead::ReadAheadChunks;
 
 use crate::builder::GraphBuilder;
 use crate::element::NodeId;
@@ -536,11 +536,6 @@ impl<S: RawGraphSource> ChunkedTextReader<S> {
     /// Chunks emitted so far.
     pub fn chunks_emitted(&self) -> usize {
         self.chunks
-    }
-
-    /// Underlying source's format name.
-    pub fn format_name(&self) -> &'static str {
-        self.source.format_name()
     }
 
     fn resolvable(&self, e: &Record) -> bool {

@@ -13,10 +13,10 @@
 //! ([`ReadAheadChunks::take_end`]).
 //!
 //! The producer propagates the first [`StreamError`] to the consumer,
-//! delivers the final [`StreamSummary`] (warnings, peak residency, chunk
-//! count) after the last chunk, and shuts down promptly when the consumer
-//! is dropped early — its blocked `send` fails as soon as the receiving
-//! half disappears, so no thread leaks and no deadlock occurs.
+//! hands back the drained reader's [`UnitEnd`] (registry, carried edges,
+//! final warnings) after the last chunk, and shuts down promptly when the
+//! consumer is dropped early — its blocked `send` fails as soon as the
+//! receiving half disappears, so no thread leaks and no deadlock occurs.
 //!
 //! ```
 //! use pg_hive_graph::stream::pgt::PgtSource;
@@ -31,32 +31,18 @@
 //! // 3 declared elements + 2 label-carrying stubs for the edge whose
 //! // endpoints landed in the previous chunk.
 //! assert_eq!(elements, 5);
-//! assert!(chunks.summary().unwrap().warnings.cross_chunk_edges > 0);
+//! assert!(chunks.take_end().unwrap().warnings.cross_chunk_edges > 0);
 //! ```
 
 use super::raw::RawGraphSource;
-use super::{ChunkedTextReader, LabelSetRegistry, StreamError, StreamWarnings, UnitEnd};
+use super::{ChunkedTextReader, LabelSetRegistry, StreamError, UnitEnd};
 use crate::graph::PropertyGraph;
 use std::sync::mpsc::{sync_channel, Receiver};
 use std::thread::JoinHandle;
 
-/// Final accounting of a finished read-ahead producer: what
-/// [`ChunkedTextReader::warnings`], [`ChunkedTextReader::max_resident_elements`]
-/// and [`ChunkedTextReader::chunks_emitted`] would have reported, carried
-/// across the thread boundary once the stream is exhausted.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StreamSummary {
-    /// Counted non-fatal ingestion conditions (final values).
-    pub warnings: StreamWarnings,
-    /// Largest `node_count + edge_count` of any emitted chunk.
-    pub max_resident_elements: usize,
-    /// Number of chunks emitted.
-    pub chunks: usize,
-}
-
 enum ChunkMsg {
     Chunk(PropertyGraph),
-    Done(StreamSummary, Option<Box<UnitEnd>>),
+    Done(Box<UnitEnd>),
     Failed(StreamError),
 }
 
@@ -65,16 +51,14 @@ enum ChunkMsg {
 pub struct ReadAheadChunks {
     rx: Option<Receiver<ChunkMsg>>,
     handle: Option<JoinHandle<()>>,
-    summary: Option<StreamSummary>,
     end: Option<UnitEnd>,
-    format: &'static str,
 }
 
 impl ReadAheadChunks {
     /// Spawn a producer thread chunking `source` into ~`chunk_size`-element
     /// graphs, buffering up to `depth` parsed chunks ahead of the consumer
     /// (`depth` is clamped to ≥ 1). Edges whose endpoints never appear are
-    /// dropped and counted in the summary's warnings.
+    /// dropped and counted in the end's warnings ([`Self::take_end`]).
     pub fn spawn<S>(source: S, chunk_size: usize, depth: usize) -> Self
     where
         S: RawGraphSource + Send + 'static,
@@ -104,7 +88,6 @@ impl ReadAheadChunks {
     where
         S: RawGraphSource + Send + 'static,
     {
-        let format = source.format_name();
         let (tx, rx) = sync_channel(depth.max(1));
         let handle = std::thread::Builder::new()
             .name("pg-hive-read-ahead".into())
@@ -122,19 +105,12 @@ impl ReadAheadChunks {
                             }
                         }
                         Ok(None) => {
-                            let summary = StreamSummary {
+                            let end = UnitEnd {
+                                pending: reader.take_pending(),
                                 warnings: reader.warnings(),
-                                max_resident_elements: reader.max_resident_elements(),
-                                chunks: reader.chunks_emitted(),
+                                registry: reader.into_registry(),
                             };
-                            let end = hand_back.then(|| {
-                                Box::new(UnitEnd {
-                                    pending: reader.take_pending(),
-                                    warnings: reader.warnings(),
-                                    registry: reader.into_registry(),
-                                })
-                            });
-                            let _ = tx.send(ChunkMsg::Done(summary, end));
+                            let _ = tx.send(ChunkMsg::Done(Box::new(end)));
                             return;
                         }
                         Err(e) => {
@@ -148,25 +124,21 @@ impl ReadAheadChunks {
         Self {
             rx: Some(rx),
             handle: Some(handle),
-            summary: None,
             end: None,
-            format,
         }
     }
 
     /// Next parsed chunk, or `Ok(None)` once the stream is exhausted —
     /// blocking only when the producer has not read ahead far enough yet.
-    /// After `Ok(None)`, [`Self::summary`] and [`Self::take_end`] are
-    /// available.
+    /// After `Ok(None)`, [`Self::take_end`] is available.
     pub fn next_chunk(&mut self) -> Result<Option<PropertyGraph>, StreamError> {
         let Some(rx) = self.rx.as_ref() else {
             return Ok(None);
         };
         match rx.recv() {
             Ok(ChunkMsg::Chunk(g)) => Ok(Some(g)),
-            Ok(ChunkMsg::Done(summary, end)) => {
-                self.summary = Some(summary);
-                self.end = end.map(|e| *e);
+            Ok(ChunkMsg::Done(end)) => {
+                self.end = Some(*end);
                 self.shutdown();
                 Ok(None)
             }
@@ -184,23 +156,12 @@ impl ReadAheadChunks {
         }
     }
 
-    /// Final accounting, available once [`Self::next_chunk`] returned
-    /// `Ok(None)`.
-    pub fn summary(&self) -> Option<&StreamSummary> {
-        self.summary.as_ref()
-    }
-
-    /// The drained reader's registry, carried edges and warnings, once
-    /// [`Self::next_chunk`] returned `Ok(None)` on a producer started with
-    /// [`Self::spawn_with_registry`]; `None` before that, after an error,
-    /// for [`Self::spawn`], or when already taken.
+    /// The drained reader's registry, carried edges and final warnings,
+    /// once [`Self::next_chunk`] returned `Ok(None)`; `None` before that,
+    /// after an error, or when already taken. A producer started with
+    /// [`Self::spawn`] carries no edges: it counts them as unresolved.
     pub fn take_end(&mut self) -> Option<UnitEnd> {
         self.end.take()
-    }
-
-    /// Underlying source's format name (`"pgt"`, `"csv"`, `"jsonl"`).
-    pub fn format_name(&self) -> &'static str {
-        self.format
     }
 
     fn shutdown(&mut self) {
@@ -244,6 +205,7 @@ mod tests {
             16,
             3,
         );
+        let (mut chunks, mut max_resident) = (0, 0);
         loop {
             let a = direct.next_chunk().unwrap();
             let b = ahead.next_chunk().unwrap();
@@ -252,6 +214,8 @@ mod tests {
                 (Some(x), Some(y)) => {
                     assert_eq!(x.node_count(), y.node_count());
                     assert_eq!(x.edge_count(), y.edge_count());
+                    chunks += 1;
+                    max_resident = max_resident.max(y.node_count() + y.edge_count());
                 }
                 (a, b) => panic!(
                     "chunk sequences diverged: direct={:?} ahead={:?}",
@@ -260,11 +224,11 @@ mod tests {
                 ),
             }
         }
-        let s = *ahead.summary().expect("summary after exhaustion");
-        assert_eq!(s.warnings, direct.warnings());
-        assert_eq!(s.max_resident_elements, direct.max_resident_elements());
-        assert_eq!(s.chunks, direct.chunks_emitted());
-        assert_eq!(ahead.format_name(), "pgt");
+        let end = ahead.take_end().expect("end after exhaustion");
+        assert_eq!(end.warnings, direct.warnings());
+        assert!(end.pending.is_empty(), "spawn counts, never carries");
+        assert_eq!(max_resident, direct.max_resident_elements());
+        assert_eq!(chunks, direct.chunks_emitted());
     }
 
     #[test]
@@ -319,12 +283,5 @@ mod tests {
         let first = ahead.next_chunk().unwrap();
         assert!(first.is_some());
         drop(ahead); // must not deadlock
-    }
-
-    #[test]
-    fn summary_defaults_are_zero() {
-        let s = StreamSummary::default();
-        assert_eq!(s.chunks, 0);
-        assert!(s.warnings.is_empty());
     }
 }

@@ -3,18 +3,19 @@
 //! The CLI folds saved snapshots **two-at-a-time**: the first file becomes
 //! the base context and every further file is loaded, merged, and dropped
 //! before the next one is opened, so peak residency is two contexts no
-//! matter how many snapshots are folded. Because `SchemaState::merge` is
-//! associative and commutative and registry/pending merging is a plain
-//! union/concatenation, that fold must be **byte-identical** — in the
-//! serialized snapshot and in the strict schema text — to materializing
-//! every `ResumeContext` up front and folding them all at once. This test
+//! matter how many snapshots are folded. Because `Ingest::merge` is
+//! associative and commutative on the state and registry/pending merging
+//! is a plain union/concatenation, that fold must be **byte-identical** —
+//! in the serialized snapshot and in the strict schema text — to
+//! materializing every `ResumeContext` up front and folding them all at
+//! once. This test
 //! pins that equivalence over many snapshots, and additionally checks the
 //! merged-and-resolved schema equals the single uninterrupted run over the
 //! concatenated input (the semantic guarantee `merge-state` exists for).
 
 use pg_hive_core::serialize::pg_schema_strict;
-use pg_hive_core::snapshot::{ResumeContext, Snapshot, SnapshotConfig};
-use pg_hive_core::{Discoverer, PipelineConfig};
+use pg_hive_core::snapshot::{context_snapshot_cached, ResumeContext, SnapshotConfig};
+use pg_hive_core::{Discoverer, Ingest, PipelineConfig, SignatureCache};
 use pg_hive_graph::loader::save_text;
 use pg_hive_graph::stream::pgt::PgtSource;
 use pg_hive_graph::{ChunkedTextReader, GraphBuilder, LabelSetRegistry, PropertyGraph, Value};
@@ -92,13 +93,35 @@ fn save_part_snapshot(
     let registry = reader.into_registry();
     ResumeContext {
         config: config.clone(),
-        state,
-        registry,
+        ingest: Ingest {
+            registry,
+            pending,
+            ..Ingest::new(state)
+        },
+        cache: SignatureCache::default(),
         watch: None,
-        pending,
     }
     .save(path)
     .expect("part snapshot saved");
+}
+
+/// The `merge-state` fold: the first context is the base, every further one
+/// must carry its configuration and merges in through `Ingest::merge`.
+fn fold(mut contexts: impl Iterator<Item = ResumeContext>) -> (SnapshotConfig, Ingest) {
+    let base = contexts.next().expect("at least one context");
+    let mut acc = base.ingest;
+    for next in contexts {
+        base.config
+            .ensure_matches(&next.config)
+            .expect("configs match");
+        acc.merge(next.ingest);
+    }
+    (base.config, acc)
+}
+
+/// The bytes `merge-state` writes for a folded accumulator.
+fn snapshot_text(config: &SnapshotConfig, acc: &Ingest) -> String {
+    context_snapshot_cached(config, &acc.state, &acc.registry, None, &acc.pending, None).to_text()
 }
 
 fn temp_path(tag: &str) -> PathBuf {
@@ -123,64 +146,38 @@ fn streaming_fold_is_byte_identical_to_all_at_once_fold() {
     }
     // The split must actually exercise cross-input edges, or the merge
     // fold degenerates to disjoint unions.
-    let carried: usize = paths
-        .iter()
-        .map(|p| ResumeContext::load(p).expect("part loads").pending.len())
-        .sum();
+    let load = |p: &PathBuf| ResumeContext::load(p).expect("part loads");
+    let carried: usize = paths.iter().map(|p| load(p).ingest.pending.len()).sum();
     assert!(carried > 0, "expected stranded cross-part edges, got none");
 
     // Streaming two-at-a-time fold — exactly what `pg-hive merge-state`
     // runs: base := first, then load / merge / drop each further file.
-    let (streamed, streamed_collisions) = {
-        let mut iter = paths.iter();
-        let mut ctx = ResumeContext::load(iter.next().unwrap()).expect("base loads");
-        ctx.watch = None;
-        let mut collisions = 0u64;
-        for p in iter {
-            let next = ResumeContext::load(p).expect("next loads");
-            collisions += ctx.merge(next).expect("configs match");
-        }
-        (ctx, collisions)
-    };
+    let (config, streamed) = fold(paths.iter().map(load));
 
     // All-at-once fold: materialize every context first, then reduce.
-    let (allatonce, allatonce_collisions) = {
-        let mut contexts: Vec<ResumeContext> = paths
-            .iter()
-            .map(|p| ResumeContext::load(p).expect("context loads"))
-            .collect();
-        let mut ctx = contexts.remove(0);
-        ctx.watch = None;
-        let mut collisions = 0u64;
-        for next in contexts {
-            collisions += ctx.merge(next).expect("configs match");
-        }
-        (ctx, collisions)
-    };
+    let contexts: Vec<ResumeContext> = paths.iter().map(load).collect();
+    let (_, allatonce) = fold(contexts.into_iter());
 
-    // Library engine (`Snapshot::merge_files`) agrees too.
-    let (via_library, library_collisions) =
-        Snapshot::merge_files(&paths).expect("merge_files succeeds");
-
-    assert_eq!(streamed_collisions, allatonce_collisions);
-    assert_eq!(streamed_collisions, library_collisions);
+    // Collisions are the duplicate node ids the merges counted.
     assert_eq!(
-        streamed.to_snapshot().to_text(),
-        allatonce.to_snapshot().to_text(),
-        "streaming fold and all-at-once fold must serialize identically"
+        streamed.warnings.duplicate_nodes,
+        allatonce.warnings.duplicate_nodes
     );
     assert_eq!(
-        streamed.to_snapshot().to_text(),
-        via_library.to_snapshot().to_text()
+        snapshot_text(&config, &streamed),
+        snapshot_text(&config, &allatonce),
+        "streaming fold and all-at-once fold must serialize identically"
     );
 
     // Resolve the carried edges against the merged registry (what the CLI
     // does before printing) and compare against the single uninterrupted
     // run over the full input: merge-state must lose nothing at the seams.
     let mut merged = streamed;
-    let pending = std::mem::take(&mut merged.pending);
-    let (left, _resolved) = d.resolve_pending(&mut merged.state, &merged.registry, pending);
-    assert!(left.is_empty(), "all cross-part edges resolve after merge");
+    merged.resolve(&d);
+    assert!(
+        merged.pending.is_empty(),
+        "all cross-part edges resolve after merge"
+    );
     let single = {
         let mut state = d.new_state();
         let mut reader = ChunkedTextReader::with_registry(

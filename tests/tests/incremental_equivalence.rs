@@ -24,7 +24,7 @@
 
 use pg_hive_core::serialize::pg_schema_strict;
 use pg_hive_core::snapshot::{ResumeContext, SnapshotConfig};
-use pg_hive_core::{Discoverer, PipelineConfig, SchemaState, SignatureCache};
+use pg_hive_core::{Discoverer, Ingest, PipelineConfig, SchemaState, SignatureCache};
 use pg_hive_graph::loader::save_text;
 use pg_hive_graph::stream::csv::{save_edges_csv, save_nodes_csv, CsvSource};
 use pg_hive_graph::stream::jsonl::{save_jsonl, JsonlSource};
@@ -166,8 +166,15 @@ proptest! {
                 }
                 Op::SaveLoad => {
                     let path = temp_path("ckpt");
-                    state.save(&path).expect("state saved");
-                    state = SchemaState::load(&path).expect("state loads");
+                    ResumeContext {
+                        config: SnapshotConfig::new(d.config(), 1),
+                        ingest: Ingest::new(state),
+                        cache: SignatureCache::default(),
+                        watch: None,
+                    }
+                    .save(&path)
+                    .expect("state saved");
+                    state = ResumeContext::load(&path).expect("state loads").ingest.state;
                     let _ = std::fs::remove_file(&path);
                 }
             }
@@ -293,14 +300,20 @@ proptest! {
             let pending = reader.take_pending();
             contexts.push(ResumeContext {
                 config: config.clone(),
-                state,
-                registry: reader.into_registry(),
+                ingest: Ingest {
+                    registry: reader.into_registry(),
+                    pending,
+                    ..Ingest::new(state)
+                },
+                cache: SignatureCache::default(),
                 watch: None,
-                pending,
             });
         }
-        let mut merged = contexts.remove(0);
-        merged.merge(contexts.remove(0)).expect("configs match");
+        let base = contexts.remove(0);
+        let next = contexts.remove(0);
+        base.config.ensure_matches(&next.config).expect("configs match");
+        let mut merged = base.ingest;
+        merged.merge(next.ingest);
 
         let (mut batched_state, mut reference_state) = (merged.state.clone(), merged.state);
         let (batched_left, batched_n) =

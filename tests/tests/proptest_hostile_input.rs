@@ -14,7 +14,21 @@
 //! and through a `ChunkedTextReader` at chunk size 3. Neither drain may
 //! panic, and both must stop at the same first `StreamError` or agree on
 //! the records read.
+//!
+//! Snapshots: a real snapshot with every section present has bytes
+//! flipped, inserted (invalid UTF-8 included) or cut off, and goes into
+//! `ResumeContext::load`, which must refuse it with a named `snapshot:`
+//! error or load it losslessly (the header sits outside the checksum).
+//! Section lines are also duplicated, dropped, cut or given huge numbers
+//! and re-checksummed, so the mutation reaches the section parsers:
+//! `ResumeContext::from_snapshot` must return `Ok` or a named error.
 
+use pg_hive_core::pipeline::UnitSource;
+use pg_hive_core::snapshot::{
+    context_snapshot_cached, FileCheckpoint, ResumeContext, Snapshot, SnapshotConfig,
+    WatchCheckpoint,
+};
+use pg_hive_core::{Discoverer, Ingest, PipelineConfig, SignatureCache};
 use pg_hive_graph::loader::{load_text, LoadError};
 use pg_hive_graph::stream::csv::CsvSource;
 use pg_hive_graph::stream::jsonl::JsonlSource;
@@ -23,6 +37,8 @@ use pg_hive_graph::stream::read_all;
 use pg_hive_graph::{ChunkedTextReader, RawGraphSource, RecordBuf, RecordRef, StreamError};
 use proptest::prelude::*;
 use proptest::TestCaseError;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// One line of a mutated input: a template index, an edit (1 inserts a
 /// byte, 2 overwrites one, 3 replaces the line with junk, 4 truncates it,
@@ -199,6 +215,88 @@ proptest! {
     }
 
     #[test]
+    fn snapshot_load_survives_byte_mutations(
+        edits in proptest::collection::vec(
+            (0u8..3, any::<bool>(), any::<usize>(), 0..SNAPSHOT_PLANTS.len()),
+            1..4,
+        )
+    ) {
+        let original = full_snapshot();
+        let mut bytes = original.as_bytes().to_vec();
+        for (kind, in_header, at, plant) in edits {
+            // Half the edits land in the two header lines, which the
+            // checksum does not cover.
+            let span = if in_header { HEADER_SPAN.min(bytes.len()) } else { bytes.len() };
+            let byte = SNAPSHOT_PLANTS[plant];
+            match kind {
+                0 if span > 0 => bytes[at % span] = byte,
+                1 => bytes.insert(at % (span + 1), byte),
+                _ => bytes.truncate(at % (bytes.len() + 1)),
+            }
+        }
+        let path = temp_snapshot("bytes");
+        std::fs::write(&path, &bytes).expect("write mutated snapshot");
+        match ResumeContext::load(&path) {
+            Err(e) => prop_assert!(e.to_string().starts_with("snapshot:"), "{}", e),
+            Ok(ctx) => {
+                ctx.save(&path).expect("save reloaded snapshot");
+                let again = std::fs::read_to_string(&path).expect("read reloaded snapshot");
+                prop_assert_eq!(payload(&again), payload(original), "lossy load");
+            }
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn snapshot_sections_survive_line_mutations(
+        edits in proptest::collection::vec(
+            (0..SECTIONS.len(), any::<usize>(), 0u8..6, any::<usize>()),
+            1..6,
+        )
+    ) {
+        let parsed = Snapshot::parse(full_snapshot()).expect("fresh snapshot parses");
+        let mut sections: Vec<Vec<String>> = SECTIONS
+            .iter()
+            .map(|name| parsed.section(name).expect("every section present").to_vec())
+            .collect();
+        for (section, line, kind, at) in edits {
+            let lines = &mut sections[section];
+            if lines.is_empty() {
+                continue;
+            }
+            let i = line % lines.len();
+            match kind {
+                0 => lines.insert(i, lines[i].clone()),
+                1 => {
+                    lines.remove(i);
+                }
+                2 => {
+                    let mut tokens: Vec<&str> = lines[i].split(' ').collect();
+                    tokens.remove(at % tokens.len());
+                    lines[i] = tokens.join(" ");
+                }
+                3 => lines[i] = huge_number(&lines[i], at),
+                4 => {
+                    let cut = floor_char_boundary(&lines[i], at % (lines[i].len() + 1));
+                    lines[i].truncate(cut);
+                }
+                _ => lines.insert(i, SNAPSHOT_JUNK[at % SNAPSHOT_JUNK.len()].to_string()),
+            }
+        }
+        let mut mutated = Snapshot::new();
+        for (name, lines) in SECTIONS.iter().zip(sections) {
+            mutated.push_section(name, lines);
+        }
+        let reparsed = Snapshot::parse(&mutated.to_text()).expect("re-checksummed text parses");
+        match ResumeContext::from_snapshot(&reparsed) {
+            Err(e) => prop_assert!(e.to_string().starts_with("snapshot:"), "{}", e),
+            Ok(ctx) => {
+                ctx.ingest.state.finalize();
+            }
+        }
+    }
+
+    #[test]
     fn jsonl_survives_hostile_lines(
         lines in line_edits(JSONL_LINES.len(), 12, JSONL_PLANTS.len(), 0..10)
     ) {
@@ -290,4 +388,132 @@ fn check_drains(
         (a, b) => prop_assert!(false, "record drain {:?}, chunked drain {:?}", a, b),
     }
     Ok(())
+}
+
+/// Bytes of the two header lines (`pg-hive-snapshot 1`, `checksum <hex>`).
+const HEADER_SPAN: usize = 45;
+
+/// Header digits and hex letters in both cases, the header's separators,
+/// section brackets, and UTF-8 lead, continuation and invalid bytes.
+const SNAPSHOT_PLANTS: &[u8] = &[
+    b'0', b'1', b'2', b'9', b'a', b'A', b'f', b'F', b'g', b' ', b'\n', b'\r', b'[', b']', b'%',
+    0x00, 0xc3, 0xa9, 0xff,
+];
+
+/// Section order of [`full_snapshot`].
+const SECTIONS: &[&str] = &[
+    "config", "state", "registry", "watch", "files", "pending", "sigcache",
+];
+
+/// Lines planted into a section: well-formed lines of other sections,
+/// half-formed ones, and bad escapes.
+const SNAPSHOT_JUNK: &[&str] = &[
+    "node Person 18446744073709551615 name:18446744073709551615:string",
+    "edge KNOWS 18446744073709551615 18446744073709551615:0 Person>Person",
+    "node - 1 k:1:float",
+    "edge - 0 - -",
+    "set",
+    "id x 18446744073709551615",
+    "seed 18446744073709551615",
+    "pass 18446744073709551615",
+    "file %zz 1 0x 0x 1",
+    "edge a b - k:%e",
+    "0 1: 0:",
+    "ffffffffffffffffffffffffffffffff 18446744073709551615:0 0:",
+    "",
+];
+
+/// A snapshot written by the product writer with every section present: a
+/// labeled and an unlabeled node type, edges with cardinality, a registry,
+/// watch progress with a CSV header, carried edges and signature-cache
+/// entries.
+fn full_snapshot() -> &'static str {
+    static TEXT: OnceLock<String> = OnceLock::new();
+    TEXT.get_or_init(|| {
+        let d = Discoverer::new(PipelineConfig::elsh_adaptive());
+        let mut acc = Ingest::new(d.new_state());
+        let cache = SignatureCache::default();
+        let text = "N a Person name=Ann,age=30\nN b - note=x%20y\nN o Org url=x.com\n\
+                    E a o WORKS_AT from=2001\nE b o WORKS_AT -\nE a ghost KNOWS since=2020-01-01\n";
+        let source = UnitSource::Inline(Box::new(PgtSource::new(text.as_bytes())));
+        d.absorb_unit(&mut acc, source, 2, 1, Some(&cache), &mut |_| {})
+            .expect("valid pgt");
+        let watch = WatchCheckpoint {
+            input: "in dir".into(),
+            format: "csv".into(),
+            pass: 3,
+            warnings: acc.warnings,
+            files: vec![FileCheckpoint {
+                path: "in dir/nodes.csv".into(),
+                offset: 42,
+                tail: b"o,Org\n".to_vec(),
+                header: Some(b"id,labels\n".to_vec()),
+                required: true,
+            }],
+        };
+        let config = SnapshotConfig::new(d.config(), 2);
+        let snap = context_snapshot_cached(
+            &config,
+            &acc.state,
+            &acc.registry,
+            Some(&watch),
+            &acc.pending,
+            Some(&cache),
+        );
+        let text = snap.to_text();
+        for name in SECTIONS {
+            assert!(
+                snap.section(name).is_some_and(|l| !l.is_empty()),
+                "[{name}]"
+            );
+        }
+        text
+    })
+}
+
+/// Everything after the two header lines.
+fn payload(text: &str) -> &str {
+    text.splitn(3, '\n').nth(2).unwrap_or_default()
+}
+
+/// `line` with its `at`-th digit run replaced by `u64::MAX`.
+fn huge_number(line: &str, at: usize) -> String {
+    let mut runs = Vec::new();
+    let mut start = None;
+    for (i, b) in line.bytes().chain(std::iter::once(b' ')).enumerate() {
+        match (b.is_ascii_digit(), start) {
+            (true, None) => start = Some(i),
+            (false, Some(s)) => {
+                runs.push(s..i);
+                start = None;
+            }
+            _ => {}
+        }
+    }
+    match runs.get(at % runs.len().max(1)) {
+        Some(run) => format!(
+            "{}18446744073709551615{}",
+            &line[..run.start],
+            &line[run.end..]
+        ),
+        None => line.to_string(),
+    }
+}
+
+/// The largest char boundary of `s` at or below `i`.
+fn floor_char_boundary(s: &str, mut i: usize) -> usize {
+    while !s.is_char_boundary(i) {
+        i -= 1;
+    }
+    i
+}
+
+/// A fresh temp path per case, so parallel tests never share a file.
+fn temp_snapshot(tag: &str) -> std::path::PathBuf {
+    static CASE: AtomicUsize = AtomicUsize::new(0);
+    std::env::temp_dir().join(format!(
+        "pg-hive-hostile-snapshot-{}-{tag}-{}",
+        std::process::id(),
+        CASE.fetch_add(1, Ordering::Relaxed)
+    ))
 }

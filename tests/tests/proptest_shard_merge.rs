@@ -12,7 +12,7 @@
 //! tree shape; the random tree certifies the algebra.
 
 use pg_hive_core::snapshot::{ResumeContext, SnapshotConfig};
-use pg_hive_core::{Discoverer, PipelineConfig, SchemaState};
+use pg_hive_core::{Discoverer, PipelineConfig, SchemaState, SignatureCache};
 use pg_hive_graph::loader::save_text;
 use pg_hive_graph::stream::csv::{save_edges_csv, save_nodes_csv};
 use pg_hive_graph::stream::jsonl::save_jsonl;
@@ -162,15 +162,15 @@ fn shard_context(d: &Discoverer, dir: &Path, chunk: usize, threads: usize) -> Re
         .expect("valid generated input");
     ResumeContext {
         config: SnapshotConfig::new(d.config(), chunk),
-        state: r.state,
-        registry: r.registry,
+        ingest: r,
+        cache: SignatureCache::default(),
         watch: None,
-        pending: r.pending,
     }
 }
 
 /// Fold the shard contexts along a random binary tree driven by `picks`:
-/// each step merges two randomly chosen survivors. Associativity +
+/// each step merges two randomly chosen survivors the way `merge-state`
+/// does (config check, then `Ingest::merge`). Associativity +
 /// commutativity say the tree shape cannot matter.
 fn fold_random(mut ctxs: Vec<ResumeContext>, picks: &[u8]) -> ResumeContext {
     let mut i = 0;
@@ -179,7 +179,10 @@ fn fold_random(mut ctxs: Vec<ResumeContext>, picks: &[u8]) -> ResumeContext {
         let mut left = ctxs.swap_remove(a);
         let b = usize::from(picks[(i + 1) % picks.len()]) % ctxs.len();
         let right = ctxs.swap_remove(b);
-        left.merge(right).expect("same config merges");
+        left.config
+            .ensure_matches(&right.config)
+            .expect("same config merges");
+        left.ingest.merge(right.ingest);
         ctxs.push(left);
         i += 2;
     }
@@ -236,9 +239,8 @@ proptest! {
 
         // Random fold tree, then root resolution of cross-shard edges —
         // the exact post-merge step `merge-state` performs.
-        let mut merged = fold_random(ctxs, &picks);
-        let pending = std::mem::take(&mut merged.pending);
-        let _ = d.resolve_pending(&mut merged.state, &merged.registry, pending);
+        let mut merged = fold_random(ctxs, &picks).ingest;
+        merged.resolve(&d);
         let folded = pg_hive_core::serialize::pg_schema_strict(&merged.state.finalize(), "G");
 
         let _ = std::fs::remove_dir_all(&full);
@@ -274,9 +276,10 @@ proptest! {
         let ctx = shard_context(&d, &dir, chunk, 1);
         let _ = std::fs::remove_dir_all(&dir);
 
-        let base = pg_hive_core::serialize::pg_schema_strict(&ctx.state.finalize(), "G");
-        let mut doubled = ctx.state.clone();
-        doubled.merge(ctx.state.clone());
+        let state = ctx.ingest.state;
+        let base = pg_hive_core::serialize::pg_schema_strict(&state.finalize(), "G");
+        let mut doubled = state.clone();
+        doubled.merge(state.clone());
         let after = pg_hive_core::serialize::pg_schema_strict(&doubled.finalize(), "G");
         prop_assert_eq!(&after, &base, "self-merge changed the schema structure");
     }
@@ -303,9 +306,10 @@ proptest! {
         // Debug rendering captures the full finalized schema including
         // instance and occurrence counts — stricter than the strict
         // serialization, which is exactly right for an identity law.
-        let base = format!("{:?}", ctx.state.finalize());
+        let state = ctx.ingest.state;
+        let base = format!("{:?}", state.finalize());
 
-        let mut left = ctx.state.clone();
+        let mut left = state.clone();
         left.merge(SchemaState::new(theta));
         prop_assert_eq!(
             format!("{:?}", left.finalize()),
@@ -314,7 +318,7 @@ proptest! {
         );
 
         let mut right = SchemaState::new(theta);
-        right.merge(ctx.state.clone());
+        right.merge(state.clone());
         prop_assert_eq!(
             format!("{:?}", right.finalize()),
             base,

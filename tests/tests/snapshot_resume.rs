@@ -12,7 +12,7 @@
 
 use pg_hive_core::serialize::pg_schema_strict;
 use pg_hive_core::snapshot::{ResumeContext, SnapshotConfig};
-use pg_hive_core::{Discoverer, PipelineConfig, SchemaState};
+use pg_hive_core::{Discoverer, Ingest, PipelineConfig, SchemaState, SignatureCache};
 use pg_hive_graph::loader::save_text;
 use pg_hive_graph::stream::csv::{save_edges_csv, save_nodes_csv, CsvSource};
 use pg_hive_graph::stream::jsonl::{save_jsonl, JsonlSource};
@@ -201,6 +201,16 @@ fn temp_snapshot_path() -> std::path::PathBuf {
     p
 }
 
+/// A `discover --save-state` context over `ingest`.
+fn context(config: &SnapshotConfig, ingest: Ingest) -> ResumeContext {
+    ResumeContext {
+        config: config.clone(),
+        ingest,
+        cache: SignatureCache::default(),
+        watch: None,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
@@ -234,7 +244,7 @@ proptest! {
                 let mut registry = LabelSetRegistry::default();
                 absorb_pass(&d, part1.clone(), fmt, chunk, threads, &mut state, &mut registry);
                 let path = temp_snapshot_path();
-                ResumeContext { config: config.clone(), state, registry, watch: None, pending: Vec::new() }
+                context(&config, Ingest { registry, ..Ingest::new(state) })
                     .save(&path)
                     .expect("checkpoint saved");
                 // Everything in-memory is gone now; reload from disk.
@@ -242,12 +252,14 @@ proptest! {
                 prop_assert!(ctx.config.ensure_matches(&config).is_ok());
                 // The snapshot file is a fixed point: re-serializing the
                 // loaded context reproduces the exact bytes.
+                let saved = std::fs::read_to_string(&path).expect("snapshot readable");
+                ctx.save(&path).expect("checkpoint saved again");
                 prop_assert_eq!(
-                    ctx.to_snapshot().to_text(),
-                    std::fs::read_to_string(&path).expect("snapshot readable")
+                    std::fs::read_to_string(&path).expect("snapshot readable"),
+                    saved
                 );
-                let mut state = ctx.state;
-                let mut registry = ctx.registry;
+                let mut state = ctx.ingest.state;
+                let mut registry = ctx.ingest.registry;
                 let mut reader = ChunkedTextReader::with_registry(
                     part2.clone().into_source(fmt),
                     chunk,
@@ -274,20 +286,21 @@ proptest! {
         }
     }
 
-    /// `SchemaState::save`/`load` alone (the minimal persistence surface)
-    /// round-trips any reachable state to a byte-identical finalize.
+    /// A state alone, saved and loaded through the one snapshot writer and
+    /// loader, round-trips any reachable state to a byte-identical
+    /// finalize.
     #[test]
     fn schema_state_save_load_is_lossless(g in arb_graph()) {
         let d = Discoverer::new(PipelineConfig::elsh_adaptive());
         let mut state = d.discover_chunk_state(&g);
         state.clear_members();
+        let expected = pg_schema_strict(&state.finalize(), "G");
         let path = temp_snapshot_path();
-        state.save(&path).expect("state saved");
-        let back = SchemaState::load(&path).expect("state loads");
+        context(&SnapshotConfig::new(d.config(), 1), Ingest::new(state))
+            .save(&path)
+            .expect("state saved");
+        let back = ResumeContext::load(&path).expect("state loads").ingest.state;
         let _ = std::fs::remove_file(&path);
-        prop_assert_eq!(
-            pg_schema_strict(&back.finalize(), "G"),
-            pg_schema_strict(&state.finalize(), "G")
-        );
+        prop_assert_eq!(pg_schema_strict(&back.finalize(), "G"), expected);
     }
 }

@@ -158,7 +158,7 @@ proptest! {
 
     /// The full engine — read-ahead producer feeding the worker pool — is
     /// also byte-identical to the plain serial path, and the producer's
-    /// summary matches direct chunking.
+    /// warnings and the fold's chunk count match direct chunking.
     #[test]
     fn read_ahead_plus_workers_equals_serial(g in arb_graph(), chunk in 3usize..12) {
         let pgt = save_text(&g);
@@ -179,9 +179,9 @@ proptest! {
                 threads,
             );
             prop_assert!(err.is_none(), "stream error: {:?}", err);
-            let summary = *ahead.summary().expect("summary after exhaustion");
-            prop_assert_eq!(summary.warnings, direct_warnings);
-            prop_assert_eq!(summary.chunks, direct_count);
+            let end = ahead.take_end().expect("end after exhaustion");
+            prop_assert_eq!(end.warnings, direct_warnings);
+            prop_assert_eq!(result.chunk_times.len(), direct_count);
             prop_assert_eq!(&run_digest(&result), &serial);
         }
     }
