@@ -68,8 +68,7 @@ fn main() {
         "\nReading: w = 0 removes the hybrid label signal (pure structure) and F1 drops \
          on label-rich data; θ below ~0.7 over-merges unlabeled clusters; the \
          deterministic hash embedding matches word2vec on these datasets because only \
-         identity/separation matters for clustering (semantic proximity is exploited \
-         by the alignment extension, not the clustering)."
+         identity/separation matters for clustering."
     );
 }
 

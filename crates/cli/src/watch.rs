@@ -372,11 +372,12 @@ fn warning_breakdown(w: &StreamWarnings) -> String {
 }
 
 /// Absorb one pass — every source's appended records — into the run as one
-/// pass accumulator, returning `(elements, chunks)`. The run's registry is
-/// moved through each source's unit in turn, so edges that cross passes or
-/// inputs become in-chunk stubs and bindings keep their generation stamps
-/// (the `--partition` GC depends on them); chunks go through the
-/// cross-pass signature cache. A directory tree is enumerated
+/// pass accumulator, returning `(elements, chunks)`. The resident registry
+/// is moved through each source's unit in turn and moved back by
+/// assignment, so edges that cross passes or inputs become in-chunk stubs
+/// and bindings keep their generation stamps (the `--partition` GC depends
+/// on them; [`Ingest::merge`] would restamp every binding). Chunks go
+/// through the cross-pass signature cache. A directory tree is enumerated
 /// alphabetically, so an input can reference nodes a *later* input of the
 /// same pass declares: carried edges resolve once every source is in, and
 /// what still does not resolve is counted as unresolved and dropped (its
@@ -393,7 +394,7 @@ fn absorb_pass(
     discoverer: &Discoverer,
 ) -> Result<(u64, usize), String> {
     let mut pass = Ingest::new(discoverer.new_state());
-    pass.registry = std::mem::take(&mut run.registry);
+    pass.registry = std::mem::take(&mut run.ingest.registry);
     let mut chunks = 0;
     for source in sources {
         let report = discoverer
@@ -409,10 +410,11 @@ fn absorb_pass(
         chunks += report.chunk_times.len();
     }
     pass.resolve(discoverer);
-    run.warnings.absorb(&pass.warnings);
-    run.warnings.unresolved_edges += pass.pending.len() as u64;
-    run.registry = pass.registry;
-    run.merge_delta(pass.state);
+    run.ingest.warnings.absorb(&pass.warnings);
+    run.ingest.warnings.unresolved_edges += pass.pending.len() as u64;
+    run.ingest.registry = pass.registry;
+    run.combined.merge(pass.state.clone());
+    run.ingest.state.merge(pass.state);
     Ok((pass.elements, chunks))
 }
 
@@ -439,19 +441,19 @@ impl TrackedFile {
 /// partition window (`--partition`), whose states live in the rotated
 /// snapshot files rather than the checkpoint itself.
 struct WatchRun {
-    /// The resident (current-partition) state.
-    state: SchemaState,
+    /// The resident (current-partition) fold: its state, the id →
+    /// label-set registry, and the warning totals across passes. Edges
+    /// still pending after a pass are dropped, so `pending` stays empty.
+    ingest: Ingest,
     /// The resident ⊕ retained fold, maintained **incrementally**: every
-    /// pass's delta state is merged into both `state` and this, so the
-    /// reported schema comes from one `finalize_cached` call — O(1) on a
-    /// no-drift pass, O(dirty pools) on a labeled-only append — instead of
-    /// the old clone-everything-and-finalize on every pass. Rebuilt from
+    /// pass's delta state is merged into both `ingest.state` and this, so
+    /// the reported schema comes from one `finalize_cached` call — O(1) on
+    /// a no-drift pass, O(dirty pools) on a labeled-only append — instead
+    /// of the old clone-everything-and-finalize on every pass. Rebuilt from
     /// scratch only on the structural events incremental maintenance
     /// cannot express: a partition expiring from the window, an input
     /// rotation resetting the resident state, or a checkpoint resume.
     combined: SchemaState,
-    registry: LabelSetRegistry,
-    warnings: StreamWarnings,
     pass: u64,
     /// Completed partition states, most recent first, capped at `--keep`.
     retained: VecDeque<SchemaState>,
@@ -462,6 +464,18 @@ struct WatchRun {
 }
 
 impl WatchRun {
+    /// A run over the resident fold `ingest` at pass `pass`, with an empty
+    /// retained window: the combined fold starts as the resident state.
+    fn new(ingest: Ingest, pass: u64, cache: SignatureCache) -> Self {
+        Self {
+            combined: ingest.state.clone(),
+            ingest,
+            pass,
+            retained: VecDeque::new(),
+            cache,
+        }
+    }
+
     /// The schema this watch reports: the resident partition merged with
     /// every retained one ("the schema of the last K partitions"),
     /// finalized through the dirty-pool cache.
@@ -469,18 +483,10 @@ impl WatchRun {
         self.combined.finalize_cached()
     }
 
-    /// Merge one pass delta into both the resident state and the combined
-    /// fold — the incremental step that keeps `combined` equal to
-    /// `state ⊕ retained` without ever re-cloning the window.
-    fn merge_delta(&mut self, delta: SchemaState) {
-        self.combined.merge(delta.clone());
-        self.state.merge(delta);
-    }
-
     /// Recompute `combined` from the resident state and the retained
     /// window — the slow path for window expiry / rotation / resume.
     fn rebuild_combined(&mut self) {
-        let mut acc = self.state.clone();
+        let mut acc = self.ingest.state.clone();
         for s in &self.retained {
             acc.merge(s.clone());
         }
@@ -494,13 +500,17 @@ impl WatchRun {
     /// older than the window is compacted away — this is what bounds the
     /// otherwise append-only id → label-set registry under rotation.
     fn roll_partition(&mut self, keep: usize, fresh: SchemaState) {
-        let done = std::mem::replace(&mut self.state, fresh);
+        let done = std::mem::replace(&mut self.ingest.state, fresh);
         self.retained.push_front(done);
-        self.registry.advance_generation();
+        self.ingest.registry.advance_generation();
         if self.retained.len() > keep {
             self.retained.truncate(keep);
-            let min_gen = self.registry.generation().saturating_sub(keep as u32);
-            self.registry.compact_before(min_gen);
+            let min_gen = self
+                .ingest
+                .registry
+                .generation()
+                .saturating_sub(keep as u32);
+            self.ingest.registry.compact_before(min_gen);
             // A partition left the window: merge cannot subtract, so the
             // combined fold is rebuilt from what remains.
             self.rebuild_combined();
@@ -534,7 +544,7 @@ fn save_checkpoint(
         input: path.to_string(),
         format: format.name().to_string(),
         pass: run.pass,
-        warnings: run.warnings,
+        warnings: run.ingest.warnings,
         files: input
             .tracked_files()
             .map(TrackedFile::to_checkpoint)
@@ -547,8 +557,8 @@ fn save_checkpoint(
     // cache rides along in its optional section so a restart resumes warm.
     context_snapshot_cached(
         config,
-        &run.state,
-        &run.registry,
+        &run.ingest.state,
+        &run.ingest.registry,
         Some(&watch),
         &[],
         Some(&run.cache),
@@ -570,9 +580,16 @@ fn save_partition(
     std::fs::create_dir_all(dir)
         .map_err(|e| format!("cannot create state dir {}: {e}", dir.display()))?;
     Snapshot::rotate(&dir.join(SNAPSHOT_FILE), keep, false).map_err(|e| e.to_string())?;
-    context_snapshot_cached(config, &run.state, &run.registry, None, &[], None)
-        .write_atomic(&dir.join(format!("{SNAPSHOT_FILE}.1")))
-        .map_err(|e| e.to_string())
+    context_snapshot_cached(
+        config,
+        &run.ingest.state,
+        &run.ingest.registry,
+        None,
+        &[],
+        None,
+    )
+    .write_atomic(&dir.join(format!("{SNAPSHOT_FILE}.1")))
+    .map_err(|e| e.to_string())
 }
 
 /// Load the retained partition states `.1..K` (most recent first), stopping
@@ -658,15 +675,11 @@ fn try_resume(
             idx += 1;
         }
     }
-    Ok(Some(WatchRun {
-        combined: ctx.ingest.state.clone(),
-        state: ctx.ingest.state,
-        registry: ctx.ingest.registry,
+    let ingest = Ingest {
         warnings: watch.warnings,
-        pass: watch.pass,
-        retained: VecDeque::new(),
-        cache: ctx.cache,
-    }))
+        ..ctx.ingest
+    };
+    Ok(Some(WatchRun::new(ingest, watch.pass, ctx.cache)))
 }
 
 /// Run the watch loop. `--once` performs the baseline pass plus exactly one
@@ -727,22 +740,18 @@ pub fn run_watch(
                 run.pass,
                 schema.node_types.len(),
                 schema.edge_types.len(),
-                run.registry.len(),
+                run.ingest.registry.len(),
                 run.retained.len(),
                 interval.as_secs(),
                 if once { " (once)" } else { "" }
             );
         }
         None => {
-            run = WatchRun {
-                state: discoverer.new_state(),
-                combined: discoverer.new_state(),
-                registry: LabelSetRegistry::default(),
-                warnings: StreamWarnings::default(),
-                pass: 1,
-                retained: VecDeque::new(),
-                cache: SignatureCache::default(),
-            };
+            run = WatchRun::new(
+                Ingest::new(discoverer.new_state()),
+                1,
+                SignatureCache::default(),
+            );
             // Baseline pass.
             let read = input.read_pass()?;
             let (elements, chunks) =
@@ -795,23 +804,23 @@ pub fn run_watch(
         let read = input.read_pass()?;
         if read.rotated {
             eprintln!("pass {pass}: input rotated/truncated — re-ingesting from scratch");
-            run.state = discoverer.new_state();
+            run.ingest.state = discoverer.new_state();
             run.rebuild_combined();
             // Preserve the generation counter across the reset so any
             // retained partitions keep their place in the compaction
             // arithmetic.
-            let generation = run.registry.generation();
-            run.registry = LabelSetRegistry::default();
+            let generation = run.ingest.registry.generation();
+            run.ingest.registry = LabelSetRegistry::default();
             for _ in 0..generation {
-                run.registry.advance_generation();
+                run.ingest.registry.advance_generation();
             }
         }
-        let warnings_before = run.warnings;
+        let warnings_before = run.ingest.warnings;
         let (elements, _) = absorb_pass(&mut run, read.sources, opts, threads, discoverer)?;
-        if run.warnings != warnings_before {
+        if run.ingest.warnings != warnings_before {
             eprintln!(
                 "pass {pass}: warnings so far: {}",
-                warning_breakdown(&run.warnings)
+                warning_breakdown(&run.ingest.warnings)
             );
         }
         let new_schema = run.merged_schema();
@@ -859,7 +868,7 @@ pub fn run_watch(
             )?;
         }
         if once {
-            crate::report_warnings(&run.warnings);
+            crate::report_warnings(&run.ingest.warnings);
             // Emit the final schema so CI (and the e2e suite) can assert it
             // is byte-identical to `discover --stream --format strict`.
             print!("{}", pg_schema_strict(&schema, "Discovered"));
@@ -1021,42 +1030,38 @@ mod tests {
     fn partition_roll_retains_k_states_and_compacts_registry() {
         let discoverer = Discoverer::new(PipelineConfig::default());
         let opts = StreamOpts::default();
-        let mut run = WatchRun {
-            state: discoverer.new_state(),
-            combined: discoverer.new_state(),
-            registry: LabelSetRegistry::default(),
-            warnings: StreamWarnings::default(),
-            pass: 1,
-            retained: VecDeque::new(),
-            cache: SignatureCache::default(),
-        };
+        let mut run = WatchRun::new(
+            Ingest::new(discoverer.new_state()),
+            1,
+            SignatureCache::default(),
+        );
         let absorb = |run: &mut WatchRun, text: &'static str| {
             let source = PgtSource::new(Cursor::new(text.as_bytes().to_vec()));
             absorb_pass(run, vec![Box::new(source)], &opts, 1, &discoverer).unwrap();
             assert_eq!(
-                run.warnings.unresolved_edges, 0,
+                run.ingest.warnings.unresolved_edges, 0,
                 "node-only input carries no edges"
             );
         };
 
         absorb(&mut run, "N a1 Person -\nN a2 Person -\n");
-        assert_eq!(run.registry.len(), 2);
+        assert_eq!(run.ingest.registry.len(), 2);
         run.roll_partition(1, discoverer.new_state());
         // Window: retained p1 + resident p2 — nothing compacted yet.
         assert_eq!(run.retained.len(), 1);
-        assert_eq!(run.registry.len(), 2);
+        assert_eq!(run.ingest.registry.len(), 2);
 
         absorb(&mut run, "N b1 Org -\n");
-        assert_eq!(run.registry.len(), 3);
+        assert_eq!(run.ingest.registry.len(), 3);
         run.roll_partition(1, discoverer.new_state());
         // p1 fell out of the window: its bindings are compacted away —
         // the registry stays bounded under rotation.
         assert_eq!(run.retained.len(), 1);
-        assert_eq!(run.registry.len(), 1);
+        assert_eq!(run.ingest.registry.len(), 1);
 
         absorb(&mut run, "N c1 Org -\n");
         run.roll_partition(1, discoverer.new_state());
-        assert_eq!(run.registry.len(), 1);
+        assert_eq!(run.ingest.registry.len(), 1);
 
         // The reported schema covers only the retained window: the last
         // partition's Org, not the long-expired Person partition.
@@ -1076,24 +1081,28 @@ mod tests {
         // one roll later.
         let discoverer = Discoverer::new(PipelineConfig::default());
         let opts = StreamOpts::default();
-        let mut run = WatchRun {
-            state: discoverer.new_state(),
-            combined: discoverer.new_state(),
-            registry: LabelSetRegistry::default(),
-            warnings: StreamWarnings::default(),
-            pass: 1,
-            retained: VecDeque::new(),
-            cache: SignatureCache::default(),
-        };
+        let mut run = WatchRun::new(
+            Ingest::new(discoverer.new_state()),
+            1,
+            SignatureCache::default(),
+        );
         let source = PgtSource::new(Cursor::new(b"N a1 Person -\nN a2 Person -\n".to_vec()));
         absorb_pass(&mut run, vec![Box::new(source)], &opts, 1, &discoverer).unwrap();
-        assert_eq!(run.registry.generation(), 0, "bindings land in gen 0");
+        assert_eq!(
+            run.ingest.registry.generation(),
+            0,
+            "bindings land in gen 0"
+        );
 
         // Pass 1 rolls (passes:1 → 1 % 1 == 0).
         run.roll_partition(1, discoverer.new_state());
-        assert_eq!(run.registry.generation(), 1, "first roll advances to 1");
         assert_eq!(
-            run.registry.len(),
+            run.ingest.registry.generation(),
+            1,
+            "first roll advances to 1"
+        );
+        assert_eq!(
+            run.ingest.registry.len(),
             2,
             "first roll must not GC the just-retained partition's bindings"
         );
@@ -1105,11 +1114,11 @@ mod tests {
         // exactly its generation-0 bindings) leaves the window.
         let source = PgtSource::new(Cursor::new(b"N b1 Org -\n".to_vec()));
         absorb_pass(&mut run, vec![Box::new(source)], &opts, 1, &discoverer).unwrap();
-        assert_eq!(run.registry.len(), 3);
+        assert_eq!(run.ingest.registry.len(), 3);
         run.roll_partition(1, discoverer.new_state());
-        assert_eq!(run.registry.generation(), 2);
+        assert_eq!(run.ingest.registry.generation(), 2);
         assert_eq!(
-            run.registry.len(),
+            run.ingest.registry.len(),
             1,
             "second roll GCs exactly the expired partition's gen-0 bindings"
         );

@@ -66,18 +66,15 @@
 
 #![warn(missing_docs)]
 
-pub mod align;
 pub mod cluster;
 pub mod config;
 pub mod diff;
 pub mod extract;
 pub mod merge;
-pub mod parse;
 pub mod patterns;
 pub mod pipeline;
 pub mod postprocess;
 pub mod preprocess;
-pub mod retract;
 pub mod schema;
 pub mod serialize;
 pub mod serve;
@@ -88,12 +85,10 @@ pub mod validate;
 
 pub use config::{ClusterMethod, EmbeddingStrategy, PipelineConfig, SamplingConfig};
 pub use diff::{diff_schemas, SchemaDiff};
-pub use parse::{parse_pg_schema, ParseError, ParsedMode};
 pub use pipeline::{
     AbsorbReport, Discoverer, DiscoveryResult, Ingest, PipelineStats, StageTimings, StreamResult,
     UnitSource,
 };
-pub use retract::{retract_batch, RetractionStats};
 pub use schema::{
     label_set, Cardinality, CardinalityClass, EdgeType, LabelSet, NodeType, PropertySpec,
     SchemaGraph,

@@ -1,49 +1,19 @@
 //! Stages (e)–(g): property constraints, data-type inference, cardinalities
 //! (§4.4).
 //!
-//! The passes come in two granularities: per-type functions
+//! Stage (e), the MANDATORY/OPTIONAL constraint, is fully determined by the
+//! occurrence counts accumulated during extraction (`f_T(p) = 1` ⇒
+//! mandatory), so it has no pass of its own: readers ask
+//! [`PropertySpec::is_mandatory`]. Stages (f) and (g) are per-type functions
 //! ([`infer_node_type_datatypes`], [`infer_edge_type_datatypes`],
 //! [`compute_edge_type_cardinality`]) that
-//! [`crate::state::SchemaState::postprocess`] drives over its pooled types,
-//! and whole-[`SchemaGraph`] wrappers ([`infer_datatypes`],
-//! [`compute_cardinalities`]) for callers holding a resolved schema.
+//! [`crate::state::SchemaState::postprocess`] drives over its pooled types.
 
 use crate::config::SamplingConfig;
-use crate::schema::{Cardinality, EdgeType, NodeType, PropertySpec, SchemaGraph};
+use crate::schema::{Cardinality, EdgeType, NodeType, PropertySpec};
 use pg_hive_graph::{EdgeId, NodeId, PropertyGraph, Symbol, Value, ValueKind};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-/// Stage (e): the MANDATORY/OPTIONAL constraint is fully determined by the
-/// occurrence counts accumulated during extraction (`f_T(p) = 1` ⇒
-/// mandatory), so this pass only *reads* them. Returns, per node type, the
-/// `(key, mandatory)` pairs — the same information serialization uses.
-pub fn node_property_constraints(schema: &SchemaGraph) -> Vec<Vec<(String, bool)>> {
-    schema
-        .node_types
-        .iter()
-        .map(|t| {
-            t.props
-                .iter()
-                .map(|(k, spec)| (k.clone(), spec.is_mandatory(t.instance_count)))
-                .collect()
-        })
-        .collect()
-}
-
-/// Stage (e) for edge types.
-pub fn edge_property_constraints(schema: &SchemaGraph) -> Vec<Vec<(String, bool)>> {
-    schema
-        .edge_types
-        .iter()
-        .map(|t| {
-            t.props
-                .iter()
-                .map(|(k, spec)| (k.clone(), spec.is_mandatory(t.instance_count)))
-                .collect()
-        })
-        .collect()
-}
 
 /// Priority-based inference of a single lexical value (§4.4): integer,
 /// float, boolean, ISO date/timestamp, else string. Builds no value, so a
@@ -239,21 +209,6 @@ fn join_kinds<'a>(
     kind
 }
 
-/// Stage (f): fill `PropertySpec::kind` for every type in the schema by
-/// scanning member values.
-pub fn infer_datatypes(
-    schema: &mut SchemaGraph,
-    g: &PropertyGraph,
-    sampling: Option<&SamplingConfig>,
-) {
-    for t in &mut schema.node_types {
-        infer_node_type_datatypes(t, g, sampling);
-    }
-    for t in &mut schema.edge_types {
-        infer_edge_type_datatypes(t, g, sampling);
-    }
-}
-
 fn select_sample(holders: &[u32], sampling: Option<&SamplingConfig>) -> Vec<u32> {
     match sampling {
         None => holders.to_vec(),
@@ -338,17 +293,10 @@ fn longest_run(sorted: impl Iterator<Item = u32>) -> u64 {
     best
 }
 
-/// Stage (g): cardinalities (§4.4) for every edge type in the schema.
-pub fn compute_cardinalities(schema: &mut SchemaGraph, g: &PropertyGraph) {
-    for t in &mut schema.edge_types {
-        compute_edge_type_cardinality(t, g);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::{label_set, EdgeType, NodeType, PropertySpec};
+    use crate::schema::{label_set, SchemaGraph};
     use pg_hive_graph::{GraphBuilder, Value};
     use std::collections::BTreeMap;
 
@@ -412,16 +360,17 @@ mod tests {
     #[test]
     fn constraints_from_counts() {
         let (s, _) = wired_schema();
-        let cons = node_property_constraints(&s);
-        let person = &cons[0];
-        assert!(person.contains(&("age".to_string(), true)), "{person:?}");
-        assert!(person.contains(&("name".to_string(), false)));
+        let person = &s.node_types[0];
+        assert!(person.props["age"].is_mandatory(person.instance_count));
+        assert!(!person.props["name"].is_mandatory(person.instance_count));
     }
 
     #[test]
     fn datatype_full_scan() {
         let (mut s, g) = wired_schema();
-        infer_datatypes(&mut s, &g, None);
+        for t in &mut s.node_types {
+            infer_node_type_datatypes(t, &g, None);
+        }
         assert_eq!(s.node_types[0].props["age"].kind, Some(ValueKind::Integer));
         assert_eq!(s.node_types[0].props["name"].kind, Some(ValueKind::String));
     }
@@ -429,15 +378,14 @@ mod tests {
     #[test]
     fn datatype_sampling_with_floor_equals_full_scan_on_small_data() {
         let (mut s, g) = wired_schema();
-        infer_datatypes(
-            &mut s,
-            &g,
-            Some(&SamplingConfig {
-                fraction: 0.1,
-                min_values: 1000,
-                seed: 1,
-            }),
-        );
+        let sampling = SamplingConfig {
+            fraction: 0.1,
+            min_values: 1000,
+            seed: 1,
+        };
+        for t in &mut s.node_types {
+            infer_node_type_datatypes(t, &g, Some(&sampling));
+        }
         // Floor 1000 > 2 holders ⇒ effectively full scan.
         assert_eq!(s.node_types[0].props["age"].kind, Some(ValueKind::Integer));
     }
@@ -469,20 +417,21 @@ mod tests {
         );
         let mut full = SchemaGraph::new();
         full.node_types.push(t.clone());
-        infer_datatypes(&mut full, &g, None);
+        for t in &mut full.node_types {
+            infer_node_type_datatypes(t, &g, None);
+        }
         assert_eq!(full.node_types[0].props["x"].kind, Some(ValueKind::String));
 
         let mut sampled = SchemaGraph::new();
         sampled.node_types.push(t);
-        infer_datatypes(
-            &mut sampled,
-            &g,
-            Some(&SamplingConfig {
-                fraction: 0.01,
-                min_values: 1,
-                seed: 7,
-            }),
-        );
+        let sampling = SamplingConfig {
+            fraction: 0.01,
+            min_values: 1,
+            seed: 7,
+        };
+        for t in &mut sampled.node_types {
+            infer_node_type_datatypes(t, &g, Some(&sampling));
+        }
         // With 11 of 1001 values sampled the outlier is probably missed.
         // (Deterministic seed: assert the concrete outcome.)
         assert_eq!(
@@ -514,7 +463,9 @@ mod tests {
             members: vec![0, 1],
             cardinality: None,
         });
-        compute_cardinalities(&mut s, &g);
+        for t in &mut s.edge_types {
+            compute_edge_type_cardinality(t, &g);
+        }
         let c = s.edge_types[0].cardinality.unwrap();
         assert_eq!(c.max_out, 1);
         assert_eq!(c.max_in, 2);
@@ -543,7 +494,9 @@ mod tests {
             members: vec![0, 1, 2, 3],
             cardinality: None,
         });
-        compute_cardinalities(&mut s, &g);
+        for t in &mut s.edge_types {
+            compute_edge_type_cardinality(t, &g);
+        }
         let c = s.edge_types[0].cardinality.unwrap();
         assert_eq!(c.class().notation(), "M:N");
     }
@@ -566,7 +519,9 @@ mod tests {
             members: vec![0, 1],
             cardinality: None,
         });
-        compute_cardinalities(&mut s, &g);
+        for t in &mut s.edge_types {
+            compute_edge_type_cardinality(t, &g);
+        }
         let c = s.edge_types[0].cardinality.unwrap();
         assert_eq!(c.class().notation(), "0:1");
     }

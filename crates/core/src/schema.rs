@@ -213,16 +213,6 @@ impl SchemaGraph {
         self.edge_types.iter().position(|t| &t.labels == labels)
     }
 
-    /// ρ_s: resolve an edge type's endpoint pairs to node-type indices where
-    /// an exact label-set match exists.
-    pub fn resolve_endpoints(&self, edge_type: usize) -> Vec<(Option<usize>, Option<usize>)> {
-        self.edge_types[edge_type]
-            .endpoints
-            .iter()
-            .map(|(s, t)| (self.node_type_by_labels(s), self.node_type_by_labels(t)))
-            .collect()
-    }
-
     /// Total instances across node types.
     pub fn node_instances(&self) -> u64 {
         self.node_types.iter().map(|t| t.instance_count).sum()
@@ -447,27 +437,5 @@ mod tests {
         assert!(t.is_abstract());
         let t = node_type(&["L"], &[], 1);
         assert!(!t.is_abstract());
-    }
-
-    #[test]
-    fn resolve_endpoints_maps_indices() {
-        let mut s = SchemaGraph::new();
-        s.node_types.push(node_type(&["Person"], &[], 1));
-        s.node_types.push(node_type(&["Org"], &[], 1));
-        s.edge_types.push(EdgeType {
-            labels: label_set(&["WORKS_AT"]),
-            props: BTreeMap::new(),
-            endpoints: [
-                (label_set(&["Person"]), label_set(&["Org"])),
-                (label_set(&["Ghost"]), label_set(&["Org"])),
-            ]
-            .into(),
-            instance_count: 1,
-            members: vec![],
-            cardinality: None,
-        });
-        let resolved = s.resolve_endpoints(0);
-        assert!(resolved.contains(&(Some(0), Some(1))));
-        assert!(resolved.contains(&(None, Some(1))));
     }
 }

@@ -168,19 +168,25 @@ struct TenantState {
     ingest: Ingest,
     cache: SignatureCache,
     pass: u64,
+    /// Finalized schemas by pass, oldest first. Never empty: the state
+    /// changes only at resume and in `ingest`, and both push its schema,
+    /// so the back entry is always the current schema.
     history: VecDeque<(u64, SchemaGraph)>,
-    last_schema: SchemaGraph,
 }
 
 impl TenantState {
-    fn new(ingest: Ingest, cache: SignatureCache, pass: u64, last_schema: SchemaGraph) -> Self {
+    fn new(ingest: Ingest, cache: SignatureCache, pass: u64, schema: SchemaGraph) -> Self {
         TenantState {
             ingest,
             cache,
             pass,
-            history: VecDeque::from([(pass, last_schema.clone())]),
-            last_schema,
+            history: VecDeque::from([(pass, schema)]),
         }
+    }
+
+    /// The finalized schema of the current pass.
+    fn current(&self) -> &SchemaGraph {
+        &self.history.back().expect("history is never empty").1
     }
 
     fn push_history(&mut self, pass: u64, schema: SchemaGraph, cap: usize) {
@@ -387,11 +393,6 @@ impl ServeCore {
         self.drift_hook = Some(hook);
     }
 
-    /// The options this core was built with.
-    pub fn options(&self) -> &ServeOptions {
-        &self.opts
-    }
-
     /// Names of all currently resident tenants, sorted.
     pub fn tenant_names(&self) -> Vec<String> {
         self.tenants
@@ -588,7 +589,7 @@ impl ServeCore {
         t.pass += 1;
         let absorbed = t.ingest.elements - before;
         let schema = t.ingest.state.finalize_cached();
-        let diff = diff_schemas(&t.last_schema, &schema);
+        let diff = diff_schemas(t.current(), &schema);
         let pass = t.pass;
         let body = format!(
             "{{\"tenant\":\"{}\",\"pass\":{pass},\"elements_absorbed\":{absorbed},\
@@ -612,7 +613,6 @@ impl ServeCore {
                 diff: diff.clone(),
             })
         };
-        t.last_schema = schema.clone();
         let cap = self.opts.history;
         t.push_history(pass, schema, cap);
         (Response::json(200, body), notice)
@@ -630,9 +630,9 @@ impl ServeCore {
                 &format!("unknown format '{format}' (want strict or json)"),
             );
         }
-        let mut t = handle.lock().expect("tenant state poisoned");
-        let schema = t.ingest.state.finalize_cached();
-        let strict = pg_schema_strict(&schema, "Discovered");
+        let t = handle.lock().expect("tenant state poisoned");
+        let schema = t.current();
+        let strict = pg_schema_strict(schema, "Discovered");
         if format == "json" {
             Response::json(
                 200,
@@ -655,8 +655,8 @@ impl ServeCore {
         let Some(handle) = self.tenant(tenant) else {
             return unknown_tenant(tenant);
         };
-        let mut t = handle.lock().expect("tenant state poisoned");
-        let schema = t.ingest.state.finalize_cached();
+        let t = handle.lock().expect("tenant state poisoned");
+        let schema = t.current();
         let cache = t.cache.stats();
         let w = &t.ingest.warnings;
         Response::json(
@@ -704,7 +704,7 @@ impl ServeCore {
                 }
             },
         };
-        let mut t = handle.lock().expect("tenant state poisoned");
+        let t = handle.lock().expect("tenant state poisoned");
         if since > t.pass {
             return Response::error(
                 400,
@@ -712,12 +712,7 @@ impl ServeCore {
                 &format!("since={since} is ahead of the current pass {}", t.pass),
             );
         }
-        let Some(old) = t
-            .history
-            .iter()
-            .find(|(p, _)| *p == since)
-            .map(|(_, s)| s.clone())
-        else {
+        let Some((_, old)) = t.history.iter().find(|(p, _)| *p == since) else {
             return Response::error(
                 404,
                 "unknown-pass",
@@ -727,8 +722,7 @@ impl ServeCore {
                 ),
             );
         };
-        let current = t.ingest.state.finalize_cached();
-        let diff = diff_schemas(&old, &current);
+        let diff = diff_schemas(old, t.current());
         Response::json(
             200,
             format!(
@@ -849,10 +843,10 @@ fn resume_tenants(
         let pass = ctx.watch.as_ref().map(|w| w.pass).unwrap_or(0);
         let mut ingest = ctx.ingest;
         ingest.warnings = ctx.watch.map(|w| w.warnings).unwrap_or_default();
-        let last_schema = ingest.state.finalize();
+        let schema = ingest.state.finalize();
         out.push((
             tenant.to_string(),
-            TenantState::new(ingest, ctx.cache, pass, last_schema),
+            TenantState::new(ingest, ctx.cache, pass, schema),
         ));
     }
     Ok(out)
@@ -1042,19 +1036,26 @@ fn read_request<R: BufRead>(r: &mut R, max_body: usize) -> ReadOutcome {
         let name = name.trim().to_ascii_lowercase();
         let value = value.trim();
         match name.as_str() {
-            "content-length" => match value.parse::<u64>() {
-                Ok(n) => content_length = Some(n),
-                Err(_) => {
-                    return ReadOutcome::Bad(
-                        Response::error(
-                            400,
-                            "bad-content-length",
-                            &format!("'{value}' is not a byte count"),
-                        )
-                        .closing(),
-                    )
-                }
-            },
+            "content-length" => {
+                // RFC 7230 §3.3.2: `1*DIGIT`, and differing duplicates
+                // must be refused (`parse` alone would accept "+3").
+                let n = Some(value)
+                    .filter(|v| v.bytes().all(|b| b.is_ascii_digit()))
+                    .and_then(|v| v.parse::<u64>().ok());
+                let detail = match (n, content_length) {
+                    (None, _) => format!("'{value}' is not a byte count"),
+                    (Some(n), Some(prev)) if n != prev => {
+                        format!("conflicting Content-Length values {prev} and {n}")
+                    }
+                    (Some(n), _) => {
+                        content_length = Some(n);
+                        continue;
+                    }
+                };
+                return ReadOutcome::Bad(
+                    Response::error(400, "bad-content-length", &detail).closing(),
+                );
+            }
             "transfer-encoding" => chunked = true,
             "connection" => {
                 let v = value.to_ascii_lowercase();
@@ -1695,6 +1696,16 @@ E 1 3 MEMBER_OF from=1835\n";
             "bad-content-length",
         );
         bad(
+            "POST /x HTTP/1.1\r\nContent-Length: +3\r\n\r\nabc",
+            400,
+            "bad-content-length",
+        );
+        bad(
+            "POST /x HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 4\r\n\r\nabcd",
+            400,
+            "bad-content-length",
+        );
+        bad(
             "POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
             501,
             "chunked-not-supported",
@@ -1727,6 +1738,11 @@ E 1 3 MEMBER_OF from=1835\n";
                 assert!(!req.close);
             }
             _ => panic!("well-formed request should parse"),
+        }
+        match parse("POST /x HTTP/1.1\r\nContent-Length: 3\r\ncontent-length: 3\r\n\r\nabc") {
+            // Identical repeats are one length, not a conflict.
+            ReadOutcome::Ok(req) => assert_eq!(req.body, b"abc"),
+            _ => panic!("identical Content-Length repeats should parse"),
         }
         match parse("POST /v1/t/checkpoint HTTP/1.1\r\n\r\n") {
             ReadOutcome::Ok(req) => {

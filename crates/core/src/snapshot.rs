@@ -268,16 +268,19 @@ impl Snapshot {
 
     /// Parse and verify a snapshot file's text: magic, version (future
     /// versions refused), checksum (corruption/truncation refused), then
-    /// the section structure.
+    /// the section structure. The header lines sit outside the checksum,
+    /// so they are accepted only as [`Snapshot::to_text`] spells them: a
+    /// plain decimal version from 1 up, then 16 lowercase hex digits.
     pub fn parse(text: &str) -> Result<Snapshot, SnapshotError> {
         let (first, rest) = split_line(text).ok_or(SnapshotError::NotASnapshot)?;
-        let mut header = first.split(' ');
-        if header.next() != Some(MAGIC) {
+        let (magic, token) = first.split_once(' ').unwrap_or((first, ""));
+        if magic != MAGIC {
             return Err(SnapshotError::NotASnapshot);
         }
-        let version: u32 = header
-            .next()
-            .and_then(|v| v.parse().ok())
+        let version: u32 = token
+            .parse()
+            .ok()
+            .filter(|&v: &u32| v >= 1 && v.to_string() == token)
             .ok_or_else(|| malformed("unreadable format version in the header"))?;
         if version > FORMAT_VERSION {
             return Err(SnapshotError::FutureVersion {
@@ -290,7 +293,11 @@ impl Snapshot {
         })?;
         let expected = second
             .strip_prefix("checksum ")
-            .and_then(|h| u64::from_str_radix(h, 16).ok())
+            .and_then(|h| {
+                u64::from_str_radix(h, 16)
+                    .ok()
+                    .filter(|c| format!("{c:016x}") == h)
+            })
             .ok_or_else(|| SnapshotError::Corrupt {
                 detail: "missing or unreadable checksum line".into(),
             })?;
@@ -1237,6 +1244,40 @@ mod tests {
         // Not a snapshot at all.
         let err = Snapshot::parse("N a Person -\n").unwrap_err().to_string();
         assert!(err.contains("not a pg-hive snapshot"), "{err}");
+    }
+
+    #[test]
+    fn non_canonical_headers_are_refused() {
+        // The header is outside the checksum: every spelling but the one
+        // `to_text` writes must be refused, not read as the same header.
+        let (d, state) = sample_state();
+        let config = SnapshotConfig::new(d.config(), 512);
+        let registry = LabelSetRegistry::default();
+        let text = context_snapshot_cached(&config, &state, &registry, None, &[], None).to_text();
+        assert!(Snapshot::parse(&text).is_ok());
+        let (magic_line, rest) = text.split_once('\n').unwrap();
+        let (checksum_line, payload) = rest.split_once('\n').unwrap();
+        let hex = checksum_line.strip_prefix("checksum ").unwrap();
+        assert_eq!(magic_line, format!("{MAGIC} {FORMAT_VERSION}"));
+        assert_ne!(hex.to_uppercase(), hex, "the sample checksum has a letter");
+
+        for version in ["0", "01", "+1", "1 ", "1 extra", " 1", ""] {
+            let bad = format!("{MAGIC} {version}\n{rest}");
+            let err = Snapshot::parse(&bad).unwrap_err().to_string();
+            assert!(err.starts_with("snapshot:"), "{version:?}: {err}");
+        }
+        for checksum in [
+            hex.to_uppercase(),
+            format!("+{hex}"),
+            format!("0{hex}"),
+            hex[1..].to_string(),
+            format!("{hex} "),
+        ] {
+            let bad = format!("{magic_line}\nchecksum {checksum}\n{payload}");
+            let err = Snapshot::parse(&bad).unwrap_err().to_string();
+            assert!(err.starts_with("snapshot:"), "{checksum:?}: {err}");
+            assert!(err.contains("checksum"), "{checksum:?}: {err}");
+        }
     }
 
     #[test]

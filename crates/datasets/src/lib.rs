@@ -23,7 +23,6 @@
 
 pub mod catalog;
 pub mod export;
-pub mod integration;
 pub mod noise;
 pub mod spec;
 pub mod values;

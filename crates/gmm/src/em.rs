@@ -169,17 +169,6 @@ impl GaussianMixture {
         (k - 1) + k * d + k * d
     }
 
-    /// Log-density of one point under the mixture.
-    pub fn log_density(&self, p: &[f64]) -> f64 {
-        let logp: Vec<f64> = (0..self.k())
-            .map(|c| {
-                self.weights[c].max(1e-300).ln()
-                    + log_gaussian_diag(p, &self.means[c], &self.variances[c])
-            })
-            .collect();
-        log_sum_exp(&logp)
-    }
-
     /// Most likely component for `p`.
     pub fn predict(&self, p: &[f64]) -> usize {
         (0..self.k())

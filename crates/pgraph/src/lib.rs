@@ -34,7 +34,6 @@
 
 #![warn(missing_docs)]
 
-pub mod adjacency;
 pub mod batch;
 pub mod builder;
 pub mod element;
@@ -46,7 +45,6 @@ pub mod stats;
 pub mod stream;
 pub mod value;
 
-pub use adjacency::AdjacencyIndex;
 pub use batch::{split_batches, GraphBatch};
 pub use builder::GraphBuilder;
 pub use element::{Edge, EdgeId, Node, NodeId};

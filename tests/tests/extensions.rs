@@ -1,21 +1,16 @@
-//! Integration tests for the extension modules: validation, retraction,
-//! schema diff, and semantic label alignment — exercised against real
-//! pipeline output on generated datasets.
+//! Integration tests for the extension modules: streaming validation and
+//! schema diff — exercised against real pipeline output on generated
+//! datasets.
 
-use pg_hive_core::align::{align_node_types, AlignmentConfig};
 use pg_hive_core::diff::diff_schemas;
-use pg_hive_core::preprocess::label_sentences;
-use pg_hive_core::retract::retract_batch;
 use pg_hive_core::schema::SchemaGraph;
 use pg_hive_core::{
     CompiledSchema, Discoverer, PipelineConfig, StreamValidationReport, Validator, ViolationKind,
 };
-use pg_hive_datasets::integration::integration_scenario;
 use pg_hive_datasets::{inject_noise, DatasetId, NoiseSpec};
-use pg_hive_embed::{Word2Vec, Word2VecConfig};
 use pg_hive_graph::loader::save_text;
 use pg_hive_graph::stream::pgt::PgtSource;
-use pg_hive_graph::{split_batches, GraphBatch, PropertyGraph};
+use pg_hive_graph::{split_batches, PropertyGraph};
 
 /// Stream `g`'s `.pgt` text through a [`Validator`] over `schema`, as
 /// `pg-hive validate` does.
@@ -82,45 +77,6 @@ fn noisy_data_fails_strict_validation_against_clean_schema() {
 }
 
 #[test]
-fn retraction_after_incremental_keeps_schema_sound() {
-    let d = DatasetId::Mb6.generate(0.05, 45);
-    let mut r = Discoverer::new(PipelineConfig::elsh_adaptive()).discover(&d.graph);
-    let batches = split_batches(&d.graph, 10, 45);
-    // Retract one batch, then validate the *remaining* data still conforms.
-    let stats = retract_batch(&mut r.schema, &d.graph, &batches[0]);
-    assert!(stats.nodes_removed > 0);
-    let remaining = r.schema.node_instances() as usize;
-    assert_eq!(remaining, d.graph.node_count() - stats.nodes_removed);
-    // Mandatory constraints remain sound over remaining members.
-    for t in &r.schema.node_types {
-        for (key, spec) in &t.props {
-            if spec.is_mandatory(t.instance_count) {
-                let sym = d.graph.keys().get(key).unwrap();
-                for &m in &t.members {
-                    assert!(
-                        d.graph.node(pg_hive_graph::NodeId(m)).get(sym).is_some(),
-                        "mandatory {key} violated after retraction"
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn retract_everything_empties_the_schema() {
-    let d = DatasetId::Pole.generate(0.05, 46);
-    let mut r = Discoverer::new(PipelineConfig::elsh_adaptive()).discover(&d.graph);
-    let all = GraphBatch {
-        nodes: d.graph.nodes().map(|(id, _)| id).collect(),
-        edges: d.graph.edges().map(|(id, _)| id).collect(),
-    };
-    retract_batch(&mut r.schema, &d.graph, &all);
-    assert!(r.schema.node_types.is_empty());
-    assert!(r.schema.edge_types.is_empty());
-}
-
-#[test]
 fn incremental_prefix_diffs_are_monotone_on_real_data() {
     let d = DatasetId::Cord19.generate(0.05, 47);
     let discoverer = Discoverer::new(PipelineConfig::elsh_adaptive());
@@ -134,44 +90,6 @@ fn incremental_prefix_diffs_are_monotone_on_real_data() {
         }
         prev = Some(r.schema);
     }
-}
-
-#[test]
-fn alignment_merges_synonym_vocabularies_end_to_end() {
-    let d = integration_scenario(200, 48);
-    let r = Discoverer::new(PipelineConfig::elsh_adaptive()).discover(&d.graph);
-    assert_eq!(
-        r.schema.node_types.len(),
-        6,
-        "two vocabularies, pre-alignment"
-    );
-
-    let all = GraphBatch {
-        nodes: d.graph.nodes().map(|(id, _)| id).collect(),
-        edges: d.graph.edges().map(|(id, _)| id).collect(),
-    };
-    let embedder = Word2Vec::train(
-        &label_sentences(&d.graph, &all),
-        &Word2VecConfig {
-            window: 1,
-            epochs: 25,
-            learning_rate: 0.08,
-            ..Word2VecConfig::default()
-        },
-    );
-    let mut schema = r.schema;
-    let alignments = align_node_types(
-        &mut schema,
-        &embedder,
-        &AlignmentConfig {
-            cosine_threshold: 0.35,
-            jaccard_threshold: 0.5,
-        },
-    );
-    assert_eq!(alignments.len(), 3, "{alignments:?}");
-    assert_eq!(schema.node_types.len(), 3);
-    // Instance totals preserved by alignment (it only merges).
-    assert_eq!(schema.node_instances() as usize, d.graph.node_count());
 }
 
 #[test]

@@ -6,6 +6,9 @@ use pg_hive_core::{ClusterMethod, Discoverer, PipelineConfig};
 use pg_hive_graph::{GraphBuilder, PropertyGraph, Value};
 use proptest::prelude::*;
 
+#[path = "support/parse.rs"]
+mod parse;
+
 /// A randomized property graph: up to 5 "types" (label/keyset templates),
 /// up to 40 nodes and 40 edges, with optional unlabeled nodes and missing
 /// properties.
@@ -130,20 +133,8 @@ proptest! {
     fn strict_serialization_parses_back(g in arb_graph()) {
         let r = Discoverer::new(PipelineConfig::default()).discover(&g);
         let text = pg_hive_core::serialize::pg_schema_strict(&r.schema, "P");
-        let (parsed, _) = pg_hive_core::parse_pg_schema(&text).expect("round trip");
+        let (parsed, _) = parse::parse_pg_schema(&text).expect("round trip");
         prop_assert_eq!(parsed.node_types.len(), r.schema.node_types.len());
         prop_assert_eq!(parsed.edge_types.len(), r.schema.edge_types.len());
-    }
-
-    #[test]
-    fn retracting_everything_always_empties(g in arb_graph()) {
-        let mut r = Discoverer::new(PipelineConfig::default()).discover(&g);
-        let all = pg_hive_graph::GraphBatch {
-            nodes: g.nodes().map(|(id, _)| id).collect(),
-            edges: g.edges().map(|(id, _)| id).collect(),
-        };
-        pg_hive_core::retract_batch(&mut r.schema, &g, &all);
-        prop_assert!(r.schema.node_types.is_empty());
-        prop_assert!(r.schema.edge_types.is_empty());
     }
 }

@@ -1,7 +1,7 @@
-//! Parser for the PG-Schema declarations produced by [`crate::serialize`],
-//! closing the round trip: a schema exported in STRICT (or LOOSE) form can
-//! be re-ingested by external tools — or by this library — without access
-//! to the original graph.
+//! Test-support parser for the PG-Schema declarations produced by
+//! `pg_hive_core::serialize`: it closes the round trip, so the tests can
+//! check that a schema exported in STRICT (or LOOSE) form carries its
+//! structure without access to the original graph.
 //!
 //! The grammar matches the serializer's output exactly:
 //!
@@ -16,7 +16,7 @@
 //! encoded through the `occurrences`/`instance_count` convention
 //! (`instance_count = 2`, mandatory ⇒ 2, optional ⇒ 1).
 
-use crate::schema::{Cardinality, EdgeType, LabelSet, NodeType, PropertySpec, SchemaGraph};
+use pg_hive_core::schema::{Cardinality, EdgeType, LabelSet, NodeType, PropertySpec, SchemaGraph};
 use pg_hive_graph::ValueKind;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -288,9 +288,8 @@ fn parse_cardinality(notation: &str) -> Option<Cardinality> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::Discoverer;
-    use crate::serialize::{pg_schema_loose, pg_schema_strict};
-    use crate::PipelineConfig;
+    use pg_hive_core::serialize::{pg_schema_loose, pg_schema_strict};
+    use pg_hive_core::{label_set, Discoverer, PipelineConfig};
     use pg_hive_graph::{GraphBuilder, Value};
 
     fn sample_schema() -> SchemaGraph {
@@ -368,9 +367,7 @@ mod tests {
         let text = pg_schema_loose(&schema, "RT");
         let (parsed, mode) = parse_pg_schema(&text).expect("parse back");
         assert_eq!(mode, ParsedMode::Loose);
-        let person = parsed
-            .node_type_by_labels(&crate::label_set(&["Person"]))
-            .unwrap();
+        let person = parsed.node_type_by_labels(&label_set(&["Person"])).unwrap();
         let t = &parsed.node_types[person];
         assert!(t.props.contains_key("name"));
         assert!(t.props.values().all(|s| s.kind.is_none()));
@@ -387,7 +384,7 @@ mod tests {
         let text = pg_schema_strict(&schema, "ML");
         let (parsed, _) = parse_pg_schema(&text).unwrap();
         assert!(parsed
-            .node_type_by_labels(&crate::label_set(&["Person", "Student"]))
+            .node_type_by_labels(&label_set(&["Person", "Student"]))
             .is_some());
     }
 
