@@ -14,13 +14,13 @@
 //! plus a **raw per-chunk** run (`discover_chunk_state` per chunk, results
 //! dropped) that isolates what the canonical `SchemaState` machinery —
 //! cross-chunk absorb + finalize — costs on top of pure chunk compute,
-//! a **sharded** pair of runs (`discover_sharded` over the dataset
-//! split into a two-file directory tree, at 1 shard and at 2) gating the
-//! merge-tree engine: the 2-shard finalized schema must byte-equal the
-//! 1-shard run's strict text (`sharded_schema_match`), its labeled-type
-//! inventory must match the serial stream, and its throughput
-//! (`sharded_elements_per_sec`) must reach ≥ 1.0× the 1-shard run on
-//! multi-core hosts (0.9× on a 1-core host, where shard threads can only
+//! a **sharded** pair of runs (`discover_tree` over the dataset split
+//! into a two-file directory tree, at 1 thread and at `PGHIVE_THREADS`)
+//! gating the tree engine: the parallel run's finalized schema must
+//! byte-equal the 1-thread run's strict text (`sharded_schema_match`), its
+//! labeled-type inventory must match the serial stream, and its throughput
+//! (`sharded_elements_per_sec`) must reach ≥ 1.0× the 1-thread run on
+//! multi-core hosts (0.9× on a 1-core host, where file threads can only
 //! time-slice), and an **incremental steady-state** pair on a
 //! repeated-signature workload: a warm `absorb_stream_cached` pass with a
 //! primed [`SignatureCache`] must process elements ≥ 3× faster than the
@@ -296,11 +296,11 @@ fn main() {
         t.elapsed().as_secs_f64()
     };
     // Sharded: the same dataset split into a two-file directory tree and
-    // run through the merge-tree engine (`discover_sharded`, 2 shards —
-    // each shard folds its file with its own worker pool, shard states
-    // merge pairwise, cross-file edges resolve at the root). The second
-    // half's edges reference first-half nodes, so the pending-edge carry
-    // is on the measured path.
+    // run through the tree engine (`discover_tree`: at `threads` both
+    // files are read at once, each with its share of the chunk workers;
+    // the root merges them in path order and resolves cross-file edges).
+    // The second half's edges reference first-half nodes, so the
+    // pending-edge carry is on the measured path.
     let shard_dir =
         std::env::temp_dir().join(format!("pg-hive-bench-shards-{}", std::process::id()));
     std::fs::create_dir_all(&shard_dir).expect("create shard dir");
@@ -316,25 +316,27 @@ fn main() {
         half("a.pgt", &lines[..mid]);
         half("b.pgt", &lines[mid..]);
     }
-    let shards = 2usize;
+    // Files read at once and chunk workers per file at `threads` — the
+    // layout `discover_tree` picks for a two-file tree.
+    let shards = threads.min(2);
     let shard_threads = (threads / shards).max(1);
-    let run_sharded = |n: usize| {
+    let run_tree = |n: usize| {
         let t = Instant::now();
         let source = MultiSource::enumerate(&shard_dir).expect("enumerate shard dir");
         let result = discoverer
-            .discover_sharded(&source, n, chunk_size, shard_threads)
+            .discover_tree(&source, chunk_size, n)
             .expect("shard temp dataset");
         (result, t.elapsed().as_secs_f64())
     };
     let (stream_result, serial_a, max_resident, warnings) = run_serial();
     let (parallel_schema, parallel_a, parallel_max_resident) = run_parallel();
-    let (sharded_serial_result, sharded_serial_a) = run_sharded(1);
-    let (sharded_result, sharded_a) = run_sharded(shards);
+    let (sharded_serial_result, sharded_serial_a) = run_tree(1);
+    let (sharded_result, sharded_a) = run_tree(threads);
     let raw_a = run_raw();
     let (_, serial_b, _, _) = run_serial();
     let (_, parallel_b, _) = run_parallel();
-    let (_, sharded_serial_b) = run_sharded(1);
-    let (_, sharded_b) = run_sharded(shards);
+    let (_, sharded_serial_b) = run_tree(1);
+    let (_, sharded_b) = run_tree(threads);
     let raw_b = run_raw();
     let stream_secs = serial_a.min(serial_b);
     let stream_eps = elements as f64 / stream_secs;
@@ -443,10 +445,10 @@ fn main() {
         labeled_inventory(&baseline_result.schema) == labeled_inventory(&stream_result.schema);
     let parallel_match =
         labeled_inventory(&stream_result.schema) == labeled_inventory(&parallel_schema);
-    // The merge-tree must be *byte*-identical across shard counts — not
+    // The tree run must be *byte*-identical across thread counts — not
     // just the same inventory — and close enough in throughput to its own
-    // serial (one-shard) run that sharding is never a correctness/perf
-    // trade. The comparison is 2-shard vs 1-shard over the same tree: both
+    // serial (1-thread) run that parallelism is never a correctness/perf
+    // trade. The comparison is `threads` vs 1 thread over the same tree: both
     // sides use per-file fresh readers and root pending resolution, which
     // is the grouping the byte-identity guarantee quantifies over (a
     // single-file `discover_stream` groups chunks differently, so only its
@@ -455,12 +457,11 @@ fn main() {
         == pg_schema_strict(&sharded_serial_result.state.finalize(), "G");
     let sharded_inventory_match = labeled_inventory(&sharded_result.state.finalize())
         == labeled_inventory(&stream_result.schema);
-    // After the merge-tree cost pass (byte-length LPT partitioning +
-    // signature-batched root resolution) sharding must *earn its keep*:
-    // ≥ 1.0x the 1-shard merge-tree run wherever there are cores for the
-    // shard threads to run on. On a 1-core host two CPU-bound shard
-    // threads can only time-slice one core, so the gate degrades to
-    // "sharding costs at most 10% coordination overhead" — the same
+    // Reading files in parallel must *earn its keep*: ≥ 1.0x the 1-thread
+    // tree run wherever there are cores for the file threads to run on.
+    // On a 1-core host two CPU-bound file threads can only time-slice one
+    // core, so the gate degrades to "parallel files cost at most 10%
+    // coordination overhead" — the same
     // cores-aware shape as the parallel gate below, and a large step up
     // from the 0.8x tolerance this gate started at.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -517,9 +518,9 @@ fn main() {
         parallel_max_resident
     );
     println!(
-        "   sharded:  {sharded_secs:.3}s ({sharded_eps:.0} elem/s) at {shards} shards x \
-         {shard_threads} thread(s) vs {sharded_serial_secs:.3}s ({sharded_serial_eps:.0} \
-         elem/s) at 1 shard, {} pending edge(s) left at root",
+        "   sharded:  {sharded_secs:.3}s ({sharded_eps:.0} elem/s) at {shards} file(s) at \
+         once x {shard_threads} thread(s) vs {sharded_serial_secs:.3}s \
+         ({sharded_serial_eps:.0} elem/s) at 1 thread, {} pending edge(s) left at root",
         sharded_result.pending.len()
     );
     println!(
@@ -530,9 +531,9 @@ fn main() {
     );
     println!(
         "   labeled-type inventory match: baseline=={schema_match} parallel=={parallel_match} \
-         sharded=={sharded_inventory_match}; sharded strict bytes == 1-shard: {sharded_match}; \
+         sharded=={sharded_inventory_match}; sharded strict bytes == 1-thread: {sharded_match}; \
          peak resident <= 2x chunk: {resident_ok}; parallel not slower: {parallel_not_slower}; \
-         sharded >= {sharded_required_ratio}x 1-shard: {sharded_not_slower} \
+         sharded >= {sharded_required_ratio}x 1-thread: {sharded_not_slower} \
          ({sharded_ratio:.3}); canonical >= 0.9x raw: {canonical_overhead_ok}; \
          warm >= {INCREMENTAL_REQUIRED_SPEEDUP}x cold: {incremental_ok}"
     );
@@ -684,7 +685,7 @@ fn main() {
         || !incremental_schema_match
     {
         if !sharded_match {
-            eprintln!("FAIL: 2-shard merge-tree schema diverged from the 1-shard run");
+            eprintln!("FAIL: parallel tree schema diverged from the 1-thread run");
         }
         if !sharded_inventory_match {
             eprintln!("FAIL: sharded labeled-type inventory diverged from the serial stream");
@@ -692,7 +693,7 @@ fn main() {
         if !sharded_not_slower {
             eprintln!(
                 "FAIL: sharded at {sharded_eps:.0} elem/s, below \
-                 {sharded_required_ratio}x the 1-shard merge-tree run \
+                 {sharded_required_ratio}x the 1-thread tree run \
                  ({sharded_serial_eps:.0} elem/s)"
             );
         }

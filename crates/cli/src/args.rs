@@ -1,6 +1,7 @@
 //! Hand-rolled argument parsing — keeps the CLI dependency-free.
 
 use pg_hive_core::ClusterMethod;
+use pg_hive_graph::SourceKind;
 
 /// The `pg-hive help` text — the single source of truth for the flag
 /// surface (CI checks that every subcommand and flag named here also
@@ -58,14 +59,12 @@ STREAMING (discover, diff, validate, stats):
                            and reported as warnings
   --chunk-size <N>         elements per chunk (default: 100000; N >= 1).
                            stats folds records one at a time and ignores it
-  --threads <N>            worker threads discovering chunks concurrently
-                           (default: all available cores; N >= 1; results
-                           are byte-identical for every thread count).
-                           stats folds a single record stream, so --threads
-                           has no effect there
-  --read-ahead <N>         chunks parsed ahead of the workers by the
-                           producer thread (default: 2; N >= 1).
-                           stats folds on one thread and ignores it
+  --threads <N>            worker threads discovering chunks concurrently;
+                           over a directory tree they also read up to N
+                           files at once (default: all available cores;
+                           N >= 1; results are byte-identical for every
+                           thread count). stats folds a single record
+                           stream, so --threads has no effect there
 
 DISCOVER / DIFF / WATCH OPTIONS:
   --method elsh|minhash    LSH family (default: elsh)
@@ -77,11 +76,6 @@ DISCOVER OPTIONS:
                            incompatible with --stream)
   --format strict|loose|xsd|summary   output (default: summary)
   --sample                 sample-based datatype inference
-  --shards <N>             with --stream over a directory tree: partition
-                           the enumerated inputs round-robin across N
-                           shards, each folding its files on its own
-                           worker pool; the merged schema is byte-identical
-                           to the serial run for every N (default: 1)
   --save-state <FILE>      after a --stream run, persist the resumable
                            engine state (schema pools + id->labels
                            registry + carried cross-input edges + config
@@ -170,38 +164,12 @@ pub enum OutputFormat {
     Summary,
 }
 
-/// Wire format of the graph input.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum InputFormat {
-    /// Line-oriented `.pgt` text (the default).
-    #[default]
-    Pgt,
-    /// A directory holding `nodes.csv` + optional `edges.csv`.
-    Csv,
-    /// JSON-Lines: one node/edge object per line.
-    Jsonl,
-}
-
-impl InputFormat {
-    fn parse(s: Option<&str>) -> Result<Self, String> {
-        match s {
-            Some("pgt") => Ok(InputFormat::Pgt),
-            Some("csv") => Ok(InputFormat::Csv),
-            Some("jsonl") => Ok(InputFormat::Jsonl),
-            other => Err(format!(
-                "--input-format expects pgt|csv|jsonl, got {other:?}"
-            )),
-        }
-    }
-
-    /// Stable wire-format name, as recorded in snapshot files.
-    pub fn name(self) -> &'static str {
-        match self {
-            InputFormat::Pgt => "pgt",
-            InputFormat::Csv => "csv",
-            InputFormat::Jsonl => "jsonl",
-        }
-    }
+/// Parse `--input-format` into the wire format of the graph input.
+fn parse_input_format(arg: Option<&str>) -> Result<SourceKind, String> {
+    [SourceKind::Pgt, SourceKind::Csv, SourceKind::Jsonl]
+        .into_iter()
+        .find(|k| arg == Some(k.name()))
+        .ok_or_else(|| format!("--input-format expects pgt|csv|jsonl, got {arg:?}"))
 }
 
 /// One parsed `--on-drift` sink specification.
@@ -240,34 +208,28 @@ fn parse_report(arg: Option<String>) -> Result<String, String> {
 /// Default `--chunk-size`.
 pub const DEFAULT_CHUNK_SIZE: usize = 100_000;
 
-/// Default `--read-ahead` depth (parsed chunks buffered ahead of the
-/// workers).
-pub const DEFAULT_READ_AHEAD: usize = 2;
-
 /// Ingestion options shared by `discover`, `diff`, `watch` and `stats`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamOpts {
     /// Wire format of the input (`--input-format`).
-    pub input_format: InputFormat,
+    pub input_format: SourceKind,
     /// Whether `--stream` chunked ingestion was requested.
     pub stream: bool,
     /// Elements per chunk (`--chunk-size`, ≥ 1).
     pub chunk_size: usize,
-    /// Worker threads for per-chunk discovery; `None` = all available
-    /// cores. Always ≥ 1 when set (0 is rejected at parse time).
+    /// Worker threads for per-chunk discovery and, over a directory tree,
+    /// for reading files; `None` = all available cores. Always ≥ 1 when
+    /// set (0 is rejected at parse time).
     pub threads: Option<usize>,
-    /// Chunks the producer thread parses ahead (`--read-ahead`, ≥ 1).
-    pub read_ahead: usize,
 }
 
 impl Default for StreamOpts {
     fn default() -> Self {
         Self {
-            input_format: InputFormat::Pgt,
+            input_format: SourceKind::Pgt,
             stream: false,
             chunk_size: DEFAULT_CHUNK_SIZE,
             threads: None,
-            read_ahead: DEFAULT_READ_AHEAD,
         }
     }
 }
@@ -283,7 +245,7 @@ impl StreamOpts {
     ) -> Result<bool, String> {
         match flag {
             "--input-format" => {
-                self.input_format = InputFormat::parse(it.next().as_deref())?;
+                self.input_format = parse_input_format(it.next().as_deref())?;
             }
             "--stream" => self.stream = true,
             "--chunk-size" => {
@@ -291,9 +253,6 @@ impl StreamOpts {
             }
             "--threads" => {
                 self.threads = Some(parse_positive("--threads", it.next())?);
-            }
-            "--read-ahead" => {
-                self.read_ahead = parse_positive("--read-ahead", it.next())?;
             }
             _ => return Ok(false),
         }
@@ -315,7 +274,6 @@ pub enum Command {
         sample: bool,
         seed: u64,
         stream: StreamOpts,
-        shards: usize,
         save_state: Option<String>,
         load_state: Option<String>,
     },
@@ -553,7 +511,6 @@ impl Args {
                 let mut sample = false;
                 let mut seed = 42u64;
                 let mut stream = StreamOpts::default();
-                let mut shards = None;
                 let mut save_state = None;
                 let mut load_state = None;
                 while let Some(flag) = it.next() {
@@ -563,7 +520,6 @@ impl Args {
                     match flag.as_str() {
                         "--method" => method = parse_method(it.next())?,
                         "--theta" => theta = parse_theta(it.next())?,
-                        "--shards" => shards = Some(parse_positive("--shards", it.next())?),
                         "--save-state" => {
                             save_state = Some(it.next().ok_or("--save-state needs a file path")?);
                         }
@@ -598,11 +554,6 @@ impl Args {
                             .into(),
                     );
                 }
-                if shards.is_some() && !stream.stream {
-                    return Err("--shards requires --stream (shards partition the streamed \
-                         multi-source enumeration)"
-                        .into());
-                }
                 Ok(Args {
                     command: Command::Discover {
                         path,
@@ -613,7 +564,6 @@ impl Args {
                         sample,
                         seed,
                         stream,
-                        shards: shards.unwrap_or(1),
                         save_state,
                         load_state,
                     },
@@ -800,14 +750,12 @@ mod tests {
             sample,
             seed,
             stream,
-            shards,
             save_state,
             load_state,
         } = a.command
         else {
             panic!()
         };
-        assert_eq!(shards, 1);
         assert_eq!(save_state, None);
         assert_eq!(load_state, None);
         assert_eq!(path, "g.pgt");
@@ -818,11 +766,10 @@ mod tests {
         assert!(!sample);
         assert_eq!(seed, 42);
         assert_eq!(stream, StreamOpts::default());
-        assert_eq!(stream.input_format, InputFormat::Pgt);
+        assert_eq!(stream.input_format, SourceKind::Pgt);
         assert!(!stream.stream);
         assert_eq!(stream.chunk_size, DEFAULT_CHUNK_SIZE);
         assert_eq!(stream.threads, None);
-        assert_eq!(stream.read_ahead, DEFAULT_READ_AHEAD);
     }
 
     #[test]
@@ -875,8 +822,6 @@ mod tests {
             "csv",
             "--threads",
             "3",
-            "--read-ahead",
-            "5",
         ])
         .unwrap();
         let Command::Discover { stream, .. } = a.command else {
@@ -884,9 +829,8 @@ mod tests {
         };
         assert!(stream.stream);
         assert_eq!(stream.chunk_size, 5000);
-        assert_eq!(stream.input_format, InputFormat::Csv);
+        assert_eq!(stream.input_format, SourceKind::Csv);
         assert_eq!(stream.threads, Some(3));
-        assert_eq!(stream.read_ahead, 5);
     }
 
     #[test]
@@ -905,21 +849,23 @@ mod tests {
 
     #[test]
     fn zero_threads_and_read_ahead_rejected_everywhere() {
-        // Regression: 0 would mean "no workers" / "no buffer" and must be a
-        // parse error with the flag name, not degenerate behavior.
+        // Regression: 0 would mean "no workers" and must be a parse error
+        // with the flag name, not degenerate behavior. --threads is the
+        // only parallelism option: --read-ahead and --shards are unknown.
         for cmd in [&["discover", "g"][..], &["stats", "g"], &["diff", "a", "b"]] {
             let mut with_threads = cmd.to_vec();
             with_threads.extend(["--threads", "0"]);
             let err = parse(&with_threads).unwrap_err();
             assert!(err.contains("--threads must be >= 1"), "{err}");
-            let mut with_ra = cmd.to_vec();
-            with_ra.extend(["--read-ahead", "0"]);
-            let err = parse(&with_ra).unwrap_err();
-            assert!(err.contains("--read-ahead must be >= 1"), "{err}");
+            for gone in ["--read-ahead", "--shards"] {
+                let mut with_gone = cmd.to_vec();
+                with_gone.extend([gone, "2"]);
+                let err = parse(&with_gone).unwrap_err();
+                assert!(err.contains(&format!("unknown flag '{gone}'")), "{err}");
+            }
         }
         assert!(parse(&["discover", "g", "--threads", "4"]).is_ok());
         assert!(parse(&["discover", "g", "--threads", "-2"]).is_err());
-        assert!(parse(&["discover", "g", "--read-ahead", "nope"]).is_err());
     }
 
     #[test]
@@ -1036,8 +982,6 @@ mod tests {
             "--once",
             "--threads",
             "2",
-            "--read-ahead",
-            "4",
             "--chunk-size",
             "100",
             "--theta",
@@ -1057,7 +1001,7 @@ mod tests {
         assert_eq!(interval_secs, 5);
         assert!(once);
         assert_eq!(theta, 0.8);
-        assert_eq!(stream.input_format, InputFormat::Csv);
+        assert_eq!(stream.input_format, SourceKind::Csv);
         assert_eq!(stream.threads, Some(2));
         assert_eq!(stream.chunk_size, 100);
     }
@@ -1137,28 +1081,13 @@ mod tests {
     #[test]
     fn input_format_names_round_trip() {
         for (fmt, name) in [
-            (InputFormat::Pgt, "pgt"),
-            (InputFormat::Csv, "csv"),
-            (InputFormat::Jsonl, "jsonl"),
+            (SourceKind::Pgt, "pgt"),
+            (SourceKind::Csv, "csv"),
+            (SourceKind::Jsonl, "jsonl"),
         ] {
             assert_eq!(fmt.name(), name);
-            assert_eq!(InputFormat::parse(Some(name)).unwrap(), fmt);
+            assert_eq!(parse_input_format(Some(name)).unwrap(), fmt);
         }
-    }
-
-    #[test]
-    fn shards_parse_and_require_stream() {
-        let a = parse(&["discover", "tree", "--stream", "--shards", "4"]).unwrap();
-        let Command::Discover { shards, .. } = a.command else {
-            panic!()
-        };
-        assert_eq!(shards, 4);
-
-        let err = parse(&["discover", "tree", "--shards", "4"]).unwrap_err();
-        assert!(err.contains("--shards requires --stream"), "{err}");
-        let err = parse(&["discover", "tree", "--stream", "--shards", "0"]).unwrap_err();
-        assert!(err.contains("--shards must be >= 1"), "{err}");
-        assert!(parse(&["discover", "tree", "--stream", "--shards", "nope"]).is_err());
     }
 
     #[test]

@@ -5,14 +5,13 @@
 //!                  [--batches N] [--format strict|loose|xsd|summary]
 //!                  [--sample] [--seed S]
 //!                  [--input-format pgt|csv|jsonl] [--stream]
-//!                  [--chunk-size N] [--threads N] [--read-ahead N]
-//!                  [--shards N]
+//!                  [--chunk-size N] [--threads N]
 //! pg-hive diff     <old> <new> [--method M] [--theta T] [--seed S]
 //!                  [--input-format F] [--stream] [--chunk-size N]
-//!                  [--threads N] [--read-ahead N]
+//!                  [--threads N]
 //! pg-hive watch    <input> [--interval SECS] [--once] [--method M]
 //!                  [--theta T] [--seed S] [--input-format F]
-//!                  [--chunk-size N] [--threads N] [--read-ahead N]
+//!                  [--chunk-size N] [--threads N]
 //!                  [--keep K] [--partition passes:N]
 //! pg-hive merge-state <out> <in>... [--format strict|loose|xsd|summary]
 //! pg-hive validate <schema> <input> [--method M] [--theta T] [--seed S]
@@ -29,7 +28,7 @@
 //!
 //! With `--stream`, `discover` runs the pipeline-parallel streaming engine:
 //! the input is one unit of the ingest fold (`Discoverer::absorb_unit`),
-//! parsed `--read-ahead` chunks ahead by a dedicated producer thread
+//! parsed a few chunks ahead by a dedicated producer thread
 //! ([`pg_hive_graph::stream::ReadAheadChunks`]) while a pool of
 //! `--threads` workers discovers chunks concurrently — so resident memory
 //! stays O(chunk × in-flight), the output is byte-identical for every
@@ -54,18 +53,19 @@
 //! With `--stream`, `discover` and `watch` also accept a **directory tree**
 //! of mixed-format inputs (`*.pgt`, `*.jsonl`, sub-directories holding
 //! `nodes.csv`), enumerated in stable sorted order
-//! ([`pg_hive_graph::stream::multi::MultiSource`]). `discover --shards N`
-//! partitions the enumerated inputs round-robin across N shard threads and
-//! folds their states up a merge tree — byte-identical to the serial run
-//! for every shard count (`Discoverer::discover_sharded`). `merge-state`
-//! folds independently saved engine states (split `--save-state` runs,
-//! rotated watch partitions) into one snapshot, resolving carried
-//! cross-input edges against the merged registry. See `docs/CLI.md` for
-//! the full flag reference and `docs/PERSISTENCE.md` for the snapshot
-//! format, lifecycle, and operations runbook.
+//! ([`pg_hive_graph::stream::multi::MultiSource`]). `discover` reads up to
+//! `--threads` files at once and merges them in path order
+//! (`Discoverer::discover_tree`), so the output is the serial run's for
+//! every thread count; `validate` folds one validator per file the same
+//! way. `merge-state` folds independently saved engine states (split
+//! `--save-state` runs, rotated watch partitions) into one snapshot,
+//! resolving carried cross-input edges against the merged registry. See
+//! `docs/CLI.md` for the full flag reference and `docs/PERSISTENCE.md` for
+//! the snapshot format, lifecycle, and operations runbook.
 
 #![warn(missing_docs)]
 
+use pg_hive_core::pipeline::READ_AHEAD;
 use pg_hive_core::schema::SchemaGraph;
 use pg_hive_core::serialize::{pg_schema_loose, pg_schema_strict, to_xsd};
 use pg_hive_core::snapshot::{context_snapshot_cached, ResumeContext, SnapshotConfig};
@@ -74,8 +74,10 @@ use pg_hive_core::{
     SignatureCache, UnitSource, Validator, DEFAULT_MAX_EXAMPLES,
 };
 use pg_hive_graph::loader::load_text;
-use pg_hive_graph::stream::{csv::CsvSource, jsonl::JsonlSource, pgt::PgtSource};
-use pg_hive_graph::{GraphStats, MultiSource, PropertyGraph, RawGraphSource, StreamWarnings};
+use pg_hive_graph::{
+    GraphStats, MultiSource, PropertyGraph, RawGraphSource, SourceEntry, SourceKind, StreamError,
+    StreamWarnings,
+};
 use std::io::{BufReader, Write};
 use std::path::Path;
 use std::process::ExitCode;
@@ -84,7 +86,7 @@ mod args;
 mod serve;
 mod sink;
 mod watch;
-use args::{Args, Command, InputFormat, OutputFormat, StreamOpts};
+use args::{Args, Command, OutputFormat, StreamOpts};
 
 fn main() -> ExitCode {
     let args = match Args::parse(std::env::args().skip(1)) {
@@ -107,34 +109,22 @@ fn main() -> ExitCode {
 
 /// Open a streaming record source for `path` in the given wire format. The
 /// source is `Send` so it can be driven by a read-ahead producer thread.
-fn open_source(path: &str, format: InputFormat) -> Result<Box<dyn RawGraphSource + Send>, String> {
-    match format {
-        InputFormat::Pgt => {
-            let f = std::fs::File::open(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            // A large buffer keeps the line-at-a-time hot loop out of
-            // syscalls; 1 MiB is noise next to the resident chunk graphs.
-            Ok(Box::new(PgtSource::new(BufReader::with_capacity(
-                1 << 20,
-                f,
-            ))))
-        }
-        InputFormat::Csv => CsvSource::open_dir(Path::new(path))
-            .map(|s| Box::new(s) as Box<dyn RawGraphSource + Send>)
-            .map_err(|e| format!("cannot open csv dataset {path}: {e}")),
-        InputFormat::Jsonl => {
-            let f = std::fs::File::open(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            Ok(Box::new(JsonlSource::new(BufReader::with_capacity(
-                1 << 20,
-                f,
-            ))))
-        }
-    }
+fn open_source(path: &str, kind: SourceKind) -> Result<Box<dyn RawGraphSource + Send>, String> {
+    let entry = SourceEntry {
+        path: path.into(),
+        kind,
+    };
+    entry.open().map_err(|e| match e {
+        // A pgt or jsonl file fails only on open.
+        StreamError::Io(e) if kind != SourceKind::Csv => format!("cannot read {path}: {e}"),
+        e => format!("cannot open csv dataset {path}: {e}"),
+    })
 }
 
 /// Load a whole graph into memory (the non-streaming path).
-fn load_graph(path: &str, format: InputFormat) -> Result<PropertyGraph, String> {
+fn load_graph(path: &str, format: SourceKind) -> Result<PropertyGraph, String> {
     match format {
-        InputFormat::Pgt => {
+        SourceKind::Pgt => {
             // Keep the strict loader here: it reports duplicate-id and
             // unknown-node errors with line numbers.
             let text =
@@ -246,7 +236,6 @@ fn run(args: Args) -> Result<ExitCode, String> {
             sample,
             seed,
             stream,
-            shards,
             save_state,
             load_state,
         } => {
@@ -265,15 +254,13 @@ fn run(args: Args) -> Result<ExitCode, String> {
                     &stream,
                     &discoverer,
                     format,
-                    shards,
                     save_state.as_deref(),
                     load_state.as_deref(),
                 );
             }
             if is_multi_input(&path, stream.input_format) {
                 return Err(format!(
-                    "{path} is a directory of inputs — multi-source discovery requires \
-                     --stream (add --shards N to parallelize across inputs)"
+                    "{path} is a directory of inputs — multi-source discovery requires --stream"
                 ));
             }
 
@@ -310,7 +297,7 @@ fn run(args: Args) -> Result<ExitCode, String> {
             let discoverer = Discoverer::new(config);
             let schema_of = |p: &str| -> Result<SchemaGraph, String> {
                 if stream.stream {
-                    let acc = stream_fold(p, &stream, &discoverer, 1, None, false, false)?.acc;
+                    let acc = stream_fold(p, &stream, &discoverer, None, false, false)?.acc;
                     // Streamed ingestion tolerates conditions the strict
                     // loader rejects (dangling refs become stubs) — the
                     // diff is only trustworthy if the user sees them.
@@ -431,8 +418,8 @@ fn run(args: Args) -> Result<ExitCode, String> {
         Command::Stats { path, stream } => {
             let s = if stream.stream {
                 // Fold records on this thread with no resident graph at
-                // all, so --chunk-size and --read-ahead are accepted for
-                // flag symmetry but unused, and --threads has no effect.
+                // all, so --chunk-size is accepted for flag symmetry but
+                // unused, and --threads has no effect.
                 if stream.threads.is_some_and(|t| t > 1) {
                     eprintln!("note: stats folds a single record stream; --threads has no effect");
                 }
@@ -510,17 +497,16 @@ struct Streamed {
 
 /// The one `--stream` path behind `discover` and `diff`: fold `path` on
 /// top of `resumed` (a `--load-state` context). A directory tree folds
-/// through the sharded merge tree
-/// (`Discoverer::discover_sharded`); any other input is one unit parsed by
-/// the read-ahead producer while `--threads` workers discover its chunks.
-/// Carried edges are then resolved against the accumulated registry; a
-/// single input's leftovers count as unresolved unless `keep_pending`
-/// (`--save-state` persists them instead), a tree's always do.
+/// file by file on the `--threads` pool (`Discoverer::discover_tree`); any
+/// other input is one unit parsed by the read-ahead producer while
+/// `--threads` workers discover its chunks. Carried edges are then resolved
+/// against the accumulated registry; a single input's leftovers count as
+/// unresolved unless `keep_pending` (`--save-state` persists them
+/// instead), a tree's always do.
 fn stream_fold(
     path: &str,
     opts: &StreamOpts,
     discoverer: &Discoverer,
-    shards: usize,
     resumed: Option<ResumeContext>,
     keep_pending: bool,
     progress: bool,
@@ -530,21 +516,16 @@ fn stream_fold(
         Some(ctx) => (Some(ctx.ingest), ctx.cache),
         None => (None, SignatureCache::default()),
     };
-    if shards > 1 || is_multi_input(path, opts.input_format) {
-        let source = MultiSource::enumerate(Path::new(path))
-            .map_err(|e| format!("cannot enumerate {path}: {e}"))?;
-        if source.is_empty() {
-            return Err(no_inputs_error(path));
-        }
+    if is_multi_input(path, opts.input_format) {
+        let source = enumerate_tree(path)?;
         if progress {
             eprintln!(
-                "discovering {} input(s) under {path}: {} shard(s) x {threads} worker thread(s)",
-                source.len(),
-                shards.max(1)
+                "discovering {} input(s) under {path} on {threads} worker thread(s)",
+                source.len()
             );
         }
         let mut acc = discoverer
-            .discover_sharded(&source, shards, opts.chunk_size, threads)
+            .discover_tree(&source, opts.chunk_size, threads)
             .map_err(|e| format!("parse {path}: {e}"))?;
         if let Some(loaded) = resumed {
             // Re-resolve: edges unresolvable on either side alone may
@@ -554,8 +535,8 @@ fn stream_fold(
             acc.resolve(discoverer);
             acc.warnings.unresolved_edges += acc.pending.len() as u64;
         }
-        // The merge tree absorbs per-file states; a loaded cache has no
-        // absorb site there.
+        // Tree files absorb without the signature cache; a loaded cache
+        // has no absorb site there.
         let cache = SignatureCache::default();
         return Ok(Streamed {
             acc,
@@ -565,16 +546,15 @@ fn stream_fold(
     }
 
     let mut acc = resumed.unwrap_or_else(|| Ingest::new(discoverer.new_state()));
-    let source = UnitSource::ReadAhead(open_source(path, opts.input_format)?, opts.read_ahead);
+    let source = UnitSource::ReadAhead(open_source(path, opts.input_format)?);
     if progress {
         // Upper bound on simultaneously resident chunks: the producer's
         // buffer, one chunk per worker (being processed), one per
         // dispatch-channel slot, plus the one being parsed.
-        let in_flight_cap = opts.read_ahead + 2 * threads + 1;
+        let in_flight_cap = READ_AHEAD + 2 * threads + 1;
         eprintln!(
-            "streaming {path}: {threads} worker thread(s), read-ahead {} \
-             (<= {in_flight_cap} chunks in flight)",
-            opts.read_ahead
+            "streaming {path}: {threads} worker thread(s), read-ahead {READ_AHEAD} \
+             (<= {in_flight_cap} chunks in flight)"
         );
     }
     let mut chunk_no = 0usize;
@@ -626,9 +606,19 @@ fn stream_fold(
 /// rather than one input: any directory, except a CSV dataset directory
 /// explicitly requested with `--input-format csv` (that directory IS the
 /// single input).
-fn is_multi_input(path: &str, format: InputFormat) -> bool {
+fn is_multi_input(path: &str, format: SourceKind) -> bool {
     let p = Path::new(path);
-    p.is_dir() && !(format == InputFormat::Csv && p.join("nodes.csv").is_file())
+    p.is_dir() && !(format == SourceKind::Csv && p.join("nodes.csv").is_file())
+}
+
+/// Enumerate the tree under `path`, refusing one with no recognized input.
+fn enumerate_tree(path: &str) -> Result<MultiSource, String> {
+    let source = MultiSource::enumerate(Path::new(path))
+        .map_err(|e| format!("cannot enumerate {path}: {e}"))?;
+    if source.is_empty() {
+        return Err(no_inputs_error(path));
+    }
+    Ok(source)
 }
 
 /// Does the file start with the snapshot magic line? Cheap sniff that
@@ -669,7 +659,7 @@ fn load_validation_schema(
         return Ok(ctx.ingest.state.finalize());
     }
     if is_multi_input(path, opts.input_format) {
-        let acc = stream_fold(path, opts, discoverer, 1, None, false, false)?.acc;
+        let acc = stream_fold(path, opts, discoverer, None, false, false)?.acc;
         report_warnings(&acc.warnings);
         return Ok(acc.state.finalize());
     }
@@ -680,8 +670,8 @@ fn load_validation_schema(
     Ok(discoverer.discover(&g).schema)
 }
 
-/// A fresh shard validator: unbounded examples when a jsonl report needs
-/// every violation, and the early-exit cap when one was requested.
+/// A fresh validator: unbounded examples when a jsonl report needs every
+/// violation, and the early-exit cap when one was requested.
 fn fresh_validator<'a>(
     compiled: &'a CompiledSchema,
     keep_all: bool,
@@ -698,8 +688,10 @@ fn fresh_validator<'a>(
 }
 
 /// Drive the streaming validator over `input_path` — a single file, a CSV
-/// dataset directory, or a directory tree of mixed inputs (validated
-/// shard-parallel across `--threads`, then merged like sharded discovery).
+/// dataset directory, or a directory tree of mixed inputs. A tree gets one
+/// validator per file on the `--threads` pool, merged in path order; with
+/// `--max-violations N` each file stops at N on its own, and the run stops
+/// at the first path-order prefix of files whose violations reach N.
 /// Exit-code symmetry with `diff`: 0 clean, 1 violations.
 fn run_validation(
     compiled: &CompiledSchema,
@@ -709,70 +701,47 @@ fn run_validation(
     report_path: Option<&str>,
 ) -> Result<ExitCode, String> {
     let keep_all = report_path.is_some();
-    let report = if is_multi_input(input_path, opts.input_format) {
-        let source = MultiSource::enumerate(Path::new(input_path))
-            .map_err(|e| format!("cannot enumerate {input_path}: {e}"))?;
-        if source.is_empty() {
-            return Err(no_inputs_error(input_path));
-        }
-        let shards = resolve_threads(opts).min(source.len()).max(1);
+    let mut v = fresh_validator(compiled, keep_all, max_violations);
+    let capped = |v: &Validator<'_>| max_violations.is_some_and(|m| v.violation_count() >= m);
+    if is_multi_input(input_path, opts.input_format) {
+        let source = enumerate_tree(input_path)?;
+        let threads = resolve_threads(opts);
         eprintln!(
-            "validating {} input(s) under {input_path} across {} shard(s)",
-            source.len(),
-            shards
+            "validating {} input(s) under {input_path} on {threads} worker thread(s)",
+            source.len()
         );
-        let parts = source.partition(shards);
-        let shard_results: Vec<Result<Validator<'_>, String>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = parts
-                .iter()
-                .map(|part| {
-                    scope.spawn(move || -> Result<Validator<'_>, String> {
-                        let mut v = fresh_validator(compiled, keep_all, max_violations);
-                        for entry in part {
-                            let mut src = entry.open().map_err(|e| {
-                                format!("cannot open {}: {e}", entry.path.display())
-                            })?;
-                            let completed = v
-                                .validate_source(&mut *src, opts.chunk_size, |_, _| {})
-                                .map_err(|e| format!("parse {}: {e}", entry.path.display()))?;
-                            if !completed {
-                                break; // per-shard early exit on the cap
-                            }
-                        }
-                        Ok(v)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("validator shard thread panicked"))
-                .collect()
-        });
-        let mut merged: Option<Validator<'_>> = None;
-        for r in shard_results {
-            let v = r?;
-            match &mut merged {
-                None => merged = Some(v),
-                Some(m) => m.merge(v),
-            }
-        }
-        merged.expect("at least one shard").finish()
+        source.fold_ordered(
+            threads,
+            |entry| -> Result<Validator<'_>, String> {
+                let mut file = fresh_validator(compiled, keep_all, max_violations);
+                let mut src = entry
+                    .open()
+                    .map_err(|e| format!("cannot open {}: {e}", entry.path.display()))?;
+                file.validate_source(&mut *src, opts.chunk_size, |_, _| {})
+                    .map_err(|e| format!("parse {}: {e}", entry.path.display()))?;
+                Ok(file)
+            },
+            |file| {
+                v.merge(file);
+                !capped(&v)
+            },
+        )?;
     } else {
         let progress = opts.stream;
-        let mut v = fresh_validator(compiled, keep_all, max_violations);
         let mut src = open_source(input_path, opts.input_format)?;
-        let completed = v
-            .validate_source(&mut *src, opts.chunk_size, |chunk, elems| {
-                if progress {
-                    eprintln!("chunk {chunk}: {elems} element(s) validated");
-                }
-            })
-            .map_err(|e| format!("parse {input_path}: {e}"))?;
-        if !completed {
-            eprintln!("stopped early: --max-violations reached");
-        }
-        v.finish()
-    };
+        v.validate_source(&mut *src, opts.chunk_size, |chunk, elems| {
+            if progress {
+                eprintln!("chunk {chunk}: {elems} element(s) validated");
+            }
+        })
+        .map_err(|e| format!("parse {input_path}: {e}"))?;
+    }
+    let stopped_early = capped(&v);
+    let mut report = v.finish();
+    report.stopped_early |= stopped_early;
+    if report.stopped_early {
+        eprintln!("stopped early: --max-violations reached");
+    }
 
     if let Some(path) = report_path {
         let path = Path::new(path);
@@ -863,7 +832,6 @@ fn discover_stream(
     opts: &StreamOpts,
     discoverer: &Discoverer,
     format: OutputFormat,
-    shards: usize,
     save_state: Option<&str>,
     load_state: Option<&str>,
 ) -> Result<ExitCode, String> {
@@ -871,15 +839,8 @@ fn discover_stream(
     let resumed = load_state
         .map(|p| load_discover_state(p, &config))
         .transpose()?;
-    let Streamed { acc, cache, report } = stream_fold(
-        path,
-        opts,
-        discoverer,
-        shards,
-        resumed,
-        save_state.is_some(),
-        true,
-    )?;
+    let Streamed { acc, cache, report } =
+        stream_fold(path, opts, discoverer, resumed, save_state.is_some(), true)?;
     report_warnings(&acc.warnings);
     let schema = acc.state.finalize();
     if let Some(p) = save_state {
@@ -913,10 +874,8 @@ fn discover_stream(
             resolve_threads(opts)
         ),
         None => format!(
-            "{} elements from {} input(s) across {} shard(s) -> {types}",
-            acc.elements,
-            acc.inputs,
-            shards.max(1)
+            "{} elements from {} input(s) -> {types}",
+            acc.elements, acc.inputs
         ),
     };
     print_schema(&schema, format, &summary);

@@ -12,10 +12,11 @@
 //! was detected (0 otherwise), which is the CI-friendly mode.
 //!
 //! The input may also be a **directory tree** of mixed-format files
-//! ([`MultiSource`] enumeration: `*.pgt`, `*.jsonl`, sub-directories
-//! holding `nodes.csv`). Every enumerated input is tracked with its own
-//! per-file offsets and absorbed in stable sorted order; the file set is
-//! fixed at watch start (restart the watcher to pick up new files).
+//! ([`pg_hive_graph::MultiSource`] enumeration: `*.pgt`, `*.jsonl`,
+//! sub-directories holding `nodes.csv`). Every enumerated input is tracked
+//! with its own per-file offsets and absorbed in stable sorted order; the
+//! file set is fixed at watch start (restart the watcher to pick up new
+//! files).
 //!
 //! Edges appended in a later pass usually reference nodes ingested in an
 //! earlier one; each pass is one accumulator of the ingest fold
@@ -72,8 +73,9 @@
 //! [`crate::sink::DriftEvent`] (pass number, timestamp, diff summary,
 //! monotonicity verdict) to every sink.
 
-use crate::args::{InputFormat, StreamOpts};
+use crate::args::StreamOpts;
 use crate::sink::{emit_all, unix_timestamp, DriftEvent, DriftSink};
+use crate::{enumerate_tree, is_multi_input};
 use pg_hive_core::schema::SchemaGraph;
 use pg_hive_core::serialize::pg_schema_strict;
 use pg_hive_core::snapshot::{
@@ -82,7 +84,7 @@ use pg_hive_core::snapshot::{
 };
 use pg_hive_core::{diff_schemas, Discoverer, Ingest, SchemaState, SignatureCache, UnitSource};
 use pg_hive_graph::stream::{csv::CsvSource, jsonl::JsonlSource, pgt::PgtSource};
-use pg_hive_graph::{LabelSetRegistry, MultiSource, RawGraphSource, SourceKind, StreamWarnings};
+use pg_hive_graph::{LabelSetRegistry, RawGraphSource, SourceKind, StreamWarnings};
 use std::collections::VecDeque;
 use std::io::{Cursor, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
@@ -215,15 +217,15 @@ struct PassRead {
 /// One watched input: one file for pgt/jsonl, the `nodes.csv` (+ optional
 /// `edges.csv`) pair for CSV.
 struct WatchUnit {
-    format: InputFormat,
+    format: SourceKind,
     files: Vec<TrackedFile>,
 }
 
 impl WatchUnit {
-    fn single(path: PathBuf, format: InputFormat) -> Self {
+    fn single(path: PathBuf, format: SourceKind) -> Self {
         let files = match format {
-            InputFormat::Pgt | InputFormat::Jsonl => vec![TrackedFile::new(path, true)],
-            InputFormat::Csv => vec![
+            SourceKind::Pgt | SourceKind::Jsonl => vec![TrackedFile::new(path, true)],
+            SourceKind::Csv => vec![
                 TrackedFile::new(path.join("nodes.csv"), true),
                 TrackedFile::new(path.join("edges.csv"), false),
             ],
@@ -239,30 +241,12 @@ struct WatchedInput {
 }
 
 impl WatchedInput {
-    fn open(path: &str, format: InputFormat) -> Result<Self, String> {
-        let p = Path::new(path);
-        // A directory is a multi-source tree — unless it is the CSV dataset
-        // directory the user explicitly asked for with --input-format csv.
-        if p.is_dir() && !(format == InputFormat::Csv && p.join("nodes.csv").is_file()) {
-            let ms =
-                MultiSource::enumerate(p).map_err(|e| format!("cannot enumerate {path}: {e}"))?;
-            if ms.is_empty() {
-                return Err(format!(
-                    "no recognized inputs under {path}: expected *.pgt / *.jsonl files or \
-                     directories holding nodes.csv"
-                ));
-            }
-            let units = ms
+    fn open(path: &str, format: SourceKind) -> Result<Self, String> {
+        if is_multi_input(path, format) {
+            let units = enumerate_tree(path)?
                 .entries()
                 .iter()
-                .map(|e| {
-                    let fmt = match e.kind {
-                        SourceKind::Pgt => InputFormat::Pgt,
-                        SourceKind::Csv => InputFormat::Csv,
-                        SourceKind::Jsonl => InputFormat::Jsonl,
-                    };
-                    WatchUnit::single(e.path.clone(), fmt)
-                })
+                .map(|e| WatchUnit::single(e.path.clone(), e.kind))
                 .collect();
             return Ok(Self { units });
         }
@@ -281,7 +265,7 @@ impl WatchedInput {
         let mut deltas: Vec<Vec<FileDelta>> = Vec::with_capacity(self.units.len());
         let mut rotated = false;
         'scan: for u in &mut self.units {
-            let keep_header = u.format == InputFormat::Csv;
+            let keep_header = u.format == SourceKind::Csv;
             let mut ds = Vec::with_capacity(u.files.len());
             for f in &mut u.files {
                 match f.read_delta(keep_header)? {
@@ -299,7 +283,7 @@ impl WatchedInput {
             // restart every offset and re-read every input's full content.
             deltas.clear();
             for u in &mut self.units {
-                let keep_header = u.format == InputFormat::Csv;
+                let keep_header = u.format == SourceKind::Csv;
                 let mut ds = Vec::with_capacity(u.files.len());
                 for f in &mut u.files {
                     f.reset();
@@ -324,13 +308,13 @@ impl WatchedInput {
                 continue;
             }
             let source: Box<dyn RawGraphSource> = match u.format {
-                InputFormat::Pgt => Box::new(PgtSource::new(Cursor::new(
+                SourceKind::Pgt => Box::new(PgtSource::new(Cursor::new(
                     bufs[0].take().unwrap_or_default(),
                 ))),
-                InputFormat::Jsonl => Box::new(JsonlSource::new(Cursor::new(
+                SourceKind::Jsonl => Box::new(JsonlSource::new(Cursor::new(
                     bufs[0].take().unwrap_or_default(),
                 ))),
-                InputFormat::Csv => {
+                SourceKind::Csv => {
                     // An untouched nodes.csv still contributes its header so
                     // the source can parse appended edge records.
                     let nodes = bufs[0]
@@ -530,7 +514,7 @@ fn save_checkpoint(
     dir: &Path,
     config: &SnapshotConfig,
     path: &str,
-    format: InputFormat,
+    format: SourceKind,
     input: &WatchedInput,
     run: &WatchRun,
     rotate_keep: Option<usize>,
@@ -625,7 +609,7 @@ fn try_resume(
     dir: &Path,
     config: &SnapshotConfig,
     path: &str,
-    format: InputFormat,
+    format: SourceKind,
     input: &mut WatchedInput,
 ) -> Result<Option<WatchRun>, String> {
     let snapshot_path = dir.join(SNAPSHOT_FILE);
@@ -979,11 +963,11 @@ mod tests {
         std::fs::create_dir_all(&csvdir).unwrap();
         std::fs::write(csvdir.join("nodes.csv"), "id,labels\no1,Org\n").unwrap();
 
-        let mut input = WatchedInput::open(root.to_str().unwrap(), InputFormat::Pgt).unwrap();
+        let mut input = WatchedInput::open(root.to_str().unwrap(), SourceKind::Pgt).unwrap();
         assert_eq!(input.units.len(), 2);
         // Sorted enumeration: a.pgt before orgs/.
-        assert_eq!(input.units[0].format, InputFormat::Pgt);
-        assert_eq!(input.units[1].format, InputFormat::Csv);
+        assert_eq!(input.units[0].format, SourceKind::Pgt);
+        assert_eq!(input.units[1].format, SourceKind::Csv);
         assert_eq!(input.tracked_files().count(), 3); // a.pgt + nodes.csv + edges.csv
 
         let read = input.read_pass().unwrap();

@@ -157,7 +157,7 @@ fn validate_snapshot_schema_report_and_max_violations() {
 
 #[test]
 fn validate_accepts_directory_trees_with_cross_file_edges() {
-    // Nodes and edges land in different shards of the tree: endpoint
+    // Nodes and edges land in different files of the tree: endpoint
     // checks must resolve across files via the deferred-edge buffer.
     let dir = write_temp_dir(
         "validate-tree",
@@ -324,7 +324,7 @@ N o Org url=x.com
 #[test]
 fn discover_stream_parallel_matches_serial_output() {
     // The pipeline-parallel engine must print the same schema for any
-    // --threads / --read-ahead combination.
+    // --threads value.
     let mut big = String::new();
     for i in 0..60 {
         big.push_str(&format!("N p{i} Person name=p{i},age={}\n", 20 + i));
@@ -348,7 +348,7 @@ fn discover_stream_parallel_matches_serial_output() {
         "strict",
     ]);
     assert_eq!(serial.2, Some(0), "{}", serial.1);
-    for (threads, read_ahead) in [("2", "1"), ("4", "3")] {
+    for threads in ["2", "4"] {
         let par = run(&[
             "discover",
             path.to_str().unwrap(),
@@ -357,8 +357,6 @@ fn discover_stream_parallel_matches_serial_output() {
             "10",
             "--threads",
             threads,
-            "--read-ahead",
-            read_ahead,
             "--format",
             "strict",
         ]);
@@ -545,10 +543,9 @@ fn watch_and_diff_reject_empty_or_header_only_input() {
 fn zero_thread_flags_rejected_with_usage() {
     for flags in [
         &["discover", "g.pgt", "--threads", "0"][..],
-        &["discover", "g.pgt", "--read-ahead", "0"],
         &["discover", "g.pgt", "--chunk-size", "0"],
         &["stats", "g.pgt", "--threads", "0"],
-        &["diff", "a.pgt", "b.pgt", "--read-ahead", "0"],
+        &["diff", "a.pgt", "b.pgt", "--threads", "0"],
     ] {
         let (_, stderr, code) = run(flags);
         assert_eq!(code, Some(2), "{flags:?}");
@@ -982,7 +979,7 @@ fn watch_interval_zero_or_garbage_is_a_named_usage_error() {
 #[test]
 fn sharded_discover_over_a_mixed_tree_is_byte_identical_to_serial() {
     let dir = mixed_tree("shard-tree");
-    let discover = |shards: &str| {
+    let discover = |threads: &str| {
         run(&[
             "discover",
             dir.to_str().unwrap(),
@@ -991,8 +988,8 @@ fn sharded_discover_over_a_mixed_tree_is_byte_identical_to_serial() {
             "2",
             "--format",
             "strict",
-            "--shards",
-            shards,
+            "--threads",
+            threads,
         ])
     };
     let (serial, err, code) = discover("1");
@@ -1000,10 +997,10 @@ fn sharded_discover_over_a_mixed_tree_is_byte_identical_to_serial() {
     // Cross-input edges resolved against the merged registry, not dropped.
     assert!(serial.contains("LIVES_IN"), "{serial}");
     assert!(serial.contains("WORKS_AT"), "{serial}");
-    for shards in ["2", "3", "5"] {
-        let (sharded, err, code) = discover(shards);
+    for threads in ["2", "3", "5"] {
+        let (parallel, err, code) = discover(threads);
         assert_eq!(code, Some(0), "{err}");
-        assert_eq!(sharded, serial, "--shards {shards} diverged from serial");
+        assert_eq!(parallel, serial, "--threads {threads} diverged from serial");
     }
 }
 
@@ -1013,10 +1010,84 @@ fn directory_input_without_stream_is_a_named_error() {
     let (_, stderr, code) = run(&["discover", dir.to_str().unwrap()]);
     assert_eq!(code, Some(1), "{stderr}");
     assert!(stderr.contains("requires --stream"), "{stderr}");
-    // --shards without --stream is refused at parse time.
-    let (_, stderr, code) = run(&["discover", dir.to_str().unwrap(), "--shards", "2"]);
-    assert_eq!(code, Some(2), "{stderr}");
-    assert!(stderr.contains("--shards requires --stream"), "{stderr}");
+}
+
+/// Every tree run prints what the `--threads 1` run prints: the files fold
+/// in path order whichever thread finishes first.
+#[test]
+fn tree_runs_answer_the_same_for_every_thread_count() {
+    // `x` is declared twice: the later file (b.pgt, also the heaviest) wins
+    // the binding, so c.pgt's carried OWNS edge must end on a Robot.
+    let mut robots = String::from("N x Robot serial=0\n");
+    for i in 1..=60 {
+        robots.push_str(&format!("N r{i} Robot serial={i}\n"));
+    }
+    let tree = write_temp_dir(
+        "threads-tree",
+        &[
+            ("a.pgt", "N x Person name=Ann\n"),
+            ("b.pgt", &robots),
+            ("c.pgt", "N y Owner -\nE y x OWNS -\n"),
+        ],
+    );
+    let tree = tree.to_str().unwrap();
+    let snap = temp_dir_named("threads-tree-snap").join("ref.snap");
+    let snap = snap.to_str().unwrap();
+    let discover = |threads: &str, extra: &[&str]| {
+        let mut args = vec!["discover", tree, "--stream", "--format", "strict"];
+        args.extend(["--threads", threads]);
+        args.extend(extra);
+        run(&args)
+    };
+    let (serial, err, code) = discover("1", &["--save-state", snap]);
+    assert_eq!(code, Some(0), "{err}");
+    assert!(serial.contains("-[OWNS: OWNS]-> (:Robot)"), "{serial}");
+    for threads in ["2", "3", "4"] {
+        let (out, err, code) = discover(threads, &[]);
+        assert_eq!(code, Some(0), "{err}");
+        assert_eq!(out, serial, "--threads {threads} diverged from serial");
+    }
+
+    let validate = |schema: &str, input: &str, threads: &str, extra: &[&str]| {
+        let mut args = vec!["validate", schema, input, "--threads", threads];
+        args.extend(extra);
+        run(&args)
+    };
+    let (clean, err, code) = validate(snap, tree, "1", &[]);
+    assert_eq!(code, Some(0), "{clean}{err}");
+    for threads in ["2", "3", "4"] {
+        let (out, err, code) = validate(snap, tree, threads, &[]);
+        assert_eq!(code, Some(0), "--threads {threads}: {out}{err}");
+        assert_eq!(out, clean, "--threads {threads}");
+    }
+
+    // Nine files with 1..=9 unknown-label nodes: the cap stops the run at
+    // the first path-order prefix of files that reaches it (1 + 2 + 3).
+    let aliens: Vec<(String, String)> = (1..=9)
+        .map(|k| {
+            let nodes: String = (1..=k).map(|j| format!("N u{k}_{j} Alien x=1\n")).collect();
+            (format!("f{k}.pgt"), nodes)
+        })
+        .collect();
+    let files: Vec<(&str, &str)> = aliens
+        .iter()
+        .map(|(n, t)| (n.as_str(), t.as_str()))
+        .collect();
+    let tree9 = write_temp_dir("threads-tree9", &files);
+    let reference = write_temp_named("threads-tree9-ref", "N p Person name=Ann\n");
+    let (tree9, reference) = (tree9.to_str().unwrap(), reference.to_str().unwrap());
+    let cap = ["--max-violations", "5"];
+    let (capped, err, code) = validate(reference, tree9, "1", &cap);
+    assert_eq!(code, Some(1), "{capped}{err}");
+    assert!(
+        capped.starts_with("6 violation(s) across 6 node(s) / 0 edge(s) (stopped early"),
+        "{capped}"
+    );
+    for threads in ["2", "3", "4"] {
+        let (out, err, code) = validate(reference, tree9, threads, &cap);
+        assert_eq!(code, Some(1), "--threads {threads}: {err}");
+        assert_eq!(out, capped, "--threads {threads}");
+    }
 }
 
 #[test]

@@ -42,7 +42,7 @@
 //! caller-resident state on a worker pool — byte-identical to the serial
 //! path for every thread count. [`Discoverer::absorb_unit`] and the
 //! [`Ingest`] accumulator wrap that engine into the one ingest fold every
-//! streaming surface (`discover --stream`, sharding, `watch`, `serve`,
+//! streaming surface (`discover --stream`, directory trees, `watch`, `serve`,
 //! `merge-state`) runs: absorb a unit, merge, resolve carried edges.
 //! `docs/ARCHITECTURE.md` at the repository root maps the whole system.
 //!

@@ -27,7 +27,6 @@ use crate::schema::SchemaGraph;
 use crate::sigcache::{CachedChunk, SignatureCache};
 use crate::state::SchemaState;
 use pg_hive_embed::{HashEmbedder, LabelEmbedder, Word2Vec};
-use pg_hive_graph::stream::multi::SourceEntry;
 use pg_hive_graph::{
     split_batches, ChunkedTextReader, GraphBatch, GraphBuilder, LabelSetRegistry, MultiSource,
     PropertyGraph, RawGraphSource, ReadAheadChunks, Record, StreamError, StreamWarnings, UnitEnd,
@@ -196,10 +195,14 @@ impl Ingest {
 pub enum UnitSource<'a> {
     /// On the calling thread, through a [`ChunkedTextReader`].
     Inline(Box<dyn RawGraphSource + 'a>),
-    /// On a [`ReadAheadChunks`] producer thread that parses up to the
-    /// given number of chunks ahead of the discovery workers.
-    ReadAhead(Box<dyn RawGraphSource + Send>, usize),
+    /// On a [`ReadAheadChunks`] producer thread that parses up to
+    /// [`READ_AHEAD`] chunks ahead of the discovery workers.
+    ReadAhead(Box<dyn RawGraphSource + Send>),
 }
+
+/// How many parsed chunks a [`UnitSource::ReadAhead`] producer keeps ahead
+/// of the discovery workers.
+pub const READ_AHEAD: usize = 2;
 
 /// Accounting from one [`Discoverer::absorb_stream`] pass (the schema lives
 /// in the caller's [`SchemaState`], which survives across passes — that is
@@ -539,9 +542,9 @@ impl Discoverer {
                 };
                 (report, end)
             }
-            UnitSource::ReadAhead(source, depth) => {
+            UnitSource::ReadAhead(source) => {
                 let mut ahead =
-                    ReadAheadChunks::spawn_with_registry(source, chunk_size, depth, registry);
+                    ReadAheadChunks::spawn_with_registry(source, chunk_size, READ_AHEAD, registry);
                 let chunks = std::iter::from_fn(|| ahead.next_chunk().transpose()).inspect(see);
                 let report = self.fold_chunks(chunks, &mut acc.state, threads, cache)?;
                 let end = ahead
@@ -738,20 +741,16 @@ impl Discoverer {
         SchemaState::new(self.config.theta)
     }
 
-    /// Sharded discovery over a [`MultiSource`] — the merge-tree run.
+    /// Discovery over a directory tree: every file is its own unit with a
+    /// fresh registry ([`Self::absorb_unit`] into a fresh [`Ingest`]), so a
+    /// file's state depends only on that file and the chunk size.
     ///
-    /// The entry list is balanced by byte length (LPT) across `shards`
-    /// partitions ([`MultiSource::partition`]). Each shard absorbs **its
-    /// files one at a time as units with a fresh registry**
-    /// ([`Self::absorb_unit`] into a fresh [`Ingest`], then
-    /// [`Ingest::merge`]), so a file's chunk boundaries depend only on that
-    /// file and the chunk size, never on which shard it landed on. Shards
-    /// run on their own threads, each with `threads` chunk workers; shard
-    /// accumulators then merge pairwise up a merge tree. Because every
-    /// per-file state is partition-invariant and the fold is
-    /// order-insensitive, `discover_sharded(src, n, ..)` finalizes
-    /// **byte-identically** to `discover_sharded(src, 1, ..)` for every
-    /// shard count.
+    /// [`MultiSource::fold_ordered`] reads up to `threads` files at once,
+    /// each with `max(1, threads / min(threads, files))` chunk workers, and
+    /// the root [`Ingest::merge`]s the files in path order. The result is
+    /// the serial run's for every thread count, even where the merge is not
+    /// commutative: a node id declared by two files counts toward
+    /// `duplicate_nodes`, and the later file's binding wins for stub labels.
     ///
     /// Cross-file edges (an edge in one file whose endpoint node only some
     /// other file declares) are carried out of each unit and resolved at
@@ -761,70 +760,38 @@ impl Discoverer {
     /// `--save-state` runs merged later with `merge-state` equal to the
     /// one-shot run. Edges whose endpoints no input declares stay in
     /// [`Ingest::pending`] and count as unresolved warnings.
-    ///
-    /// Node ids are expected to be unique across the whole tree; a
-    /// duplicate id re-declared by another file counts toward
-    /// `duplicate_nodes` and the later-merged binding wins for stub labels.
-    pub fn discover_sharded(
+    pub fn discover_tree(
         &self,
         source: &MultiSource,
-        shards: usize,
         chunk_size: usize,
         threads: usize,
     ) -> Result<Ingest, StreamError> {
-        let shards = shards.max(1);
-        let parts = source.partition(shards);
-        let outcomes: Vec<Result<Ingest, StreamError>> = if shards == 1 {
-            vec![self.run_shard(&parts[0], chunk_size, threads)]
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = parts
-                    .iter()
-                    .map(|part| scope.spawn(move || self.run_shard(part, chunk_size, threads)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard worker panicked"))
-                    .collect()
-            })
-        };
-        let mut folds: Vec<Ingest> = outcomes.into_iter().collect::<Result<_, _>>()?;
-        // Hierarchical fold: merge adjacent pairs until one state remains.
-        // Any tree shape would finalize identically; pairwise rounds keep
-        // each merge between states of similar size.
-        while folds.len() > 1 {
-            let mut next = Vec::with_capacity(folds.len().div_ceil(2));
-            let mut iter = folds.into_iter();
-            while let Some(mut left) = iter.next() {
-                if let Some(right) = iter.next() {
-                    left.merge(right);
-                }
-                next.push(left);
-            }
-            folds = next;
-        }
-        let mut root = folds.pop().expect("at least one shard");
+        let threads = threads.max(1);
+        let chunk_workers = (threads / threads.min(source.len()).max(1)).max(1);
+        let mut root = Ingest::new(self.new_state());
+        source.fold_ordered(
+            threads,
+            |entry| -> Result<Ingest, StreamError> {
+                let mut file = Ingest::new(self.new_state());
+                let unit = UnitSource::Inline(entry.open()?);
+                self.absorb_unit(
+                    &mut file,
+                    unit,
+                    chunk_size,
+                    chunk_workers,
+                    None,
+                    &mut |_| {},
+                )?;
+                Ok(file)
+            },
+            |file| {
+                root.merge(file);
+                true
+            },
+        )?;
         root.resolve(self);
         root.warnings.unresolved_edges += root.pending.len() as u64;
         Ok(root)
-    }
-
-    /// One shard's serial fold over its file partition: each file is its
-    /// own unit with a fresh registry, merged in afterwards.
-    fn run_shard(
-        &self,
-        entries: &[SourceEntry],
-        chunk_size: usize,
-        threads: usize,
-    ) -> Result<Ingest, StreamError> {
-        let mut shard = Ingest::new(self.new_state());
-        for entry in entries {
-            let mut file = Ingest::new(self.new_state());
-            let source = UnitSource::Inline(entry.open()?);
-            self.absorb_unit(&mut file, source, chunk_size, threads, None, &mut |_| {})?;
-            shard.merge(file);
-        }
-        Ok(shard)
     }
 
     /// Resolve carried cross-file edges against a (merged) registry,
@@ -971,7 +938,7 @@ impl Discoverer {
         // label sets — the real node is counted in whichever chunk declares
         // it. Excluding stubs here makes streamed instance counts and
         // property statistics *exact* (identical to the resident run) for
-        // every chunk size and shard partition.
+        // every chunk size and thread count.
         let batch = GraphBatch {
             nodes: g
                 .nodes()
@@ -1411,7 +1378,7 @@ mod tests {
             let mut ahead = Ingest::new(d.new_state());
             let mut seen = 0;
             let bytes = std::io::Cursor::new(text.clone().into_bytes());
-            let source = UnitSource::ReadAhead(Box::new(PgtSource::new(bytes)), 2);
+            let source = UnitSource::ReadAhead(Box::new(PgtSource::new(bytes)));
             let report = d
                 .absorb_unit(&mut ahead, source, 3, threads, None, &mut |_| seen += 1)
                 .unwrap();
@@ -1467,7 +1434,7 @@ mod tests {
         let source = MultiSource::enumerate(&root).unwrap();
         assert_eq!(source.len(), 3);
         let d = Discoverer::new(PipelineConfig::elsh_adaptive());
-        let serial = d.discover_sharded(&source, 1, 2, 1).unwrap();
+        let serial = d.discover_tree(&source, 2, 1).unwrap();
         let serial_text = crate::serialize::pg_schema_strict(&serial.state.finalize(), "G");
         assert_eq!(serial.inputs, 3);
         // The ghost-endpoint edge stays pending and is counted unresolved.
@@ -1475,18 +1442,16 @@ mod tests {
         assert_eq!(serial.warnings.unresolved_edges, 1);
         // Cross-file WORKS_AT edges resolved against the merged registry.
         assert!(serial_text.contains("WORKS_AT"), "{serial_text}");
-        for shards in [2, 3, 4, 7] {
-            for threads in [1, 2] {
-                let sharded = d.discover_sharded(&source, shards, 2, threads).unwrap();
-                assert_eq!(
-                    crate::serialize::pg_schema_strict(&sharded.state.finalize(), "G"),
-                    serial_text,
-                    "shards {shards} threads {threads}"
-                );
-                assert_eq!(sharded.elements, serial.elements, "shards {shards}");
-                assert_eq!(sharded.warnings, serial.warnings, "shards {shards}");
-                assert_eq!(sharded.pending.len(), 1);
-            }
+        for threads in [2, 3, 4, 7] {
+            let parallel = d.discover_tree(&source, 2, threads).unwrap();
+            assert_eq!(
+                crate::serialize::pg_schema_strict(&parallel.state.finalize(), "G"),
+                serial_text,
+                "threads {threads}"
+            );
+            assert_eq!(parallel.elements, serial.elements, "threads {threads}");
+            assert_eq!(parallel.warnings, serial.warnings, "threads {threads}");
+            assert_eq!(parallel.pending.len(), 1);
         }
         fs::remove_dir_all(&root).unwrap();
     }
@@ -1518,7 +1483,7 @@ mod tests {
         let chunk = 2;
         let run = |dir: &str| {
             let src = MultiSource::enumerate(&root.join(dir)).unwrap();
-            d.discover_sharded(&src, 1, chunk, 1).unwrap()
+            d.discover_tree(&src, chunk, 1).unwrap()
         };
         let one_shot = run("all");
         let one_shot_text = crate::serialize::pg_schema_strict(&one_shot.state.finalize(), "G");

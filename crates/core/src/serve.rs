@@ -18,8 +18,8 @@
 //! replay of the same batches in any order. `tests/serve_concurrent.rs`
 //! enforces exactly that property over raw `TcpStream`s.
 //!
-//! "Fixed observation" is load-bearing and mirrors the offline sharded
-//! path's per-file rule (see "The ingest fold" in `docs/ARCHITECTURE.md`):
+//! "Fixed observation" is load-bearing and mirrors the offline
+//! directory-tree path's per-file rule (see "The ingest fold" in `docs/ARCHITECTURE.md`):
 //! every request body is absorbed as one unit into a **fresh
 //! [`Ingest`] with a fresh registry**, so its contribution — label sets,
 //! property types, and the per-chunk distinct endpoint counts that bound
@@ -29,8 +29,8 @@
 //! merged into the tenant's accumulator and [`Ingest::resolve`]
 //! materializes each resolved edge as its own stub mini-graph — a
 //! per-edge observation identical no matter *when* the endpoint finally
-//! shows up. Request bodies are the unit of observation exactly as shard
-//! files are offline, so the shard equivalence proof carries over
+//! shows up. Request bodies are the unit of observation exactly as tree
+//! files are offline, so the tree equivalence proof carries over
 //! verbatim.
 //!
 //! Each ingest request is **atomic**: the body folds into its own unit,
@@ -550,7 +550,7 @@ impl ServeCore {
         let mut guard = handle.lock().expect("tenant state poisoned");
         let t = &mut *guard;
         // The body is one unit with a *fresh* registry, exactly like one
-        // shard file in the offline sharded path: its contribution
+        // file in the offline directory-tree path: its contribution
         // (including its per-chunk cardinality observations) depends only
         // on the body and the chunk size, never on what other clients
         // ingested first. It is read in place, inline (threads = 1): the
@@ -1324,7 +1324,7 @@ E 1 3 MEMBER_OF from=1835\n";
     }
 
     /// Serial oracle: replay the batches in the given order through the
-    /// offline shard mechanics — fresh reader per batch, registry merge,
+    /// offline tree mechanics — fresh reader per batch, registry merge,
     /// stub resolution of carried edges — one batch at a time, no server.
     fn oracle(batches: &[&str]) -> String {
         let discoverer = Discoverer::new(PipelineConfig::elsh_adaptive());

@@ -321,8 +321,10 @@ impl Snapshot {
     }
 
     /// Write the snapshot **atomically**: render to a sibling `.tmp` file,
-    /// sync it, then rename over `path`. A reader never observes a
-    /// half-written snapshot; a crash leaves the previous one intact.
+    /// sync it, rename it over `path`, then sync the directory so the
+    /// rename itself survives a crash. A reader never observes a
+    /// half-written snapshot; a crash leaves the previous one intact, and
+    /// once this returns `Ok` a crash cannot bring the previous one back.
     pub fn write_atomic(&self, path: &Path) -> Result<(), SnapshotError> {
         let io_err = |detail: std::io::Error| SnapshotError::Io {
             path: path.display().to_string(),
@@ -341,7 +343,15 @@ impl Snapshot {
         f.write_all(self.to_text().as_bytes()).map_err(io_err)?;
         f.sync_all().map_err(io_err)?;
         drop(f);
-        std::fs::rename(&tmp, path).map_err(io_err)
+        std::fs::rename(&tmp, path).map_err(io_err)?;
+        // A bare file name has the parent "": the working directory.
+        let dir = match path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        std::fs::File::open(dir)
+            .and_then(|d| d.sync_all())
+            .map_err(io_err)
     }
 
     /// Make room in `path`'s rotation chain `path.1` (most recent) …
@@ -353,6 +363,11 @@ impl Snapshot {
     /// directory, a permission error) stops the rotation with
     /// [`SnapshotError::Io`] — call this before writing the new snapshot,
     /// so a failed rotation never overwrites the file it was meant to keep.
+    ///
+    /// The renames need no directory sync of their own: every caller
+    /// writes the new snapshot with [`Self::write_atomic`] in the same
+    /// directory right after, and its directory sync makes every earlier
+    /// rename in that directory durable too.
     pub fn rotate(path: &Path, keep: usize, rotate_current: bool) -> Result<usize, SnapshotError> {
         let link = |i: usize| {
             let mut name = path.as_os_str().to_owned();

@@ -325,12 +325,12 @@ impl StreamValidationReport {
 /// registry (shared with the chunked reader) and the deferred-edge buffer
 /// persist across records; the graph itself is never materialized.
 ///
-/// Shard-parallel validation mirrors sharded discovery: give each shard
-/// its own `Validator` over the same `CompiledSchema`, then fold the
-/// shards together with [`Validator::merge`] and call
-/// [`Validator::finish`] once on the root — deferred cross-file edges
-/// resolve against the merged registry, so the final violation multiset is
-/// independent of the partition.
+/// A directory tree validates like tree discovery: each file gets its own
+/// `Validator` over the same `CompiledSchema`, the files fold together in
+/// path order with [`Validator::merge`], and [`Validator::finish`] runs
+/// once on the root — deferred cross-file edges resolve against the merged
+/// registry, so the violation multiset does not depend on which thread
+/// read which file.
 #[derive(Debug)]
 pub struct Validator<'a> {
     schema: &'a CompiledSchema,
@@ -576,8 +576,9 @@ impl<'a> Validator<'a> {
         }
     }
 
-    /// Fold another shard's validator into this one: registries union,
-    /// counters add, deferred edges re-queue against the merged registry.
+    /// Fold another input's validator into this one: registries union
+    /// (`other`'s bindings win on duplicate ids), counters add, deferred
+    /// edges re-queue against the merged registry.
     pub fn merge(&mut self, other: Validator<'a>) {
         self.registry.merge(&other.registry);
         self.deferred.extend(other.deferred);

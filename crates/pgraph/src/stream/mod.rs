@@ -37,8 +37,8 @@
 //! them from clustering and instance counting: they contribute edge
 //! endpoint labels and nothing else. Streamed per-type instance counts and
 //! property optionality are therefore *exact* — identical to the resident
-//! single-graph run — for any chunk size, shard partition, or thread count
-//! (the property the sharded-merge proptests and CI smoke gate on).
+//! single-graph run — for any chunk size, split into files, or thread
+//! count (the property the tree-merge proptests and CI smoke gate on).
 
 pub mod csv;
 pub mod jsonl;
@@ -419,8 +419,8 @@ pub struct ChunkedTextReader<S> {
     pending: VecDeque<Record>,
     /// When set, end-of-stream pending edges whose endpoints never appeared
     /// are **retained** (extractable via [`Self::take_pending`]) instead of
-    /// being dropped and counted unresolved — the sharded-ingestion mode,
-    /// where another shard's input may declare the endpoints.
+    /// being dropped and counted unresolved — the per-unit mode, where
+    /// another input may declare the endpoints.
     carry_unresolved: bool,
     warnings: StreamWarnings,
     max_resident: usize,
@@ -516,8 +516,8 @@ impl<S: RawGraphSource> ChunkedTextReader<S> {
     /// Drain the edges still pending after the stream ended — edges whose
     /// endpoint ids this stream never declared. Meaningful after
     /// [`Self::set_carry_unresolved`]`(true)` and a fully drained stream;
-    /// the sharded pipeline collects these and resolves them against the
-    /// cross-shard **merged** registry. Returned in arrival order.
+    /// the ingest fold collects these and resolves them against the
+    /// **merged** registry of every unit. Returned in arrival order.
     pub fn take_pending(&mut self) -> Vec<Record> {
         self.pending.drain(..).collect()
     }

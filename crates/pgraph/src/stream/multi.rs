@@ -1,19 +1,17 @@
 //! Multi-source enumeration: a *directory tree* of mixed-format inputs as
-//! one logical dataset, partitionable across shards.
+//! one logical dataset, folded file by file.
 //!
 //! # Why per-file sources
 //!
-//! Sharded discovery is byte-identical to the serial run only if every
-//! file's chunk boundaries are independent of which shard it landed on.
+//! A tree run prints what the serial run prints, for every thread count.
 //! [`MultiSource`] therefore never concatenates files into one stream:
 //! each [`SourceEntry`] opens a **fresh** reader (fresh registry, chunk
-//! boundaries a function of that file alone), and the per-file states are
-//! folded with the associative+commutative `SchemaState::merge`. The serial
-//! directory run is the fold in sorted enumeration order; a sharded run is
-//! a size-aware [`MultiSource::partition`] folded per shard and then
-//! across shards — any fold tree reaches the same state by construction,
-//! so the partitioner is free to balance shards by byte length (LPT)
-//! instead of dealing entries round-robin.
+//! boundaries a function of that file alone), so a file's result does not
+//! depend on the thread that read it. [`MultiSource::fold_ordered`] reads
+//! the files on a pool of threads and folds their results on the calling
+//! thread in path order, the order of the serial loop. Folds that are not
+//! commutative, such as a node id bound by two files (the later file's
+//! binding wins), then give the serial answer too.
 //!
 //! # Enumeration rules
 //!
@@ -35,6 +33,8 @@ use super::StreamError;
 use std::fs::File;
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc;
 
 /// Wire format of one enumerated input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,8 +69,8 @@ pub struct SourceEntry {
 }
 
 impl SourceEntry {
-    /// Byte length of this input — the cost proxy the size-aware
-    /// partitioner balances. A `.pgt`/`.jsonl` entry weighs its file
+    /// Byte length of this input — the cost proxy
+    /// [`MultiSource::fold_ordered`] claims heaviest first. A `.pgt`/`.jsonl` entry weighs its file
     /// size; a CSV dataset weighs `nodes.csv` plus `edges.csv`.
     /// Unreadable files weigh 0 (the error surfaces later, on open).
     pub fn byte_len(&self) -> u64 {
@@ -142,42 +142,86 @@ impl MultiSource {
         self.entries.is_empty()
     }
 
-    /// Balance the entries across `shards` partitions by byte length with
-    /// the LPT (longest-processing-time) heuristic: entries are placed
-    /// heaviest-first onto the currently lightest shard, so one huge file
-    /// no longer serializes a shard the way round-robin dealing did. The
-    /// assignment is deterministic — weights come from
-    /// [`SourceEntry::byte_len`], ties break on enumeration order, and
-    /// each shard keeps its entries in enumeration (path-sorted) order.
-    /// Every shard of the same enumeration is produced even if empty, so
-    /// shard indexes are stable. Correctness does not depend on the
-    /// placement: per-file states are partition-invariant and the fold is
-    /// associative+commutative, so any assignment reaches the same merged
-    /// state. Panics if `shards` is zero.
-    pub fn partition(&self, shards: usize) -> Vec<Vec<SourceEntry>> {
-        assert!(shards > 0, "shard count must be positive");
-        // Floor at 1 byte so empty files still spread across shards
-        // instead of all "fitting" on the first one.
-        let weights: Vec<u64> = self.entries.iter().map(|e| e.byte_len().max(1)).collect();
-        let mut order: Vec<usize> = (0..self.entries.len()).collect();
-        // Heaviest first; equal weights keep enumeration order (stable).
-        order.sort_by_key(|&i| std::cmp::Reverse(weights[i]));
-        let mut loads = vec![(0u64, Vec::new()); shards];
-        for i in order {
-            let lightest = loads
-                .iter_mut()
-                .min_by_key(|(bytes, _)| *bytes)
-                .expect("shards > 0");
-            lightest.0 += weights[i];
-            lightest.1.push(i);
+    /// Run `per_entry` on every entry and hand each result to `fold` in
+    /// path order, on the calling thread — what the serial loop
+    /// `for e in entries { fold(per_entry(e)?) }` does, whatever the thread
+    /// count.
+    ///
+    /// Up to `min(threads, entries)` scoped threads claim entries through
+    /// an atomic cursor, heaviest first by [`SourceEntry::byte_len`] so a
+    /// large file starts at once. Their results come back over a channel
+    /// and wait in a reorder buffer until every earlier entry is folded.
+    /// `fold` returns `false` to end the run: no thread claims another
+    /// entry, and later results are dropped. The first error in path order
+    /// is returned after every earlier entry has been folded. With one
+    /// thread (or one entry) this is a plain loop on the calling thread.
+    pub fn fold_ordered<T, E, P, F>(
+        &self,
+        threads: usize,
+        per_entry: P,
+        mut fold: F,
+    ) -> Result<(), E>
+    where
+        T: Send,
+        E: Send,
+        P: Fn(&SourceEntry) -> Result<T, E> + Sync,
+        F: FnMut(T) -> bool,
+    {
+        let entries = &self.entries;
+        let workers = threads.min(entries.len());
+        if workers <= 1 {
+            for entry in entries {
+                if !fold(per_entry(entry)?) {
+                    break;
+                }
+            }
+            return Ok(());
         }
-        loads
-            .into_iter()
-            .map(|(_, mut idxs)| {
-                idxs.sort_unstable();
-                idxs.into_iter().map(|i| self.entries[i].clone()).collect()
-            })
-            .collect()
+        let mut claim_order: Vec<usize> = (0..entries.len()).collect();
+        // Heaviest first; equal weights keep path order (stable sort).
+        claim_order.sort_by_cached_key(|&i| std::cmp::Reverse(entries[i].byte_len()));
+        // Relaxed is enough: the cursor hands out distinct indexes and the
+        // stop flag is a hint; results travel over the channel.
+        let cursor = AtomicUsize::new(0);
+        let stop = AtomicBool::new(false);
+        let (tx, rx) = mpsc::channel();
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                let tx = tx.clone();
+                let (claim_order, cursor, stop, per_entry) =
+                    (&claim_order, &cursor, &stop, &per_entry);
+                scope.spawn(move || {
+                    while !stop.load(Ordering::Relaxed) {
+                        let Some(&i) = claim_order.get(cursor.fetch_add(1, Ordering::Relaxed))
+                        else {
+                            return;
+                        };
+                        if tx.send((i, per_entry(&entries[i]))).is_err() {
+                            return;
+                        }
+                    }
+                });
+            }
+            drop(tx);
+            let mut waiting: Vec<Option<Result<T, E>>> = entries.iter().map(|_| None).collect();
+            let mut next = 0;
+            let mut fold_in_order = || {
+                // Ends early only if a worker panicked; the scope re-raises it.
+                for (i, result) in &rx {
+                    waiting[i] = Some(result);
+                    while let Some(result) = waiting.get_mut(next).and_then(Option::take) {
+                        next += 1;
+                        if !fold(result?) {
+                            return Ok(());
+                        }
+                    }
+                }
+                Ok(())
+            };
+            let outcome = fold_in_order();
+            stop.store(true, Ordering::Relaxed);
+            outcome
+        })
     }
 }
 
@@ -279,61 +323,73 @@ mod tests {
     }
 
     #[test]
-    fn partition_spreads_equal_weights_and_keeps_empty_shards() {
-        // Nonexistent paths weigh 0, floored to 1: equal weights place
-        // like round-robin (lightest shard, enumeration order).
-        let entries: Vec<SourceEntry> = (0..5)
-            .map(|i| SourceEntry {
-                path: PathBuf::from(format!("{i}.pgt")),
-                kind: SourceKind::Pgt,
-            })
-            .collect();
-        let ms = MultiSource {
-            entries: entries.clone(),
-        };
-        let parts = ms.partition(3);
-        assert_eq!(parts.len(), 3);
-        assert_eq!(parts[0], vec![entries[0].clone(), entries[3].clone()]);
-        assert_eq!(parts[1], vec![entries[1].clone(), entries[4].clone()]);
-        assert_eq!(parts[2], vec![entries[2].clone()]);
-        let wide = ms.partition(9);
-        assert_eq!(wide.iter().filter(|p| p.is_empty()).count(), 4);
-    }
-
-    #[test]
-    fn partition_balances_by_byte_length() {
-        // One huge file plus four small ones across two shards: LPT must
-        // isolate the huge file and gather the small ones on the other
-        // shard — round-robin would have put two small files behind the
-        // huge one.
-        let root = tmpdir("lpt");
-        fs::write(root.join("a_huge.pgt"), vec![b'#'; 10_000]).unwrap();
-        for name in ["b.pgt", "c.pgt", "d.pgt", "e.pgt"] {
-            fs::write(root.join(name), vec![b'#'; 100]).unwrap();
+    fn fold_ordered_folds_in_path_order_for_every_thread_count() {
+        // The heaviest entry sorts last: parallel runs claim it first and
+        // the lighter ones finish before it, in reverse path order, so the
+        // reorder buffer has work to do.
+        let root = tmpdir("fold");
+        for (name, len) in [("a.pgt", 10), ("b.pgt", 20), ("c.pgt", 30), ("d.pgt", 40)] {
+            fs::write(root.join(name), vec![b'#'; len]).unwrap();
         }
-        let ms = MultiSource::enumerate(&root).unwrap();
-        assert_eq!(ms.len(), 5);
-        let parts = ms.partition(2);
-        let names = |p: &[SourceEntry]| {
-            p.iter()
-                .map(|e| e.path.file_name().unwrap().to_string_lossy().into_owned())
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(names(&parts[0]), vec!["a_huge.pgt"]);
-        assert_eq!(names(&parts[1]), vec!["b.pgt", "c.pgt", "d.pgt", "e.pgt"]);
+        fs::write(root.join("e.pgt"), vec![b'#'; 5000]).unwrap();
         // CSV dataset weight is nodes.csv + edges.csv.
         let csvdir = root.join("dump");
         fs::create_dir_all(&csvdir).unwrap();
         fs::write(csvdir.join(NODES_FILE), vec![b'#'; 30]).unwrap();
         fs::write(csvdir.join(EDGES_FILE), vec![b'#'; 12]).unwrap();
         let ms = MultiSource::enumerate(&root).unwrap();
-        let weight = ms
-            .entries()
-            .iter()
-            .find(|e| e.kind == SourceKind::Csv)
-            .unwrap()
-            .byte_len();
-        assert_eq!(weight, 42);
+        let csv = ms.entries().iter().find(|e| e.kind == SourceKind::Csv);
+        assert_eq!(csv.unwrap().byte_len(), 42);
+
+        let name = |e: &SourceEntry| e.path.file_name().unwrap().to_string_lossy().into_owned();
+        let all: Vec<String> = ms.entries().iter().map(name).collect();
+        assert_eq!(all, ["a.pgt", "b.pgt", "c.pgt", "d.pgt", "dump", "e.pgt"]);
+        // Fold on `threads` threads, failing the entries named in `failing`
+        // and ending the run once `keep` results are folded. In parallel
+        // runs `a.pgt` (first in path order, and claimed last because it is
+        // the lightest) finishes only after every other entry, so all the
+        // other results wait in the reorder buffer.
+        let run = |threads: usize, failing: &[&str], keep: usize| {
+            let finished = AtomicUsize::new(0);
+            let mut seen = Vec::new();
+            let result = ms.fold_ordered(
+                threads,
+                |e| {
+                    let n = name(e);
+                    if threads > 1 && n == "a.pgt" {
+                        while finished.load(Ordering::SeqCst) + 1 < ms.len() {
+                            std::thread::yield_now();
+                        }
+                    }
+                    finished.fetch_add(1, Ordering::SeqCst);
+                    if failing.contains(&n.as_str()) {
+                        Err(n)
+                    } else {
+                        Ok(n)
+                    }
+                },
+                |n| {
+                    seen.push(n);
+                    seen.len() < keep
+                },
+            );
+            (result, seen)
+        };
+        for threads in 1..=7 {
+            let every = run(threads, &[], usize::MAX);
+            assert_eq!(every, (Ok(()), all.clone()), "threads {threads}");
+            let first_three = run(threads, &[], 3);
+            assert_eq!(
+                first_three,
+                (Ok(()), all[..3].to_vec()),
+                "threads {threads}"
+            );
+            // The first error in path order, after exactly the entries
+            // before it.
+            let failed = run(threads, &["c.pgt", "e.pgt"], usize::MAX);
+            let expected = (Err("c.pgt".to_string()), all[..2].to_vec());
+            assert_eq!(failed, expected, "threads {threads}");
+        }
         fs::remove_dir_all(&root).unwrap();
     }
 

@@ -3,10 +3,10 @@
 //! back along a **random merge tree**, must finalize to the exact schema
 //! text of the unpartitioned serial run.
 //!
-//! This is the algebraic guarantee `discover --shards N` and
-//! `pg-hive merge-state` rest on: snapshot-to-snapshot merge is
-//! associative and commutative, so *any* partition of the input files and
-//! *any* fold order — round-robin worker pools, hierarchical pairwise
+//! This is the algebraic guarantee `pg-hive merge-state` rests on:
+//! snapshot-to-snapshot merge is associative and commutative (on inputs
+//! whose node ids are unique), so *any* partition of the input files and
+//! *any* fold order — split `--save-state` runs, hierarchical pairwise
 //! folds, or offline `merge-state` over saved shards — produce one
 //! byte-identical schema. A hand-picked fold order would only certify one
 //! tree shape; the random tree certifies the algebra.
@@ -153,12 +153,12 @@ fn temp_case_dir(tag: &str) -> std::path::PathBuf {
 }
 
 /// Discover one shard's directory into a mergeable [`ResumeContext`]:
-/// within-shard pending edges are resolved by `discover_sharded` itself;
+/// within-shard pending edges are resolved by `discover_tree` itself;
 /// cross-shard ones come back in `pending` and ride along for the fold.
 fn shard_context(d: &Discoverer, dir: &Path, chunk: usize, threads: usize) -> ResumeContext {
     let source = MultiSource::enumerate(dir).expect("shard dir enumerates");
     let r = d
-        .discover_sharded(&source, 1, chunk, threads)
+        .discover_tree(&source, chunk, threads)
         .expect("valid generated input");
     ResumeContext {
         config: SnapshotConfig::new(d.config(), chunk),
@@ -216,7 +216,7 @@ proptest! {
         let serial = {
             let source = MultiSource::enumerate(&full).expect("dir enumerates");
             let r = d
-                .discover_sharded(&source, 1, chunk, 1)
+                .discover_tree(&source, chunk, 1)
                 .expect("valid generated input");
             pg_hive_core::serialize::pg_schema_strict(&r.state.finalize(), "G")
         };
