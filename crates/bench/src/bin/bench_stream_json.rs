@@ -7,7 +7,7 @@
 //! 2. **stream**: `PgtSource` → `ChunkedTextReader` → `discover_stream`
 //!    (resident memory O(chunk)), and
 //! 3. **parallel**: `PgtSource` → `ReadAheadChunks` (producer thread) →
-//!    `absorb_stream` on a worker pool (completion-order merge) → finalize
+//!    `absorb_stream` on the worker pool (input-order merge) → finalize
 //!    — the pipeline-parallel engine, recording thread count and
 //!    read-ahead depth —
 //!

@@ -1,6 +1,6 @@
 //! Hand-rolled argument parsing — keeps the CLI dependency-free.
 
-use pg_hive_core::ClusterMethod;
+use pg_hive_core::{ClusterMethod, PipelineConfig};
 use pg_hive_graph::SourceKind;
 
 /// The `pg-hive help` text — the single source of truth for the flag
@@ -260,6 +260,57 @@ impl StreamOpts {
     }
 }
 
+/// The discovery parameters shared by `discover`, `diff`, `watch`,
+/// `validate` and `serve`.
+#[derive(Debug, Clone)]
+pub struct DiscoveryOpts {
+    /// LSH family (`--method`).
+    pub method: ClusterMethod,
+    /// Jaccard merge threshold (`--theta`, in [0, 1]).
+    pub theta: f64,
+    /// RNG seed (`--seed`).
+    pub seed: u64,
+}
+
+impl Default for DiscoveryOpts {
+    fn default() -> Self {
+        Self {
+            method: ClusterMethod::Elsh,
+            theta: 0.9,
+            seed: 42,
+        }
+    }
+}
+
+impl DiscoveryOpts {
+    /// Try to consume `flag` (and its value from `it`) as one of the
+    /// discovery flags, as [`StreamOpts::consume`] does for the ingestion
+    /// flags.
+    fn consume<I: Iterator<Item = String>>(
+        &mut self,
+        flag: &str,
+        it: &mut I,
+    ) -> Result<bool, String> {
+        match flag {
+            "--method" => self.method = parse_method(it.next())?,
+            "--theta" => self.theta = parse_theta(it.next())?,
+            "--seed" => self.seed = parse_seed(it.next())?,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// The pipeline configuration these flags select.
+    pub fn config(&self) -> PipelineConfig {
+        PipelineConfig {
+            method: self.method,
+            theta: self.theta,
+            seed: self.seed,
+            ..PipelineConfig::default()
+        }
+    }
+}
+
 /// Parsed sub-command.
 #[derive(Debug, Clone)]
 #[allow(missing_docs)] // field meanings are given by USAGE and docs/CLI.md
@@ -267,12 +318,10 @@ pub enum Command {
     /// `pg-hive discover` — infer the schema of a graph.
     Discover {
         path: String,
-        method: ClusterMethod,
-        theta: f64,
+        discovery: DiscoveryOpts,
         batches: usize,
         format: OutputFormat,
         sample: bool,
-        seed: u64,
         stream: StreamOpts,
         save_state: Option<String>,
         load_state: Option<String>,
@@ -281,17 +330,13 @@ pub enum Command {
     Diff {
         old_path: String,
         new_path: String,
-        method: ClusterMethod,
-        theta: f64,
-        seed: u64,
+        discovery: DiscoveryOpts,
         stream: StreamOpts,
     },
     /// `pg-hive watch` — long-running (optionally durable) drift monitor.
     Watch {
         path: String,
-        method: ClusterMethod,
-        theta: f64,
-        seed: u64,
+        discovery: DiscoveryOpts,
         interval_secs: u64,
         once: bool,
         stream: StreamOpts,
@@ -312,9 +357,7 @@ pub enum Command {
         schema_path: String,
         /// The instance data to check (file or directory tree).
         input_path: String,
-        method: ClusterMethod,
-        theta: f64,
-        seed: u64,
+        discovery: DiscoveryOpts,
         stream: StreamOpts,
         /// Early-exit violation cap (`--max-violations`).
         max_violations: Option<u64>,
@@ -326,9 +369,7 @@ pub enum Command {
     /// `pg-hive serve` — long-running multi-tenant schema service.
     Serve {
         addr: String,
-        method: ClusterMethod,
-        theta: f64,
-        seed: u64,
+        discovery: DiscoveryOpts,
         chunk_size: usize,
         workers: usize,
         read_timeout_secs: u64,
@@ -378,20 +419,15 @@ impl Args {
                     .next()
                     .ok_or("validate needs a schema (snapshot or reference input)")?;
                 let input_path = it.next().ok_or("validate needs an input to check")?;
-                let mut method = ClusterMethod::Elsh;
-                let mut theta = 0.9;
-                let mut seed = 42u64;
+                let mut discovery = DiscoveryOpts::default();
                 let mut stream = StreamOpts::default();
                 let mut max_violations = None;
                 let mut report = None;
                 while let Some(flag) = it.next() {
-                    if stream.consume(&flag, &mut it)? {
+                    if stream.consume(&flag, &mut it)? || discovery.consume(&flag, &mut it)? {
                         continue;
                     }
                     match flag.as_str() {
-                        "--method" => method = parse_method(it.next())?,
-                        "--theta" => theta = parse_theta(it.next())?,
-                        "--seed" => seed = parse_seed(it.next())?,
                         "--max-violations" => {
                             max_violations =
                                 Some(parse_positive("--max-violations", it.next())? as u64)
@@ -404,9 +440,7 @@ impl Args {
                     command: Command::Validate {
                         schema_path,
                         input_path,
-                        method,
-                        theta,
-                        seed,
+                        discovery,
                         stream,
                         max_violations,
                         report,
@@ -416,37 +450,25 @@ impl Args {
             "diff" => {
                 let old_path = it.next().ok_or("diff needs an old graph file")?;
                 let new_path = it.next().ok_or("diff needs a new graph file")?;
-                let mut method = ClusterMethod::Elsh;
-                let mut theta = 0.9;
-                let mut seed = 42u64;
+                let mut discovery = DiscoveryOpts::default();
                 let mut stream = StreamOpts::default();
                 while let Some(flag) = it.next() {
-                    if stream.consume(&flag, &mut it)? {
-                        continue;
-                    }
-                    match flag.as_str() {
-                        "--method" => method = parse_method(it.next())?,
-                        "--theta" => theta = parse_theta(it.next())?,
-                        "--seed" => seed = parse_seed(it.next())?,
-                        other => return Err(format!("unknown flag '{other}'")),
+                    if !stream.consume(&flag, &mut it)? && !discovery.consume(&flag, &mut it)? {
+                        return Err(format!("unknown flag '{flag}'"));
                     }
                 }
                 Ok(Args {
                     command: Command::Diff {
                         old_path,
                         new_path,
-                        method,
-                        theta,
-                        seed,
+                        discovery,
                         stream,
                     },
                 })
             }
             "watch" => {
                 let path = it.next().ok_or("watch needs a graph input")?;
-                let mut method = ClusterMethod::Elsh;
-                let mut theta = 0.9;
-                let mut seed = 42u64;
+                let mut discovery = DiscoveryOpts::default();
                 let mut interval_secs = 30u64;
                 let mut once = false;
                 let mut stream = StreamOpts::default();
@@ -455,13 +477,10 @@ impl Args {
                 let mut partition_passes = None;
                 let mut on_drift = Vec::new();
                 while let Some(flag) = it.next() {
-                    if stream.consume(&flag, &mut it)? {
+                    if stream.consume(&flag, &mut it)? || discovery.consume(&flag, &mut it)? {
                         continue;
                     }
                     match flag.as_str() {
-                        "--method" => method = parse_method(it.next())?,
-                        "--theta" => theta = parse_theta(it.next())?,
-                        "--seed" => seed = parse_seed(it.next())?,
                         "--interval" => {
                             interval_secs = parse_positive("--interval", it.next())? as u64;
                         }
@@ -489,9 +508,7 @@ impl Args {
                 Ok(Args {
                     command: Command::Watch {
                         path,
-                        method,
-                        theta,
-                        seed,
+                        discovery,
                         interval_secs,
                         once,
                         stream,
@@ -504,22 +521,18 @@ impl Args {
             }
             "discover" => {
                 let path = it.next().ok_or("discover needs a graph file")?;
-                let mut method = ClusterMethod::Elsh;
-                let mut theta = 0.9;
+                let mut discovery = DiscoveryOpts::default();
                 let mut batches = 1usize;
                 let mut format = OutputFormat::Summary;
                 let mut sample = false;
-                let mut seed = 42u64;
                 let mut stream = StreamOpts::default();
                 let mut save_state = None;
                 let mut load_state = None;
                 while let Some(flag) = it.next() {
-                    if stream.consume(&flag, &mut it)? {
+                    if stream.consume(&flag, &mut it)? || discovery.consume(&flag, &mut it)? {
                         continue;
                     }
                     match flag.as_str() {
-                        "--method" => method = parse_method(it.next())?,
-                        "--theta" => theta = parse_theta(it.next())?,
                         "--save-state" => {
                             save_state = Some(it.next().ok_or("--save-state needs a file path")?);
                         }
@@ -538,7 +551,6 @@ impl Args {
                         }
                         "--format" => format = parse_format(it.next())?,
                         "--sample" => sample = true,
-                        "--seed" => seed = parse_seed(it.next())?,
                         other => return Err(format!("unknown flag '{other}'")),
                     }
                 }
@@ -557,12 +569,10 @@ impl Args {
                 Ok(Args {
                     command: Command::Discover {
                         path,
-                        method,
-                        theta,
+                        discovery,
                         batches,
                         format,
                         sample,
-                        seed,
                         stream,
                         save_state,
                         load_state,
@@ -571,9 +581,7 @@ impl Args {
             }
             "serve" => {
                 let mut addr = "127.0.0.1:7171".to_string();
-                let mut method = ClusterMethod::Elsh;
-                let mut theta = 0.9;
-                let mut seed = 42u64;
+                let mut discovery = DiscoveryOpts::default();
                 let mut chunk_size = DEFAULT_CHUNK_SIZE;
                 let mut workers = 4usize;
                 let mut read_timeout_secs = 10u64;
@@ -582,11 +590,11 @@ impl Args {
                 let mut keep = None;
                 let mut on_drift = Vec::new();
                 while let Some(flag) = it.next() {
+                    if discovery.consume(&flag, &mut it)? {
+                        continue;
+                    }
                     match flag.as_str() {
                         "--addr" => addr = it.next().ok_or("--addr needs host:port")?,
-                        "--method" => method = parse_method(it.next())?,
-                        "--theta" => theta = parse_theta(it.next())?,
-                        "--seed" => seed = parse_seed(it.next())?,
                         "--chunk-size" => {
                             chunk_size = parse_positive("--chunk-size", it.next())?;
                         }
@@ -612,9 +620,7 @@ impl Args {
                 Ok(Args {
                     command: Command::Serve {
                         addr,
-                        method,
-                        theta,
-                        seed,
+                        discovery,
                         chunk_size,
                         workers,
                         read_timeout_secs,
@@ -743,12 +749,10 @@ mod tests {
         let a = parse(&["discover", "g.pgt"]).unwrap();
         let Command::Discover {
             path,
-            method,
-            theta,
+            discovery,
             batches,
             format,
             sample,
-            seed,
             stream,
             save_state,
             load_state,
@@ -759,12 +763,12 @@ mod tests {
         assert_eq!(save_state, None);
         assert_eq!(load_state, None);
         assert_eq!(path, "g.pgt");
-        assert_eq!(method, ClusterMethod::Elsh);
-        assert_eq!(theta, 0.9);
+        assert_eq!(discovery.method, ClusterMethod::Elsh);
+        assert_eq!(discovery.theta, 0.9);
         assert_eq!(batches, 1);
         assert_eq!(format, OutputFormat::Summary);
         assert!(!sample);
-        assert_eq!(seed, 42);
+        assert_eq!(discovery.seed, 42);
         assert_eq!(stream, StreamOpts::default());
         assert_eq!(stream.input_format, SourceKind::Pgt);
         assert!(!stream.stream);
@@ -791,23 +795,21 @@ mod tests {
         ])
         .unwrap();
         let Command::Discover {
-            method,
-            theta,
+            discovery,
             batches,
             format,
             sample,
-            seed,
             ..
         } = a.command
         else {
             panic!()
         };
-        assert_eq!(method, ClusterMethod::MinHash);
-        assert_eq!(theta, 0.8);
+        assert_eq!(discovery.method, ClusterMethod::MinHash);
+        assert_eq!(discovery.theta, 0.8);
         assert_eq!(batches, 10);
         assert_eq!(format, OutputFormat::Strict);
         assert!(sample);
-        assert_eq!(seed, 7);
+        assert_eq!(discovery.seed, 7);
     }
 
     #[test]
@@ -991,7 +993,7 @@ mod tests {
         let Command::Watch {
             interval_secs,
             once,
-            theta,
+            discovery,
             stream,
             ..
         } = a.command
@@ -1000,7 +1002,7 @@ mod tests {
         };
         assert_eq!(interval_secs, 5);
         assert!(once);
-        assert_eq!(theta, 0.8);
+        assert_eq!(discovery.theta, 0.8);
         assert_eq!(stream.input_format, SourceKind::Csv);
         assert_eq!(stream.threads, Some(2));
         assert_eq!(stream.chunk_size, 100);
@@ -1202,7 +1204,7 @@ mod tests {
         let Command::Diff {
             old_path,
             new_path,
-            theta,
+            discovery,
             stream,
             ..
         } = a.command
@@ -1211,7 +1213,7 @@ mod tests {
         };
         assert_eq!(old_path, "old.pgt");
         assert_eq!(new_path, "new.pgt");
-        assert_eq!(theta, 0.8);
+        assert_eq!(discovery.theta, 0.8);
         assert!(stream.stream);
         assert_eq!(stream.threads, Some(2));
         assert!(parse(&["diff", "only-one"]).is_err());
@@ -1222,9 +1224,7 @@ mod tests {
         let a = parse(&["serve"]).unwrap();
         let Command::Serve {
             addr,
-            method,
-            theta,
-            seed,
+            discovery,
             chunk_size,
             workers,
             read_timeout_secs,
@@ -1237,9 +1237,9 @@ mod tests {
             panic!()
         };
         assert_eq!(addr, "127.0.0.1:7171");
-        assert_eq!(method, ClusterMethod::Elsh);
-        assert_eq!(theta, 0.9);
-        assert_eq!(seed, 42);
+        assert_eq!(discovery.method, ClusterMethod::Elsh);
+        assert_eq!(discovery.theta, 0.9);
+        assert_eq!(discovery.seed, 42);
         assert_eq!(chunk_size, DEFAULT_CHUNK_SIZE);
         assert_eq!(workers, 4);
         assert_eq!(read_timeout_secs, 10);
@@ -1281,9 +1281,7 @@ mod tests {
         .unwrap();
         let Command::Serve {
             addr,
-            method,
-            theta,
-            seed,
+            discovery,
             chunk_size,
             workers,
             read_timeout_secs,
@@ -1296,9 +1294,9 @@ mod tests {
             panic!()
         };
         assert_eq!(addr, "0.0.0.0:0");
-        assert_eq!(method, ClusterMethod::MinHash);
-        assert_eq!(theta, 0.8);
-        assert_eq!(seed, 7);
+        assert_eq!(discovery.method, ClusterMethod::MinHash);
+        assert_eq!(discovery.theta, 0.8);
+        assert_eq!(discovery.seed, 7);
         assert_eq!(chunk_size, 500);
         assert_eq!(workers, 2);
         assert_eq!(read_timeout_secs, 3);

@@ -86,7 +86,7 @@ mod args;
 mod serve;
 mod sink;
 mod watch;
-use args::{Args, Command, OutputFormat, StreamOpts};
+use args::{Args, Command, DiscoveryOpts, OutputFormat, StreamOpts};
 
 fn main() -> ExitCode {
     let args = match Args::parse(std::env::args().skip(1)) {
@@ -229,22 +229,17 @@ fn run(args: Args) -> Result<ExitCode, String> {
     match args.command {
         Command::Discover {
             path,
-            method,
-            theta,
+            discovery,
             batches,
             format,
             sample,
-            seed,
             stream,
             save_state,
             load_state,
         } => {
             let config = PipelineConfig {
-                method,
-                theta,
-                seed,
                 datatype_sampling: sample.then(SamplingConfig::default),
-                ..PipelineConfig::default()
+                ..discovery.config()
             };
             let discoverer = Discoverer::new(config);
 
@@ -283,18 +278,10 @@ fn run(args: Args) -> Result<ExitCode, String> {
         Command::Diff {
             old_path,
             new_path,
-            method,
-            theta,
-            seed,
+            discovery,
             stream,
         } => {
-            let config = PipelineConfig {
-                method,
-                theta,
-                seed,
-                ..PipelineConfig::default()
-            };
-            let discoverer = Discoverer::new(config);
+            let discoverer = Discoverer::new(discovery.config());
             let schema_of = |p: &str| -> Result<SchemaGraph, String> {
                 if stream.stream {
                     let acc = stream_fold(p, &stream, &discoverer, None, false, false)?.acc;
@@ -346,9 +333,7 @@ fn run(args: Args) -> Result<ExitCode, String> {
         }
         Command::Watch {
             path,
-            method,
-            theta,
-            seed,
+            discovery,
             interval_secs,
             once,
             stream,
@@ -357,13 +342,7 @@ fn run(args: Args) -> Result<ExitCode, String> {
             partition_passes,
             on_drift,
         } => {
-            let config = PipelineConfig {
-                method,
-                theta,
-                seed,
-                ..PipelineConfig::default()
-            };
-            let discoverer = Discoverer::new(config);
+            let discoverer = Discoverer::new(discovery.config());
             let sinks: Vec<sink::DriftSink> =
                 on_drift.iter().map(sink::DriftSink::from_spec).collect();
             watch::run_watch(
@@ -386,20 +365,12 @@ fn run(args: Args) -> Result<ExitCode, String> {
         Command::Validate {
             schema_path,
             input_path,
-            method,
-            theta,
-            seed,
+            discovery,
             stream,
             max_violations,
             report,
         } => {
-            let config = PipelineConfig {
-                method,
-                theta,
-                seed,
-                ..PipelineConfig::default()
-            };
-            let discoverer = Discoverer::new(config);
+            let discoverer = Discoverer::new(discovery.config());
             let schema = load_validation_schema(&schema_path, &stream, &discoverer)?;
             let compiled = CompiledSchema::compile(&schema);
             eprintln!(
@@ -447,9 +418,7 @@ fn run(args: Args) -> Result<ExitCode, String> {
         }
         Command::Serve {
             addr,
-            method,
-            theta,
-            seed,
+            discovery,
             chunk_size,
             workers,
             read_timeout_secs,
@@ -457,27 +426,19 @@ fn run(args: Args) -> Result<ExitCode, String> {
             state_dir,
             keep,
             on_drift,
-        } => {
-            let config = PipelineConfig {
-                method,
-                theta,
-                seed,
-                ..PipelineConfig::default()
-            };
-            serve::run_serve(
-                Discoverer::new(config),
-                serve::ServeParams {
-                    addr,
-                    chunk_size,
-                    workers,
-                    read_timeout_secs,
-                    max_body_mb,
-                    state_dir,
-                    keep,
-                    on_drift,
-                },
-            )
-        }
+        } => serve::run_serve(
+            Discoverer::new(discovery.config()),
+            serve::ServeParams {
+                addr,
+                chunk_size,
+                workers,
+                read_timeout_secs,
+                max_body_mb,
+                state_dir,
+                keep,
+                on_drift,
+            },
+        ),
         Command::Help => {
             println!("{}", args::USAGE);
             Ok(ExitCode::SUCCESS)
@@ -500,9 +461,8 @@ struct Streamed {
 /// file by file on the `--threads` pool (`Discoverer::discover_tree`); any
 /// other input is one unit parsed by the read-ahead producer while
 /// `--threads` workers discover its chunks. Carried edges are then resolved
-/// against the accumulated registry; a single input's leftovers count as
-/// unresolved unless `keep_pending` (`--save-state` persists them
-/// instead), a tree's always do.
+/// against the accumulated registry; the leftovers count as unresolved
+/// unless `keep_pending` (`--save-state` persists them instead).
 fn stream_fold(
     path: &str,
     opts: &StreamOpts,
@@ -516,7 +476,7 @@ fn stream_fold(
         Some(ctx) => (Some(ctx.ingest), ctx.cache),
         None => (None, SignatureCache::default()),
     };
-    if is_multi_input(path, opts.input_format) {
+    let mut streamed = if is_multi_input(path, opts.input_format) {
         let source = enumerate_tree(path)?;
         if progress {
             eprintln!(
@@ -528,78 +488,74 @@ fn stream_fold(
             .discover_tree(&source, opts.chunk_size, threads)
             .map_err(|e| format!("parse {path}: {e}"))?;
         if let Some(loaded) = resumed {
-            // Re-resolve: edges unresolvable on either side alone may
-            // resolve against the union registry.
-            acc.warnings.unresolved_edges -= acc.pending.len() as u64;
             acc.merge(loaded);
-            acc.resolve(discoverer);
-            acc.warnings.unresolved_edges += acc.pending.len() as u64;
         }
         // Tree files absorb without the signature cache; a loaded cache
         // has no absorb site there.
-        let cache = SignatureCache::default();
-        return Ok(Streamed {
+        Streamed {
+            acc,
+            cache: SignatureCache::default(),
+            report: None,
+        }
+    } else {
+        let mut acc = resumed.unwrap_or_else(|| Ingest::new(discoverer.new_state()));
+        let source = UnitSource::ReadAhead(open_source(path, opts.input_format)?);
+        if progress {
+            // Upper bound on simultaneously resident chunks: the producer's
+            // buffer, one chunk per worker (being processed), one per
+            // queue slot, plus the one being parsed.
+            let in_flight_cap = READ_AHEAD + 2 * threads + 1;
+            eprintln!(
+                "streaming {path}: {threads} worker thread(s), read-ahead {READ_AHEAD} \
+                 (<= {in_flight_cap} chunks in flight)"
+            );
+        }
+        let mut chunk_no = 0usize;
+        // Structurally repeated chunks (steady-shape logs) skip embedding +
+        // LSH and broadcast the memoized clustering — byte-identical to the
+        // uncached run (proptested in `tests/tests/incremental_equivalence.rs`).
+        let report = discoverer
+            .absorb_unit(
+                &mut acc,
+                source,
+                opts.chunk_size,
+                threads,
+                Some(&cache),
+                &mut |g| {
+                    chunk_no += 1;
+                    if progress {
+                        eprintln!(
+                            "chunk {chunk_no}: {} nodes, {} edges dispatched",
+                            g.node_count(),
+                            g.edge_count()
+                        );
+                        let _ = std::io::stderr().flush();
+                    }
+                },
+            )
+            .map_err(|e| format!("parse {path}: {e}"))?;
+        let stats = cache.stats();
+        if progress && stats.hits > 0 {
+            eprintln!(
+                "signature cache: {} of {} chunk(s) re-used a memoized clustering",
+                stats.hits,
+                stats.hits + stats.misses
+            );
+        }
+        Streamed {
             acc,
             cache,
-            report: None,
-        });
-    }
-
-    let mut acc = resumed.unwrap_or_else(|| Ingest::new(discoverer.new_state()));
-    let source = UnitSource::ReadAhead(open_source(path, opts.input_format)?);
-    if progress {
-        // Upper bound on simultaneously resident chunks: the producer's
-        // buffer, one chunk per worker (being processed), one per
-        // dispatch-channel slot, plus the one being parsed.
-        let in_flight_cap = READ_AHEAD + 2 * threads + 1;
-        eprintln!(
-            "streaming {path}: {threads} worker thread(s), read-ahead {READ_AHEAD} \
-             (<= {in_flight_cap} chunks in flight)"
-        );
-    }
-    let mut chunk_no = 0usize;
-    // Structurally repeated chunks (steady-shape logs) skip embedding + LSH
-    // and broadcast the memoized clustering — byte-identical to the
-    // uncached run (proptested in `tests/tests/incremental_equivalence.rs`).
-    let report = discoverer
-        .absorb_unit(
-            &mut acc,
-            source,
-            opts.chunk_size,
-            threads,
-            Some(&cache),
-            &mut |g| {
-                chunk_no += 1;
-                if progress {
-                    eprintln!(
-                        "chunk {chunk_no}: {} nodes, {} edges dispatched",
-                        g.node_count(),
-                        g.edge_count()
-                    );
-                    let _ = std::io::stderr().flush();
-                }
-            },
-        )
-        .map_err(|e| format!("parse {path}: {e}"))?;
-    let stats = cache.stats();
-    if progress && stats.hits > 0 {
-        eprintln!(
-            "signature cache: {} of {} chunk(s) re-used a memoized clustering",
-            stats.hits,
-            stats.hits + stats.misses
-        );
-    }
+            report: Some(report),
+        }
+    };
     // Edges carried in from a loaded snapshot may resolve against node ids
     // this input declared.
+    let acc = &mut streamed.acc;
     acc.resolve(discoverer);
     if !keep_pending {
         acc.warnings.unresolved_edges += acc.pending.len() as u64;
     }
-    Ok(Streamed {
-        acc,
-        cache,
-        report: Some(report),
-    })
+    Ok(streamed)
 }
 
 /// Whether `path` names a *tree* of inputs for [`MultiSource`] enumeration
@@ -913,12 +869,12 @@ fn merge_state(out: &str, inputs: &[String], format: OutputFormat) -> Result<Exi
     // Rebuild the discoverer the snapshots were produced under (the merge
     // proved they all agree) so pending-edge resolution embeds with the
     // same clustering parameters.
-    let discoverer = Discoverer::new(PipelineConfig {
+    let discovery = DiscoveryOpts {
         method: config.method,
         theta: config.theta,
         seed: config.seed,
-        ..PipelineConfig::default()
-    });
+    };
+    let discoverer = Discoverer::new(discovery.config());
     let resolved = acc.resolve(&discoverer);
     context_snapshot_cached(&config, &acc.state, &acc.registry, None, &acc.pending, None)
         .write_atomic(Path::new(out))

@@ -1090,6 +1090,42 @@ fn tree_runs_answer_the_same_for_every_thread_count() {
     }
 }
 
+/// A tree and the same records as one file count an edge whose endpoint
+/// no input declares alike: dropped, unless `--save-state` carries it.
+#[test]
+fn tree_and_file_count_unresolved_edges_alike() {
+    let tree = write_temp_dir(
+        "ghost-tree",
+        &[
+            ("a.pgt", "N a Person name=Ann\n"),
+            ("b.pgt", "N b Org -\nE a ghost KNOWS -\n"),
+        ],
+    );
+    let file = write_temp_named(
+        "ghost-file",
+        "N a Person name=Ann\nN b Org -\nE a ghost KNOWS -\n",
+    );
+    let snap = temp_dir_named("ghost-snap").join("s.snap");
+    let warnings = |input: &std::path::Path, save: bool| {
+        let mut args = vec!["discover", input.to_str().unwrap(), "--stream"];
+        if save {
+            args.extend(["--save-state", snap.to_str().unwrap()]);
+        }
+        let (_, stderr, code) = run(&args);
+        assert_eq!(code, Some(0), "{stderr}");
+        let lines: Vec<&str> = stderr
+            .lines()
+            .filter(|l| l.starts_with("warning:") || l.starts_with("state saved"))
+            .collect();
+        lines.join("\n").replace(snap.to_str().unwrap(), "s.snap")
+    };
+    for (save, expected) in [(false, "1 edge(s) dropped"), (true, "0 edge(s) dropped")] {
+        let from_tree = warnings(&tree, save);
+        assert!(from_tree.contains(expected), "{from_tree}");
+        assert_eq!(from_tree, warnings(&file, save), "--save-state {save}");
+    }
+}
+
 #[test]
 fn watch_over_a_directory_tree_matches_sharded_discover() {
     let dir = mixed_tree("watch-tree");

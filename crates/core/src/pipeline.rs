@@ -28,13 +28,13 @@ use crate::sigcache::{CachedChunk, SignatureCache};
 use crate::state::SchemaState;
 use pg_hive_embed::{HashEmbedder, LabelEmbedder, Word2Vec};
 use pg_hive_graph::{
-    split_batches, ChunkedTextReader, GraphBatch, GraphBuilder, LabelSetRegistry, MultiSource,
-    PropertyGraph, RawGraphSource, ReadAheadChunks, Record, StreamError, StreamWarnings, UnitEnd,
+    fold_in_order, split_batches, ChunkedTextReader, GraphBatch, GraphBuilder, LabelSetRegistry,
+    MultiSource, PropertyGraph, RawGraphSource, ReadAheadChunks, Record, StreamError,
+    StreamWarnings, UnitEnd,
 };
 use pg_hive_lsh::{AdaptiveParams, Clustering, ElementClass};
 use std::collections::BTreeMap;
 use std::convert::Infallible;
-use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Wall-clock spent in each stage, summed over batches.
@@ -404,14 +404,14 @@ impl Discoverer {
     /// `threads` workers — the engine under [`Self::discover_stream`] and
     /// [`Self::absorb_unit`].
     ///
-    /// With `threads > 1` a worker pool runs preprocess → LSH → extract →
-    /// post-process on chunks *concurrently*, folding per-chunk states into
-    /// `state` as they complete. Because `SchemaState` absorption is
-    /// associative **and commutative**, completion order does not matter —
-    /// the result is byte-identical to the serial path for every thread
-    /// count (the proptests in `tests/tests/stream_parallel.rs` gate
-    /// exactly this). Chunks are pulled on the calling thread and handed to
-    /// workers through a bounded channel, so at most `2 × threads` chunks
+    /// With `threads > 1` the worker pool ([`fold_in_order`]) runs
+    /// preprocess → LSH → extract → post-process on chunks *concurrently*
+    /// and folds the per-chunk states into `state` in input order, the
+    /// serial loop's order, so the result is byte-identical to the serial
+    /// path for every thread count (the proptests in
+    /// `tests/tests/stream_parallel.rs` gate exactly this). Chunks are
+    /// pulled on the calling thread; at most `threads` wait in the pool's
+    /// queue and at most `2 × threads` are in flight, so that many chunks
     /// are resident at once (plus whatever read-ahead the producer feeding
     /// the iterator keeps in flight). `chunk_times[i]` is chunk `i`'s
     /// processing time on its worker; cross-chunk merge time is excluded.
@@ -484,10 +484,11 @@ impl Discoverer {
     /// The unit's reader is seeded with `acc`'s registry, which is moved
     /// through it (bindings keep their generation stamps), and always
     /// carries end-of-unit unresolved edges. Chunk states fold into
-    /// `acc.state` on `threads` workers, through `cache` when given
-    /// ([`Self::absorb_stream_cached`]); `on_chunk` sees each chunk as it
-    /// is dispatched. The reader's registry, carried edges and warnings
-    /// then come back into `acc`, and `elements` / `inputs` advance.
+    /// `acc.state` in input order on `threads` workers, through `cache`
+    /// when given ([`Self::absorb_stream_cached`]); `on_chunk` sees each
+    /// chunk as it is dispatched. The reader's registry, carried edges and
+    /// warnings then come back into `acc`, and `elements` / `inputs`
+    /// advance.
     ///
     /// Carried edges are not resolved here: call [`Ingest::resolve`] once
     /// every unit that may declare their endpoints is in. A caller that
@@ -561,8 +562,9 @@ impl Discoverer {
         Ok(report)
     }
 
-    /// Fold fallible chunks into `state` on `threads` workers (1 = serial),
-    /// stopping at the first error.
+    /// Fold fallible chunks into `state` on `threads` workers (1 = serial)
+    /// through [`fold_in_order`], in input order, stopping at the first
+    /// error.
     fn fold_chunks<I, E>(
         &self,
         chunks: I,
@@ -573,166 +575,36 @@ impl Discoverer {
     where
         I: IntoIterator<Item = Result<PropertyGraph, E>>,
     {
-        let threads = threads.max(1);
-        if threads == 1 {
-            let shared = self.shared_embedder();
-            let mut report = AbsorbReport {
-                elements: 0,
-                chunk_times: Vec::new(),
-                max_chunk_elements: 0,
-            };
-            for chunk in chunks {
-                let chunk = chunk?;
-                let t = Instant::now();
-                let n = chunk.node_count() + chunk.edge_count();
-                report.elements += n as u64;
-                report.max_chunk_elements = report.max_chunk_elements.max(n);
-                state.merge(self.chunk_state_cached(&chunk, shared.as_deref(), cache));
-                report.chunk_times.push(t.elapsed());
-            }
-            return Ok(report);
-        }
-        self.fold_chunks_parallel(chunks, state, threads, cache)
-    }
-
-    fn fold_chunks_parallel<I, E>(
-        &self,
-        chunks: I,
-        state: &mut SchemaState,
-        threads: usize,
-        cache: Option<&SignatureCache>,
-    ) -> Result<AbsorbReport, E>
-    where
-        I: IntoIterator<Item = Result<PropertyGraph, E>>,
-    {
-        struct ChunkOutcome {
-            state: SchemaState,
-            elements: u64,
-            time: Duration,
-        }
-
         // One embedder for the whole pool (hash strategy): workers share it
         // by reference instead of rebuilding per chunk.
         let shared = self.shared_embedder();
-        let shared_ref = shared.as_deref();
-
-        let (work_tx, work_rx) = mpsc::sync_channel::<(usize, PropertyGraph)>(threads);
-        let work_rx = Arc::new(Mutex::new(work_rx));
-        // The result channel is bounded: if the folding thread lags, workers
-        // block here instead of piling finished states up without limit.
-        let (res_tx, res_rx) = mpsc::sync_channel::<(usize, ChunkOutcome)>(threads * 4);
-
-        // Per-chunk accounting indexed by input position (results arrive in
-        // completion order; the schema itself is order-insensitive).
-        let mut per_chunk: Vec<Option<(u64, Duration)>> = Vec::new();
-        let mut merged = 0usize;
-        let mut failed = None;
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                let work_rx = Arc::clone(&work_rx);
-                let res_tx = res_tx.clone();
-                scope.spawn(move || loop {
-                    // Hold the lock only while popping — processing runs
-                    // unlocked so workers overlap.
-                    let job = work_rx.lock().expect("stream worker queue lock").recv();
-                    let Ok((idx, chunk)) = job else { return };
-                    let t = Instant::now();
-                    let elements = (chunk.node_count() + chunk.edge_count()) as u64;
-                    let chunk_state = self.chunk_state_cached(&chunk, shared_ref, cache);
-                    // Free the chunk before a potentially blocking send on
-                    // the bounded result channel.
-                    drop(chunk);
-                    let outcome = ChunkOutcome {
-                        state: chunk_state,
-                        elements,
-                        time: t.elapsed(),
-                    };
-                    if res_tx.send((idx, outcome)).is_err() {
-                        return;
-                    }
-                });
-            }
-            // Only workers may hold receiving halves now: when every worker
-            // exits (normally or by panic) the dispatch send below fails
-            // instead of blocking forever.
-            drop(work_rx);
-            drop(res_tx);
-
-            let mut dispatched = 0usize;
-            let fold = |state: &mut SchemaState,
-                        per_chunk: &mut Vec<Option<(u64, Duration)>>,
-                        merged: &mut usize,
-                        (idx, outcome): (usize, ChunkOutcome)| {
-                // Commutative absorb: fold in completion order, no reorder
-                // buffer needed.
-                state.merge(outcome.state);
-                if per_chunk.len() <= idx {
-                    per_chunk.resize(idx + 1, None);
-                }
-                per_chunk[idx] = Some((outcome.elements, outcome.time));
-                *merged += 1;
-            };
-            for chunk in chunks {
-                let chunk = match chunk {
-                    Ok(c) => c,
-                    Err(e) => {
-                        // Stop dispatching; the workers still drain below.
-                        failed = Some(e);
-                        break;
-                    }
-                };
-                // Dispatch with backpressure: when the work queue is full
-                // (workers may themselves be blocked on the full result
-                // channel), fold a finished result to make progress instead
-                // of blocking in `send` — that would deadlock now that both
-                // channels are bounded.
-                let mut job = Some((dispatched, chunk));
-                while let Some(j) = job.take() {
-                    match work_tx.try_send(j) {
-                        Ok(()) => {}
-                        Err(mpsc::TrySendError::Full(j)) => {
-                            job = Some(j);
-                            let r = res_rx
-                                .recv()
-                                .expect("streaming worker pool terminated unexpectedly");
-                            fold(state, &mut per_chunk, &mut merged, r);
-                        }
-                        Err(mpsc::TrySendError::Disconnected(_)) => {
-                            panic!("streaming worker pool terminated unexpectedly")
-                        }
-                    }
-                }
-                dispatched += 1;
-                // Opportunistically fold finished chunks while dispatching.
-                while let Ok(r) = res_rx.try_recv() {
-                    fold(state, &mut per_chunk, &mut merged, r);
-                }
-            }
-            drop(work_tx); // signal end of work; workers drain and exit
-            while let Ok(r) = res_rx.recv() {
-                fold(state, &mut per_chunk, &mut merged, r);
-            }
-            assert_eq!(
-                merged, dispatched,
-                "a streaming worker died before finishing its chunk"
-            );
-        });
-
-        if let Some(e) = failed {
-            return Err(e);
-        }
         let mut report = AbsorbReport {
             elements: 0,
-            chunk_times: Vec::with_capacity(per_chunk.len()),
+            chunk_times: Vec::new(),
             max_chunk_elements: 0,
         };
-        for slot in per_chunk {
-            let (n, time) = slot.expect("every dispatched chunk was folded");
-            report.chunk_times.push(time);
-            report.elements += n;
-            report.max_chunk_elements = report.max_chunk_elements.max(n as usize);
-        }
-        Ok(report)
+        let mut failed = None;
+        let chunks = chunks
+            .into_iter()
+            .map_while(|chunk| chunk.map_err(|e| failed = Some(e)).ok());
+        fold_in_order(
+            threads,
+            chunks.enumerate(),
+            |chunk| {
+                let t = Instant::now();
+                let elements = chunk.node_count() + chunk.edge_count();
+                let chunk_state = self.chunk_state_cached(&chunk, shared.as_deref(), cache);
+                (chunk_state, elements, t.elapsed())
+            },
+            |(chunk_state, elements, time)| {
+                state.merge(chunk_state);
+                report.elements += elements as u64;
+                report.max_chunk_elements = report.max_chunk_elements.max(elements);
+                report.chunk_times.push(time);
+                true
+            },
+        );
+        failed.map_or(Ok(report), Err)
     }
 
     /// Fresh [`SchemaState`] carrying this discoverer's θ — the accumulator
@@ -745,9 +617,10 @@ impl Discoverer {
     /// fresh registry ([`Self::absorb_unit`] into a fresh [`Ingest`]), so a
     /// file's state depends only on that file and the chunk size.
     ///
-    /// [`MultiSource::fold_ordered`] reads up to `threads` files at once,
-    /// each with `max(1, threads / min(threads, files))` chunk workers, and
-    /// the root [`Ingest::merge`]s the files in path order. The result is
+    /// [`MultiSource::fold_ordered`] reads up to `threads` files at once on
+    /// the worker pool, heaviest first, each with
+    /// `max(1, threads / min(threads, files))` chunk workers, and the root
+    /// [`Ingest::merge`]s the files in path order. The result is
     /// the serial run's for every thread count, even where the merge is not
     /// commutative: a node id declared by two files counts toward
     /// `duplicate_nodes`, and the later file's binding wins for stub labels.
@@ -759,7 +632,8 @@ impl Discoverer {
     /// when or where it resolves — which is what makes split
     /// `--save-state` runs merged later with `merge-state` equal to the
     /// one-shot run. Edges whose endpoints no input declares stay in
-    /// [`Ingest::pending`] and count as unresolved warnings.
+    /// [`Ingest::pending`], uncounted: whether they are dropped or carried
+    /// on is the caller's call, as for [`Ingest::resolve`].
     pub fn discover_tree(
         &self,
         source: &MultiSource,
@@ -790,7 +664,6 @@ impl Discoverer {
             },
         )?;
         root.resolve(self);
-        root.warnings.unresolved_edges += root.pending.len() as u64;
         Ok(root)
     }
 
@@ -801,11 +674,12 @@ impl Discoverer {
     /// mini-graph holding every edge of the group on its own stub pair.
     ///
     /// Grouping this way is byte-identical to the per-edge resolution it
-    /// replaces ([`Self::resolve_pending_reference`], proptested in
-    /// `tests/`): same-signature edges dedup to a single representation
-    /// row, so the group clusters into exactly one candidate whose summed
-    /// counts, unioned endpoints, and joined property kinds equal the
-    /// pooled result of absorbing each edge alone — the same invariance
+    /// replaces (the reference in `tests/tests/support/resolve.rs`,
+    /// proptested in `incremental_equivalence.rs`): same-signature edges
+    /// dedup to a single representation row, so the group clusters into
+    /// exactly one candidate whose summed counts, unioned endpoints, and
+    /// joined property kinds equal the pooled result of absorbing each
+    /// edge alone — the same invariance
     /// that already makes streaming equal across chunk sizes. Distinct
     /// stub pairs keep every endpoint at degree 1, preserving each edge's
     /// 1:1 cardinality contribution. Grouping by endpoint pair alone
@@ -861,46 +735,6 @@ impl Discoverer {
             }
             let g = b.finish();
             state.merge(self.chunk_state_with(&g, shared.as_deref()));
-        }
-        (unresolved, resolved)
-    }
-
-    /// The per-edge resolution [`Self::resolve_pending`] batches: every
-    /// resolvable edge is absorbed in its own two-stub mini-graph. Kept as
-    /// the **equality oracle** for the batched path — the equivalence
-    /// suite asserts both produce byte-identical finalized schemas on
-    /// random pending sets.
-    pub fn resolve_pending_reference(
-        &self,
-        state: &mut SchemaState,
-        registry: &LabelSetRegistry,
-        pending: Vec<Record>,
-    ) -> (Vec<Record>, u64) {
-        let shared = self.shared_embedder();
-        let mut unresolved = Vec::new();
-        let mut resolved = 0u64;
-        for rec in pending {
-            let (Some(src_ls), Some(tgt_ls)) =
-                (registry.label_set(&rec.src), registry.label_set(&rec.tgt))
-            else {
-                unresolved.push(rec);
-                continue;
-            };
-            let mut b = GraphBuilder::new();
-            let src_labels: Vec<&str> = src_ls.iter().map(String::as_str).collect();
-            let tgt_labels: Vec<&str> = tgt_ls.iter().map(String::as_str).collect();
-            let s = b.add_stub_node(&src_labels);
-            let t = b.add_stub_node(&tgt_labels);
-            let edge_labels: Vec<&str> = rec.labels.iter().map(String::as_str).collect();
-            let edge_props: Vec<(&str, pg_hive_graph::Value)> = rec
-                .props
-                .iter()
-                .map(|(k, v)| (k.as_str(), v.clone()))
-                .collect();
-            b.add_edge(s, t, &edge_labels, &edge_props);
-            let g = b.finish();
-            state.merge(self.chunk_state_with(&g, shared.as_deref()));
-            resolved += 1;
         }
         (unresolved, resolved)
     }
@@ -1437,9 +1271,8 @@ mod tests {
         let serial = d.discover_tree(&source, 2, 1).unwrap();
         let serial_text = crate::serialize::pg_schema_strict(&serial.state.finalize(), "G");
         assert_eq!(serial.inputs, 3);
-        // The ghost-endpoint edge stays pending and is counted unresolved.
+        // The ghost-endpoint edge stays pending; the caller counts it.
         assert_eq!(serial.pending.len(), 1);
-        assert_eq!(serial.warnings.unresolved_edges, 1);
         // Cross-file WORKS_AT edges resolved against the merged registry.
         assert!(serial_text.contains("WORKS_AT"), "{serial_text}");
         for threads in [2, 3, 4, 7] {

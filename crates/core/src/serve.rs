@@ -947,6 +947,13 @@ fn read_request<R: BufRead>(r: &mut R, max_body: usize) -> ReadOutcome {
             )
         }
     };
+    // RFC 9112 §2.2: an element holding a bare CR is invalid. Read as a
+    // character, it could hide a header such as `Content-Length`.
+    if line.contains(&b'\r') {
+        return ReadOutcome::Bad(
+            Response::error(400, "bad-request-line", "bare CR in the request line").closing(),
+        );
+    }
     let Ok(line) = String::from_utf8(line) else {
         return ReadOutcome::Bad(
             Response::error(400, "bad-request-line", "request line is not UTF-8").closing(),
@@ -1009,6 +1016,11 @@ fn read_request<R: BufRead>(r: &mut R, max_body: usize) -> ReadOutcome {
         };
         if hline.is_empty() {
             break;
+        }
+        if hline.contains(&b'\r') {
+            return ReadOutcome::Bad(
+                Response::error(400, "bad-header", "bare CR in a header line").closing(),
+            );
         }
         header_count += 1;
         header_bytes += hline.len();

@@ -12,8 +12,8 @@
 //!    patterns pool into a `BTreeMap` keyed by property-key set. Every leaf
 //!    operation — label union, occurrence addition, kind lattice join,
 //!    endpoint union, cardinality maximum — is order-insensitive, so
-//!    absorbing chunk states in *any* order (serial, a worker pool's
-//!    completion order, a `watch` pass) produces the same state.
+//!    absorbing chunk states in *any* order (serial, a shard merge tree, a
+//!    `watch` pass) produces the same state.
 //! 2. **Finalize** (deterministic): abstract patterns are resolved against
 //!    the pooled labeled types with the Jaccard-θ rules of Algorithm 2, in
 //!    canonical (sorted key-set) order, and the resulting [`SchemaGraph`]

@@ -28,6 +28,8 @@
 //!   (§4.6); plus [`stream::ReadAheadChunks`], the bounded-channel producer
 //!   stage that overlaps parsing with downstream discovery
 //!   (`absorb_unit`'s read-ahead units).
+//! - [`fold_in_order`]: the one worker pool, which runs jobs on scoped
+//!   threads and folds their results in position order.
 //!
 //! See `docs/ARCHITECTURE.md` at the repository root for the crate map and
 //! the streaming chunk lifecycle.
@@ -40,6 +42,7 @@ pub mod element;
 pub mod graph;
 pub mod interner;
 pub mod loader;
+mod pool;
 pub mod snapshot;
 pub mod stats;
 pub mod stream;
@@ -50,6 +53,7 @@ pub use builder::GraphBuilder;
 pub use element::{Edge, EdgeId, Node, NodeId};
 pub use graph::PropertyGraph;
 pub use interner::{Interner, Symbol};
+pub use pool::fold_in_order;
 pub use stats::GraphStats;
 pub use stream::jsonl::json_escape;
 pub use stream::multi::{MultiSource, SourceEntry, SourceKind};

@@ -8,10 +8,10 @@
 //! each [`SourceEntry`] opens a **fresh** reader (fresh registry, chunk
 //! boundaries a function of that file alone), so a file's result does not
 //! depend on the thread that read it. [`MultiSource::fold_ordered`] reads
-//! the files on a pool of threads and folds their results on the calling
-//! thread in path order, the order of the serial loop. Folds that are not
-//! commutative, such as a node id bound by two files (the later file's
-//! binding wins), then give the serial answer too.
+//! the files on the worker pool ([`crate::fold_in_order`]) and folds their
+//! results on the calling thread in path order, the order of the serial
+//! loop. Folds that are not commutative, such as a node id bound by two
+//! files (the later file's binding wins), then give the serial answer too.
 //!
 //! # Enumeration rules
 //!
@@ -30,11 +30,10 @@ use super::jsonl::JsonlSource;
 use super::pgt::PgtSource;
 use super::raw::RawGraphSource;
 use super::StreamError;
+use crate::pool::fold_in_order;
 use std::fs::File;
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc;
 
 /// Wire format of one enumerated input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,14 +146,14 @@ impl MultiSource {
     /// `for e in entries { fold(per_entry(e)?) }` does, whatever the thread
     /// count.
     ///
-    /// Up to `min(threads, entries)` scoped threads claim entries through
-    /// an atomic cursor, heaviest first by [`SourceEntry::byte_len`] so a
-    /// large file starts at once. Their results come back over a channel
-    /// and wait in a reorder buffer until every earlier entry is folded.
-    /// `fold` returns `false` to end the run: no thread claims another
-    /// entry, and later results are dropped. The first error in path order
-    /// is returned after every earlier entry has been folded. With one
-    /// thread (or one entry) this is a plain loop on the calling thread.
+    /// The entries run on [`fold_in_order`] with up to `min(threads,
+    /// entries)` workers, started heaviest first by
+    /// [`SourceEntry::byte_len`] so a large file starts at once; a result
+    /// that finishes before an earlier entry's waits for it. `fold` returns
+    /// `false` to end the run: entries not yet started are dropped, and
+    /// later results too. The first error in path order is returned after
+    /// every earlier entry has been folded. With one thread (or one entry) the
+    /// entries run in path order on the calling thread.
     pub fn fold_ordered<T, E, P, F>(
         &self,
         threads: usize,
@@ -169,59 +168,25 @@ impl MultiSource {
     {
         let entries = &self.entries;
         let workers = threads.min(entries.len());
-        if workers <= 1 {
-            for entry in entries {
-                if !fold(per_entry(entry)?) {
-                    break;
-                }
-            }
-            return Ok(());
+        let mut start: Vec<usize> = (0..entries.len()).collect();
+        if workers > 1 {
+            // Heaviest first; equal weights keep path order (stable sort).
+            start.sort_by_cached_key(|&i| std::cmp::Reverse(entries[i].byte_len()));
         }
-        let mut claim_order: Vec<usize> = (0..entries.len()).collect();
-        // Heaviest first; equal weights keep path order (stable sort).
-        claim_order.sort_by_cached_key(|&i| std::cmp::Reverse(entries[i].byte_len()));
-        // Relaxed is enough: the cursor hands out distinct indexes and the
-        // stop flag is a hint; results travel over the channel.
-        let cursor = AtomicUsize::new(0);
-        let stop = AtomicBool::new(false);
-        let (tx, rx) = mpsc::channel();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let (claim_order, cursor, stop, per_entry) =
-                    (&claim_order, &cursor, &stop, &per_entry);
-                scope.spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
-                        let Some(&i) = claim_order.get(cursor.fetch_add(1, Ordering::Relaxed))
-                        else {
-                            return;
-                        };
-                        if tx.send((i, per_entry(&entries[i]))).is_err() {
-                            return;
-                        }
-                    }
-                });
-            }
-            drop(tx);
-            let mut waiting: Vec<Option<Result<T, E>>> = entries.iter().map(|_| None).collect();
-            let mut next = 0;
-            let mut fold_in_order = || {
-                // Ends early only if a worker panicked; the scope re-raises it.
-                for (i, result) in &rx {
-                    waiting[i] = Some(result);
-                    while let Some(result) = waiting.get_mut(next).and_then(Option::take) {
-                        next += 1;
-                        if !fold(result?) {
-                            return Ok(());
-                        }
-                    }
+        let mut failed = None;
+        fold_in_order(
+            workers,
+            start.into_iter().map(|i| (i, &entries[i])),
+            &per_entry,
+            |result| match result {
+                Ok(value) => fold(value),
+                Err(e) => {
+                    failed = Some(e);
+                    false
                 }
-                Ok(())
-            };
-            let outcome = fold_in_order();
-            stop.store(true, Ordering::Relaxed);
-            outcome
-        })
+            },
+        );
+        failed.map_or(Ok(()), Err)
     }
 }
 
@@ -260,6 +225,7 @@ fn walk(dir: &Path, out: &mut Vec<SourceEntry>) -> Result<(), StreamError> {
 mod tests {
     use super::*;
     use std::fs;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn tmpdir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("pg-hive-multi-{name}-{}", std::process::id()));

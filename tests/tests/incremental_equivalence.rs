@@ -16,8 +16,8 @@
 //!    actually hits.
 //! 3. **Batched pending resolution** — `resolve_pending` (one mini-graph
 //!    per endpoint-signature group) against `resolve_pending_reference`
-//!    (one mini-graph per carried edge): same resolved count, same
-//!    leftovers, same schema.
+//!    (`support/resolve.rs`, one mini-graph per carried edge): same
+//!    resolved count, same leftovers, same schema.
 //!
 //! Shard partitions and random merge-tree fold orders are certified
 //! separately in `proptest_shard_merge.rs`.
@@ -36,6 +36,10 @@ use proptest::prelude::*;
 use std::collections::VecDeque;
 use std::io::Cursor;
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+#[path = "support/resolve.rs"]
+mod resolve;
+use resolve::resolve_pending_reference;
 
 /// A factory producing fresh readers over one serialized wire-format text,
 /// so cold/warm/reloaded runs each consume an independent source.
@@ -319,7 +323,7 @@ proptest! {
         let (batched_left, batched_n) =
             d.resolve_pending(&mut batched_state, &merged.registry, merged.pending.clone());
         let (reference_left, reference_n) =
-            d.resolve_pending_reference(&mut reference_state, &merged.registry, merged.pending);
+            resolve_pending_reference(&d, &mut reference_state, &merged.registry, merged.pending);
         prop_assert_eq!(batched_n, reference_n);
         prop_assert_eq!(&batched_left, &reference_left);
         prop_assert_eq!(

@@ -22,8 +22,17 @@
 //! Section lines are also duplicated, dropped, cut or given huge numbers
 //! and re-checksummed, so the mutation reaches the section parsers:
 //! `ResumeContext::from_snapshot` must return `Ok` or a named error.
+//!
+//! HTTP: a `serve::bind` server gets duplicate or conflicting
+//! `Content-Length`, `Transfer-Encoding` beside `Content-Length`, a bare
+//! CR or LF in the head, a request line that is not UTF-8, and valid
+//! requests split across several writes. Every connection gets
+//! well-formed replies (status line, `Content-Length` equal to the body,
+//! an error name docs/SERVE.md lists) and then a clean close, and the
+//! server keeps answering `GET /healthz`.
 
 use pg_hive_core::pipeline::UnitSource;
+use pg_hive_core::serve::{bind, RunningServer, ServeCore, ServeOptions};
 use pg_hive_core::snapshot::{
     context_snapshot_cached, FileCheckpoint, ResumeContext, Snapshot, SnapshotConfig,
     WatchCheckpoint,
@@ -37,8 +46,11 @@ use pg_hive_graph::stream::read_all;
 use pg_hive_graph::{ChunkedTextReader, RawGraphSource, RecordBuf, RecordRef, StreamError};
 use proptest::prelude::*;
 use proptest::TestCaseError;
+use std::io::{Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
 /// One line of a mutated input: a template index, an edit (1 inserts a
 /// byte, 2 overwrites one, 3 replaces the line with junk, 4 truncates it,
@@ -516,4 +528,230 @@ fn temp_snapshot(tag: &str) -> std::path::PathBuf {
         std::process::id(),
         CASE.fetch_add(1, Ordering::Relaxed)
     ))
+}
+
+/// A pgt body every hostile HTTP case carries.
+const HTTP_BODY: &str = "N h Host name=x\n";
+
+/// One hostile HTTP exchange: the writes a client makes on one connection
+/// and, where the answer is fixed, the `(status, error name)` replies.
+type HttpCase = (Vec<Vec<u8>>, Option<Vec<(u16, Option<String>)>>);
+
+/// A POST of [`HTTP_BODY`] to the ingest route with `headers`.
+fn ingest_request(headers: &[String]) -> Vec<u8> {
+    let mut head = String::from("POST /v1/hostile/ingest HTTP/1.1\r\nHost: x\r\n");
+    for h in headers {
+        head.push_str(h);
+        head.push_str("\r\n");
+    }
+    format!("{head}\r\n{HTTP_BODY}").into_bytes()
+}
+
+/// The hostile request of kind `kind % 5` (see
+/// `serve_survives_hostile_http`), drawn from the other arguments.
+fn hostile_case(kind: usize, picks: &[u8], flag: bool, at: usize, cuts: &[usize]) -> HttpCase {
+    let len = HTTP_BODY.len();
+    let valid = ingest_request(&[format!("Content-Length: {len}")]);
+    match kind % 5 {
+        // Duplicate or conflicting Content-Length headers.
+        0 => {
+            let headers: Vec<String> = picks
+                .iter()
+                .map(|p| match p % 7 {
+                    0 => len.to_string(),
+                    1 => (len + 1).to_string(),
+                    2 => (len - 1).to_string(),
+                    3 => format!("+{len}"),
+                    4 => format!(" 0{len} "),
+                    5 => format!("{len},{len}"),
+                    _ => String::new(),
+                })
+                .map(|value| format!("Content-Length: {value}"))
+                .collect();
+            (vec![ingest_request(&headers)], None)
+        }
+        // Transfer-Encoding together with Content-Length, either first.
+        1 => {
+            let te = ["chunked", "identity", "gzip, chunked"][at % 3];
+            let mut headers = vec![
+                format!("Content-Length: {len}"),
+                format!("Transfer-Encoding: {te}"),
+            ];
+            if flag {
+                headers.reverse();
+            }
+            let expected = vec![(501, Some("chunked-not-supported".to_string()))];
+            (vec![ingest_request(&headers)], Some(expected))
+        }
+        // A bare CR or LF planted anywhere in the head. A bare LF ends a
+        // line, so what follows varies; a bare CR is refused outright.
+        2 => {
+            let mut bytes = valid;
+            let line_len = bytes
+                .iter()
+                .position(|&b| b == b'\r')
+                .expect("a request line");
+            let at = at % (bytes.len() - len - 2);
+            bytes.insert(at, if flag { b'\r' } else { b'\n' });
+            let refused = if at <= line_len + 1 {
+                "bad-request-line"
+            } else {
+                "bad-header"
+            };
+            let expected = flag.then(|| vec![(400, Some(refused.to_string()))]);
+            (vec![bytes], expected)
+        }
+        // A request line that is not UTF-8.
+        3 => {
+            let mut bytes = valid;
+            let line_len = bytes
+                .iter()
+                .position(|&b| b == b'\r')
+                .expect("a request line");
+            bytes.insert(at % (line_len + 1), 0x80 | picks[0]);
+            let expected = vec![(400, Some("bad-request-line".to_string()))];
+            (vec![bytes], Some(expected))
+        }
+        // A valid request split across several writes.
+        _ => {
+            let request = if flag {
+                valid
+            } else {
+                b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n".to_vec()
+            };
+            let mut cuts: Vec<usize> = cuts.iter().map(|c| c % request.len()).collect();
+            cuts.push(request.len());
+            cuts.sort_unstable();
+            let mut pieces = Vec::new();
+            let mut start = 0;
+            for cut in cuts {
+                pieces.push(request[start..cut].to_vec());
+                start = cut;
+            }
+            (pieces, Some(vec![(200, None)]))
+        }
+    }
+}
+
+/// A fresh server with one connection worker, so a hostile request that
+/// killed or wedged the worker leaves nothing to answer `GET /healthz`.
+fn hostile_server() -> RunningServer {
+    let opts = ServeOptions {
+        workers: 1,
+        read_timeout: Duration::from_secs(5),
+        ..ServeOptions::default()
+    };
+    let core = ServeCore::new(Discoverer::new(PipelineConfig::elsh_adaptive()), opts)
+        .expect("server core");
+    bind("127.0.0.1:0", Arc::new(core)).expect("bind")
+}
+
+/// Make `writes` on a fresh connection, close the writing half and read
+/// until the server closes. A reset or a stall is an error.
+fn http_exchange(addr: SocketAddr, writes: &[Vec<u8>]) -> Result<Vec<u8>, String> {
+    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .map_err(|e| e.to_string())?;
+    stream.set_nodelay(true).map_err(|e| e.to_string())?;
+    for (i, piece) in writes.iter().enumerate() {
+        if i > 0 {
+            // Let the server read the previous piece on its own.
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        stream.write_all(piece).map_err(|e| format!("write: {e}"))?;
+    }
+    stream
+        .shutdown(Shutdown::Write)
+        .map_err(|e| format!("shutdown: {e}"))?;
+    let mut reply = Vec::new();
+    stream
+        .read_to_end(&mut reply)
+        .map_err(|e| format!("no clean close after {} byte(s): {e}", reply.len()))?;
+    Ok(reply)
+}
+
+/// Split a server's byte stream into replies, checking that each has a
+/// status line and a `Content-Length` equal to its body's length, and that
+/// an error reply (status >= 400) names an error docs/SERVE.md lists.
+fn parse_replies(mut bytes: &[u8]) -> Result<Vec<(u16, Option<String>)>, String> {
+    let documented = include_str!("../../docs/SERVE.md");
+    let mut replies = Vec::new();
+    while !bytes.is_empty() {
+        let head_end = bytes
+            .windows(4)
+            .position(|w| w == b"\r\n\r\n")
+            .ok_or("a reply head never ends")?;
+        let head = std::str::from_utf8(&bytes[..head_end]).map_err(|_| "reply head not UTF-8")?;
+        let mut lines = head.split("\r\n");
+        let status_line = lines.next().unwrap_or_default();
+        let status: u16 = status_line
+            .strip_prefix("HTTP/1.1 ")
+            .and_then(|rest| rest.get(..3))
+            .and_then(|code| code.parse().ok())
+            .ok_or_else(|| format!("bad status line {status_line:?}"))?;
+        let mut length = None;
+        for line in lines {
+            let (name, value) = line
+                .split_once(':')
+                .ok_or_else(|| format!("bad reply header {line:?}"))?;
+            if name.eq_ignore_ascii_case("content-length") {
+                length = value.trim().parse::<usize>().ok();
+            }
+        }
+        let length = length.ok_or("a reply without a Content-Length")?;
+        let body_start = head_end + 4;
+        let body = bytes
+            .get(body_start..body_start + length)
+            .ok_or("a reply body shorter than its Content-Length")?;
+        bytes = &bytes[body_start + length..];
+        let error = if status >= 400 {
+            let body = std::str::from_utf8(body).map_err(|_| "error body not UTF-8")?;
+            let name = body
+                .strip_prefix("{\"error\":\"")
+                .and_then(|rest| rest.split_once('"'))
+                .map(|(name, _)| name.to_string())
+                .ok_or_else(|| format!("error reply without a name: {body}"))?;
+            if !documented.contains(&format!("`{name}`")) {
+                return Err(format!("error name {name:?} is not in docs/SERVE.md"));
+            }
+            Some(name)
+        } else {
+            None
+        };
+        replies.push((status, error));
+    }
+    Ok(replies)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Hostile HTTP: duplicate or conflicting `Content-Length`,
+    /// `Transfer-Encoding` beside `Content-Length`, a bare CR or LF in the
+    /// head, a request line that is not UTF-8, and valid requests split
+    /// across several writes. Every connection gets well-formed replies
+    /// (or none) and then a clean close, and the server still answers a
+    /// new connection's `GET /healthz` with 200.
+    #[test]
+    fn serve_survives_hostile_http(
+        kind in 0usize..5,
+        picks in proptest::collection::vec(any::<u8>(), 2..4),
+        flag in any::<bool>(),
+        at in any::<usize>(),
+        cuts in proptest::collection::vec(any::<usize>(), 1..5),
+    ) {
+        let (writes, expected) = hostile_case(kind, &picks, flag, at, &cuts);
+        let server = hostile_server();
+        let bytes = http_exchange(server.addr(), &writes).map_err(TestCaseError::fail)?;
+        let replies = parse_replies(&bytes).map_err(TestCaseError::fail)?;
+        if let Some(expected) = expected {
+            prop_assert_eq!(replies, expected);
+        }
+        let health = http_exchange(server.addr(), &[b"GET /healthz HTTP/1.1\r\n\r\n".to_vec()])
+            .and_then(|bytes| parse_replies(&bytes))
+            .map_err(TestCaseError::fail)?;
+        prop_assert_eq!(health, vec![(200, None)]);
+        server.shutdown();
+    }
 }
