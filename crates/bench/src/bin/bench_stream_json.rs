@@ -6,10 +6,11 @@
 //!    memory O(dataset), the CLI's non-streaming path),
 //! 2. **stream**: `PgtSource` → `ChunkedTextReader` → `discover_stream`
 //!    (resident memory O(chunk)), and
-//! 3. **parallel**: `PgtSource` → `ReadAheadChunks` (producer thread) →
-//!    `absorb_stream` on the worker pool (input-order merge) → finalize
-//!    — the pipeline-parallel engine, recording thread count and
-//!    read-ahead depth —
+//! 3. **parallel**: `PgtSource` → `ReadAheadChunks` (parse and chunk
+//!    threads) → `absorb_stream` on the worker pool (input-order merge) →
+//!    finalize — the pipeline-parallel engine, recording thread count,
+//!    read-ahead depth and its speed-up over the serial path
+//!    (`parallel_speedup`) —
 //!
 //! plus a **raw per-chunk** run (`discover_chunk_state` per chunk, results
 //! dropped) that isolates what the canonical `SchemaState` machinery —
@@ -485,6 +486,9 @@ fn main() {
     // itself", is only testable with actual cores); on multi-core it should
     // beat serial outright.
     let parallel_tolerance = if cores > 1 { 0.95 } else { 0.80 };
+    // Parallel over serial elements/s, both from this run: what the
+    // read-ahead threads and the worker pool buy on this host.
+    let parallel_speedup = parallel_eps / stream_eps;
     let parallel_not_slower = parallel_eps >= parallel_tolerance * stream_eps;
     // Canonicalization (cross-chunk absorb + finalize) must keep at least
     // 0.9x the raw per-chunk throughput.
@@ -513,8 +517,8 @@ fn main() {
         ts.postprocess.as_secs_f64()
     );
     println!(
-        "   parallel: {parallel_secs:.3}s ({parallel_eps:.0} elem/s), {threads} thread(s), \
-         read-ahead {read_ahead}, peak resident {} elements",
+        "   parallel: {parallel_secs:.3}s ({parallel_eps:.0} elem/s, {parallel_speedup:.2}x \
+         serial), {threads} thread(s), read-ahead {read_ahead}, peak resident {} elements",
         parallel_max_resident
     );
     println!(
@@ -574,6 +578,7 @@ fn main() {
     let _ = writeln!(json, "  \"parallel_elements_per_sec\": {parallel_eps:.1},");
     let _ = writeln!(json, "  \"parallel_threads\": {threads},");
     let _ = writeln!(json, "  \"parallel_read_ahead\": {read_ahead},");
+    let _ = writeln!(json, "  \"parallel_speedup\": {parallel_speedup:.4},");
     let _ = writeln!(
         json,
         "  \"parallel_max_chunk_resident_elements\": {},",

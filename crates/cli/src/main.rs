@@ -28,7 +28,7 @@
 //!
 //! With `--stream`, `discover` runs the pipeline-parallel streaming engine:
 //! the input is one unit of the ingest fold (`Discoverer::absorb_unit`),
-//! parsed a few chunks ahead by a dedicated producer thread
+//! parsed on one thread and built into chunks a few chunks ahead on another
 //! ([`pg_hive_graph::stream::ReadAheadChunks`]) while a pool of
 //! `--threads` workers discovers chunks concurrently — so resident memory
 //! stays O(chunk × in-flight), the output is byte-identical for every
@@ -74,6 +74,7 @@ use pg_hive_core::{
     SignatureCache, UnitSource, Validator, DEFAULT_MAX_EXAMPLES,
 };
 use pg_hive_graph::loader::load_text;
+use pg_hive_graph::stream::read_ahead::{BATCHES_IN_FLIGHT, BATCH_RECORDS};
 use pg_hive_graph::{
     GraphStats, MultiSource, PropertyGraph, RawGraphSource, SourceEntry, SourceKind, StreamError,
     StreamWarnings,
@@ -503,11 +504,13 @@ fn stream_fold(
         if progress {
             // Upper bound on simultaneously resident chunks: the producer's
             // buffer, one chunk per worker (being processed), one per
-            // queue slot, plus the one being parsed.
+            // queue slot, plus the one being built; and on the record
+            // batches parsed ahead of the chunk thread.
             let in_flight_cap = READ_AHEAD + 2 * threads + 1;
             eprintln!(
                 "streaming {path}: {threads} worker thread(s), read-ahead {READ_AHEAD} \
-                 (<= {in_flight_cap} chunks in flight)"
+                 (<= {in_flight_cap} chunks and {BATCHES_IN_FLIGHT} batches of \
+                 {BATCH_RECORDS} parsed records in flight)"
             );
         }
         let mut chunk_no = 0usize;

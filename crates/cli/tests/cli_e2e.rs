@@ -322,6 +322,58 @@ N o Org url=x.com
 }
 
 #[test]
+fn stream_parse_errors_name_their_line_once() {
+    let dir = write_temp_dir(
+        "bad-lines",
+        &[("bogus.pgt", "N a Person name=Ann\nX bogus\n")],
+    );
+    let bogus = dir.join("bogus.pgt");
+    let reference = write_temp(DEMO);
+    let (bogus, reference) = (bogus.to_str().unwrap(), reference.to_str().unwrap());
+    for args in [
+        vec!["discover", bogus, "--stream"],
+        vec!["stats", bogus, "--stream"],
+        vec!["validate", reference, bogus],
+    ] {
+        let (_, stderr, code) = run(&args);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(": line 2: record must start with 'N' or 'E'"),
+            "{args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("line 2: line 2"), "{args:?}: {stderr}");
+    }
+    // A line that is not UTF-8 is a parse error at that line in every
+    // format, not a bare io error.
+    std::fs::write(dir.join("g.pgt"), b"N a P -\nN b P name=\xff\n").unwrap();
+    std::fs::write(
+        dir.join("g.jsonl"),
+        b"{\"type\":\"node\",\"id\":\"a\"}\n{\"type\":\"node\",\"id\":\"\xff\"}\n",
+    )
+    .unwrap();
+    std::fs::create_dir_all(dir.join("csv")).unwrap();
+    std::fs::write(dir.join("csv/nodes.csv"), b"id,labels\na,P\nb,\xff\n").unwrap();
+    for (input, format, line) in [
+        ("g.pgt", "pgt", 2),
+        ("g.jsonl", "jsonl", 2),
+        ("csv", "csv", 3),
+    ] {
+        let input = dir.join(input);
+        let args = [
+            "discover",
+            input.to_str().unwrap(),
+            "--input-format",
+            format,
+            "--stream",
+        ];
+        let (_, stderr, code) = run(&args);
+        assert_eq!(code, Some(1), "{format}: {stderr}");
+        let want = format!(": line {line}: stream did not contain valid UTF-8");
+        assert!(stderr.contains(&want), "{format}: {stderr}");
+    }
+}
+
+#[test]
 fn discover_stream_parallel_matches_serial_output() {
     // The pipeline-parallel engine must print the same schema for any
     // --threads value.

@@ -195,7 +195,7 @@ impl Ingest {
 pub enum UnitSource<'a> {
     /// On the calling thread, through a [`ChunkedTextReader`].
     Inline(Box<dyn RawGraphSource + 'a>),
-    /// On a [`ReadAheadChunks`] producer thread that parses up to
+    /// On [`ReadAheadChunks`]' parse and chunk threads, which build up to
     /// [`READ_AHEAD`] chunks ahead of the discovery workers.
     ReadAhead(Box<dyn RawGraphSource + Send>),
 }

@@ -25,9 +25,9 @@
 //!   [`stream::RawGraphSource`], over `.pgt` / CSV / JSON-Lines exports and
 //!   a [`stream::ChunkedTextReader`] that yields independent graph chunks
 //!   with O(chunk) resident memory, feeding `Discoverer::absorb_unit`
-//!   (§4.6); plus [`stream::ReadAheadChunks`], the bounded-channel producer
-//!   stage that overlaps parsing with downstream discovery
-//!   (`absorb_unit`'s read-ahead units).
+//!   (§4.6); plus [`stream::ReadAheadChunks`], the bounded producer that
+//!   parses on one thread and builds chunks on another, overlapping both
+//!   with downstream discovery (`absorb_unit`'s read-ahead units).
 //! - [`fold_in_order`]: the one worker pool, which runs jobs on scoped
 //!   threads and folds their results in position order.
 //!

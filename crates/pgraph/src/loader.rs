@@ -70,25 +70,28 @@ pub enum LoadError {
     },
 }
 
+impl LoadError {
+    /// What is wrong with the line, without its number (which `Display`
+    /// and [`crate::StreamError::Parse`] put in front).
+    pub(crate) fn reason(&self) -> String {
+        match self {
+            LoadError::UnknownRecord { .. } => "record must start with 'N' or 'E'".into(),
+            LoadError::Malformed { expected, .. } => format!("expected {expected} fields"),
+            LoadError::UnknownNode { id, .. } => format!("unknown node id '{id}'"),
+            LoadError::BadProperty { token, .. } => format!("bad property token '{token}'"),
+            LoadError::DuplicateNode { id, .. } => format!("duplicate node id '{id}'"),
+        }
+    }
+}
+
 impl fmt::Display for LoadError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LoadError::UnknownRecord { line } => {
-                write!(f, "line {line}: record must start with 'N' or 'E'")
-            }
-            LoadError::Malformed { line, expected } => {
-                write!(f, "line {line}: expected {expected} fields")
-            }
-            LoadError::UnknownNode { line, id } => {
-                write!(f, "line {line}: unknown node id '{id}'")
-            }
-            LoadError::BadProperty { line, token } => {
-                write!(f, "line {line}: bad property token '{token}'")
-            }
-            LoadError::DuplicateNode { line, id } => {
-                write!(f, "line {line}: duplicate node id '{id}'")
-            }
-        }
+        let (LoadError::UnknownRecord { line }
+        | LoadError::Malformed { line, .. }
+        | LoadError::UnknownNode { line, .. }
+        | LoadError::BadProperty { line, .. }
+        | LoadError::DuplicateNode { line, .. }) = self;
+        write!(f, "line {line}: {}", self.reason())
     }
 }
 

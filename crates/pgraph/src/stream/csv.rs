@@ -21,7 +21,7 @@
 //!   physical lines).
 
 use super::raw::{RawGraphSource, RecordBuf, RecordKind, Span};
-use super::StreamError;
+use super::{read_line, StreamError};
 use crate::graph::PropertyGraph;
 use crate::value::Value;
 use std::fs::File;
@@ -277,7 +277,7 @@ fn read_csv_record_raw<R: BufRead>(
     let mut started = false;
     loop {
         linebuf.clear();
-        if r.read_line(linebuf)? == 0 {
+        if read_line(r, linebuf, *line + 1)? == 0 {
             if !started {
                 return Ok(false);
             }

@@ -19,7 +19,7 @@
 //! offline), so a minimal recursive-descent parser lives here.
 
 use super::raw::{RawGraphSource, RecordBuf, RecordKind, Span};
-use super::StreamError;
+use super::{read_line, StreamError};
 use crate::graph::PropertyGraph;
 use crate::value::Value;
 use std::io::BufRead;
@@ -59,7 +59,7 @@ impl<R: BufRead> RawGraphSource for JsonlSource<R> {
         loop {
             buf.clear();
             self.linebuf.clear();
-            if self.reader.read_line(&mut self.linebuf)? == 0 {
+            if read_line(&mut self.reader, &mut self.linebuf, self.line + 1)? == 0 {
                 return Ok(false);
             }
             self.line += 1;

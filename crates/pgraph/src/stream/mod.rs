@@ -58,6 +58,7 @@ use crate::value::Value;
 use raw::RecordKind;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::io::BufRead;
 
 /// A carried edge: an edge record whose endpoint ids its reader's registry
 /// never bound, held as owned strings so it can outlive the record buffer
@@ -104,6 +105,23 @@ impl From<std::io::Error> for StreamError {
     fn from(e: std::io::Error) -> Self {
         StreamError::Io(e)
     }
+}
+
+/// [`BufRead::read_line`] for the line parsers: a line that is not UTF-8
+/// is a parse error at `line`, the 1-based number of the line being read,
+/// not a bare io error.
+pub(crate) fn read_line<R: BufRead>(
+    reader: &mut R,
+    buf: &mut String,
+    line: u64,
+) -> Result<usize, StreamError> {
+    reader.read_line(buf).map_err(|e| match e.kind() {
+        std::io::ErrorKind::InvalidData => StreamError::Parse {
+            line,
+            msg: e.to_string(),
+        },
+        _ => StreamError::Io(e),
+    })
 }
 
 /// Counted non-fatal conditions observed while chunking a stream.

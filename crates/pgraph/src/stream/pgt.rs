@@ -3,7 +3,7 @@
 //! record at a time from any [`BufRead`] instead of a full in-memory string.
 
 use super::raw::{RawGraphSource, RecordBuf};
-use super::StreamError;
+use super::{read_line, StreamError};
 use crate::loader::parse_line_into;
 use std::io::BufRead;
 
@@ -28,7 +28,7 @@ impl<R: BufRead> RawGraphSource for PgtSource<R> {
     fn read_record(&mut self, buf: &mut RecordBuf) -> Result<bool, StreamError> {
         loop {
             buf.clear();
-            if self.reader.read_line(&mut buf.text)? == 0 {
+            if read_line(&mut self.reader, &mut buf.text, self.line + 1)? == 0 {
                 return Ok(false);
             }
             self.line += 1;
@@ -38,7 +38,7 @@ impl<R: BufRead> RawGraphSource for PgtSource<R> {
                 Err(e) => {
                     return Err(StreamError::Parse {
                         line: self.line,
-                        msg: e.to_string(),
+                        msg: e.reason(),
                     })
                 }
             }

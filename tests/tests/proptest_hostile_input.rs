@@ -6,13 +6,17 @@
 //! go into `load_text` and into a `PgtSource` drained through
 //! `ChunkedTextReader`. Each must return `Ok` or a named error and never
 //! panic. Both run the same line parser, so on valid UTF-8 they must also
-//! agree on what they accept and on the first parse error.
+//! agree on what they accept and on the first parse error, message
+//! included; a line that is not UTF-8 is a parse error at that line.
 //!
 //! CSV and JSONL: valid rows and lines with quotes, separators, escapes,
 //! brackets, line breaks or arbitrary bytes planted in them, truncated, or
 //! replaced by junk, are drained record by record through `read_record`
-//! and through a `ChunkedTextReader` at chunk size 3. Neither drain may
-//! panic, and both must stop at the same first `StreamError` or agree on
+//! and through a `ChunkedTextReader` at chunk size 3.
+//!
+//! Every pgt, CSV and JSONL input is also drained through `ReadAheadChunks`
+//! (the same chunking on its parse and chunk threads). No drain may panic,
+//! and all of them must stop at the same first `StreamError` or agree on
 //! the records read.
 //!
 //! Snapshots: a real snapshot with every section present has bytes
@@ -43,10 +47,12 @@ use pg_hive_graph::stream::csv::CsvSource;
 use pg_hive_graph::stream::jsonl::JsonlSource;
 use pg_hive_graph::stream::pgt::PgtSource;
 use pg_hive_graph::stream::read_all;
-use pg_hive_graph::{ChunkedTextReader, RawGraphSource, RecordBuf, RecordRef, StreamError};
+use pg_hive_graph::{
+    ChunkedTextReader, RawGraphSource, ReadAheadChunks, RecordBuf, RecordRef, StreamError,
+};
 use proptest::prelude::*;
 use proptest::TestCaseError;
-use std::io::{Read, Write};
+use std::io::{Cursor, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -123,28 +129,46 @@ const PLANTS: &[u8] = &[
     0xa0, 0xc2, 0xc3, 0xa9, 0xe3, 0x80, 0xff,
 ];
 
-/// Drain `bytes` through a chunked `PgtSource` with small chunks, so stubs
-/// and parked forward edges are exercised too.
-fn drain_chunked(bytes: &[u8]) -> Result<(), StreamError> {
-    let mut reader = ChunkedTextReader::new(PgtSource::new(bytes), 3);
-    while reader.next_chunk()?.is_some() {}
-    Ok(())
+/// 1-based number and byte offset of the first line (up to and including
+/// its `\n`) that is not UTF-8.
+fn first_invalid_line(bytes: &[u8]) -> Option<(u64, usize)> {
+    let mut offset = 0;
+    for (i, line) in bytes.split_inclusive(|&b| b == b'\n').enumerate() {
+        if std::str::from_utf8(line).is_err() {
+            return Some((i as u64 + 1, offset));
+        }
+        offset += line.len();
+    }
+    None
 }
 
-/// Feed `bytes` to both consumers. On valid UTF-8: whatever `load_text`
-/// accepts the stream accepts with the same element counts, and a parse
-/// error `load_text` reports is the stream's first error, at the same line.
+/// Feed `bytes` to both consumers, and drain it record by record, chunked,
+/// and chunked on the read-ahead threads (all three must agree). Invalid
+/// UTF-8 stops the stream with a parse error at its line, unless a valid
+/// line before it fails first. On valid UTF-8: whatever `load_text` accepts
+/// the stream accepts with the same element counts, and a parse error
+/// `load_text` reports is the stream's first error, at the same line, with
+/// the same message.
 fn check(bytes: &[u8]) -> Result<(), TestCaseError> {
     let text = String::from_utf8_lossy(bytes);
     let resident = load_text(&text);
-    let chunked = drain_chunked(bytes);
-    if std::str::from_utf8(bytes).is_err() {
-        // Invalid UTF-8 stops the stream with a named error once reached.
-        prop_assert!(
-            matches!(chunked, Err(StreamError::Io(_) | StreamError::Parse { .. })),
-            "{:?}",
-            chunked
-        );
+    let chunked = drain_chunks(PgtSource::new(bytes));
+    check_drains(
+        &drain_records(PgtSource::new(bytes)),
+        &chunked,
+        &drain_ahead(PgtSource::new(Cursor::new(bytes.to_vec()))),
+    )?;
+    if let Some((bad, offset)) = first_invalid_line(bytes) {
+        match &chunked {
+            Err(StreamError::Parse { line, msg }) if *line == bad => {
+                prop_assert!(msg.contains("UTF-8"), "{}", msg);
+            }
+            Err(e @ StreamError::Parse { line, .. }) if *line < bad => {
+                let prefix = drain_chunks(PgtSource::new(&bytes[..offset]));
+                prop_assert_eq!(shown(&prefix), Err(e.to_string()));
+            }
+            other => prop_assert!(false, "line {} is not UTF-8: {:?}", bad, other),
+        }
         return Ok(());
     }
     match resident {
@@ -160,10 +184,10 @@ fn check(bytes: &[u8]) -> Result<(), TestCaseError> {
             e @ (LoadError::UnknownRecord { line }
             | LoadError::Malformed { line, .. }
             | LoadError::BadProperty { line, .. }),
-        ) => match chunked {
-            Err(StreamError::Parse { line: at, msg }) => {
-                prop_assert_eq!(at, line as u64);
-                prop_assert_eq!(msg, e.to_string());
+        ) => match &chunked {
+            Err(err @ StreamError::Parse { line: at, .. }) => {
+                prop_assert_eq!(*at, line as u64);
+                prop_assert_eq!(err.to_string(), e.to_string());
             }
             other => prop_assert!(false, "loader {:?}, stream {:?}", e, other),
         },
@@ -223,7 +247,8 @@ proptest! {
         let mut edges = edited(&[b"src,tgt,labels,w"], CSV_PLANTS, edge_header);
         edges.extend(edited(CSV_EDGES, CSV_PLANTS, edge_rows));
         let source = || CsvSource::new(&nodes[..], Some(&edges[..]));
-        check_drains(drain_records(source()), drain_chunks(source()))?;
+        let owned = CsvSource::new(Cursor::new(nodes.clone()), Some(Cursor::new(edges.clone())));
+        check_drains(&drain_records(source()), &drain_chunks(source()), &drain_ahead(owned))?;
     }
 
     #[test]
@@ -314,7 +339,8 @@ proptest! {
     ) {
         let bytes = edited(JSONL_LINES, JSONL_PLANTS, lines);
         let source = || JsonlSource::new(&bytes[..]);
-        check_drains(drain_records(source()), drain_chunks(source()))?;
+        let owned = JsonlSource::new(Cursor::new(bytes.clone()));
+        check_drains(&drain_records(source()), &drain_chunks(source()), &drain_ahead(owned))?;
     }
 }
 
@@ -363,9 +389,12 @@ const JSONL_PLANTS: &[u8] = &[
     b'\r', b'\n', 0x00, 0xc3, 0xa9, 0xed, 0xa0, 0xff,
 ];
 
+/// Nodes and edges a drain read, or its first error.
+type Drained = Result<(usize, usize), StreamError>;
+
 /// Drain `source` record by record: nodes and edges read, or the first
 /// error.
-fn drain_records<S: RawGraphSource>(mut source: S) -> Result<(usize, usize), StreamError> {
+fn drain_records<S: RawGraphSource>(mut source: S) -> Drained {
     let mut buf = RecordBuf::new();
     let (mut nodes, mut edges) = (0, 0);
     while source.read_record(&mut buf)? {
@@ -377,9 +406,10 @@ fn drain_records<S: RawGraphSource>(mut source: S) -> Result<(usize, usize), Str
     Ok((nodes, edges))
 }
 
-/// Drain `source` through a `ChunkedTextReader` at chunk size 3: declared
-/// nodes and edges (emitted, or dropped as unresolved), or the first error.
-fn drain_chunks<S: RawGraphSource>(source: S) -> Result<(usize, usize), StreamError> {
+/// Drain `source` through a `ChunkedTextReader` at chunk size 3, so stubs
+/// and parked forward edges are exercised too: declared nodes and edges
+/// (emitted, or dropped as unresolved), or the first error.
+fn drain_chunks<S: RawGraphSource>(source: S) -> Drained {
     let mut reader = ChunkedTextReader::new(source, 3);
     let (mut nodes, mut edges) = (0, 0);
     while let Some(chunk) = reader.next_chunk()? {
@@ -389,16 +419,37 @@ fn drain_chunks<S: RawGraphSource>(source: S) -> Result<(usize, usize), StreamEr
     Ok((nodes, edges + reader.warnings().unresolved_edges as usize))
 }
 
-/// Two drains of one input agree on the records read or on the first error.
-fn check_drains(
-    records: Result<(usize, usize), StreamError>,
-    chunks: Result<(usize, usize), StreamError>,
-) -> Result<(), TestCaseError> {
-    match (records, chunks) {
-        (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
-        (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
-        (a, b) => prop_assert!(false, "record drain {:?}, chunked drain {:?}", a, b),
+/// [`drain_chunks`] through `ReadAheadChunks`, whose reader runs on its
+/// chunk thread over records parsed on its parse thread.
+fn drain_ahead<S: RawGraphSource + Send + 'static>(source: S) -> Drained {
+    let mut ahead = ReadAheadChunks::spawn(source, 3, 2);
+    let (mut nodes, mut edges) = (0, 0);
+    while let Some(chunk) = ahead.next_chunk()? {
+        nodes += chunk.node_count() - chunk.stub_count();
+        edges += chunk.edge_count();
     }
+    let end = ahead.take_end().expect("a drained read-ahead has an end");
+    Ok((nodes, edges + end.warnings.unresolved_edges as usize))
+}
+
+/// A drain's counts, or its error's message.
+fn shown(d: &Drained) -> Result<(usize, usize), String> {
+    d.as_ref().copied().map_err(|e| e.to_string())
+}
+
+/// Three drains of one input agree on the records read or on the first
+/// error.
+fn check_drains(records: &Drained, chunks: &Drained, ahead: &Drained) -> Result<(), TestCaseError> {
+    prop_assert_eq!(
+        shown(records),
+        shown(chunks),
+        "record drain vs chunked drain"
+    );
+    prop_assert_eq!(
+        shown(ahead),
+        shown(chunks),
+        "read-ahead drain vs chunked drain"
+    );
     Ok(())
 }
 
