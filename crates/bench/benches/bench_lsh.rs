@@ -1,6 +1,6 @@
 //! Criterion bench for the LSH substrate: O(N·T·D) scaling of ELSH and
 //! O(N·T) of MinHash (§4.7 efficiency claims), plus the two optimizations
-//! this engine is built on — the flat-matrix parallel kernel vs the seed's
+//! this engine is built on — the flat-matrix kernel vs the seed's
 //! scalar loop, and signature dedup vs hashing every element.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -65,7 +65,7 @@ fn bench_elsh_scaling(c: &mut Criterion) {
 }
 
 fn bench_elsh_vs_scalar(c: &mut Criterion) {
-    // The seed's per-element scalar loop vs the flat-matrix parallel sweep
+    // The seed's per-element scalar loop vs the flat-matrix sweep
     // over the identical workload (both produce the identical clustering).
     let mut group = c.benchmark_group("elsh_vs_scalar");
     let n = 16_000;
@@ -80,7 +80,7 @@ fn bench_elsh_vs_scalar(c: &mut Criterion) {
         },
     );
     group.bench_with_input(
-        BenchmarkId::from_parameter("flat_parallel"),
+        BenchmarkId::from_parameter("flat_matrix"),
         &matrix,
         |b, m| {
             b.iter(|| elsh_cluster(m, &elsh_params(15)).num_clusters);

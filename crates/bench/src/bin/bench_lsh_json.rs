@@ -1,6 +1,6 @@
 //! Perf tracker for the LSH clustering hot path: runs the seed's scalar
-//! per-element baseline and the signature-dedup + parallel flat-matrix
-//! engine on the same 100k-node synthetic graph, verifies the clusterings
+//! per-element baseline and the signature-dedup flat-matrix engine
+//! on the same 100k-node synthetic graph, verifies the clusterings
 //! are identical, and writes `BENCH_lsh.json` (elements/sec, dedup ratio,
 //! speedup) so the perf trajectory is tracked PR over PR.
 //!
@@ -82,7 +82,7 @@ fn main() {
     let seed = pg_hive_bench::seed();
     let n = ((100_000.0 * scale) as usize).max(1_000);
     pg_hive_bench::banner(
-        "BENCH_lsh — dedup + parallel LSH vs seed scalar path",
+        "BENCH_lsh — dedup + flat-matrix LSH vs seed scalar path",
         scale,
         seed,
     );
@@ -174,7 +174,7 @@ fn main() {
     let _ = writeln!(json, "  \"preprocess_secs\": {preprocess_secs:.4},");
     for m in [&elsh, &minhash] {
         println!(
-            "{}: scalar {:.3}s ({:.0} elem/s) | dedup+parallel {:.4}s ({:.0} elem/s) | {:.1}x speedup | identical: {}",
+            "{}: scalar {:.3}s ({:.0} elem/s) | dedup+flat {:.4}s ({:.0} elem/s) | {:.1}x speedup | identical: {}",
             m.name,
             m.scalar_secs,
             n as f64 / m.scalar_secs,
@@ -221,11 +221,11 @@ fn main() {
 
     assert!(
         elsh.identical,
-        "ELSH dedup+parallel diverged from the seed scalar clustering"
+        "ELSH dedup+flat diverged from the seed scalar clustering"
     );
     assert!(
         minhash.identical,
-        "MinHash dedup+parallel diverged from the seed scalar clustering"
+        "MinHash dedup+flat diverged from the seed scalar clustering"
     );
     if !throughput_ok {
         eprintln!(

@@ -1,7 +1,10 @@
 //! Hand-rolled argument parsing — keeps the CLI dependency-free.
 
+use pg_hive_core::serve::{ServeOptions, DEFAULT_CHUNK_SIZE};
 use pg_hive_core::{ClusterMethod, PipelineConfig};
 use pg_hive_graph::SourceKind;
+use std::path::PathBuf;
+use std::time::Duration;
 
 /// The `pg-hive help` text — the single source of truth for the flag
 /// surface (CI checks that every subcommand and flag named here also
@@ -205,9 +208,6 @@ fn parse_report(arg: Option<String>) -> Result<String, String> {
     }
 }
 
-/// Default `--chunk-size`.
-pub const DEFAULT_CHUNK_SIZE: usize = 100_000;
-
 /// Ingestion options shared by `discover`, `diff`, `watch` and `stats`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamOpts {
@@ -370,12 +370,7 @@ pub enum Command {
     Serve {
         addr: String,
         discovery: DiscoveryOpts,
-        chunk_size: usize,
-        workers: usize,
-        read_timeout_secs: u64,
-        max_body_mb: usize,
-        state_dir: Option<String>,
-        keep: Option<usize>,
+        options: ServeOptions,
         on_drift: Vec<DriftSinkSpec>,
     },
     /// `pg-hive help`.
@@ -582,12 +577,7 @@ impl Args {
             "serve" => {
                 let mut addr = "127.0.0.1:7171".to_string();
                 let mut discovery = DiscoveryOpts::default();
-                let mut chunk_size = DEFAULT_CHUNK_SIZE;
-                let mut workers = 4usize;
-                let mut read_timeout_secs = 10u64;
-                let mut max_body_mb = 64usize;
-                let mut state_dir = None;
-                let mut keep = None;
+                let mut options = ServeOptions::default();
                 let mut on_drift = Vec::new();
                 while let Some(flag) = it.next() {
                     if discovery.consume(&flag, &mut it)? {
@@ -596,22 +586,28 @@ impl Args {
                     match flag.as_str() {
                         "--addr" => addr = it.next().ok_or("--addr needs host:port")?,
                         "--chunk-size" => {
-                            chunk_size = parse_positive("--chunk-size", it.next())?;
+                            options.chunk_size = parse_positive("--chunk-size", it.next())?;
                         }
-                        "--workers" => workers = parse_positive("--workers", it.next())?,
+                        "--workers" => options.workers = parse_positive("--workers", it.next())?,
                         "--read-timeout" => {
-                            read_timeout_secs = parse_positive("--read-timeout", it.next())? as u64;
+                            let secs = parse_positive("--read-timeout", it.next())?;
+                            options.read_timeout = Duration::from_secs(secs as u64);
                         }
-                        "--max-body" => max_body_mb = parse_positive("--max-body", it.next())?,
+                        "--max-body" => {
+                            options.max_body = parse_positive("--max-body", it.next())?
+                                .checked_mul(1 << 20)
+                                .ok_or("--max-body is too large")?;
+                        }
                         "--state-dir" => {
-                            state_dir = Some(it.next().ok_or("--state-dir needs a directory")?);
+                            let dir = it.next().ok_or("--state-dir needs a directory")?;
+                            options.state_dir = Some(PathBuf::from(dir));
                         }
-                        "--keep" => keep = Some(parse_positive("--keep", it.next())?),
+                        "--keep" => options.keep = Some(parse_positive("--keep", it.next())?),
                         "--on-drift" => on_drift.push(DriftSinkSpec::parse(it.next())?),
                         other => return Err(format!("unknown flag '{other}'")),
                     }
                 }
-                if keep.is_some() && state_dir.is_none() {
+                if options.keep.is_some() && options.state_dir.is_none() {
                     return Err(
                         "--keep requires --state-dir (retained snapshots live in the state dir)"
                             .into(),
@@ -621,12 +617,7 @@ impl Args {
                     command: Command::Serve {
                         addr,
                         discovery,
-                        chunk_size,
-                        workers,
-                        read_timeout_secs,
-                        max_body_mb,
-                        state_dir,
-                        keep,
+                        options,
                         on_drift,
                     },
                 })
@@ -1225,12 +1216,7 @@ mod tests {
         let Command::Serve {
             addr,
             discovery,
-            chunk_size,
-            workers,
-            read_timeout_secs,
-            max_body_mb,
-            state_dir,
-            keep,
+            options,
             on_drift,
         } = a.command
         else {
@@ -1240,12 +1226,12 @@ mod tests {
         assert_eq!(discovery.method, ClusterMethod::Elsh);
         assert_eq!(discovery.theta, 0.9);
         assert_eq!(discovery.seed, 42);
-        assert_eq!(chunk_size, DEFAULT_CHUNK_SIZE);
-        assert_eq!(workers, 4);
-        assert_eq!(read_timeout_secs, 10);
-        assert_eq!(max_body_mb, 64);
-        assert_eq!(state_dir, None);
-        assert_eq!(keep, None);
+        assert_eq!(options.chunk_size, DEFAULT_CHUNK_SIZE);
+        assert_eq!(options.workers, 4);
+        assert_eq!(options.read_timeout, Duration::from_secs(10));
+        assert_eq!(options.max_body, 64 << 20);
+        assert_eq!(options.state_dir, None);
+        assert_eq!(options.keep, None);
         assert!(on_drift.is_empty());
     }
 
@@ -1282,12 +1268,7 @@ mod tests {
         let Command::Serve {
             addr,
             discovery,
-            chunk_size,
-            workers,
-            read_timeout_secs,
-            max_body_mb,
-            state_dir,
-            keep,
+            options,
             on_drift,
         } = a.command
         else {
@@ -1297,12 +1278,12 @@ mod tests {
         assert_eq!(discovery.method, ClusterMethod::MinHash);
         assert_eq!(discovery.theta, 0.8);
         assert_eq!(discovery.seed, 7);
-        assert_eq!(chunk_size, 500);
-        assert_eq!(workers, 2);
-        assert_eq!(read_timeout_secs, 3);
-        assert_eq!(max_body_mb, 8);
-        assert_eq!(state_dir.as_deref(), Some("/tmp/hive"));
-        assert_eq!(keep, Some(2));
+        assert_eq!(options.chunk_size, 500);
+        assert_eq!(options.workers, 2);
+        assert_eq!(options.read_timeout, Duration::from_secs(3));
+        assert_eq!(options.max_body, 8 << 20);
+        assert_eq!(options.state_dir, Some(PathBuf::from("/tmp/hive")));
+        assert_eq!(options.keep, Some(2));
         assert_eq!(
             on_drift,
             vec![

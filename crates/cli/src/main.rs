@@ -420,25 +420,13 @@ fn run(args: Args) -> Result<ExitCode, String> {
         Command::Serve {
             addr,
             discovery,
-            chunk_size,
-            workers,
-            read_timeout_secs,
-            max_body_mb,
-            state_dir,
-            keep,
+            options,
             on_drift,
         } => serve::run_serve(
             Discoverer::new(discovery.config()),
-            serve::ServeParams {
-                addr,
-                chunk_size,
-                workers,
-                read_timeout_secs,
-                max_body_mb,
-                state_dir,
-                keep,
-                on_drift,
-            },
+            options,
+            &addr,
+            on_drift,
         ),
         Command::Help => {
             println!("{}", args::USAGE);

@@ -23,28 +23,6 @@ use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Duration;
-
-/// Parsed `serve` flags, grouped (the verb has too many knobs for a flat
-/// argument list).
-pub struct ServeParams {
-    /// `--addr` listen address (`host:port`; port 0 = ephemeral).
-    pub addr: String,
-    /// `--chunk-size` elements per ingest chunk.
-    pub chunk_size: usize,
-    /// `--workers` connection worker threads.
-    pub workers: usize,
-    /// `--read-timeout` in seconds.
-    pub read_timeout_secs: u64,
-    /// `--max-body` in MiB.
-    pub max_body_mb: usize,
-    /// `--state-dir` for per-tenant snapshots.
-    pub state_dir: Option<String>,
-    /// `--keep` rotation depth per tenant.
-    pub keep: Option<usize>,
-    /// `--on-drift` sink specs, fired per drifting ingest pass.
-    pub on_drift: Vec<DriftSinkSpec>,
-}
 
 /// Deliver one drift notice to every `--on-drift` sink using the shared
 /// event codec. Jsonl paths may carry a `{tenant}` placeholder so each
@@ -70,20 +48,17 @@ pub fn emit_notice(specs: &[DriftSinkSpec], notice: &DriftNotice) {
     }
 }
 
-/// Run the service until the process is killed. Never returns on success;
+/// Run the service on `addr` until the process is killed, firing every
+/// `on_drift` sink per drifting ingest pass. Never returns on success;
 /// startup failures (unloadable snapshot, unbindable address) return the
 /// named error.
-pub fn run_serve(discoverer: Discoverer, params: ServeParams) -> Result<ExitCode, String> {
-    let opts = ServeOptions {
-        workers: params.workers,
-        chunk_size: params.chunk_size,
-        state_dir: params.state_dir.map(PathBuf::from),
-        keep: params.keep,
-        read_timeout: Duration::from_secs(params.read_timeout_secs),
-        max_body: params.max_body_mb << 20,
-        ..ServeOptions::default()
-    };
-    let mut core = ServeCore::new(discoverer, opts)?;
+pub fn run_serve(
+    discoverer: Discoverer,
+    options: ServeOptions,
+    addr: &str,
+    on_drift: Vec<DriftSinkSpec>,
+) -> Result<ExitCode, String> {
+    let mut core = ServeCore::new(discoverer, options)?;
     let resumed = core.tenant_names();
     if !resumed.is_empty() {
         eprintln!(
@@ -92,11 +67,10 @@ pub fn run_serve(discoverer: Discoverer, params: ServeParams) -> Result<ExitCode
             resumed.join(", ")
         );
     }
-    if !params.on_drift.is_empty() {
-        let specs = params.on_drift.clone();
-        core.set_drift_hook(Box::new(move |n| emit_notice(&specs, n)));
+    if !on_drift.is_empty() {
+        core.set_drift_hook(Box::new(move |n| emit_notice(&on_drift, n)));
     }
-    let server = pg_hive_core::serve::bind(&params.addr, Arc::new(core))?;
+    let server = pg_hive_core::serve::bind(addr, Arc::new(core))?;
     // Scripts (and the e2e suite) read the resolved ephemeral port from
     // this line, so it must hit the pipe before we block.
     println!("serving on http://{}", server.addr());

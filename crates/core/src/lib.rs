@@ -18,11 +18,10 @@
 //!    [`pg_hive_lsh::VectorMatrix`] row and elements carry only a `rep_of`
 //!    index (typically 10–100× fewer points downstream).
 //! 3. **Cluster** with Euclidean LSH or MinHash ([`cluster`]): LSH hashes
-//!    the distinct rows (data-parallel, `pg-hive-lsh`'s `parallel` feature,
-//!    on by default) and assignments broadcast back through `rep_of` —
-//!    provably the same clustering the per-element sweep produces, and
-//!    byte-identical across thread counts for a fixed seed. Set
-//!    [`PipelineConfig::dedup`]` = false` to run the naive path.
+//!    the distinct rows on the calling thread and assignments broadcast
+//!    back through `rep_of` — provably the same clustering the
+//!    per-element sweep produces. Set [`PipelineConfig::dedup`]` = false`
+//!    to run the naive path.
 //! 4. **Extract types** — merge clusters by label, then by property Jaccard
 //!    similarity, Algorithm 2 ([`extract`]).
 //! 5. **Post-process** — constraints, datatypes, cardinalities

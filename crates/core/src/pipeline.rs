@@ -593,10 +593,17 @@ impl Discoverer {
             |chunk| {
                 let t = Instant::now();
                 let elements = chunk.node_count() + chunk.edge_count();
-                let chunk_state = self.chunk_state_cached(&chunk, shared.as_deref(), cache);
-                (chunk_state, elements, t.elapsed())
+                let (chunk_state, entry) =
+                    self.chunk_state_cached(&chunk, shared.as_deref(), cache);
+                (chunk_state, entry, elements, t.elapsed())
             },
-            |(chunk_state, elements, time)| {
+            |(chunk_state, entry, elements, time)| {
+                // Inserting here, in input order, rather than on the worker
+                // makes the cache's FIFO order — and so its snapshot bytes
+                // — the same for every thread count.
+                if let (Some(cache), Some((fingerprint, clusterings))) = (cache, entry) {
+                    cache.insert(fingerprint, clusterings);
+                }
                 state.merge(chunk_state);
                 report.elements += elements as u64;
                 report.max_chunk_elements = report.max_chunk_elements.max(elements);
@@ -753,7 +760,7 @@ impl Discoverer {
         g: &PropertyGraph,
         shared: Option<&dyn LabelEmbedder>,
     ) -> SchemaState {
-        self.chunk_state_cached(g, shared, None)
+        self.chunk_state_cached(g, shared, None).0
     }
 
     /// One chunk's pipeline pass, optionally memoized through a
@@ -762,12 +769,19 @@ impl Discoverer {
     /// distinct-level clustering is broadcast through the scan's `rep_of`.
     /// The cache engages only on the dedup path (the naive path produces
     /// no distinct-level clustering to reuse).
+    ///
+    /// The cache is only read here. When it engaged, the chunk's
+    /// fingerprint and clusterings, hit or computed, come back beside the
+    /// state for the caller to [`SignatureCache::insert`] in input order.
+    /// Re-inserting a hit changes nothing unless a chunk folded since the
+    /// lookup evicted the entry; it then re-adds it, as a serial run's miss
+    /// would.
     fn chunk_state_cached(
         &self,
         g: &PropertyGraph,
         shared: Option<&dyn LabelEmbedder>,
         cache: Option<&SignatureCache>,
-    ) -> SchemaState {
+    ) -> (SchemaState, Option<(u128, CachedChunk)>) {
         // Stub endpoints exist only so cross-chunk edges keep their endpoint
         // label sets — the real node is counted in whichever chunk declares
         // it. Excluding stubs here makes streamed instance counts and
@@ -787,12 +801,13 @@ impl Discoverer {
             if let Some(hit) =
                 cache.lookup(scan.fingerprint, scan.nodes.distinct, scan.edges.distinct)
             {
-                return self.absorb_chunk_clusterings(
+                let state = self.absorb_chunk_clusterings(
                     g,
                     &batch,
                     &hit.nodes.broadcast(&scan.nodes.rep_of),
                     &hit.edges.broadcast(&scan.edges.rep_of),
                 );
+                return (state, Some((scan.fingerprint, hit)));
             }
         }
         let owned;
@@ -807,12 +822,15 @@ impl Discoverer {
         let edges = edge_representations(g, &batch.edges, embedder, self.config.label_weight);
         let node_out = cluster_elements(&nodes.repr, ElementClass::Nodes, &self.config);
         let edge_out = cluster_elements(&edges.repr, ElementClass::Edges, &self.config);
-        if let (Some(cache), Some(scan)) = (cache, scan) {
-            if let (Some(n), Some(e)) = (node_out.distinct, edge_out.distinct) {
-                cache.insert(scan.fingerprint, CachedChunk { nodes: n, edges: e });
+        let state =
+            self.absorb_chunk_clusterings(g, &batch, &node_out.clustering, &edge_out.clustering);
+        let entry = match (scan, node_out.distinct, edge_out.distinct) {
+            (Some(scan), Some(nodes), Some(edges)) => {
+                Some((scan.fingerprint, CachedChunk { nodes, edges }))
             }
-        }
-        self.absorb_chunk_clusterings(g, &batch, &node_out.clustering, &edge_out.clustering)
+            _ => None,
+        };
+        (state, entry)
     }
 
     /// Stages (d)–(g) of one chunk given its clusterings — shared by the
@@ -1411,6 +1429,39 @@ mod tests {
                     "warm pass hits every chunk"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn cache_snapshot_is_the_same_for_every_thread_count() {
+        // The first chunk has 60 distinct signatures, so at 4 threads the
+        // one-node chunks behind it finish first; the cache must still
+        // list its entries in chunk order.
+        let chunks = || {
+            let mut first = GraphBuilder::new();
+            for i in 0..60 {
+                let key = format!("k{i}");
+                first.add_node(&["Wide"], &[(key.as_str(), Value::Int(1))]);
+            }
+            let mut chunks = vec![first.finish()];
+            for i in 0..12 {
+                let label = format!("T{i}");
+                let mut b = GraphBuilder::new();
+                b.add_node(&[label.as_str()], &[("p", Value::Int(i))]);
+                chunks.push(b.finish());
+            }
+            chunks
+        };
+        let d = Discoverer::new(PipelineConfig::elsh_adaptive());
+        let snapshot = |threads| {
+            let cache = SignatureCache::default();
+            d.absorb_stream_cached(chunks(), &mut d.new_state(), threads, &cache);
+            cache.snapshot_lines()
+        };
+        let serial = snapshot(1);
+        assert_eq!(serial.len(), 13);
+        for _ in 0..3 {
+            assert_eq!(snapshot(4), serial);
         }
     }
 

@@ -97,7 +97,8 @@ pub const DEFAULT_MAX_BODY: usize = 64 << 20;
 /// Default number of `(pass, schema)` entries kept per tenant for
 /// `GET /v1/{tenant}/diff?since=N`.
 pub const DEFAULT_HISTORY: usize = 64;
-/// Default streaming chunk size for ingest bodies (elements per chunk).
+/// Default streaming chunk size (elements per chunk) for ingest bodies
+/// and the CLI's `--chunk-size`.
 pub const DEFAULT_CHUNK_SIZE: usize = 100_000;
 
 const MAX_REQUEST_LINE: usize = 8 << 10;

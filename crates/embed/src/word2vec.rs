@@ -155,24 +155,6 @@ impl Word2Vec {
     pub fn similarity(&self, a: &str, b: &str) -> f32 {
         crate::math::cosine(&self.embed(a), &self.embed(b))
     }
-
-    /// The `n` in-vocabulary tokens most similar to `token` (excluding the
-    /// token itself), descending by cosine.
-    pub fn most_similar(&self, token: &str, n: usize) -> Vec<(String, f32)> {
-        let target = self.embed(token);
-        let mut scored: Vec<(String, f32)> = (0..self.vocab.len())
-            .filter(|&id| self.vocab.token(id) != token)
-            .map(|id| {
-                (
-                    self.vocab.token(id).to_string(),
-                    crate::math::cosine(&target, &self.input[id]),
-                )
-            })
-            .collect();
-        scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
-        scored.truncate(n);
-        scored
-    }
 }
 
 /// One SGD step for a (center, context) pair with label `truth` ∈ {0, 1}.
@@ -259,28 +241,6 @@ mod tests {
         let m = Word2Vec::train::<&str>(&[], &Word2VecConfig::default());
         let v = m.embed("anything");
         assert_eq!(v.len(), m.dim());
-    }
-
-    #[test]
-    fn most_similar_ranks_cooccurring_first() {
-        let m = Word2Vec::train(&corpus(), &Word2VecConfig::default());
-        let top = m.most_similar("Person", 3);
-        assert_eq!(top.len(), 3);
-        assert!(top[0].1 >= top[1].1 && top[1].1 >= top[2].1, "sorted");
-        // The strongest associates of Person are its direct contexts.
-        let names: Vec<&str> = top.iter().map(|(t, _)| t.as_str()).collect();
-        assert!(
-            names.contains(&"KNOWS") || names.contains(&"LIKES") || names.contains(&"WORKS_AT"),
-            "top = {names:?}"
-        );
-    }
-
-    #[test]
-    fn most_similar_excludes_self_and_caps() {
-        let m = Word2Vec::train(&corpus(), &Word2VecConfig::default());
-        let top = m.most_similar("Person", 100);
-        assert!(top.iter().all(|(t, _)| t != "Person"));
-        assert!(top.len() < 100, "bounded by vocabulary size");
     }
 
     #[test]

@@ -94,14 +94,6 @@ impl ConfusionReport {
         }
     }
 
-    /// The worst-scoring types, ascending by F1 (ties by type id).
-    pub fn worst_types(&self, n: usize) -> Vec<(u32, TypeScore)> {
-        let mut v: Vec<(u32, TypeScore)> = self.per_type.iter().map(|(&t, &s)| (t, s)).collect();
-        v.sort_by(|a, b| a.1.f1.partial_cmp(&b.1.f1).unwrap().then(a.0.cmp(&b.0)));
-        v.truncate(n);
-        v
-    }
-
     /// The most frequent confusion pairs, descending.
     pub fn top_confusions(&self, n: usize) -> Vec<((u32, u32), usize)> {
         let mut v: Vec<((u32, u32), usize)> =
@@ -174,16 +166,6 @@ mod tests {
         assert_eq!(r.per_type[&1].recall, 0.0);
         assert!((r.per_type[&0].precision - 0.75).abs() < 1e-12);
         assert_eq!(r.per_type[&0].recall, 1.0);
-    }
-
-    #[test]
-    fn worst_types_sorted_ascending() {
-        let truth = vec![0, 0, 1, 1, 2];
-        let clusters = vec![0, 0, 0, 0, 5]; // type 1 fully absorbed by A
-        let r = ConfusionReport::compute(&clusters, &truth);
-        let worst = r.worst_types(2);
-        assert_eq!(worst[0].0, 1, "type 1 is worst (F1 = 0)");
-        assert_eq!(worst[0].1.f1, 0.0);
     }
 
     #[test]

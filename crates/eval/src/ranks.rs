@@ -68,11 +68,6 @@ pub fn nemenyi_critical_distance(k: usize, n: usize) -> f64 {
     q * (k as f64 * (k as f64 + 1.0) / (6.0 * n as f64)).sqrt()
 }
 
-/// Convenience: are methods `a` and `b` significantly different?
-pub fn significantly_different(avg_ranks: &[f64], a: usize, b: usize, n: usize) -> bool {
-    (avg_ranks[a] - avg_ranks[b]).abs() > nemenyi_critical_distance(avg_ranks.len(), n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,15 +97,6 @@ mod tests {
         let cd = nemenyi_critical_distance(4, 40);
         assert!((cd - 2.569 * (4.0 * 5.0 / 240.0f64).sqrt()).abs() < 1e-12);
         assert!((cd - 0.7416).abs() < 0.01, "cd = {cd}");
-    }
-
-    #[test]
-    fn significance_detection() {
-        // 40 cases, method 0 rank 1.2 vs method 3 rank 3.6: clearly apart.
-        let ranks = vec![1.2, 1.8, 3.4, 3.6];
-        assert!(significantly_different(&ranks, 0, 3, 40));
-        assert!(!significantly_different(&ranks, 0, 1, 40));
-        assert!(!significantly_different(&ranks, 2, 3, 40));
     }
 
     #[test]

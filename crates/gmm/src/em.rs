@@ -182,11 +182,6 @@ impl GaussianMixture {
             .unwrap_or(0)
     }
 
-    /// Hard assignment for every point.
-    pub fn predict_all(&self, points: &[Vec<f64>]) -> Vec<usize> {
-        points.iter().map(|p| self.predict(p)).collect()
-    }
-
     /// Bayesian information criterion: `k·ln(n) − 2·LL` (lower is better).
     pub fn bic(&self, n: usize) -> f64 {
         self.num_parameters() as f64 * (n as f64).ln() - 2.0 * self.log_likelihood
@@ -278,7 +273,7 @@ mod tests {
         let a = m.predict(&[0.1]);
         let b = m.predict(&[9.8]);
         assert_ne!(a, b);
-        let all = m.predict_all(&pts);
+        let all: Vec<usize> = pts.iter().map(|p| m.predict(p)).collect();
         assert!(all[..100].iter().all(|&c| c == all[0]));
         assert!(all[100..].iter().all(|&c| c == all[100]));
     }

@@ -29,13 +29,13 @@
 //! graph that is 90% one node type must see that mass in the sample).
 //! Estimation therefore takes the distinct-row [`VectorMatrix`] plus an
 //! optional `rep_of` map (element → distinct row); sampling is over
-//! elements, distances are computed on their representative rows. Passing
+//! elements, distances are computed on their representative rows, and the
+//! nearest-neighbor scan runs once per distinct sampled row. Passing
 //! `rep_of = None` means "rows are the population", and feeding the same
 //! data either way produces **identical** parameters — the equivalence the
 //! dedup fast path relies on.
 
 use crate::matrix::VectorMatrix;
-use crate::par;
 
 /// Whether parameters are being derived for node or edge clustering — the
 /// two use different `T` heuristics in the paper.
@@ -50,10 +50,11 @@ pub enum ElementClass {
 pub struct AdaptiveConfig {
     /// Sample fraction of the population (paper: 1%).
     pub sample_fraction: f64,
-    /// Minimum sample size (paper: 10_000; capped by `max_sample` for the
-    /// quadratic nearest-neighbor scan).
+    /// Minimum sample size (paper: 10_000; capped by `max_sample`).
     pub min_sample: usize,
-    /// Hard cap on the sample used for the O(m²) nearest-neighbor scan.
+    /// Hard cap on the number of sampled elements. The nearest-neighbor
+    /// scan costs O(m + u²) for `m` sampled elements over `u` distinct
+    /// rows, so the cap bounds a deduplicated scan at O(max_sample²).
     pub max_sample: usize,
     /// Seed for sampling.
     pub seed: u64,
@@ -151,7 +152,42 @@ pub fn estimate_mu(matrix: &VectorMatrix, rep_of: Option<&[u32]>, config: &Adapt
     if n < 2 {
         return 0.0;
     }
-    let row_of = |element: usize| rep_of.map_or(element, |r| r[element] as usize);
+    // Elements sharing a row share their nearest-neighbor distance, so the
+    // scan runs over the sample's distinct rows, O(m + u²) instead of O(m²).
+    // A row's candidates are the other sampled rows, plus the row itself
+    // when two of its elements were sampled (distance 0) — the distances the
+    // per-element scan takes its minimum over.
+    let mut rows: Vec<usize> = sample_elements(n, config)
+        .into_iter()
+        .map(|e| rep_of.map_or(e, |r| r[e] as usize))
+        .collect();
+    rows.sort_unstable();
+    let runs: Vec<&[usize]> = rows.chunk_by(|a, b| a == b).collect();
+    let mut nn = Vec::with_capacity(rows.len());
+    for run in &runs {
+        let a = matrix.row(run[0]);
+        let mut best = f64::INFINITY;
+        for other in &runs {
+            if other[0] == run[0] && run.len() == 1 {
+                continue;
+            }
+            let d = euclidean(a, matrix.row(other[0]));
+            if d < best {
+                best = d;
+            }
+        }
+        nn.extend(std::iter::repeat_n(best, run.len()));
+    }
+    nn.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    // Median (upper of the two middles for even counts, so a 50/50 split of
+    // zero-duplicates and real spacings picks the spacing, not zero).
+    nn[nn.len() / 2]
+}
+
+/// The μ sample of a population of `n` elements: `config`'s sample size
+/// of element indices, drawn without replacement by a seeded partial
+/// Fisher–Yates shuffle.
+fn sample_elements(n: usize, config: &AdaptiveConfig) -> Vec<usize> {
     let target = ((n as f64 * config.sample_fraction) as usize)
         .max(config.min_sample)
         .min(config.max_sample)
@@ -164,34 +200,13 @@ pub fn estimate_mu(matrix: &VectorMatrix, rep_of: Option<&[u32]>, config: &Adapt
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
     };
-
-    // Sample element indices without replacement via partial Fisher–Yates.
     let mut pool: Vec<usize> = (0..n).collect();
     for i in 0..target {
         let j = i + (next() % (n - i) as u64) as usize;
         pool.swap(i, j);
     }
-    let sample = &pool[..target];
-
-    // O(m²) nearest-neighbor scan, parallel over sample rows.
-    let mut nn = par::par_map_indexed(target, target, |i| {
-        let a = matrix.row(row_of(sample[i]));
-        let mut best = f64::INFINITY;
-        for (j, &e) in sample.iter().enumerate() {
-            if i == j {
-                continue;
-            }
-            let d = euclidean(a, matrix.row(row_of(e)));
-            if d < best {
-                best = d;
-            }
-        }
-        best
-    });
-    nn.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    // Median (upper of the two middles for even counts, so a 50/50 split of
-    // zero-duplicates and real spacings picks the spacing, not zero).
-    nn[nn.len() / 2]
+    pool.truncate(target);
+    pool
 }
 
 fn euclidean(a: &[f32], b: &[f32]) -> f64 {
@@ -310,6 +325,90 @@ mod tests {
         assert!((p.alpha - 1.0).abs() < 1e-12);
         assert!((p.mu - 2.0).abs() < 0.5, "mu = {}", p.mu);
         assert!((p.bucket_width - 1.2 * p.mu).abs() < 1e-9);
+    }
+
+    /// Reference for [`estimate_mu`]: the per-element O(m²) scan, where
+    /// every sampled element takes its minimum distance to every other
+    /// sampled element.
+    fn estimate_mu_by_element(
+        matrix: &VectorMatrix,
+        rep_of: Option<&[u32]>,
+        config: &AdaptiveConfig,
+    ) -> f64 {
+        let n = rep_of.map_or(matrix.rows(), <[u32]>::len);
+        if n < 2 {
+            return 0.0;
+        }
+        let row_of = |element: usize| rep_of.map_or(element, |r| r[element] as usize);
+        let sample = sample_elements(n, config);
+        let mut nn: Vec<f64> = (0..sample.len())
+            .map(|i| {
+                let a = matrix.row(row_of(sample[i]));
+                let mut best = f64::INFINITY;
+                for (j, &e) in sample.iter().enumerate() {
+                    if i == j {
+                        continue;
+                    }
+                    let d = euclidean(a, matrix.row(row_of(e)));
+                    if d < best {
+                        best = d;
+                    }
+                }
+                best
+            })
+            .collect();
+        nn.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        nn[nn.len() / 2]
+    }
+
+    #[test]
+    fn distinct_row_scan_matches_the_element_scan_bit_for_bit() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5CA1E);
+        for case in 0..60 {
+            let rows = rng.gen_range(1..700usize);
+            let dim = rng.gen_range(1..5usize);
+            // Every fourth case draws coordinates from {0, 1, 2}, so equal
+            // vectors sit in distinct rows.
+            let coarse = case % 4 == 0;
+            let matrix = mat((0..rows)
+                .map(|_| {
+                    (0..dim)
+                        .map(|_| {
+                            if coarse {
+                                rng.gen_range(0..3u8) as f32
+                            } else {
+                                rng.gen_range(-4.0f32..4.0)
+                            }
+                        })
+                        .collect()
+                })
+                .collect());
+            // Populations of up to 3,000 elements over a random prefix of
+            // the rows, so the sample is smaller than the row count in some
+            // cases and repeats rows in others.
+            let elements = rng.gen_range(2..3_000usize);
+            let used_rows = rng.gen_range(1..=rows);
+            let rep_of: Vec<u32> = (0..elements)
+                .map(|_| rng.gen_range(0..used_rows) as u32)
+                .collect();
+            let config = AdaptiveConfig {
+                max_sample: rng.gen_range(2..=512),
+                seed: rng.gen(),
+                ..AdaptiveConfig::default()
+            };
+            assert_eq!(
+                estimate_mu(&matrix, None, &config).to_bits(),
+                estimate_mu_by_element(&matrix, None, &config).to_bits(),
+                "case {case}: {rows} rows, no rep_of"
+            );
+            assert_eq!(
+                estimate_mu(&matrix, Some(&rep_of), &config).to_bits(),
+                estimate_mu_by_element(&matrix, Some(&rep_of), &config).to_bits(),
+                "case {case}: {rows} rows, {elements} elements"
+            );
+        }
     }
 
     #[test]

@@ -2,36 +2,24 @@
 //! that share a key within at least one group (a "group" is an ELSH table
 //! or a MinHash band).
 //!
-//! Collision pairs are *collected* per group (parallel across groups —
-//! each group's scan is independent) and *applied* in group-major,
-//! index-major order, which is exactly the order a serial sweep produces;
-//! the union-find therefore evolves identically regardless of thread
-//! count. This ordering is determinism-critical — both families rely on
-//! it for the "same seed → same clustering, parallel or not" contract.
+//! Collisions are unioned as they are found, in group-major, row-major
+//! order, each row with the first row of its bucket — the order the
+//! scalar reference ([`crate::reference`]) unions in, so the union-find
+//! evolves identically.
 
 use crate::fx::fx_map_with_capacity;
-use crate::par;
 use crate::unionfind::UnionFind;
 
 /// `keys` is row-major `n × groups` (`keys[i · groups + g]`).
 pub(crate) fn union_keyed_collisions(keys: &[u64], n: usize, groups: usize, uf: &mut UnionFind) {
-    let per_group: Vec<Vec<(u32, u32)>> = par::par_map_indexed(groups, n, |g| {
-        let mut buckets = fx_map_with_capacity::<u64, u32>(n.min(1 << 16));
-        let mut pairs = Vec::new();
-        for i in 0..n {
-            let key = keys[i * groups + g];
-            match buckets.get(&key) {
-                Some(&first) => pairs.push((first, i as u32)),
-                None => {
-                    buckets.insert(key, i as u32);
-                }
+    let mut buckets = fx_map_with_capacity::<u64, usize>(n.min(1 << 16));
+    for g in 0..groups {
+        buckets.clear();
+        for (i, row) in keys.chunks_exact(groups).enumerate() {
+            let first = *buckets.entry(row[g]).or_insert(i);
+            if first != i {
+                uf.union(first, i);
             }
-        }
-        pairs
-    });
-    for pairs in per_group {
-        for (first, i) in pairs {
-            uf.union(first as usize, i as usize);
         }
     }
 }

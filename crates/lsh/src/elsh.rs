@@ -28,17 +28,16 @@
 //!    products are exact in f64, so re-association perturbs a projection
 //!    by ~1e-16 relative, far below any realistic distance to a
 //!    `floor((a·v + o)/b)` boundary (see the kernel docs).
-//! 2. Hashing is embarrassingly parallel — `hash key(i, t)` is a pure
-//!    function of the input row and the projections — and is chunked across
-//!    threads ([`crate::par`], `parallel` feature, on by default).
+//! 2. Hashing runs on the calling thread: `hash key(i, t)` is a pure
+//!    function of the input row and the projections, and after signature
+//!    dedup a chunk hashes a few hundred rows at most.
 //! 3. Bucketing unions collisions per table through an
-//!    [`FxHashMap`](crate::fx::FxHashMap) in a fixed (table-major,
-//!    index-major) order, so the resulting clustering is byte-identical
-//!    whether hashing ran on one thread or many.
+//!    [`FxHashMap`](crate::fx::FxHashMap) in the fixed (table-major,
+//!    index-major) order the scalar reference unions in.
 
 use crate::matrix::VectorMatrix;
 use crate::unionfind::UnionFind;
-use crate::{par, Clustering};
+use crate::Clustering;
 use rand::distributions::{Distribution, Uniform};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -107,8 +106,7 @@ impl Projections {
 /// [`Clustering`] over row indices.
 ///
 /// Complexity `O(N·T·D)` — the paper's §4.7 efficiency bound — executed as
-/// a parallel flat-matrix sweep (see the module docs). Same seed → same
-/// clustering, with or without the `parallel` feature.
+/// a flat-matrix sweep (see the module docs). Same seed → same clustering.
 ///
 /// # Panics
 /// Panics if `bucket_width <= 0`, `tables == 0`, or `hashes_per_table == 0`.
@@ -135,7 +133,6 @@ pub fn elsh_cluster(matrix: &VectorMatrix, params: &ElshParams) -> Clustering {
 }
 
 /// Compute the `n × T` bucket-key matrix (row-major: `keys[i·T + t]`).
-/// Pure per-row work, chunked across threads.
 fn hash_keys(matrix: &VectorMatrix, projections: &Projections, params: &ElshParams) -> Vec<u64> {
     let n = matrix.rows();
     let tables = params.tables;
@@ -145,21 +142,19 @@ fn hash_keys(matrix: &VectorMatrix, projections: &Projections, params: &ElshPara
     // bucket boundaries and would break bit-parity with the reference path.
     let b = params.bucket_width;
     let mut keys = vec![0u64; n * tables];
-    par::par_chunks_mut(&mut keys, tables, |start_row, chunk| {
-        for (local, out) in chunk.chunks_mut(tables).enumerate() {
-            let v = matrix.row(start_row + local);
-            for (t, slot) in out.iter_mut().enumerate() {
-                let mut key = 0xcbf2_9ce4_8422_2325u64;
-                for j in 0..k {
-                    let p = t * k + j;
-                    let proj = crate::matrix::dot_f64_blocked(v, projections.dirs.row(p));
-                    let bucket = ((proj + projections.offsets[p]) / b).floor() as i64;
-                    key = mix(key ^ bucket as u64);
-                }
-                *slot = key;
+    for (i, out) in keys.chunks_mut(tables).enumerate() {
+        let v = matrix.row(i);
+        for (t, slot) in out.iter_mut().enumerate() {
+            let mut key = 0xcbf2_9ce4_8422_2325u64;
+            for j in 0..k {
+                let p = t * k + j;
+                let proj = crate::matrix::dot_f64_blocked(v, projections.dirs.row(p));
+                let bucket = ((proj + projections.offsets[p]) / b).floor() as i64;
+                key = mix(key ^ bucket as u64);
             }
+            *slot = key;
         }
-    });
+    }
     keys
 }
 
@@ -268,7 +263,7 @@ mod tests {
 
     #[test]
     fn matches_reference_scalar_implementation() {
-        // The flat-matrix parallel path must reproduce the seed's scalar
+        // The flat-matrix path must reproduce the seed's scalar
         // clustering bit-for-bit for any fixed seed.
         for seed in [0u64, 13, 0xE15E] {
             let vs = blob(&[0.0; 6], 120, 2.0, seed ^ 0xAB);

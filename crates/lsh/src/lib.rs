@@ -25,11 +25,12 @@
 //!
 //! Dense vectors live in a flat row-major [`VectorMatrix`] (one allocation
 //! for the whole batch) and both families hash through precomputed
-//! projection/permutation banks with the per-element work chunked across
-//! threads ([`par`], `parallel` feature — **on by default**). The
-//! determinism contract is strict: *same seed → same clustering*, with or
-//! without the feature, verified bit-for-bit against the seed's sequential
-//! scalar implementations preserved in [`mod@reference`].
+//! projection/permutation banks. Everything runs on the calling thread and
+//! spawns none: callers hash deduplicated signatures — a few hundred rows
+//! per chunk — and parallelism, where wanted, comes from running chunks
+//! side by side. The determinism contract is strict: *same seed → same
+//! clustering*, verified bit-for-bit against the seed's scalar
+//! implementations preserved in [`mod@reference`].
 
 pub mod adaptive;
 mod bucket;
@@ -37,7 +38,6 @@ pub mod elsh;
 pub mod fx;
 pub mod matrix;
 pub mod minhash;
-pub mod par;
 pub mod probability;
 pub mod reference;
 pub mod unionfind;

@@ -3,9 +3,7 @@
 //! The seed implementation hashed `&[Vec<f32>]` — one heap allocation per
 //! element, pointer-chasing in the inner projection loop. [`VectorMatrix`]
 //! stores all vectors contiguously (`rows × dim` in one `Vec<f32>`), so the
-//! GEMV-style projection sweep in [`crate::elsh`] streams memory linearly
-//! and the whole batch can be chunked across threads without touching
-//! allocator state.
+//! GEMV-style projection sweep in [`crate::elsh`] streams memory linearly.
 
 /// A dense `rows × dim` matrix of `f32`, row-major and contiguous.
 #[derive(Debug, Clone, PartialEq, Default)]

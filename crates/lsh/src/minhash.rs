@@ -14,15 +14,13 @@
 //! # Execution strategy
 //!
 //! Signature + band-key computation is a pure per-set function, computed
-//! into one flat `n × bands` key matrix in parallel chunks
-//! ([`crate::par`]); banding then unions collisions per band through an
-//! [`FxHashMap`](crate::fx::FxHashMap) in a fixed order, so results are
-//! byte-identical to the sequential reference
-//! ([`crate::reference::minhash_cluster_scalar`]) for any seed and thread
-//! count.
+//! into one flat `n × bands` key matrix; banding then unions collisions
+//! per band through an [`FxHashMap`](crate::fx::FxHashMap) in a fixed
+//! order, so results are byte-identical to the scalar reference
+//! ([`crate::reference::minhash_cluster_scalar`]) for any seed.
 
 use crate::unionfind::UnionFind;
-use crate::{par, Clustering};
+use crate::Clustering;
 
 /// Parameters of MinHash LSH.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -110,9 +108,7 @@ pub fn jaccard(a: &[u64], b: &[u64]) -> f64 {
 
 /// Cluster sets with banded MinHash LSH. Returns a [`Clustering`] over the
 /// input indices. Complexity `O(N·T)` per §4.7 (signature length is
-/// `bands · rows_per_band`, a constant); signatures are hashed in parallel
-/// chunks. Same seed → same clustering, with or without the `parallel`
-/// feature.
+/// `bands · rows_per_band`, a constant). Same seed → same clustering.
 ///
 /// # Panics
 /// Panics if `bands == 0` or `rows_per_band == 0`.
@@ -133,27 +129,25 @@ pub fn minhash_cluster(sets: &[Vec<u64>], params: &MinHashParams) -> Clustering 
     Clustering::from_union_find(&mut uf)
 }
 
-/// Flat `n × bands` band-key matrix (row-major: `keys[i·B + band]`),
-/// computed per set in parallel chunks. Each set's signature lives in a
-/// thread-local scratch buffer — no per-set allocation.
+/// Flat `n × bands` band-key matrix (row-major: `keys[i·B + band]`).
+/// Every set's signature goes through one scratch buffer — no per-set
+/// allocation.
 fn band_keys(sets: &[Vec<u64>], params: &MinHashParams) -> Vec<u64> {
     let bands = params.bands;
     let r = params.rows_per_band;
     let k = bands * r;
     let mut keys = vec![0u64; sets.len() * bands];
-    par::par_chunks_mut(&mut keys, bands, |start_row, chunk| {
-        let mut sig = vec![u64::MAX; k];
-        for (local, out) in chunk.chunks_mut(bands).enumerate() {
-            signature_into(&sets[start_row + local], params.seed, &mut sig);
-            for (band, slot) in out.iter_mut().enumerate() {
-                let mut key = 0xcbf2_9ce4_8422_2325u64 ^ (band as u64);
-                for &row in &sig[band * r..(band + 1) * r] {
-                    key = mix(key ^ row);
-                }
-                *slot = key;
+    let mut sig = vec![u64::MAX; k];
+    for (set, out) in sets.iter().zip(keys.chunks_mut(bands)) {
+        signature_into(set, params.seed, &mut sig);
+        for (band, slot) in out.iter_mut().enumerate() {
+            let mut key = 0xcbf2_9ce4_8422_2325u64 ^ (band as u64);
+            for &row in &sig[band * r..(band + 1) * r] {
+                key = mix(key ^ row);
             }
+            *slot = key;
         }
-    });
+    }
     keys
 }
 

@@ -1,6 +1,6 @@
 //! The seed's scalar LSH implementations, kept verbatim as (a) the perf
 //! baseline that `BENCH_lsh.json` tracks speedups against and (b) the
-//! equality oracle for the flat-matrix parallel kernels: for any fixed seed
+//! equality oracle for the flat-matrix kernels: for any fixed seed
 //! the optimized paths must reproduce these clusterings bit-for-bit.
 //!
 //! Not part of the supported API — everything here is sequential and

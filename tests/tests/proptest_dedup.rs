@@ -1,12 +1,11 @@
-//! Property tests for the signature-dedup + parallel LSH engine:
+//! Property tests for the signature-dedup LSH engine:
 //!
 //! 1. The dedup fast path (`PipelineConfig::dedup = true`, the default)
 //!    produces a clustering **identical** to the naive per-element path on
 //!    arbitrary graphs, for both LSH families, through the whole pipeline.
-//! 2. The parallel flat-matrix kernels give **byte-identical** assignments
-//!    to the sequential scalar reference for any fixed seed (the `parallel`
-//!    feature is on by default, so `elsh_cluster`/`minhash_cluster` runs
-//!    multi-threaded here whenever the input is large enough).
+//! 2. The flat-matrix kernels give **byte-identical** assignments to the
+//!    scalar reference for any fixed seed, on tiled inputs with many
+//!    duplicate rows.
 
 use pg_hive_core::{ClusterMethod, Discoverer, PipelineConfig};
 use pg_hive_graph::{GraphBuilder, PropertyGraph, Value};
