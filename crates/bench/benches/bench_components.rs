@@ -1,6 +1,7 @@
 //! Criterion bench for the remaining pipeline components and ablations
-//! called out in DESIGN.md: preprocessing, Word2Vec vs hash embeddings,
-//! datatype inference full-scan vs sampled, and the F1* metric itself.
+//! (the `PipelineConfig` knobs in `crates/core/src/config.rs`):
+//! preprocessing, Word2Vec vs hash embeddings, datatype inference full-scan
+//! vs sampled, and the F1* metric itself.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pg_hive_core::{Discoverer, EmbeddingStrategy, PipelineConfig, SamplingConfig};

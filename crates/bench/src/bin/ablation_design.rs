@@ -1,5 +1,6 @@
-//! Design-choice ablations (DESIGN.md): the knobs this implementation added
-//! or interpreted, swept one at a time on a noisy semi-labeled workload
+//! Design-choice ablations (the `PipelineConfig` docs in
+//! `crates/core/src/config.rs`): the knobs this implementation added or
+//! interpreted, swept one at a time on a noisy semi-labeled workload
 //! where they actually matter — label weight `w`, ELSH AND-width `k`,
 //! merge threshold θ, and the embedding strategy.
 //!

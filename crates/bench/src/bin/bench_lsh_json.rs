@@ -106,8 +106,9 @@ fn main() {
     let expanded = repr.expanded_matrix();
     let expanded_sets = repr.expanded_sets();
 
-    // ELSH, fixed parameters (the adaptive estimator would pick the same
-    // either way; pinning keeps the comparison about raw hashing).
+    // ELSH, fixed parameters (derived ones follow the element and label
+    // counts, equal on both paths; pinning keeps the comparison about raw
+    // hashing).
     let elsh_params = ElshParams {
         bucket_width: 1.0,
         tables: 15,

@@ -3,10 +3,16 @@
 //! adaptive choice is marked with `x`.
 //!
 //! The b-axis is expressed as a multiplier of the adaptive bucket width so
-//! the grid brackets the adaptive pick on every dataset.
+//! the grid brackets the adaptive pick on every dataset. Each side's grid is
+//! built from the parameters that side was hashed with, so the marked cell
+//! reruns the adaptive run; the binary exits 1 when a marked cell's
+//! clustering differs from that run's. Since the marked cell copies the
+//! reported parameters, that happens only if `PipelineStats::adaptive_*`
+//! stops reporting the parameters the run hashed with, or if pinned
+//! parameters stop hashing like derived ones.
 
 use pg_hive_bench::{banner, scale, seed, selected_datasets};
-use pg_hive_core::{ClusterMethod, Discoverer, PipelineConfig};
+use pg_hive_core::{Discoverer, DiscoveryResult, PipelineConfig};
 use pg_hive_datasets::{inject_noise, NoiseSpec};
 use pg_hive_eval::majority_f1;
 use pg_hive_lsh::ElshParams;
@@ -23,13 +29,13 @@ fn main() {
         seed,
     );
 
-    // The paper's grid point is (0% noise, 100% labels); our generators make
-    // that setting easy (μ = 0 fallback). A second, harder point (30% noise,
-    // 50% labels) shows the landscape where the adaptive estimator actually
-    // has to pick a scale.
+    // The paper's grid point is (0% noise, 100% labels), which our
+    // generators make easy. A second, harder point (30% noise, 50% labels)
+    // shows a landscape with more to separate.
+    let mut mismatches = Vec::new();
     for (noise, labels) in [(0u32, 100u32), (30, 50)] {
         println!("--- grid point: {noise}% noise, {labels}% label availability ---\n");
-        run_grid(scale, seed, noise, labels);
+        run_grid(scale, seed, noise, labels, &mut mismatches);
     }
 
     println!(
@@ -37,68 +43,96 @@ fn main() {
          large b and T merge distinct patterns and F1 drops; the adaptive pick sits \
          near the best cell."
     );
+    if !mismatches.is_empty() {
+        for m in &mismatches {
+            eprintln!("FAIL: {m}");
+        }
+        std::process::exit(1);
+    }
 }
 
-fn run_grid(scale: f64, seed: u64, noise: u32, labels: u32) {
+/// Print both sides' grids for every dataset at one grid point, pushing a
+/// line onto `mismatches` for each marked cell that differs from its run.
+fn run_grid(scale: f64, seed: u64, noise: u32, labels: u32, mismatches: &mut Vec<String>) {
+    let config = PipelineConfig {
+        seed,
+        ..PipelineConfig::elsh_adaptive()
+    };
     for dataset in selected_datasets() {
         let mut d = dataset.generate(scale, seed);
         inject_noise(&mut d.graph, &NoiseSpec::grid(noise, labels, seed));
+        let f1 = |r: &DiscoveryResult, side: &str| {
+            let truth = if side == "nodes" {
+                &d.truth.node_types
+            } else {
+                &d.truth.edge_types
+            };
+            majority_f1(assignment(r, side), truth).macro_f1
+        };
 
-        // Adaptive run first: reference F1 and the chosen (T, b).
-        let adaptive = Discoverer::new(PipelineConfig {
-            seed,
-            ..PipelineConfig::elsh_adaptive()
-        })
-        .discover(&d.graph);
-        let ad_nodes = adaptive
-            .stats
-            .adaptive_nodes
-            .clone()
-            .expect("adaptive path");
-        let f1_ad_nodes = majority_f1(&adaptive.node_cluster_assignment, &d.truth.node_types);
-        let f1_ad_edges = majority_f1(&adaptive.edge_cluster_assignment, &d.truth.edge_types);
-
+        // Adaptive run first: reference F1 and the chosen (T, b) per side.
+        let adaptive = Discoverer::new(config.clone()).discover(&d.graph);
         println!(
-            "{}: adaptive pick (T={}, b={:.2}) -> node F1={:.3}, edge F1={:.3}",
+            "{}: adaptive run -> node F1={:.3}, edge F1={:.3}",
             dataset.name(),
-            ad_nodes.tables,
-            ad_nodes.bucket_width,
-            f1_ad_nodes.macro_f1,
-            f1_ad_edges.macro_f1
+            f1(&adaptive, "nodes"),
+            f1(&adaptive, "edges")
         );
 
         for side in ["nodes", "edges"] {
-            println!("  [{side}]  rows: T, cols: b = adaptive x {B_MULT:?}");
-            for &t in &TABLES {
+            let run = if side == "nodes" {
+                &adaptive.stats.adaptive_nodes
+            } else {
+                &adaptive.stats.adaptive_edges
+            }
+            .clone()
+            .expect("adaptive path");
+            let mut tables = TABLES.to_vec();
+            if !tables.contains(&run.tables) {
+                tables.push(run.tables);
+                tables.sort_unstable();
+            }
+            println!(
+                "  [{side}]  adaptive pick (T={}, b={:.2}); rows: T, cols: b = adaptive x {B_MULT:?}",
+                run.tables, run.bucket_width
+            );
+            for &t in &tables {
                 print!("    T={t:<3}");
                 for &m in &B_MULT {
-                    let cfg = PipelineConfig {
-                        method: ClusterMethod::Elsh,
+                    let cell = PipelineConfig {
                         elsh: Some(ElshParams {
-                            bucket_width: (ad_nodes.bucket_width * m).max(1e-3),
+                            bucket_width: run.bucket_width * m,
                             tables: t,
-                            hashes_per_table: 4,
-                            seed,
+                            ..run.clone()
                         }),
-                        seed,
-                        ..PipelineConfig::default()
+                        ..config.clone()
                     };
-                    let r = Discoverer::new(cfg).discover(&d.graph);
-                    let f1 = if side == "nodes" {
-                        majority_f1(&r.node_cluster_assignment, &d.truth.node_types)
-                    } else {
-                        majority_f1(&r.edge_cluster_assignment, &d.truth.edge_types)
-                    };
-                    let mark = if t == ad_nodes.tables && m == 1.0 {
-                        "x"
-                    } else {
-                        " "
-                    };
-                    print!(" {:.3}{mark}", f1.macro_f1);
+                    let cell_run = Discoverer::new(cell).discover(&d.graph);
+                    let cell_f1 = f1(&cell_run, side);
+                    let marked = t == run.tables && m == 1.0;
+                    if marked && assignment(&cell_run, side) != assignment(&adaptive, side) {
+                        mismatches.push(format!(
+                            "{} {side} at {noise}% noise, {labels}% labels: the marked \
+                             cell clusters differently from the adaptive run (F1 {cell_f1:.3} \
+                             against {:.3})",
+                            dataset.name(),
+                            f1(&adaptive, side)
+                        ));
+                    }
+                    print!(" {cell_f1:.3}{}", if marked { "x" } else { " " });
                 }
                 println!();
             }
         }
         println!();
+    }
+}
+
+/// One side's per-element cluster ids.
+fn assignment<'a>(r: &'a DiscoveryResult, side: &str) -> &'a [u32] {
+    if side == "nodes" {
+        &r.node_cluster_assignment
+    } else {
+        &r.edge_cluster_assignment
     }
 }

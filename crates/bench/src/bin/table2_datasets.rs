@@ -24,6 +24,7 @@ fn main() {
     }
     println!(
         "\n(Each generator mirrors its dataset's structural profile at {scale}x of the \
-         default scaled-down size; see DESIGN.md for the substitution rationale.)"
+         default scaled-down size; see crates/datasets/src/catalog.rs for the substitution \
+         rationale.)"
     );
 }

@@ -10,7 +10,7 @@
 //! | `fig3_significance` | Fig. 3 — Nemenyi average ranks over 40 cases |
 //! | `fig4_f1_noise` | Fig. 4 — F1\* vs noise × label availability |
 //! | `fig5_exec_time` | Fig. 5 — time until type discovery |
-//! | `fig6_param_heatmap` | Fig. 6 — F1\* over the (T, b) grid + adaptive pick |
+//! | `fig6_param_heatmap` | Fig. 6 — F1\* over the (T, b) grid; exits 1 unless each marked cell reruns the adaptive run |
 //! | `fig7_incremental` | Fig. 7 — per-batch incremental runtimes |
 //! | `fig8_datatype_error` | Fig. 8 — datatype sampling-error bins |
 //!

@@ -791,7 +791,7 @@ fn discover_stream(
     report_warnings(&acc.warnings);
     let schema = acc.state.finalize();
     if let Some(p) = save_state {
-        // The signature cache rides along (the optional `[sigcache]`
+        // The signature cache rides along (the optional `[sigcache2]`
         // section) so a chained `--load-state` run over same-shaped input
         // resumes warm.
         context_snapshot_cached(

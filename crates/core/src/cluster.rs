@@ -8,10 +8,9 @@
 //! - identical vectors (or sets) hash into the same bucket in every table,
 //!   so collapsing duplicates onto one representative changes no connected
 //!   component of the collision graph;
-//! - adaptive parameters are derived over the *element population* (the
-//!   `rep_of`-aware sampling in [`pg_hive_lsh::adaptive`]), so a skewed
-//!   multiplicity distribution influences `μ`, `b`, and `T` the same way
-//!   it did before deduplication;
+//! - adaptive parameters depend only on the element count and the
+//!   distinct-label count ([`crate::adaptive`]), and the element count is
+//!   `rep_of`'s length, so both paths derive the same `b` and `T`;
 //! - cluster ids are densified by first occurrence, and the first element
 //!   of each cluster corresponds to the first distinct row of that cluster,
 //!   so even the numbering matches.
@@ -19,21 +18,19 @@
 //! `PipelineConfig::dedup = false` runs the naive per-element path (used by
 //! the equivalence property tests and the benchmark baseline).
 
+use crate::adaptive::{elsh_params, minhash_params};
 use crate::config::{ClusterMethod, PipelineConfig};
 use crate::preprocess::ElementRepr;
-use pg_hive_lsh::{
-    adaptive, elsh_cluster, minhash_cluster, AdaptiveConfig, AdaptiveParams, Clustering,
-    ElementClass, ElshParams, MinHashParams, VectorMatrix,
-};
+use pg_hive_lsh::{elsh_cluster, minhash_cluster, Clustering, ElementClass, ElshParams};
 
-/// Outcome of one clustering call, including the parameters that were used
-/// (adaptive or fixed) for reporting (Fig. 6 marks the adaptive choice).
+/// Outcome of one clustering call, including the derived ELSH parameters
+/// for reporting (Fig. 6 marks the adaptive choice).
 #[derive(Debug, Clone)]
 pub struct ClusterOutcome {
     /// Per-**element** clustering (already broadcast from distinct rows).
     pub clustering: Clustering,
-    /// Adaptive parameters, when the adaptive path was taken.
-    pub adaptive: Option<AdaptiveParams>,
+    /// The ELSH parameters used, when they were derived rather than pinned.
+    pub adaptive: Option<ElshParams>,
     /// How many distinct-signature points LSH actually hashed.
     pub hashed_points: usize,
     /// The distinct-level clustering before broadcast, when the dedup path
@@ -64,13 +61,7 @@ fn cluster_dedup(
 ) -> ClusterOutcome {
     match config.method {
         ClusterMethod::Elsh => {
-            let (params, adaptive) = elsh_params(
-                config,
-                &repr.matrix,
-                Some(&repr.rep_of),
-                repr.distinct_labels,
-                class,
-            );
+            let (params, adaptive) = elsh_params(config, repr.len(), repr.distinct_labels, class);
             let distinct = elsh_cluster(&repr.matrix, &params);
             ClusterOutcome {
                 clustering: distinct.broadcast(&repr.rep_of),
@@ -102,8 +93,7 @@ fn cluster_naive(
     match config.method {
         ClusterMethod::Elsh => {
             let matrix = repr.expanded_matrix();
-            let (params, adaptive) =
-                elsh_params(config, &matrix, None, repr.distinct_labels, class);
+            let (params, adaptive) = elsh_params(config, repr.len(), repr.distinct_labels, class);
             ClusterOutcome {
                 clustering: elsh_cluster(&matrix, &params),
                 adaptive,
@@ -123,88 +113,12 @@ fn cluster_naive(
     }
 }
 
-/// Fixed or adaptive ELSH parameters for the population described by
-/// `(matrix, rep_of)`.
-fn elsh_params(
-    config: &PipelineConfig,
-    matrix: &VectorMatrix,
-    rep_of: Option<&[u32]>,
-    distinct_labels: usize,
-    class: ElementClass,
-) -> (ElshParams, Option<AdaptiveParams>) {
-    match &config.elsh {
-        Some(p) => (p.clone(), None),
-        None => {
-            let mut a = adaptive::derive_params(
-                matrix,
-                rep_of,
-                distinct_labels,
-                class,
-                &AdaptiveConfig {
-                    seed: config.seed,
-                    ..AdaptiveConfig::default()
-                },
-            );
-            // Small batches may contain mostly singleton types, in which
-            // case even the median NN distance is an inter-type distance
-            // and b would over-merge. We know the geometry of our vectors —
-            // label disagreement costs ≥ label_weight in L2 — so cap the
-            // bucket below that scale.
-            if config.label_weight > 0.0 {
-                let cap = 0.4 * config.label_weight as f64;
-                if a.bucket_width > cap {
-                    a.bucket_width = cap;
-                }
-            }
-            (
-                ElshParams {
-                    bucket_width: a.bucket_width,
-                    tables: a.tables,
-                    hashes_per_table: 4,
-                    seed: config.seed ^ 0xE15B,
-                },
-                Some(a),
-            )
-        }
-    }
-}
-
-fn minhash_params(
-    config: &PipelineConfig,
-    population: usize,
-    distinct_labels: usize,
-    class: ElementClass,
-) -> MinHashParams {
-    match &config.minhash {
-        Some(p) => p.clone(),
-        None => adaptive_minhash(population, distinct_labels, class, config.seed),
-    }
-}
-
-/// Adaptive MinHash parameters: the paper says MinHash "only requires the
-/// number of hash tables T"; we reuse the table-count heuristic (with the
-/// set representation there is no distance scale, so `b_base = 1`) and a
-/// fixed band width of 4 rows, giving a collision threshold
-/// `(1/T)^(1/4) ≈ 0.45–0.55` over the practical `T ∈ [15, 35]` range.
-pub fn adaptive_minhash(
-    population: usize,
-    distinct_labels: usize,
-    class: ElementClass,
-    seed: u64,
-) -> MinHashParams {
-    let alpha = adaptive::alpha_for_label_count(distinct_labels);
-    let bands = adaptive::tables_heuristic(1.0, alpha, population, class).max(15);
-    MinHashParams {
-        bands,
-        rows_per_band: 4,
-        seed: seed ^ 0x314,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adaptive::adaptive_minhash;
     use crate::config::PipelineConfig;
+    use pg_hive_lsh::VectorMatrix;
 
     /// Two structural groups, well separated in both representations, with
     /// each group one distinct signature repeated 20×.
@@ -236,6 +150,50 @@ mod tests {
         assert_ne!(out.clustering.assignment[0], out.clustering.assignment[1]);
         assert_eq!(out.clustering.assignment.len(), 40);
         assert_eq!(out.hashed_points, 2, "only distinct signatures hashed");
+    }
+
+    /// 20 nodes over 3 distinct labels: one row repeated 20×, or 20
+    /// distinct rows one unit apart.
+    fn twenty_nodes(distinct_rows: bool) -> ElementRepr {
+        let mut repr = ElementRepr {
+            matrix: VectorMatrix::new(2),
+            ..ElementRepr::default()
+        };
+        for i in 0..20u32 {
+            if distinct_rows || i == 0 {
+                repr.matrix.push_row(&[i as f32, 0.0]);
+                repr.sets.push(vec![u64::from(i)]);
+            }
+            repr.rep_of.push(if distinct_rows { i } else { 0 });
+        }
+        repr.distinct_labels = 3;
+        repr
+    }
+
+    #[test]
+    fn elsh_params_depend_on_counts_only() {
+        let derived = |repr: &ElementRepr, config: &PipelineConfig| {
+            cluster_elements(repr, ElementClass::Nodes, config)
+                .adaptive
+                .expect("derived parameters")
+        };
+        let config = PipelineConfig::elsh_adaptive();
+        assert_eq!(
+            derived(&twenty_nodes(false), &config),
+            derived(&twenty_nodes(true), &config),
+            "the spacing of the rows must not move b or T"
+        );
+        for (label_weight, bucket_width) in [(2.0, 0.8), (6.0, 1.0), (0.0, 1.0)] {
+            let config = PipelineConfig {
+                label_weight,
+                ..PipelineConfig::elsh_adaptive()
+            };
+            assert_eq!(
+                derived(&twenty_nodes(true), &config).bucket_width,
+                bucket_width,
+                "label_weight {label_weight}"
+            );
+        }
     }
 
     #[test]

@@ -52,9 +52,10 @@ impl Default for SamplingConfig {
 pub struct PipelineConfig {
     /// LSH family.
     pub method: ClusterMethod,
-    /// Fixed ELSH parameters; `None` = adaptive (§4.2).
+    /// Fixed ELSH parameters; `None` = derived from the element and label
+    /// counts (§4.2, see [`crate::adaptive`]).
     pub elsh: Option<ElshParams>,
-    /// Fixed MinHash parameters; `None` = adaptive.
+    /// Fixed MinHash parameters; `None` = derived from the same counts.
     pub minhash: Option<MinHashParams>,
     /// Jaccard merge threshold θ of Algorithm 2 (paper default 0.9).
     pub theta: f64,
@@ -70,8 +71,8 @@ pub struct PipelineConfig {
     /// Cluster on deduplicated signatures and broadcast assignments back to
     /// elements (default), instead of hashing every element individually.
     /// Both paths produce the **same clustering** (identical vectors share
-    /// every bucket; adaptive parameters are derived over the element
-    /// population either way) — `false` exists for equivalence tests and
+    /// every bucket; adaptive parameters follow the element count, which
+    /// both paths see) — `false` exists for equivalence tests and
     /// benchmarking the dedup win.
     pub dedup: bool,
     /// Datatype inference sampling; `None` = full scan.

@@ -65,6 +65,7 @@
 
 #![warn(missing_docs)]
 
+pub mod adaptive;
 pub mod cluster;
 pub mod config;
 pub mod diff;

@@ -32,7 +32,7 @@ use pg_hive_graph::{
     MultiSource, PropertyGraph, RawGraphSource, ReadAheadChunks, Record, StreamError,
     StreamWarnings, UnitEnd,
 };
-use pg_hive_lsh::{AdaptiveParams, Clustering, ElementClass};
+use pg_hive_lsh::{Clustering, ElementClass, ElshParams};
 use std::collections::BTreeMap;
 use std::convert::Infallible;
 use std::time::{Duration, Instant};
@@ -83,12 +83,11 @@ pub struct PipelineStats {
     pub edge_elements: usize,
     /// Distinct edge signatures actually hashed by LSH.
     pub edge_signatures: usize,
-    /// Adaptive parameters chosen for the *first* batch, when the adaptive
-    /// path was used.
-    pub adaptive_nodes: Option<AdaptiveParams>,
-    /// Adaptive parameters for the first batch's edges (see
-    /// `adaptive_nodes`).
-    pub adaptive_edges: Option<AdaptiveParams>,
+    /// ELSH parameters the *first* batch's nodes were hashed with, when
+    /// they were derived rather than pinned.
+    pub adaptive_nodes: Option<ElshParams>,
+    /// ELSH parameters for the first batch's edges (see `adaptive_nodes`).
+    pub adaptive_edges: Option<ElshParams>,
 }
 
 /// Result of a discovery run.

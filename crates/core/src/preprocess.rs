@@ -428,9 +428,10 @@ impl Fingerprint {
 ///
 /// Two chunks with equal fingerprints therefore produce identical
 /// representation matrices, feature sets, `rep_of` maps, and distinct-label
-/// counts — and since adaptive parameter derivation and both LSH families
-/// are deterministic functions of exactly those inputs (plus the fixed
-/// config), **identical clusterings**. That is the soundness argument for
+/// counts — and since the adaptive parameters follow the element and
+/// distinct-label counts, and both LSH families are deterministic functions
+/// of the matrix or the sets (plus the fixed config), **identical
+/// clusterings**. That is the soundness argument for
 /// [`crate::sigcache::SignatureCache`]: a cached distinct-level clustering
 /// looked up by fingerprint, broadcast through this scan's `rep_of`, equals
 /// the clustering the full pipeline would have computed.

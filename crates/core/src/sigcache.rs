@@ -1,11 +1,12 @@
 //! Cross-chunk / cross-pass signature cache (the "incremental steady
 //! state" memoization layer).
 //!
-//! Streaming discovery spends almost all of its time in embedding + LSH,
-//! yet steady-state workloads (a `watch` loop re-reading a slowly-growing
-//! file, a log whose chunks repeat the same element shapes) keep handing
-//! the pipeline *structurally identical* chunks. [`SignatureCache`]
-//! memoizes the expensive stages at chunk granularity:
+//! On chunks with many distinct signatures, embedding + LSH are a large
+//! share of streaming discovery's per-chunk time, yet steady-state
+//! workloads (a `watch` loop re-reading a slowly-growing file, a log whose
+//! chunks repeat the same element shapes) keep handing the pipeline
+//! *structurally identical* chunks. [`SignatureCache`] memoizes the
+//! expensive stages at chunk granularity:
 //!
 //! - the key is the 128-bit structural fingerprint from
 //!   [`crate::preprocess::signature_scan`] — a string-level hash of
@@ -18,11 +19,11 @@
 //!
 //! On a hit the caller re-runs only the cheap signature scan (dedup +
 //! `rep_of`), broadcasts the cached distinct clustering, and skips
-//! embedding, matrix construction, adaptive parameter derivation, and LSH
-//! entirely. Soundness is argued at [`crate::preprocess::signature_scan`];
-//! as a belt-and-braces guard against fingerprint collisions, a hit is
-//! only honoured when the cached assignment lengths equal the scan's
-//! distinct counts — any mismatch is treated as a miss.
+//! embedding, matrix construction and LSH entirely. Soundness is argued at
+//! [`crate::preprocess::signature_scan`]; as a belt-and-braces guard
+//! against fingerprint collisions, a hit is only honoured when the cached
+//! assignment lengths equal the scan's distinct counts — any mismatch is
+//! treated as a miss.
 //!
 //! The cache is `Sync` (a mutex around a FIFO-bounded map) so the
 //! parallel streaming workers share one instance, and it serializes to a

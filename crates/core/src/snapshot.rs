@@ -93,7 +93,14 @@ pub const SECTION_PENDING: &str = "pending";
 /// ignore unknown sections, and a snapshot without it simply resumes with
 /// a cold cache — which is why adding it did not bump [`FORMAT_VERSION`]
 /// (the cache is a performance artifact, never required for correctness).
-pub const SECTION_SIGCACHE: &str = "sigcache";
+///
+/// The `2` names the parameter rule the cached clusterings were computed
+/// under: LSH parameters that follow the label and element counts
+/// ([`crate::adaptive`]). The earlier `[sigcache]` section holds clusterings
+/// whose ELSH bucket width and table count came from a sampled distance
+/// scale, which this build would not reproduce; it is ignored like any
+/// unknown section, so such a snapshot resumes with a cold cache.
+pub const SECTION_SIGCACHE: &str = "sigcache2";
 
 /// Everything that can go wrong while saving, loading, or resuming from a
 /// snapshot. Every rendering starts with `snapshot:` so operators (and the
@@ -1037,7 +1044,7 @@ pub struct ResumeContext {
     /// `elements` and `inputs` are not saved and load as zero; a
     /// checkpoint's warning totals live in [`WatchCheckpoint::warnings`].
     pub ingest: Ingest,
-    /// The `[sigcache]` entries, bounded to [`DEFAULT_CACHE_CAP`] — cold
+    /// The `[sigcache2]` entries, bounded to [`DEFAULT_CACHE_CAP`] — cold
     /// when the section is absent.
     pub cache: SignatureCache,
     /// Watch progress; `None` for plain `discover` save-states.
@@ -1047,7 +1054,7 @@ pub struct ResumeContext {
 /// Render a snapshot from **borrowed** context parts — the one snapshot
 /// writer, so a hot checkpoint loop (`watch --state-dir` checkpoints after
 /// *every* pass) serializes without first deep-cloning the state and
-/// registry into an owned context. The `[sigcache]` section carrying the
+/// registry into an owned context. The `[sigcache2]` section carrying the
 /// run's [`SignatureCache`] (so a resumed process starts warm) is omitted
 /// when the cache is absent or empty: the common one-shot case stays
 /// byte-identical to pre-cache snapshots.
@@ -1080,7 +1087,7 @@ pub fn context_snapshot_cached(
 impl ResumeContext {
     /// Rebuild from a parsed snapshot. `[config]`, `[state]` and
     /// `[registry]` are required; `[watch]`/`[files]` are optional as a
-    /// pair; `[pending]` and `[sigcache]` are optional.
+    /// pair; `[pending]` and `[sigcache2]` are optional.
     pub fn from_snapshot(snap: &Snapshot) -> Result<Self, SnapshotError> {
         let need = |name: &'static str| {
             snap.section(name)
@@ -1430,7 +1437,7 @@ mod tests {
         let config = SnapshotConfig::new(d.config(), 512);
         let registry = LabelSetRegistry::default();
 
-        // No cache / empty cache → no [sigcache] section, and loading
+        // No cache / empty cache → no [sigcache2] section, and loading
         // such a snapshot yields a cold cache (pre-cache compatibility).
         let bare = context_snapshot_cached(&config, &state, &registry, None, &[], None);
         assert!(bare.section(SECTION_SIGCACHE).is_none());
@@ -1471,6 +1478,28 @@ mod tests {
             .unwrap_err()
             .to_string();
         assert!(err.starts_with("snapshot: malformed content"), "{err}");
+    }
+
+    #[test]
+    fn sigcache_entries_under_the_old_section_name_load_cold() {
+        // Cache a chunk's clusterings, then save them under `[sigcache]`,
+        // the section whose entries came from the sampled-distance rule.
+        let d = Discoverer::new(PipelineConfig::elsh_adaptive());
+        let chunk = || std::iter::once(sample_graph());
+        let cache = SignatureCache::default();
+        d.absorb_stream_cached(chunk(), &mut d.new_state(), 1, &cache);
+        let (_, state) = sample_state();
+        let config = SnapshotConfig::new(d.config(), 512);
+        let registry = LabelSetRegistry::default();
+        for (section, hits) in [("sigcache", 0), (SECTION_SIGCACHE, 1)] {
+            let mut snap = context_snapshot_cached(&config, &state, &registry, None, &[], None);
+            snap.push_section(section, cache.snapshot_lines());
+            let reparsed = Snapshot::parse(&snap.to_text()).unwrap();
+            let loaded = ResumeContext::from_snapshot(&reparsed).unwrap().cache;
+            d.absorb_stream_cached(chunk(), &mut d.new_state(), 1, &loaded);
+            let stats = loaded.stats();
+            assert_eq!((stats.hits, stats.misses), (hits, 1 - hits), "[{section}]");
+        }
     }
 
     #[test]

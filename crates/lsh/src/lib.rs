@@ -13,13 +13,9 @@
 //! Clusters are the connected components of the "collided in at least one
 //! table/band" relation, computed with a union-find ([`unionfind`]).
 //!
-//! [`adaptive`] implements the paper's adaptive parameterization: sample the
-//! data to estimate the distance scale `μ`, set `b_base = 1.2·μ`, adjust by
-//! the label-count factor `α`, and derive `T` from dataset size
-//! (§4.2 "Adaptive parameterization").
-//!
-//! [`probability`] provides the closed-form collision probabilities used to
-//! reason about parameter effects (and tested against simulation).
+//! Parameters (ELSH `b`, `T` and `k`; MinHash bands and rows) are the
+//! caller's choice: `pg-hive-core` derives them from the label and element
+//! counts.
 //!
 //! ## Execution model
 //!
@@ -32,21 +28,26 @@
 //! clustering*, verified bit-for-bit against the seed's scalar
 //! implementations preserved in [`mod@reference`].
 
-pub mod adaptive;
 mod bucket;
 pub mod elsh;
 pub mod fx;
 pub mod matrix;
 pub mod minhash;
-pub mod probability;
 pub mod reference;
 pub mod unionfind;
 
-pub use adaptive::{AdaptiveConfig, AdaptiveParams, ElementClass};
 pub use elsh::{elsh_cluster, ElshParams, Projections};
 pub use matrix::VectorMatrix;
 pub use minhash::{minhash_cluster, MinHashParams};
 pub use unionfind::UnionFind;
+
+/// Whether parameters are being derived for node or edge clustering — the
+/// two use different `T` heuristics in the paper.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ElementClass {
+    Nodes,
+    Edges,
+}
 
 /// A clustering of `n` elements: `assignment[i]` is the dense cluster id of
 /// element `i`, ids in `0..num_clusters`.

@@ -3,7 +3,7 @@
 //! upper bounds, and incremental monotonicity.
 
 use pg_hive_core::merge::is_generalization_of;
-use pg_hive_core::{Discoverer, PipelineConfig};
+use pg_hive_core::{Discoverer, DiscoveryResult, LabelSet, PipelineConfig};
 use pg_hive_datasets::{inject_noise, DatasetId, NoiseSpec};
 use pg_hive_graph::{EdgeId, NodeId};
 use std::collections::{HashMap, HashSet};
@@ -107,27 +107,53 @@ fn incremental_final_instance_counts_match_static() {
     assert_eq!(incr.schema.node_instances() as usize, d.graph.node_count());
 }
 
+/// Every node type's label set, sorted.
+fn node_label_sets(r: &DiscoveryResult) -> Vec<LabelSet> {
+    let mut sets: Vec<_> = r
+        .schema
+        .node_types
+        .iter()
+        .map(|t| t.labels.clone())
+        .collect();
+    sets.sort();
+    sets
+}
+
+/// Batches of a few dozen elements must not merge elements with different
+/// label sets into one type: at every batch count, on every dataset, the
+/// incremental run finds exactly the static run's label sets.
 #[test]
 fn incremental_discovers_same_labeled_type_inventory_as_static() {
-    let d = DatasetId::Ldbc.generate(0.05, 26);
-    let discoverer = Discoverer::new(PipelineConfig::elsh_adaptive());
-    let incr = discoverer.discover_incremental(&d.graph, 8);
-    let stat = discoverer.discover(&d.graph);
-    let mut a: Vec<_> = stat
-        .schema
-        .node_types
-        .iter()
-        .map(|t| t.labels.clone())
-        .collect();
-    let mut b: Vec<_> = incr
-        .schema
-        .node_types
-        .iter()
-        .map(|t| t.labels.clone())
-        .collect();
-    a.sort();
-    b.sort();
-    assert_eq!(a, b);
+    // (datasets, generator seed, pipeline seed, batch counts): LDBC under
+    // the library's default seed, then every dataset under the CLI's
+    // default seed for the generator and the pipeline alike.
+    let cases: [(&[DatasetId], u64, u64, &[usize]); 2] = [
+        (
+            &[DatasetId::Ldbc],
+            26,
+            PipelineConfig::elsh_adaptive().seed,
+            &[8],
+        ),
+        (&DatasetId::ALL, 42, 42, &[10, 20, 50]),
+    ];
+    for (ids, data_seed, seed, batch_counts) in cases {
+        let discoverer = Discoverer::new(PipelineConfig {
+            seed,
+            ..PipelineConfig::elsh_adaptive()
+        });
+        for &id in ids {
+            let d = id.generate(0.05, data_seed);
+            let stat = node_label_sets(&discoverer.discover(&d.graph));
+            for &batches in batch_counts {
+                assert_eq!(
+                    node_label_sets(&discoverer.discover_incremental(&d.graph, batches)),
+                    stat,
+                    "{} (generator seed {data_seed}) at {batches} batches",
+                    id.name()
+                );
+            }
+        }
+    }
 }
 
 #[test]

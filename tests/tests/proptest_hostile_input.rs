@@ -465,7 +465,13 @@ const SNAPSHOT_PLANTS: &[u8] = &[
 
 /// Section order of [`full_snapshot`].
 const SECTIONS: &[&str] = &[
-    "config", "state", "registry", "watch", "files", "pending", "sigcache",
+    "config",
+    "state",
+    "registry",
+    "watch",
+    "files",
+    "pending",
+    "sigcache2",
 ];
 
 /// Lines planted into a section: well-formed lines of other sections,
