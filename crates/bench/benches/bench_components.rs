@@ -1,32 +1,12 @@
 //! Criterion bench for the remaining pipeline components and ablations
-//! (the `PipelineConfig` knobs in `crates/core/src/config.rs`):
-//! preprocessing, Word2Vec vs hash embeddings, datatype inference full-scan
-//! vs sampled, and the F1* metric itself.
+//! (the `PipelineConfig` knobs in `crates/core/src/config.rs`): datatype
+//! inference full-scan vs sampled, the θ merge threshold, and the F1*
+//! metric itself.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pg_hive_core::{Discoverer, EmbeddingStrategy, PipelineConfig, SamplingConfig};
+use pg_hive_core::{Discoverer, PipelineConfig, SamplingConfig};
 use pg_hive_datasets::DatasetId;
 use pg_hive_eval::majority_f1;
-
-fn bench_embedding_strategies(c: &mut Criterion) {
-    let mut group = c.benchmark_group("embedding_ablation");
-    group.sample_size(10);
-    let d = DatasetId::Pole.generate(0.1, 42);
-    for (name, strategy) in [
-        ("hash", EmbeddingStrategy::Hash),
-        ("word2vec", EmbeddingStrategy::Word2Vec(Default::default())),
-    ] {
-        let cfg = PipelineConfig {
-            embedding: strategy,
-            ..PipelineConfig::elsh_adaptive()
-        };
-        let disc = Discoverer::new(cfg);
-        group.bench_with_input(BenchmarkId::from_parameter(name), &d, |b, d| {
-            b.iter(|| disc.discover(&d.graph).schema.node_types.len());
-        });
-    }
-    group.finish();
-}
 
 fn bench_datatype_sampling_ablation(c: &mut Criterion) {
     let mut group = c.benchmark_group("datatype_sampling");
@@ -83,7 +63,6 @@ fn bench_theta_ablation(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_embedding_strategies,
     bench_datatype_sampling_ablation,
     bench_f1_metric,
     bench_theta_ablation

@@ -1,24 +1,21 @@
 //! Design-choice ablations (the `PipelineConfig` docs in
 //! `crates/core/src/config.rs`): the knobs this implementation added or
 //! interpreted, swept one at a time on a noisy semi-labeled workload
-//! where they actually matter — label weight `w`, ELSH AND-width `k`,
-//! merge threshold θ, and the embedding strategy.
+//! where they actually matter — label weight `w` and merge threshold θ.
+//! The embedding strategy is no longer a knob: the `pg-hive-embed` crate
+//! docs give the hash-vs-Word2Vec sweep that settled it.
 //!
 //! Not a paper figure; this is the evidence backing the defaults.
 
 use pg_hive_bench::{banner, scale, seed};
-use pg_hive_core::{Discoverer, EmbeddingStrategy, PipelineConfig};
+use pg_hive_core::{Discoverer, PipelineConfig};
 use pg_hive_datasets::{inject_noise, DatasetId, NoiseSpec};
 use pg_hive_eval::majority_f1;
 
 fn main() {
     let scale = scale(0.1);
     let seed = seed();
-    banner(
-        "Design ablations (label weight, AND-width k, theta, embeddings)",
-        scale,
-        seed,
-    );
+    banner("Design ablations (label weight, theta)", scale, seed);
 
     let workloads = [
         (DatasetId::Pole, 20u32, 50u32),
@@ -51,25 +48,9 @@ fn main() {
         println!();
     }
 
-    println!("\nembedding strategy (hash vs word2vec):");
-    for (ds, noise, labels) in workloads {
-        let hash = run(ds, noise, labels, seed, |c| {
-            c.embedding = EmbeddingStrategy::Hash
-        });
-        let w2v = run(ds, noise, labels, seed, |c| {
-            c.embedding = EmbeddingStrategy::Word2Vec(Default::default())
-        });
-        println!(
-            "  {:<6} noise={noise}% labels={labels}%:  hash {hash:.3}   word2vec {w2v:.3}",
-            ds.name()
-        );
-    }
-
     println!(
         "\nReading: w = 0 removes the hybrid label signal (pure structure) and F1 drops \
-         on label-rich data; θ below ~0.7 over-merges unlabeled clusters; the \
-         deterministic hash embedding matches word2vec on these datasets because only \
-         identity/separation matters for clustering."
+         on label-rich data; θ below ~0.7 over-merges unlabeled clusters."
     );
 }
 

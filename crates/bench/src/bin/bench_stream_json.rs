@@ -649,13 +649,12 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "  \"embedder_hoist_note\": \"the embedder is built once per \
-         discover_stream*/discover_batches run and shared across chunks/workers (ISSUE 4; \
-         before: once per chunk). Before/after on the same 1-core dev container, serial \
-         streaming stayed within run-to-run noise of the PR 3 engine (240.1k elem/s \
-         recorded then; this host wobbles roughly +/-15% between identical runs) — the \
+        "  \"embedder_hoist_note\": \"the label embedder is the seeded HashEmbedder, \
+         two integers and no allocation, built wherever a batch or chunk is embedded, so \
+         there is nothing to hoist or share across chunks/workers. Serial streaming \
+         throughput wobbles roughly +/-15% between identical runs on a shared host; the \
          durable regression signal is canonical_overhead_ratio, measured within a single \
-         run. Word2Vec is unaffected: it still trains per chunk\","
+         run\","
     );
     let _ = writeln!(json, "  \"parallel_secs\": {parallel_secs:.6},");
     let _ = writeln!(json, "  \"parallel_elements_per_sec\": {parallel_eps:.1},");

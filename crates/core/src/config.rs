@@ -1,6 +1,5 @@
 //! Pipeline configuration (Algorithm 1's knobs).
 
-use pg_hive_embed::Word2VecConfig;
 use pg_hive_lsh::{ElshParams, MinHashParams};
 
 /// Which LSH family clusters the representation vectors (§4.2) — the two
@@ -13,15 +12,15 @@ pub enum ClusterMethod {
     MinHash,
 }
 
-/// How label embeddings are produced (§4.1).
+/// How label embeddings are produced (§4.1). The paper trains Word2Vec;
+/// this reproduction embeds with the seeded [`pg_hive_embed::HashEmbedder`]
+/// alone (the `pg-hive-embed` crate docs give the measurement), so `Hash`
+/// is the only strategy.
 #[derive(Debug, Clone)]
 pub enum EmbeddingStrategy {
-    /// Deterministic seeded-hash embeddings (fast default; see
-    /// `pg-hive-embed` docs for why this preserves the paper's behaviour).
+    /// Deterministic seeded-hash embeddings of dimension
+    /// [`PipelineConfig::embedding_dim`], seeded by [`PipelineConfig::seed`].
     Hash,
-    /// Train a skip-gram Word2Vec on label co-occurrence sentences built
-    /// from the batch — the paper's original setup.
-    Word2Vec(Word2VecConfig),
 }
 
 /// Sampling configuration for datatype inference (§4.4: "optionally we add a
@@ -59,14 +58,15 @@ pub struct PipelineConfig {
     pub minhash: Option<MinHashParams>,
     /// Jaccard merge threshold θ of Algorithm 2 (paper default 0.9).
     pub theta: f64,
-    /// Label-embedding strategy and dimension `d`.
+    /// Label-embedding strategy; [`EmbeddingStrategy::Hash`] is the only one.
     pub embedding: EmbeddingStrategy,
     /// Embedding dimension `d` (paper example uses 5; default 16).
     pub embedding_dim: usize,
     /// Scale factor applied to label embeddings before concatenation with
     /// the binary property vector, so that label disagreement dominates
-    /// property noise in the Euclidean distance (implementation choice; the
-    /// paper relies on the raw Word2Vec norms).
+    /// property noise in the Euclidean distance (implementation choice: the
+    /// paper concatenates raw Word2Vec vectors, ours are unit-length hash
+    /// embeddings).
     pub label_weight: f32,
     /// Cluster on deduplicated signatures and broadcast assignments back to
     /// elements (default), instead of hashing every element individually.

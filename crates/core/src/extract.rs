@@ -11,11 +11,10 @@
 //! 3. remaining unlabeled candidates merge with each other under the same
 //!    Jaccard rule; whatever is left becomes an ABSTRACT type.
 
-use crate::patterns::jaccard_str;
 use crate::schema::{EdgeType, NodeType, PropertySpec, SchemaGraph};
 use pg_hive_graph::{EdgeId, NodeId, PropertyGraph};
 use pg_hive_lsh::Clustering;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Build candidate node types from a clustering of `ids`.
 pub fn candidate_node_types(
@@ -115,7 +114,7 @@ pub fn merge_node_candidates(schema: &mut SchemaGraph, cands: Vec<NodeType>, the
     // even a NaN smuggled in by a future refactor — can panic the merge.
     let mut still_unlabeled = Vec::new();
     for cand in unlabeled {
-        let cand_keys: std::collections::BTreeSet<String> = cand.props.keys().cloned().collect();
+        let cand_keys: BTreeSet<String> = cand.props.keys().cloned().collect();
         let best = schema
             .node_types
             .iter()
@@ -138,7 +137,7 @@ pub fn merge_node_candidates(schema: &mut SchemaGraph, cands: Vec<NodeType>, the
     // Lines 12–14: unlabeled vs unlabeled (including pre-existing ABSTRACT
     // types in the schema), then keep the rest as ABSTRACT.
     for cand in still_unlabeled {
-        let cand_keys: std::collections::BTreeSet<String> = cand.props.keys().cloned().collect();
+        let cand_keys: BTreeSet<String> = cand.props.keys().cloned().collect();
         let target = schema
             .node_types
             .iter()
@@ -176,7 +175,7 @@ pub fn merge_edge_candidates(schema: &mut SchemaGraph, cands: Vec<EdgeType>, the
 
     let mut still_unlabeled = Vec::new();
     for cand in unlabeled {
-        let cand_keys: std::collections::BTreeSet<String> = cand.props.keys().cloned().collect();
+        let cand_keys: BTreeSet<String> = cand.props.keys().cloned().collect();
         let best = schema
             .edge_types
             .iter()
@@ -197,7 +196,7 @@ pub fn merge_edge_candidates(schema: &mut SchemaGraph, cands: Vec<EdgeType>, the
     }
 
     for cand in still_unlabeled {
-        let cand_keys: std::collections::BTreeSet<String> = cand.props.keys().cloned().collect();
+        let cand_keys: BTreeSet<String> = cand.props.keys().cloned().collect();
         let target = schema
             .edge_types
             .iter()
@@ -216,6 +215,17 @@ pub fn merge_edge_candidates(schema: &mut SchemaGraph, cands: Vec<EdgeType>, the
             None => schema.edge_types.push(cand),
         }
     }
+}
+
+/// Jaccard similarity of two string sets — the merge criterion of
+/// Algorithm 2 (`J(C1, C2) = |K1 ∩ K2| / |K1 ∪ K2|`).
+fn jaccard_str(a: &BTreeSet<String>, b: &BTreeSet<String>) -> f64 {
+    if a.is_empty() && b.is_empty() {
+        return 1.0;
+    }
+    let inter = a.intersection(b).count();
+    let union = a.len() + b.len() - inter;
+    inter as f64 / union as f64
 }
 
 #[cfg(test)]
@@ -408,5 +418,16 @@ mod tests {
         merge_node_candidates(&mut schema, cands, 0.9);
         // {Person,Student} ≠ {Person}: two types (PG-Schema semantics).
         assert_eq!(schema.node_types.len(), 2);
+    }
+
+    #[test]
+    fn jaccard_str_basics() {
+        let a: BTreeSet<String> = ["a", "b", "c"].iter().map(|s| s.to_string()).collect();
+        let b: BTreeSet<String> = ["b", "c", "d"].iter().map(|s| s.to_string()).collect();
+        assert!((jaccard_str(&a, &b) - 0.5).abs() < 1e-12);
+        assert_eq!(jaccard_str(&a, &a), 1.0);
+        let empty = BTreeSet::new();
+        assert_eq!(jaccard_str(&empty, &empty), 1.0);
+        assert_eq!(jaccard_str(&a, &empty), 0.0);
     }
 }

@@ -71,7 +71,6 @@ pub mod config;
 pub mod diff;
 pub mod extract;
 pub mod merge;
-pub mod patterns;
 pub mod pipeline;
 pub mod postprocess;
 pub mod preprocess;

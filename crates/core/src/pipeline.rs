@@ -18,15 +18,13 @@
 //! it.
 
 use crate::cluster::cluster_elements;
-use crate::config::{EmbeddingStrategy, PipelineConfig};
+use crate::config::PipelineConfig;
 use crate::extract::{candidate_edge_types, candidate_node_types};
-use crate::preprocess::{
-    edge_representations, label_sentences, node_representations, signature_scan,
-};
+use crate::preprocess::{edge_representations, node_representations, signature_scan};
 use crate::schema::SchemaGraph;
 use crate::sigcache::{CachedChunk, SignatureCache};
 use crate::state::SchemaState;
-use pg_hive_embed::{HashEmbedder, LabelEmbedder, Word2Vec};
+use pg_hive_embed::HashEmbedder;
 use pg_hive_graph::{
     fold_in_order, split_batches, ChunkedTextReader, GraphBatch, GraphBuilder, LabelSetRegistry,
     MultiSource, PropertyGraph, RawGraphSource, ReadAheadChunks, Record, StreamError,
@@ -70,19 +68,9 @@ pub struct PipelineStats {
     pub timings: StageTimings,
     /// Per-batch wall-clock of the main pipeline (Fig. 7's series).
     pub batch_times: Vec<Duration>,
-    /// Total LSH clusters produced before merging (nodes).
-    pub node_clusters: usize,
-    /// Total LSH clusters produced before merging (edges).
-    pub edge_clusters: usize,
-    /// Nodes processed across batches.
-    pub node_elements: usize,
     /// Distinct node signatures actually hashed by LSH (summed over
-    /// batches) — `node_elements / node_signatures` is the dedup win.
+    /// batches) — the node count over this is the dedup win.
     pub node_signatures: usize,
-    /// Edges processed across batches.
-    pub edge_elements: usize,
-    /// Distinct edge signatures actually hashed by LSH.
-    pub edge_signatures: usize,
     /// ELSH parameters the *first* batch's nodes were hashed with, when
     /// they were derived rather than pinned.
     pub adaptive_nodes: Option<ElshParams>,
@@ -260,26 +248,15 @@ impl Discoverer {
         let mut edge_cluster_assignment = vec![u32::MAX; g.edge_count()];
         let mut node_cluster_offset = 0u32;
         let mut edge_cluster_offset = 0u32;
-        // The embedder is batch-independent for the hash strategy — build it
-        // once per run instead of once per batch (ROADMAP perf lever);
-        // Word2Vec still trains on each batch's label sentences.
-        let shared = self.shared_embedder();
+        let embedder = HashEmbedder::new(self.config.embedding_dim, self.config.seed);
 
         for (i, batch) in batches.iter().enumerate() {
             let t_batch = Instant::now();
 
-            // (b) preprocess: embedder + representation vectors.
+            // (b) preprocess: representation vectors.
             let t0 = Instant::now();
-            let owned;
-            let embedder: &dyn LabelEmbedder = match shared.as_deref() {
-                Some(e) => e,
-                None => {
-                    owned = self.make_embedder(g, batch);
-                    owned.as_ref()
-                }
-            };
-            let nodes = node_representations(g, &batch.nodes, embedder, self.config.label_weight);
-            let edges = edge_representations(g, &batch.edges, embedder, self.config.label_weight);
+            let nodes = node_representations(g, &batch.nodes, &embedder, self.config.label_weight);
+            let edges = edge_representations(g, &batch.edges, &embedder, self.config.label_weight);
             stats.timings.preprocess += t0.elapsed();
 
             // (c) LSH clustering over distinct signatures, broadcast back
@@ -288,12 +265,7 @@ impl Discoverer {
             let node_out = cluster_elements(&nodes.repr, ElementClass::Nodes, &self.config);
             let edge_out = cluster_elements(&edges.repr, ElementClass::Edges, &self.config);
             stats.timings.clustering += t1.elapsed();
-            stats.node_clusters += node_out.clustering.num_clusters;
-            stats.edge_clusters += edge_out.clustering.num_clusters;
-            stats.node_elements += nodes.repr.len();
             stats.node_signatures += node_out.hashed_points;
-            stats.edge_elements += edges.repr.len();
-            stats.edge_signatures += edge_out.hashed_points;
             // Advance the global cluster-id offsets with *checked*
             // arithmetic before touching the assignment arrays: on huge
             // many-batch runs an unchecked `as u32` accumulation would wrap
@@ -574,9 +546,6 @@ impl Discoverer {
     where
         I: IntoIterator<Item = Result<PropertyGraph, E>>,
     {
-        // One embedder for the whole pool (hash strategy): workers share it
-        // by reference instead of rebuilding per chunk.
-        let shared = self.shared_embedder();
         let mut report = AbsorbReport {
             elements: 0,
             chunk_times: Vec::new(),
@@ -592,8 +561,7 @@ impl Discoverer {
             |chunk| {
                 let t = Instant::now();
                 let elements = chunk.node_count() + chunk.edge_count();
-                let (chunk_state, entry) =
-                    self.chunk_state_cached(&chunk, shared.as_deref(), cache);
+                let (chunk_state, entry) = self.chunk_state(&chunk, cache);
                 (chunk_state, entry, elements, t.elapsed())
             },
             |(chunk_state, entry, elements, time)| {
@@ -705,7 +673,6 @@ impl Discoverer {
         registry: &LabelSetRegistry,
         pending: Vec<Record>,
     ) -> (Vec<Record>, u64) {
-        let shared = self.shared_embedder();
         let mut unresolved = Vec::new();
         let mut resolved = 0u64;
         // (src labels, tgt labels, edge labels, sorted prop keys) → the
@@ -740,7 +707,7 @@ impl Discoverer {
                 b.add_edge(s, t, &edge_labels, &edge_props);
             }
             let g = b.finish();
-            state.merge(self.chunk_state_with(&g, shared.as_deref()));
+            state.merge(self.discover_chunk_state(&g));
         }
         (unresolved, resolved)
     }
@@ -751,15 +718,7 @@ impl Discoverer {
     /// that die with the chunk). Merge the results with
     /// [`SchemaState::merge`] in any order.
     pub fn discover_chunk_state(&self, chunk: &PropertyGraph) -> SchemaState {
-        self.chunk_state_with(chunk, self.shared_embedder().as_deref())
-    }
-
-    fn chunk_state_with(
-        &self,
-        g: &PropertyGraph,
-        shared: Option<&dyn LabelEmbedder>,
-    ) -> SchemaState {
-        self.chunk_state_cached(g, shared, None).0
+        self.chunk_state(chunk, None).0
     }
 
     /// One chunk's pipeline pass, optionally memoized through a
@@ -775,10 +734,9 @@ impl Discoverer {
     /// Re-inserting a hit changes nothing unless a chunk folded since the
     /// lookup evicted the entry; it then re-adds it, as a serial run's miss
     /// would.
-    fn chunk_state_cached(
+    fn chunk_state(
         &self,
         g: &PropertyGraph,
-        shared: Option<&dyn LabelEmbedder>,
         cache: Option<&SignatureCache>,
     ) -> (SchemaState, Option<(u128, CachedChunk)>) {
         // Stub endpoints exist only so cross-chunk edges keep their endpoint
@@ -809,16 +767,9 @@ impl Discoverer {
                 return (state, Some((scan.fingerprint, hit)));
             }
         }
-        let owned;
-        let embedder: &dyn LabelEmbedder = match shared {
-            Some(e) => e,
-            None => {
-                owned = self.make_embedder(g, &batch);
-                owned.as_ref()
-            }
-        };
-        let nodes = node_representations(g, &batch.nodes, embedder, self.config.label_weight);
-        let edges = edge_representations(g, &batch.edges, embedder, self.config.label_weight);
+        let embedder = HashEmbedder::new(self.config.embedding_dim, self.config.seed);
+        let nodes = node_representations(g, &batch.nodes, &embedder, self.config.label_weight);
+        let edges = edge_representations(g, &batch.edges, &embedder, self.config.label_weight);
         let node_out = cluster_elements(&nodes.repr, ElementClass::Nodes, &self.config);
         let edge_out = cluster_elements(&edges.repr, ElementClass::Edges, &self.config);
         let state =
@@ -833,7 +784,7 @@ impl Discoverer {
     }
 
     /// Stages (d)–(g) of one chunk given its clusterings — shared by the
-    /// cached and computed paths of [`Self::chunk_state_cached`].
+    /// cached and computed paths of [`Self::chunk_state`].
     fn absorb_chunk_clusterings(
         &self,
         g: &PropertyGraph,
@@ -849,37 +800,6 @@ impl Discoverer {
         state.postprocess(g, self.config.datatype_sampling.as_ref());
         state.clear_members();
         state
-    }
-
-    /// The batch-independent embedder shared across a whole run, when the
-    /// strategy allows it. `None` for Word2Vec, which trains on each
-    /// batch's label sentences.
-    fn shared_embedder(&self) -> Option<Box<dyn LabelEmbedder>> {
-        match &self.config.embedding {
-            EmbeddingStrategy::Hash => Some(Box::new(HashEmbedder::new(
-                self.config.embedding_dim,
-                self.config.seed,
-            ))),
-            EmbeddingStrategy::Word2Vec(_) => None,
-        }
-    }
-
-    fn make_embedder(&self, g: &PropertyGraph, batch: &GraphBatch) -> Box<dyn LabelEmbedder> {
-        match &self.config.embedding {
-            EmbeddingStrategy::Hash => Box::new(HashEmbedder::new(
-                self.config.embedding_dim,
-                self.config.seed,
-            )),
-            EmbeddingStrategy::Word2Vec(cfg) => {
-                let sentences = label_sentences(g, batch);
-                let cfg = pg_hive_embed::Word2VecConfig {
-                    dim: self.config.embedding_dim,
-                    seed: self.config.seed,
-                    ..cfg.clone()
-                };
-                Box::new(Word2Vec::train(&sentences, &cfg))
-            }
-        }
     }
 }
 
@@ -1087,19 +1007,6 @@ mod tests {
     }
 
     #[test]
-    fn word2vec_embedding_path_works() {
-        let cfg = PipelineConfig {
-            embedding: crate::config::EmbeddingStrategy::Word2Vec(Default::default()),
-            embedding_dim: 8,
-            ..PipelineConfig::elsh_adaptive()
-        };
-        let d = Discoverer::new(cfg);
-        let r = d.discover(&figure1());
-        assert!(r.schema.node_types.len() >= 4);
-        assert_eq!(r.schema.edge_types.len(), 4);
-    }
-
-    #[test]
     fn sampling_config_is_honored() {
         let cfg = PipelineConfig {
             datatype_sampling: Some(SamplingConfig::default()),
@@ -1133,7 +1040,6 @@ mod tests {
         let r = d.discover(&figure1());
         assert!(r.stats.timings.total() >= r.stats.timings.discovery());
         assert_eq!(r.stats.batch_times.len(), 1);
-        assert!(r.stats.node_clusters >= 4);
     }
 
     #[test]

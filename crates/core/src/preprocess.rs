@@ -1,19 +1,21 @@
 //! Stage (b): representation vectors (§4.1), with signature deduplication.
 //!
-//! Every node becomes `w·Word2Vec(labels) ∥ b_v ∈ {0,1}^K` and every edge
-//! `w·Word2Vec(edge) ∥ w·Word2Vec(src) ∥ w·Word2Vec(tgt) ∥ b_e ∈ {0,1}^K`,
-//! where `K` is the number of distinct property keys, unlabeled elements get
-//! the zero embedding, and multi-label sets are embedded via their sorted
-//! concatenation ([`pg_hive_embed::canonical_token`]). The binary property
-//! coordinates are keyed on the interner's **canonical-id view**
-//! ([`pg_hive_graph::PropertyGraph::canonical_key_ids`]) — the rank of each
-//! key in the sorted key table, not its raw intern order — so the same
-//! element content yields the same vector (and therefore the same LSH
-//! clustering) no matter which order a wire format introduced the keys in. `w` is the
-//! `label_weight` factor (see [`crate::config::PipelineConfig`]): the
-//! paper's distances come out of raw Word2Vec norms, ours are normalized, so
-//! the weight restores "semantically different nodes are not merged due to
-//! the same structure".
+//! The paper represents every node as `Word2Vec(labels) ∥ b_v ∈ {0,1}^K`
+//! and every edge as `Word2Vec(edge) ∥ Word2Vec(src) ∥ Word2Vec(tgt) ∥ b_e`.
+//! Here every label slot is `w·h(labels)`, where `h` is the seeded
+//! [`HashEmbedder`] (the `pg-hive-embed` crate docs say why it replaces
+//! Word2Vec), `K` is the number of distinct property keys, unlabeled
+//! elements get the zero embedding, and multi-label sets are embedded via
+//! their sorted concatenation ([`pg_hive_embed::canonical_token`]). The
+//! binary property coordinates are keyed on the interner's **canonical-id
+//! view** ([`pg_hive_graph::PropertyGraph::canonical_key_ids`]) — the rank
+//! of each key in the sorted key table, not its raw intern order — so the
+//! same element content yields the same vector (and therefore the same LSH
+//! clustering) no matter which order a wire format introduced the keys in.
+//! `w` is the `label_weight` factor (see [`crate::config::PipelineConfig`]):
+//! the hash embeddings are unit-length, so the weight makes "semantically
+//! different nodes are not merged due to the same structure" hold against
+//! the binary property coordinates.
 //!
 //! For the MinHash variant the same information is rendered as feature-id
 //! *sets*: property keys plus salted copies of the label tokens (copies
@@ -34,7 +36,7 @@
 //! fraction of the hashing and embedding work. See
 //! [`crate::cluster::cluster_elements`].
 
-use pg_hive_embed::{canonical_token, LabelEmbedder};
+use pg_hive_embed::{canonical_token, HashEmbedder};
 use pg_hive_graph::{EdgeId, GraphBatch, NodeId, PropertyGraph, Symbol};
 use pg_hive_lsh::fx::FxHashMap;
 use pg_hive_lsh::VectorMatrix;
@@ -46,7 +48,7 @@ pub const NODE_LABEL_COPIES: usize = 8;
 /// `hash(label ⊕ src-labels ⊕ tgt-labels)`. A composite (rather than three
 /// independent token features) means a mismatch in *any* component drops
 /// the Jaccard similarity below the banding threshold — the set-based
-/// analogue of the paper's three concatenated Word2Vec slots, where any
+/// analogue of the dense vector's three concatenated label slots, where any
 /// differing slot separates the vectors in L2.
 pub const EDGE_IDENTITY_COPIES: usize = 12;
 
@@ -167,7 +169,7 @@ fn encode_sections(out: &mut Vec<u32>, sections: &[&[Symbol]], keys: impl Iterat
 pub fn node_representations(
     g: &PropertyGraph,
     ids: &[NodeId],
-    embedder: &dyn LabelEmbedder,
+    embedder: &HashEmbedder,
     label_weight: f32,
 ) -> NodeRepr {
     let d = embedder.dim();
@@ -230,7 +232,7 @@ pub fn node_representations(
 pub fn edge_representations(
     g: &PropertyGraph,
     ids: &[EdgeId],
-    embedder: &dyn LabelEmbedder,
+    embedder: &HashEmbedder,
     label_weight: f32,
 ) -> EdgeRepr {
     let d = embedder.dim();
@@ -300,45 +302,6 @@ pub fn edge_representations(
         ids: ids.to_vec(),
         repr,
     }
-}
-
-/// Label co-occurrence sentences for Word2Vec training (§4.1): one sentence
-/// per edge, `[src_token, edge_token, tgt_token]`, plus for every multi-label
-/// node a sentence relating its individual labels to the combined token.
-pub fn label_sentences(g: &PropertyGraph, batch: &GraphBatch) -> Vec<Vec<String>> {
-    let mut sentences = Vec::new();
-    for &eid in &batch.edges {
-        let e = g.edge(eid);
-        let (src, tgt) = g.edge_endpoint_labels(e);
-        let mut s = Vec::with_capacity(3);
-        if let Some(t) = token_of(g, src) {
-            s.push(t);
-        }
-        if let Some(t) = token_of(g, &e.labels) {
-            s.push(t);
-        }
-        if let Some(t) = token_of(g, tgt) {
-            s.push(t);
-        }
-        if s.len() >= 2 {
-            sentences.push(s);
-        }
-    }
-    for &nid in &batch.nodes {
-        let n = g.node(nid);
-        if n.labels.len() >= 2 {
-            let mut s: Vec<String> = n
-                .labels
-                .iter()
-                .map(|&l| g.label_str(l).to_string())
-                .collect();
-            if let Some(t) = token_of(g, &n.labels) {
-                s.push(t);
-            }
-            sentences.push(s);
-        }
-    }
-    sentences
 }
 
 fn token_of(g: &PropertyGraph, labels: &[pg_hive_graph::Symbol]) -> Option<String> {
@@ -527,8 +490,7 @@ fn feature_hash(s: &str, salt: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pg_hive_embed::HashEmbedder;
-    use pg_hive_graph::{split_batches, GraphBuilder, Value};
+    use pg_hive_graph::{GraphBuilder, Value};
 
     fn sample_graph() -> PropertyGraph {
         let mut b = GraphBuilder::new();
@@ -684,34 +646,6 @@ mod tests {
         assert_eq!(r.repr.set_of(2).len(), 2);
         // Identical structure+labels ⇒ the same set (same row).
         assert_eq!(r.repr.set_of(0), r.repr.set_of(1));
-    }
-
-    #[test]
-    fn sentences_from_edges() {
-        let g = sample_graph();
-        let batches = split_batches(&g, 1, 0);
-        let s = label_sentences(&g, &batches[0]);
-        assert_eq!(s.len(), 3);
-        assert!(s.iter().any(|sent| sent.contains(&"WORKS_AT".to_string())
-            && sent.contains(&"Person".to_string())
-            && sent.contains(&"Org".to_string())));
-        // KNOWS edge from unlabeled Alice: only 2 tokens but still kept.
-        assert!(s.iter().any(|sent| sent.len() == 2));
-    }
-
-    #[test]
-    fn multilabel_node_sentence() {
-        let mut b = GraphBuilder::new();
-        let a = b.add_node(&["Person", "Student"], &[]);
-        let c = b.add_node(&["School"], &[]);
-        b.add_edge(a, c, &["ATTENDS"], &[]);
-        let g = b.finish();
-        let batches = split_batches(&g, 1, 0);
-        let s = label_sentences(&g, &batches[0]);
-        assert!(s
-            .iter()
-            .any(|sent| sent.contains(&"Person|Student".to_string())
-                && sent.contains(&"Person".to_string())));
     }
 
     #[test]

@@ -9,13 +9,12 @@
 //!   vectors, which in dimension `d` have expected cosine 0 and variance
 //!   `1/d` — far apart w.r.t. the LSH bucket widths used downstream.
 //!
-//! This is the "no training corpus available" substitution for Word2Vec: the
-//! PG-HIVE pipeline only requires identical label sets to coincide and
-//! different ones to be separated (§4.1), which this satisfies exactly.
+//! It stands in for §4.1's trained Word2Vec (see the crate docs for why):
+//! the PG-HIVE pipeline only requires identical label sets to coincide and
+//! different ones to be separated, which this satisfies exactly.
 
-use crate::LabelEmbedder;
-
-/// Deterministic random-projection label embedder.
+/// Deterministic random-projection label embedder. Building one allocates
+/// nothing, so every pipeline path builds its own where it embeds.
 #[derive(Debug, Clone)]
 pub struct HashEmbedder {
     dim: usize,
@@ -31,14 +30,14 @@ impl HashEmbedder {
         assert!(dim > 0, "embedding dimension must be positive");
         Self { dim, seed }
     }
-}
 
-impl LabelEmbedder for HashEmbedder {
-    fn dim(&self) -> usize {
+    /// Embedding dimensionality `d`.
+    pub fn dim(&self) -> usize {
         self.dim
     }
 
-    fn embed_into(&self, token: &str, out: &mut [f32]) {
+    /// Write the embedding of `token` into `out` (`out.len() == self.dim()`).
+    pub fn embed_into(&self, token: &str, out: &mut [f32]) {
         assert_eq!(out.len(), self.dim);
         let mut state = fnv1a(token.as_bytes()) ^ self.seed;
         let mut i = 0;
@@ -55,6 +54,13 @@ impl LabelEmbedder for HashEmbedder {
             i += 2;
         }
         crate::math::normalize(out);
+    }
+
+    /// Convenience allocation wrapper around [`Self::embed_into`].
+    pub fn embed(&self, token: &str) -> Vec<f32> {
+        let mut v = vec![0.0; self.dim];
+        self.embed_into(token, &mut v);
+        v
     }
 }
 
@@ -86,7 +92,25 @@ fn to_unit_open(x: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::math::{cosine, norm};
+    use crate::math::{dot, norm};
+
+    /// Cosine similarity; 0.0 when either vector is zero.
+    fn cosine(a: &[f32], b: &[f32]) -> f32 {
+        let na = norm(a);
+        let nb = norm(b);
+        if na == 0.0 || nb == 0.0 {
+            return 0.0;
+        }
+        dot(a, b) / (na * nb)
+    }
+
+    #[test]
+    fn cosine_bounds() {
+        assert!((cosine(&[1.0, 0.0], &[1.0, 0.0]) - 1.0).abs() < 1e-6);
+        assert!((cosine(&[1.0, 0.0], &[0.0, 1.0])).abs() < 1e-6);
+        assert!((cosine(&[1.0, 0.0], &[-1.0, 0.0]) + 1.0).abs() < 1e-6);
+        assert_eq!(cosine(&[0.0, 0.0], &[1.0, 1.0]), 0.0);
+    }
 
     #[test]
     fn embeddings_are_deterministic() {

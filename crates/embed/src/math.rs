@@ -1,4 +1,4 @@
-//! Tiny dense-vector helpers shared by the embedding implementations.
+//! Tiny dense-vector helpers for the hash embedding.
 //!
 //! Kept as free functions over slices (`&[f32]`) per the performance-book
 //! guidance to prefer slices over concrete containers.
@@ -8,15 +8,6 @@
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
-/// `y += alpha * x`.
-#[inline]
-pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
-    debug_assert_eq!(x.len(), y.len());
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
 }
 
 /// Euclidean norm.
@@ -35,28 +26,6 @@ pub fn normalize(a: &mut [f32]) {
     }
 }
 
-/// Cosine similarity; 0.0 when either vector is zero.
-pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
-    let na = norm(a);
-    let nb = norm(b);
-    if na == 0.0 || nb == 0.0 {
-        return 0.0;
-    }
-    dot(a, b) / (na * nb)
-}
-
-/// Numerically-stable logistic sigmoid.
-#[inline]
-pub fn sigmoid(x: f32) -> f32 {
-    if x >= 0.0 {
-        let e = (-x).exp();
-        1.0 / (1.0 + e)
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -68,13 +37,6 @@ mod tests {
     }
 
     #[test]
-    fn axpy_accumulates() {
-        let mut y = vec![1.0, 1.0];
-        axpy(2.0, &[3.0, 4.0], &mut y);
-        assert_eq!(y, vec![7.0, 9.0]);
-    }
-
-    #[test]
     fn normalize_unit_length() {
         let mut v = vec![3.0, 4.0];
         normalize(&mut v);
@@ -82,20 +44,5 @@ mod tests {
         let mut z = vec![0.0, 0.0];
         normalize(&mut z);
         assert_eq!(z, vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn cosine_bounds() {
-        assert!((cosine(&[1.0, 0.0], &[1.0, 0.0]) - 1.0).abs() < 1e-6);
-        assert!((cosine(&[1.0, 0.0], &[0.0, 1.0])).abs() < 1e-6);
-        assert!((cosine(&[1.0, 0.0], &[-1.0, 0.0]) + 1.0).abs() < 1e-6);
-        assert_eq!(cosine(&[0.0, 0.0], &[1.0, 1.0]), 0.0);
-    }
-
-    #[test]
-    fn sigmoid_stable_at_extremes() {
-        assert!(sigmoid(100.0) > 0.999_999);
-        assert!(sigmoid(-100.0) < 1e-6);
-        assert!((sigmoid(0.0) - 0.5).abs() < 1e-6);
     }
 }

@@ -7,7 +7,7 @@
 //! type; precision/recall/F1 are computed per ground-truth type and
 //! macro-averaged (micro average = plain accuracy is also reported).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// F1\* scores of one clustering against ground truth.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -54,10 +54,11 @@ pub fn majority_f1(clusters: &[u32], truth: &[u32]) -> F1Scores {
     // Predicted type per element = its cluster's majority.
     let predicted: Vec<u32> = clusters.iter().map(|c| majority[c]).collect();
 
-    // Per-type precision/recall/F1.
+    // Per-type precision/recall/F1, summed in ascending type id so that
+    // the float sum, and so `macro_f1`, is the same bits on every call.
     let mut tp: HashMap<u32, f64> = HashMap::new();
     let mut pred_count: HashMap<u32, f64> = HashMap::new();
-    let mut true_count: HashMap<u32, f64> = HashMap::new();
+    let mut true_count: BTreeMap<u32, f64> = BTreeMap::new();
     for (&p, &t) in predicted.iter().zip(truth) {
         *pred_count.entry(p).or_insert(0.0) += 1.0;
         *true_count.entry(t).or_insert(0.0) += 1.0;
@@ -152,6 +153,25 @@ mod tests {
         let a = majority_f1(&clusters, &truth);
         let b = majority_f1(&clusters, &truth);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn macro_f1_is_bit_reproducible() {
+        // 12 types of 7 + 3t elements; every (t + 2)-th element of type t
+        // sits in the next type's cluster, so the per-type F1s differ and
+        // their float sum depends on the order it is taken in.
+        let (mut clusters, mut truth) = (Vec::new(), Vec::new());
+        for t in 0..12u32 {
+            for i in 0..7 + 3 * t {
+                clusters.push(if i % (t + 2) == 0 { (t + 1) % 12 } else { t });
+                truth.push(t);
+            }
+        }
+        let first = majority_f1(&clusters, &truth).macro_f1.to_bits();
+        for call in 0..50 {
+            let bits = majority_f1(&clusters, &truth).macro_f1.to_bits();
+            assert_eq!(bits, first, "call {call}");
+        }
     }
 
     #[test]
