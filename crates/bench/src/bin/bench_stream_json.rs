@@ -26,20 +26,28 @@
 //! repeated-signature workload: a warm `absorb_stream_cached` pass with a
 //! primed [`SignatureCache`] must hit on ≥ 95% of repeated chunks
 //! (`cache_hit_ratio`), finalize byte-identically, and pay off. A hit
-//! skips the chunk's representations and LSH and runs a signature scan,
-//! a lookup and a broadcast instead; timed stage by stage on the same
-//! chunks, the replacement must cost at most a third of what it skips
-//! (`incremental_hit_speedup`), and the engine, run on each chunk uncached
-//! and then cached, must save at least half of that difference
-//! (`incremental_saved_share`).
+//! skips the chunk's representations and LSH and runs a signature scan
+//! and a lookup instead (extraction reads the scan's rows with the cached
+//! clustering); timed stage by stage on the same chunks, the replacement
+//! must cost at most a third of what it skips (`incremental_hit_speedup`),
+//! and the engine, run on each chunk uncached and then cached, must save at
+//! least half of that difference (`incremental_saved_share`).
 //!
 //! Verifies all runs discover the same labeled-type inventory, checks the
 //! peak chunk-resident element count stays ≤ 2× the chunk size, that the
 //! parallel path is not slower than the serial streaming path, and that
 //! canonicalization keeps ≥ 0.9× the raw per-chunk throughput
-//! (`canonical_elements_per_sec` vs `raw_chunk_elements_per_sec` in the
-//! JSON) — the refactor cannot silently regress the hot path. Writes
-//! `BENCH_stream.json` so the streaming trajectory is tracked PR over PR.
+//! (`canonical_overhead_ratio` in the JSON) — the refactor cannot silently
+//! regress the hot path. Writes `BENCH_stream.json` so the streaming
+//! trajectory is tracked PR over PR.
+//!
+//! The streaming, raw and tree runs are interleaved over [`ROUNDS`] rounds.
+//! The canonical and sharded gates take the median of the per-round paired
+//! ratios (stream over raw, `threads` over 1 thread), whose true values
+//! are near 1.0 on a 2-core host: the pairs run back to back in
+//! alternating order, so a host that drifts between rounds moves both
+//! sides of a pair, and the median ignores a round that a burst of
+//! neighbouring load disturbed. Throughputs are each path's best round.
 //!
 //! Usage: `cargo run --release -p pg-hive-bench --bin bench_stream_json`
 //! (honors `PGHIVE_SCALE` — element count is `500_000 × scale` — plus
@@ -123,7 +131,7 @@ fn spec() -> DatasetSpec {
 
 /// On a cache hit, the stages the chunk skips (representations and LSH of
 /// both element classes) must take at least this many times as long as
-/// what it runs instead (signature scan, lookup, broadcast).
+/// what it runs instead (signature scan, lookup).
 const HIT_REQUIRED_SPEEDUP: f64 = 3.0;
 /// The engine's saving on a hit (a chunk's pipeline time uncached minus
 /// cached, median over the chunks) must be at least this share of what the
@@ -132,6 +140,9 @@ const SAVED_SHARE_FLOOR: f64 = 0.5;
 /// The warm pass must actually hit: minimum fraction of chunk lookups the
 /// primed cache answers.
 const CACHE_HIT_RATIO_FLOOR: f64 = 0.95;
+/// Interleaved rounds of the streaming, raw and tree runs (odd, so the
+/// median ratio is one round's).
+const ROUNDS: usize = 5;
 
 /// One signature-diverse chunk for the steady-state workload: node label
 /// drawn from `types` type names, property keys a random mask over `keys`
@@ -264,11 +275,10 @@ fn main() {
         .unwrap_or(4)
         .max(1);
 
-    // Both streaming paths are measured best-of-2, *interleaved*
-    // (serial, parallel, serial, parallel): the runs are deterministic, so
-    // repeating filters scheduler noise, and interleaving keeps a slow
-    // monotonic drift of the host (thermal/steal time) from systematically
-    // penalizing whichever path happens to run last.
+    // Every path below runs once per round (see the module docs): the
+    // runs are deterministic, so repeating filters scheduler noise, and
+    // interleaving keeps a slow monotonic drift of the host (thermal/steal
+    // time) from systematically penalizing whichever path runs last.
     let run_serial = || {
         let t = Instant::now();
         let file = BufReader::with_capacity(1 << 20, File::open(&path).expect("open temp dataset"));
@@ -343,26 +353,66 @@ fn main() {
             .expect("shard temp dataset");
         (result, t.elapsed().as_secs_f64())
     };
-    let (stream_result, serial_a, max_resident, warnings) = run_serial();
-    let (parallel_schema, parallel_a, parallel_max_resident) = run_parallel();
-    let (sharded_serial_result, sharded_serial_a) = run_tree(1);
-    let (sharded_result, sharded_a) = run_tree(threads);
-    let raw_a = run_raw();
-    let (_, serial_b, _, _) = run_serial();
-    let (_, parallel_b, _) = run_parallel();
-    let (_, sharded_serial_b) = run_tree(1);
-    let (_, sharded_b) = run_tree(threads);
-    let raw_b = run_raw();
-    let stream_secs = serial_a.min(serial_b);
+    let mut serial_runs = Vec::new();
+    let mut raw_runs = Vec::new();
+    let mut parallel_runs = Vec::new();
+    let mut tree_serial_runs = Vec::new();
+    let mut tree_runs = Vec::new();
+    let mut stream_out = None;
+    let mut parallel_out = None;
+    let mut tree_serial_out = None;
+    let mut tree_out = None;
+    for round in 0..ROUNDS {
+        // Each pair runs back to back, in alternating order.
+        let flip = round % 2 == 1;
+        if flip {
+            raw_runs.push(run_raw());
+        }
+        let (result, secs, resident, warnings) = run_serial();
+        serial_runs.push(secs);
+        stream_out.get_or_insert((result, resident, warnings));
+        if !flip {
+            raw_runs.push(run_raw());
+        }
+        let (schema, secs, resident) = run_parallel();
+        parallel_runs.push(secs);
+        parallel_out.get_or_insert((schema, resident));
+        for serial_side in [!flip, flip] {
+            if serial_side {
+                let (result, secs) = run_tree(1);
+                tree_serial_runs.push(secs);
+                tree_serial_out.get_or_insert(result);
+            } else {
+                let (result, secs) = run_tree(threads);
+                tree_runs.push(secs);
+                tree_out.get_or_insert(result);
+            }
+        }
+    }
+    let (stream_result, max_resident, warnings) = stream_out.expect("ROUNDS > 0");
+    let (parallel_schema, parallel_max_resident) = parallel_out.expect("ROUNDS > 0");
+    let sharded_serial_result = tree_serial_out.expect("ROUNDS > 0");
+    let sharded_result = tree_out.expect("ROUNDS > 0");
+    let best = |runs: &[f64]| runs.iter().copied().fold(f64::INFINITY, f64::min);
+    let median_ratio = |num: &[f64], den: &[f64]| {
+        let mut ratios: Vec<f64> = num.iter().zip(den).map(|(n, d)| n / d).collect();
+        ratios.sort_unstable_by(f64::total_cmp);
+        ratios[ratios.len() / 2]
+    };
+    let stream_secs = best(&serial_runs);
     let stream_eps = elements as f64 / stream_secs;
-    let parallel_secs = parallel_a.min(parallel_b);
+    let parallel_secs = best(&parallel_runs);
     let parallel_eps = elements as f64 / parallel_secs;
-    let sharded_serial_secs = sharded_serial_a.min(sharded_serial_b);
+    let sharded_serial_secs = best(&tree_serial_runs);
     let sharded_serial_eps = elements as f64 / sharded_serial_secs;
-    let sharded_secs = sharded_a.min(sharded_b);
+    let sharded_secs = best(&tree_runs);
     let sharded_eps = elements as f64 / sharded_secs;
-    let raw_secs = raw_a.min(raw_b);
+    let raw_secs = best(&raw_runs);
     let raw_eps = elements as f64 / raw_secs;
+    // Stream over raw throughput, and `threads` over 1-thread tree
+    // throughput: time ratios of each round's pair, medians over rounds.
+    let canonical_ratio = median_ratio(&raw_runs, &serial_runs);
+    let sharded_ratio = median_ratio(&tree_serial_runs, &tree_runs);
 
     // Incremental steady state: the repeated-signature workload. 10
     // distinct signature-diverse chunk shapes, streamed 3x each per pass —
@@ -456,10 +506,7 @@ fn main() {
         let hit = cache
             .lookup(scan.fingerprint, scan.nodes.distinct, scan.edges.distinct)
             .expect("the primed cache holds every chunk");
-        std::hint::black_box((
-            hit.nodes.broadcast(&scan.nodes.rep_of),
-            hit.edges.broadcast(&scan.edges.rep_of),
-        ));
+        std::hint::black_box((scan, hit));
     });
     let incr_hit_speedup = incr_skipped_secs / incr_hit_secs;
     // What the engine saves on a hit: each chunk's pipeline time uncached
@@ -542,7 +589,6 @@ fn main() {
     // from the 0.8x tolerance this gate started at.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let sharded_required_ratio = if cores > 1 { 1.0 } else { 0.9 };
-    let sharded_ratio = sharded_eps / sharded_serial_eps;
     let sharded_not_slower = sharded_ratio >= sharded_required_ratio;
     // Steady-state gates: a hit must cost at most a third of the stages it
     // skips, and the engine must save at least half of that difference per
@@ -554,7 +600,7 @@ fn main() {
     let resident_ok = max_resident <= 2 * chunk_size && parallel_max_resident <= 2 * chunk_size;
     // The overlap must at least pay for its own coordination: require the
     // parallel path to reach the serial streaming throughput. Both sides are
-    // best-of-2, plus a tolerance for shared-runner noise. On a 1-core
+    // their best round, plus a tolerance for shared-runner noise. On a 1-core
     // machine there is no real parallelism to win — the pool pays its
     // coordination out of the same core, and every ingestion optimization
     // (zero-copy parsing, stub fast path) widens serial's structural edge
@@ -569,7 +615,7 @@ fn main() {
     let parallel_not_slower = parallel_eps >= parallel_tolerance * stream_eps;
     // Canonicalization (cross-chunk absorb + finalize) must keep at least
     // 0.9x the raw per-chunk throughput.
-    let canonical_overhead_ok = stream_eps >= 0.9 * raw_eps;
+    let canonical_overhead_ok = canonical_ratio >= 0.9;
 
     println!(
         "   baseline: {baseline_secs:.3}s ({baseline_eps:.0} elem/s), resident {elements} elements"
@@ -612,7 +658,7 @@ fn main() {
     );
     println!(
         "   cache hit: skips {incr_skipped_secs:.3}s of representations + LSH for \
-         {incr_hit_secs:.3}s of scan + lookup + broadcast ({incr_hit_speedup:.2}x); the engine \
+         {incr_hit_secs:.3}s of scan + lookup ({incr_hit_speedup:.2}x); the engine \
          saves {incr_saved_share:.2} of the difference per chunk"
     );
     println!(
@@ -620,7 +666,8 @@ fn main() {
          sharded=={sharded_inventory_match}; sharded strict bytes == 1-thread: {sharded_match}; \
          peak resident <= 2x chunk: {resident_ok}; parallel not slower: {parallel_not_slower}; \
          sharded >= {sharded_required_ratio}x 1-thread: {sharded_not_slower} \
-         ({sharded_ratio:.3}); canonical >= 0.9x raw: {canonical_overhead_ok}; \
+         ({sharded_ratio:.3}); canonical >= 0.9x raw: {canonical_overhead_ok} \
+         ({canonical_ratio:.3}); medians of {ROUNDS} paired rounds; \
          hit >= {HIT_REQUIRED_SPEEDUP}x cheaper than what it skips and the engine \
          saves >= {SAVED_SHARE_FLOOR} of it: {incremental_ok}"
     );
@@ -638,10 +685,10 @@ fn main() {
     let _ = writeln!(json, "  \"stream_elements_per_sec\": {stream_eps:.1},");
     let _ = writeln!(json, "  \"canonical_elements_per_sec\": {stream_eps:.1},");
     let _ = writeln!(json, "  \"raw_chunk_elements_per_sec\": {raw_eps:.1},");
+    let _ = writeln!(json, "  \"gate_rounds\": {ROUNDS},");
     let _ = writeln!(
         json,
-        "  \"canonical_overhead_ratio\": {:.4},",
-        stream_eps / raw_eps
+        "  \"canonical_overhead_ratio\": {canonical_ratio:.4},"
     );
     let _ = writeln!(
         json,

@@ -33,8 +33,11 @@ pub struct ClusterOutcome {
     pub adaptive: Option<ElshParams>,
     /// How many distinct-signature points LSH actually hashed.
     pub hashed_points: usize,
-    /// The distinct-level clustering before broadcast, when the dedup path
-    /// ran — the unit cached by [`crate::sigcache::SignatureCache`].
+    /// The distinct-level clustering (row `r` of the representation in
+    /// cluster `assignment[r]`): the unit cached by
+    /// [`crate::sigcache::SignatureCache`] and the rows extraction reads.
+    /// Both paths set it; the naive path reads it off the per-element
+    /// clustering.
     pub distinct: Option<Clustering>,
 }
 
@@ -94,22 +97,39 @@ fn cluster_naive(
         ClusterMethod::Elsh => {
             let matrix = repr.expanded_matrix();
             let (params, adaptive) = elsh_params(config, repr.len(), repr.distinct_labels, class);
+            let clustering = elsh_cluster(&matrix, &params);
             ClusterOutcome {
-                clustering: elsh_cluster(&matrix, &params),
+                distinct: Some(row_clustering(&clustering, repr)),
+                clustering,
                 adaptive,
                 hashed_points: repr.len(),
-                distinct: None,
             }
         }
         ClusterMethod::MinHash => {
             let params = minhash_params(config, repr.len(), repr.distinct_labels, class);
+            let clustering = minhash_cluster(&repr.expanded_sets(), &params);
             ClusterOutcome {
-                clustering: minhash_cluster(&repr.expanded_sets(), &params),
+                distinct: Some(row_clustering(&clustering, repr)),
+                clustering,
                 adaptive: None,
                 hashed_points: repr.len(),
-                distinct: None,
             }
         }
+    }
+}
+
+/// Each distinct row's cluster, read off its elements: identical vectors
+/// (and sets) share every bucket, so LSH never splits a row.
+fn row_clustering(clustering: &Clustering, repr: &ElementRepr) -> Clustering {
+    let mut assignment = vec![u32::MAX; repr.distinct()];
+    for (&row, &c) in repr.rep_of.iter().zip(&clustering.assignment) {
+        let slot = &mut assignment[row as usize];
+        debug_assert!(*slot == u32::MAX || *slot == c, "LSH split row {row}");
+        *slot = c;
+    }
+    Clustering {
+        assignment,
+        num_clusters: clustering.num_clusters,
     }
 }
 
@@ -234,6 +254,7 @@ mod tests {
                 },
             );
             assert_eq!(fast.clustering, naive.clustering);
+            assert_eq!(fast.distinct, naive.distinct, "the same row clustering");
             assert!(fast.hashed_points <= naive.hashed_points);
         }
     }

@@ -2,7 +2,19 @@
 //!
 //! Clusters become *candidate types* summarized by their representative
 //! pattern `rep(C) = (L, K, R)` (union of member labels, property keys, and
-//! endpoint label-set pairs). Candidates are merged into the running schema:
+//! endpoint label-set pairs). Extraction is **row-weighted**: a row is the
+//! set of same-signature elements of one cluster, and a signature fixes
+//! everything `rep(C)` reads (labels, keys, endpoint label sets). So the
+//! kernel ([`candidate_node_types_from_rows`],
+//! [`candidate_edge_types_from_rows`]) reads one representative per row,
+//! makes its strings once, and adds the row's element count to the key
+//! occurrences; only the member lists are built element by element, in
+//! batch order. The pipeline passes the rows it already holds (the
+//! representation pass's `rep_of` with the distinct-row clustering);
+//! [`candidate_node_types`] and [`candidate_edge_types`] group a
+//! per-element clustering into rows themselves.
+//!
+//! Candidates are merged into the running schema:
 //!
 //! 1. labeled candidates merge with the type carrying the **same label
 //!    set** (Lemma 1/2 monotone union), else become new types;
@@ -11,88 +23,191 @@
 //! 3. remaining unlabeled candidates merge with each other under the same
 //!    Jaccard rule; whatever is left becomes an ABSTRACT type.
 
-use crate::schema::{EdgeType, NodeType, PropertySpec, SchemaGraph};
-use pg_hive_graph::{EdgeId, NodeId, PropertyGraph};
+use crate::preprocess::encode_sections;
+use crate::schema::{EdgeType, LabelSet, NodeType, PropertySpec, SchemaGraph};
+use pg_hive_graph::{EdgeId, NodeId, PropertyGraph, Symbol};
+use pg_hive_lsh::fx::FxHashMap;
 use pg_hive_lsh::Clustering;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Build candidate node types from a clustering of `ids`.
+/// Build candidate node types from a per-element clustering of `ids`.
+/// Elements are grouped into rows by (cluster, signature) first, so the
+/// result is exact for any clustering, even one that splits a signature
+/// across clusters.
 pub fn candidate_node_types(
     g: &PropertyGraph,
     ids: &[NodeId],
     clustering: &Clustering,
 ) -> Vec<NodeType> {
-    let mut cands: Vec<NodeType> = (0..clustering.num_clusters)
-        .map(|_| NodeType {
-            labels: Default::default(),
-            props: BTreeMap::new(),
-            instance_count: 0,
-            members: Vec::new(),
-        })
-        .collect();
-    for (i, &id) in ids.iter().enumerate() {
-        let c = clustering.assignment[i] as usize;
-        let n = g.node(id);
-        let t = &mut cands[c];
-        t.instance_count += 1;
-        t.members.push(id.0);
-        for &l in &n.labels {
-            t.labels.insert(g.label_str(l).to_string());
-        }
-        for k in n.keys() {
-            t.props
-                .entry(g.key_str(k).to_string())
-                .or_insert(PropertySpec {
-                    occurrences: 0,
-                    kind: None,
-                })
-                .occurrences += 1;
-        }
-    }
-    cands
+    let (row_of, rows) = group_rows(clustering, |i, sig| {
+        let n = g.node(ids[i]);
+        encode_sections(sig, &[&n.labels], n.keys());
+    });
+    candidate_node_types_from_rows(g, ids, &row_of, &rows)
 }
 
-/// Build candidate edge types from a clustering of `ids`.
+/// Build candidate edge types from a per-element clustering of `ids` (see
+/// [`candidate_node_types`]).
 pub fn candidate_edge_types(
     g: &PropertyGraph,
     ids: &[EdgeId],
     clustering: &Clustering,
 ) -> Vec<EdgeType> {
-    let mut cands: Vec<EdgeType> = (0..clustering.num_clusters)
-        .map(|_| EdgeType {
-            labels: Default::default(),
+    let (row_of, rows) = group_rows(clustering, |i, sig| {
+        let e = g.edge(ids[i]);
+        let (src, tgt) = g.edge_endpoint_labels(e);
+        encode_sections(sig, &[&e.labels, src, tgt], e.keys());
+    });
+    candidate_edge_types_from_rows(g, ids, &row_of, &rows)
+}
+
+/// The row kernel for nodes: `ids[i]` lies in row `row_of[i]`, and row `r`
+/// in cluster `rows.assignment[r]`. Every element of a row must have the
+/// same labels and keys (the representation pass's `rep_of` and
+/// [`crate::preprocess::signature_scan`]'s both qualify). One candidate per
+/// cluster id, as [`candidate_node_types`] gives.
+pub fn candidate_node_types_from_rows(
+    g: &PropertyGraph,
+    ids: &[NodeId],
+    row_of: &[u32],
+    rows: &Clustering,
+) -> Vec<NodeType> {
+    let mut cands: Vec<NodeType> = (0..rows.num_clusters)
+        .map(|_| NodeType {
+            labels: LabelSet::new(),
             props: BTreeMap::new(),
-            endpoints: Default::default(),
+            instance_count: 0,
+            members: Vec::new(),
+        })
+        .collect();
+    let tally = tally_rows(row_of, rows, |c, i| cands[c].members.push(ids[i].0));
+    for (r, (count, first)) in tally.into_iter().enumerate() {
+        if count == 0 {
+            continue;
+        }
+        let n = g.node(ids[first]);
+        let t = &mut cands[rows.assignment[r] as usize];
+        t.instance_count += count;
+        t.labels.extend(label_strings(g, &n.labels));
+        add_occurrences(&mut t.props, g, n.keys(), count);
+    }
+    cands
+}
+
+/// The row kernel for edges (see [`candidate_node_types_from_rows`]); every
+/// element of a row must also have the same endpoint label sets.
+pub fn candidate_edge_types_from_rows(
+    g: &PropertyGraph,
+    ids: &[EdgeId],
+    row_of: &[u32],
+    rows: &Clustering,
+) -> Vec<EdgeType> {
+    let mut cands: Vec<EdgeType> = (0..rows.num_clusters)
+        .map(|_| EdgeType {
+            labels: LabelSet::new(),
+            props: BTreeMap::new(),
+            endpoints: BTreeSet::new(),
             instance_count: 0,
             members: Vec::new(),
             cardinality: None,
         })
         .collect();
-    for (i, &id) in ids.iter().enumerate() {
-        let c = clustering.assignment[i] as usize;
-        let e = g.edge(id);
-        let t = &mut cands[c];
-        t.instance_count += 1;
-        t.members.push(id.0);
-        for &l in &e.labels {
-            t.labels.insert(g.label_str(l).to_string());
+    let tally = tally_rows(row_of, rows, |c, i| cands[c].members.push(ids[i].0));
+    for (r, (count, first)) in tally.into_iter().enumerate() {
+        if count == 0 {
+            continue;
         }
-        for k in e.keys() {
-            t.props
-                .entry(g.key_str(k).to_string())
-                .or_insert(PropertySpec {
-                    occurrences: 0,
-                    kind: None,
-                })
-                .occurrences += 1;
-        }
+        let e = g.edge(ids[first]);
+        let t = &mut cands[rows.assignment[r] as usize];
+        t.instance_count += count;
+        t.labels.extend(label_strings(g, &e.labels));
+        add_occurrences(&mut t.props, g, e.keys(), count);
         let (src, tgt) = g.edge_endpoint_labels(e);
         t.endpoints.insert((
-            src.iter().map(|&l| g.label_str(l).to_string()).collect(),
-            tgt.iter().map(|&l| g.label_str(l).to_string()).collect(),
+            label_strings(g, src).collect(),
+            label_strings(g, tgt).collect(),
         ));
     }
     cands
+}
+
+/// Group elements `0..clustering.assignment.len()` into rows of equal
+/// (cluster, signature), numbered by first occurrence; `encode` writes
+/// element `i`'s signature into the buffer. Returns each element's row and
+/// the rows' clustering (same cluster ids).
+fn group_rows(
+    clustering: &Clustering,
+    mut encode: impl FnMut(usize, &mut Vec<u32>),
+) -> (Vec<u32>, Clustering) {
+    let mut index: FxHashMap<Vec<u32>, u32> = FxHashMap::default();
+    let mut row_of = Vec::with_capacity(clustering.assignment.len());
+    let mut row_clusters = Vec::new();
+    let mut sig = Vec::new();
+    for (i, &c) in clustering.assignment.iter().enumerate() {
+        encode(i, &mut sig);
+        // The cluster goes last: the sections before it are length-prefixed
+        // and the keys end where it starts, so the key stays injective.
+        sig.push(c);
+        let row = match index.get(sig.as_slice()) {
+            Some(&row) => row,
+            None => {
+                let row = row_clusters.len() as u32;
+                row_clusters.push(c);
+                index.insert(std::mem::take(&mut sig), row);
+                row
+            }
+        };
+        row_of.push(row);
+    }
+    let rows = Clustering {
+        assignment: row_clusters,
+        num_clusters: clustering.num_clusters,
+    };
+    (row_of, rows)
+}
+
+/// One pass over the elements in batch order: `push(cluster, i)` for every
+/// element `i`, and each row's element count and first element.
+fn tally_rows(
+    row_of: &[u32],
+    rows: &Clustering,
+    mut push: impl FnMut(usize, usize),
+) -> Vec<(u64, usize)> {
+    let mut tally = vec![(0u64, 0usize); rows.assignment.len()];
+    for (i, &r) in row_of.iter().enumerate() {
+        let (count, first) = &mut tally[r as usize];
+        if *count == 0 {
+            *first = i;
+        }
+        *count += 1;
+        push(rows.assignment[r as usize] as usize, i);
+    }
+    tally
+}
+
+fn label_strings<'g>(
+    g: &'g PropertyGraph,
+    labels: &'g [Symbol],
+) -> impl Iterator<Item = String> + 'g {
+    labels.iter().map(|&l| g.label_str(l).to_string())
+}
+
+/// Add `count` occurrences of every key in `keys` to `props`.
+fn add_occurrences(
+    props: &mut BTreeMap<String, PropertySpec>,
+    g: &PropertyGraph,
+    keys: impl Iterator<Item = Symbol>,
+    count: u64,
+) {
+    for k in keys {
+        props
+            .entry(g.key_str(k).to_string())
+            .or_insert(PropertySpec {
+                occurrences: 0,
+                kind: None,
+            })
+            .occurrences += count;
+    }
 }
 
 /// Algorithm 2 for node candidates: merge into `schema` in place.

@@ -17,9 +17,9 @@
 //! streaming chunk is post-processed on its own, since its values die with
 //! it.
 
-use crate::cluster::cluster_elements;
+use crate::cluster::{cluster_elements, ClusterOutcome};
 use crate::config::PipelineConfig;
-use crate::extract::{candidate_edge_types, candidate_node_types};
+use crate::extract::{candidate_edge_types_from_rows, candidate_node_types_from_rows};
 use crate::preprocess::{edge_representations, node_representations, signature_scan};
 use crate::schema::SchemaGraph;
 use crate::sigcache::{CachedChunk, SignatureCache};
@@ -295,18 +295,21 @@ impl Discoverer {
                 stats.adaptive_edges = edge_out.adaptive.clone();
             }
 
-            // (d) type extraction (Algorithm 2): candidates pool into the
-            // state; unlabeled clusters stay unresolved until finalize.
+            // (d) type extraction (Algorithm 2) from the signature rows:
+            // candidates pool into the state; unlabeled clusters stay
+            // unresolved until finalize.
             let t2 = Instant::now();
-            state.absorb_node_candidates(candidate_node_types(
+            state.absorb_node_candidates(candidate_node_types_from_rows(
                 g,
                 &batch.nodes,
-                &node_out.clustering,
+                &nodes.repr.rep_of,
+                rows(&node_out),
             ));
-            state.absorb_edge_candidates(candidate_edge_types(
+            state.absorb_edge_candidates(candidate_edge_types_from_rows(
                 g,
                 &batch.edges,
-                &edge_out.clustering,
+                &edges.repr.rep_of,
+                rows(&edge_out),
             ));
             stats.timings.extraction += t2.elapsed();
 
@@ -723,10 +726,9 @@ impl Discoverer {
 
     /// One chunk's pipeline pass, optionally memoized through a
     /// [`SignatureCache`]. On a cache hit only the cheap signature scan
-    /// runs — no embedding, no matrix, no LSH — and the cached
-    /// distinct-level clustering is broadcast through the scan's `rep_of`.
-    /// The cache engages only on the dedup path (the naive path produces
-    /// no distinct-level clustering to reuse).
+    /// runs — no embedding, no matrix, no LSH — and extraction reads the
+    /// scan's rows (`rep_of`) with the cached distinct-level clustering.
+    /// The cache engages only on the dedup path.
     ///
     /// The cache is only read here. When it engaged, the chunk's
     /// fingerprint and clusterings, hit or computed, come back beside the
@@ -758,11 +760,11 @@ impl Discoverer {
             if let Some(hit) =
                 cache.lookup(scan.fingerprint, scan.nodes.distinct, scan.edges.distinct)
             {
-                let state = self.absorb_chunk_clusterings(
+                let state = self.absorb_chunk_rows(
                     g,
                     &batch,
-                    &hit.nodes.broadcast(&scan.nodes.rep_of),
-                    &hit.edges.broadcast(&scan.edges.rep_of),
+                    (&scan.nodes.rep_of, &hit.nodes),
+                    (&scan.edges.rep_of, &hit.edges),
                 );
                 return (state, Some((scan.fingerprint, hit)));
             }
@@ -772,8 +774,12 @@ impl Discoverer {
         let edges = edge_representations(g, &batch.edges, &embedder, self.config.label_weight);
         let node_out = cluster_elements(&nodes.repr, ElementClass::Nodes, &self.config);
         let edge_out = cluster_elements(&edges.repr, ElementClass::Edges, &self.config);
-        let state =
-            self.absorb_chunk_clusterings(g, &batch, &node_out.clustering, &edge_out.clustering);
+        let state = self.absorb_chunk_rows(
+            g,
+            &batch,
+            (&nodes.repr.rep_of, rows(&node_out)),
+            (&edges.repr.rep_of, rows(&edge_out)),
+        );
         let entry = match (scan, node_out.distinct, edge_out.distinct) {
             (Some(scan), Some(nodes), Some(edges)) => {
                 Some((scan.fingerprint, CachedChunk { nodes, edges }))
@@ -783,24 +789,43 @@ impl Discoverer {
         (state, entry)
     }
 
-    /// Stages (d)–(g) of one chunk given its clusterings — shared by the
-    /// cached and computed paths of [`Self::chunk_state`].
-    fn absorb_chunk_clusterings(
+    /// Stages (d)–(g) of one chunk given each class's rows (`rep_of`) and
+    /// their clustering — shared by the cached and computed paths of
+    /// [`Self::chunk_state`].
+    fn absorb_chunk_rows(
         &self,
         g: &PropertyGraph,
         batch: &GraphBatch,
-        node_clustering: &Clustering,
-        edge_clustering: &Clustering,
+        (node_rows, node_clusters): (&[u32], &Clustering),
+        (edge_rows, edge_clusters): (&[u32], &Clustering),
     ) -> SchemaState {
         let mut state = self.new_state();
-        state.absorb_node_candidates(candidate_node_types(g, &batch.nodes, node_clustering));
-        state.absorb_edge_candidates(candidate_edge_types(g, &batch.edges, edge_clustering));
+        state.absorb_node_candidates(candidate_node_types_from_rows(
+            g,
+            &batch.nodes,
+            node_rows,
+            node_clusters,
+        ));
+        state.absorb_edge_candidates(candidate_edge_types_from_rows(
+            g,
+            &batch.edges,
+            edge_rows,
+            edge_clusters,
+        ));
         // Streaming chunks cannot defer post-processing: the values die
         // with the chunk.
         state.postprocess(g, self.config.datatype_sampling.as_ref());
         state.clear_members();
         state
     }
+}
+
+/// The clustering of a representation's rows, which both clustering paths
+/// set.
+fn rows(out: &ClusterOutcome) -> &Clustering {
+    out.distinct
+        .as_ref()
+        .expect("cluster_elements sets the row clustering")
 }
 
 /// Add a batch's cluster count onto the running global cluster-id offset.
@@ -1023,6 +1048,41 @@ mod tests {
             r.schema.node_types[person_idx].props["bday"].kind,
             Some(ValueKind::Date)
         );
+    }
+
+    #[test]
+    fn sampled_datatypes_stay_per_type_through_the_discoverer() {
+        // 1000 integers and one string under one label: the seeded 1%
+        // sample misses the outlier, the full scan does not, resident and
+        // streamed alike.
+        let graph = || {
+            let mut b = GraphBuilder::new();
+            for i in 0..1000 {
+                b.add_node(&["T"], &[("x", Value::Int(i))]);
+            }
+            b.add_node(&["T"], &[("x", Value::from("oops"))]);
+            b.finish()
+        };
+        let sampled = SamplingConfig {
+            fraction: 0.01,
+            min_values: 1,
+            seed: 7,
+        };
+        for (sampling, kind) in [
+            (Some(sampled), ValueKind::Integer),
+            (None, ValueKind::String),
+        ] {
+            let d = Discoverer::new(PipelineConfig {
+                datatype_sampling: sampling,
+                ..PipelineConfig::elsh_adaptive()
+            });
+            let resident = d.discover(&graph()).schema;
+            let streamed = d.discover_stream(vec![graph()]).schema;
+            for schema in [resident, streamed] {
+                assert_eq!(schema.node_types.len(), 1);
+                assert_eq!(schema.node_types[0].props["x"].kind, Some(kind));
+            }
+        }
     }
 
     #[test]

@@ -4,14 +4,20 @@
 //! Stage (e), the MANDATORY/OPTIONAL constraint, is fully determined by the
 //! occurrence counts accumulated during extraction (`f_T(p) = 1` ⇒
 //! mandatory), so it has no pass of its own: readers ask
-//! [`PropertySpec::is_mandatory`]. Stages (f) and (g) are per-type functions
-//! ([`infer_node_type_datatypes`], [`infer_edge_type_datatypes`],
-//! [`compute_edge_type_cardinality`]) that
-//! [`crate::state::SchemaState::postprocess`] drives over its pooled types.
+//! [`PropertySpec::is_mandatory`]. [`crate::state::SchemaState::postprocess`]
+//! drives stages (f) and (g) over its pooled types:
+//!
+//! - the full-scan stage (f) runs once per element class, over the
+//!   elements in element order, joining every type's kinds at once
+//!   ([`join_kinds_in_element_order`]);
+//! - the sampled stage (f) (`--sample`) runs per type, on a seeded sample
+//!   of that type's members ([`infer_node_type_datatypes`],
+//!   [`infer_edge_type_datatypes`]);
+//! - stage (g) runs per edge type ([`compute_edge_type_cardinality`]).
 
 use crate::config::SamplingConfig;
 use crate::schema::{Cardinality, EdgeType, NodeType, PropertySpec};
-use pg_hive_graph::{EdgeId, NodeId, PropertyGraph, Symbol, Value, ValueKind};
+use pg_hive_graph::{EdgeId, Interner, NodeId, PropertyGraph, Symbol, Value, ValueKind};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -52,73 +58,90 @@ fn value_kind_via_lexical(v: &Value, scratch: &mut String) -> ValueKind {
     }
 }
 
-/// Full-scan stage (f) for one type, shared between nodes and edges: a
-/// **single pass** over the members' property slices instead of one member
-/// scan per key. Each property is matched against a small sorted
-/// `(symbol, slot)` table via binary search and its kind joined into a
-/// per-slot accumulator — `ValueKind::join` is a semilattice join
-/// (commutative, associative, idempotent), so folding in member order
-/// yields exactly the same result as the per-key order the two-scan
-/// sampling path uses.
-fn infer_type_datatypes_full<'g>(
-    props: &mut BTreeMap<String, PropertySpec>,
-    g: &PropertyGraph,
-    member_props: impl Iterator<Item = &'g [(Symbol, Value)]>,
+/// Full-scan stage (f) for every type of one element class at once.
+/// `elements` yields each of the class's `count` elements' property slices
+/// in element order (the `i`-th item is element `i`, the id the member
+/// lists hold). One pass
+/// over them joins each property's kind into the types that list the
+/// element, found through an element → type map built from the member
+/// lists. Each property is matched against its type's small sorted
+/// `(symbol, slot)` table by binary search. `ValueKind::join` is a
+/// semilattice join (commutative, associative, idempotent), so element
+/// order gives each type exactly the kinds a walk of its own members
+/// gives, also when an element is listed in several types. Keys that
+/// `keys` does not intern belong to another chunk; their kinds stay as
+/// they are.
+pub(crate) fn join_kinds_in_element_order<'g>(
+    types: Vec<(&mut BTreeMap<String, PropertySpec>, &[u32])>,
+    keys: &Interner,
+    count: usize,
+    elements: impl Iterator<Item = &'g [(Symbol, Value)]>,
 ) {
-    let keys: Vec<&String> = props.keys().collect();
-    // Keys absent from this batch's store belong to another chunk: skip
-    // them, matching the `None => continue` of the sampling path.
-    let mut table: Vec<(Symbol, u32)> = keys
-        .iter()
-        .enumerate()
-        .filter_map(|(slot, k)| g.keys().get(k.as_str()).map(|sym| (sym, slot as u32)))
-        .collect();
-    if table.is_empty() {
-        return;
+    const NONE: u32 = u32::MAX;
+    // Element → its first type; later memberships as sorted (element, type).
+    let mut owner = vec![NONE; count];
+    let mut shared: Vec<(u32, u32)> = Vec::new();
+    let mut tables: Vec<Vec<(Symbol, u32)>> = Vec::with_capacity(types.len());
+    let mut kinds: Vec<Option<ValueKind>> = Vec::new();
+    for (t, (props, members)) in types.iter().enumerate() {
+        for &m in members.iter() {
+            let slot = &mut owner[m as usize];
+            if *slot == NONE {
+                *slot = t as u32;
+            } else {
+                shared.push((m, t as u32));
+            }
+        }
+        let base = kinds.len() as u32;
+        let mut table: Vec<(Symbol, u32)> = props
+            .keys()
+            .enumerate()
+            .filter_map(|(i, k)| keys.get(k).map(|sym| (sym, base + i as u32)))
+            .collect();
+        table.sort_unstable_by_key(|&(sym, _)| sym);
+        tables.push(table);
+        kinds.resize(kinds.len() + props.len(), None);
     }
-    table.sort_unstable_by_key(|&(sym, _)| sym);
-    let mut kinds: Vec<Option<ValueKind>> = vec![None; keys.len()];
+    shared.sort_unstable();
+
     let mut scratch = String::new();
-    for slice in member_props {
-        for (sym, v) in slice {
+    let mut join = |t: u32, props: &[(Symbol, Value)]| {
+        let table = &tables[t as usize];
+        for (sym, v) in props {
             let Ok(i) = table.binary_search_by_key(sym, |&(s, _)| s) else {
                 continue;
             };
             let slot = table[i].1 as usize;
             let k = value_kind_via_lexical(v, &mut scratch);
-            kinds[slot] = Some(match kinds[slot] {
-                Some(prev) => prev.join(k),
-                None => k,
-            });
+            kinds[slot] = Some(kinds[slot].map_or(k, |prev| prev.join(k)));
+        }
+    };
+    let mut shared = shared.into_iter().peekable();
+    for (e, props) in elements.enumerate() {
+        if owner[e] == NONE {
+            continue;
+        }
+        join(owner[e], props);
+        while let Some((_, t)) = shared.next_if(|&(m, _)| m as usize == e) {
+            join(t, props);
         }
     }
-    for (spec, kind) in props.values_mut().zip(kinds) {
-        if let Some(k) = kind {
-            spec.kind = Some(match spec.kind {
-                Some(prev) => prev.join(k),
-                None => k,
-            });
+
+    let mut kinds = kinds.into_iter();
+    for (props, _) in types {
+        for (spec, kind) in props.values_mut().zip(kinds.by_ref()) {
+            if let Some(k) = kind {
+                spec.kind = Some(spec.kind.map_or(k, |prev| prev.join(k)));
+            }
         }
     }
 }
 
-/// Stage (f) for one node type: fill `PropertySpec::kind` by scanning the
-/// type's member values in `g` — all of them (single-pass fast path), or a
-/// sample per [`SamplingConfig`] (fraction of values, floor `min_values`).
-/// Kinds join with any previously inferred kind (lattice join, monotone).
-pub fn infer_node_type_datatypes(
-    t: &mut NodeType,
-    g: &PropertyGraph,
-    sampling: Option<&SamplingConfig>,
-) {
-    if sampling.is_none() {
-        let members = t
-            .members
-            .iter()
-            .map(|&m| g.node(NodeId(m)).props.as_slice());
-        infer_type_datatypes_full(&mut t.props, g, members);
-        return;
-    }
+/// Sampled stage (f) for one node type: fill `PropertySpec::kind` from a
+/// seeded sample of the type's member values in `g` per [`SamplingConfig`]
+/// (fraction of values, floor `min_values`). Kinds join with any
+/// previously inferred kind (lattice join, monotone).
+pub fn infer_node_type_datatypes(t: &mut NodeType, g: &PropertyGraph, sampling: &SamplingConfig) {
     let keys: Vec<String> = t.props.keys().cloned().collect();
     for key in keys {
         let sym = match g.keys().get(&key) {
@@ -149,20 +172,8 @@ pub fn infer_node_type_datatypes(
     }
 }
 
-/// Stage (f) for one edge type (see [`infer_node_type_datatypes`]).
-pub fn infer_edge_type_datatypes(
-    t: &mut EdgeType,
-    g: &PropertyGraph,
-    sampling: Option<&SamplingConfig>,
-) {
-    if sampling.is_none() {
-        let members = t
-            .members
-            .iter()
-            .map(|&m| g.edge(EdgeId(m)).props.as_slice());
-        infer_type_datatypes_full(&mut t.props, g, members);
-        return;
-    }
+/// Sampled stage (f) for one edge type (see [`infer_node_type_datatypes`]).
+pub fn infer_edge_type_datatypes(t: &mut EdgeType, g: &PropertyGraph, sampling: &SamplingConfig) {
     let keys: Vec<String> = t.props.keys().cloned().collect();
     for key in keys {
         let sym = match g.keys().get(&key) {
@@ -209,32 +220,27 @@ fn join_kinds<'a>(
     kind
 }
 
-fn select_sample(holders: &[u32], sampling: Option<&SamplingConfig>) -> Vec<u32> {
-    match sampling {
-        None => holders.to_vec(),
-        Some(cfg) => {
-            let want = ((holders.len() as f64 * cfg.fraction).ceil() as usize)
-                .max(cfg.min_values)
-                .min(holders.len());
-            if want >= holders.len() {
-                return holders.to_vec();
-            }
-            // Deterministic partial Fisher–Yates.
-            let mut pool = holders.to_vec();
-            let mut state = cfg.seed;
-            for i in 0..want {
-                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                let mut z = state;
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                z ^= z >> 31;
-                let j = i + (z % (pool.len() - i) as u64) as usize;
-                pool.swap(i, j);
-            }
-            pool.truncate(want);
-            pool
-        }
+fn select_sample(holders: &[u32], cfg: &SamplingConfig) -> Vec<u32> {
+    let want = ((holders.len() as f64 * cfg.fraction).ceil() as usize)
+        .max(cfg.min_values)
+        .min(holders.len());
+    if want >= holders.len() {
+        return holders.to_vec();
     }
+    // Deterministic partial Fisher–Yates.
+    let mut pool = holders.to_vec();
+    let mut state = cfg.seed;
+    for i in 0..want {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^= z >> 31;
+        let j = i + (z % (pool.len() - i) as u64) as usize;
+        pool.swap(i, j);
+    }
+    pool.truncate(want);
+    pool
 }
 
 /// Stage (g) for one edge type: compute the maximum number of **distinct**
@@ -365,12 +371,21 @@ mod tests {
         assert!(!person.props["name"].is_mandatory(person.instance_count));
     }
 
+    /// The full-scan stage (f) over `s`'s node types.
+    fn full_scan(s: &mut SchemaGraph, g: &PropertyGraph) {
+        let types = s
+            .node_types
+            .iter_mut()
+            .map(|t| (&mut t.props, t.members.as_slice()))
+            .collect();
+        let props = g.nodes().map(|(_, n)| n.props.as_slice());
+        join_kinds_in_element_order(types, g.keys(), g.node_count(), props);
+    }
+
     #[test]
     fn datatype_full_scan() {
         let (mut s, g) = wired_schema();
-        for t in &mut s.node_types {
-            infer_node_type_datatypes(t, &g, None);
-        }
+        full_scan(&mut s, &g);
         assert_eq!(s.node_types[0].props["age"].kind, Some(ValueKind::Integer));
         assert_eq!(s.node_types[0].props["name"].kind, Some(ValueKind::String));
     }
@@ -384,7 +399,7 @@ mod tests {
             seed: 1,
         };
         for t in &mut s.node_types {
-            infer_node_type_datatypes(t, &g, Some(&sampling));
+            infer_node_type_datatypes(t, &g, &sampling);
         }
         // Floor 1000 > 2 holders ⇒ effectively full scan.
         assert_eq!(s.node_types[0].props["age"].kind, Some(ValueKind::Integer));
@@ -417,9 +432,7 @@ mod tests {
         );
         let mut full = SchemaGraph::new();
         full.node_types.push(t.clone());
-        for t in &mut full.node_types {
-            infer_node_type_datatypes(t, &g, None);
-        }
+        full_scan(&mut full, &g);
         assert_eq!(full.node_types[0].props["x"].kind, Some(ValueKind::String));
 
         let mut sampled = SchemaGraph::new();
@@ -430,7 +443,7 @@ mod tests {
             seed: 7,
         };
         for t in &mut sampled.node_types {
-            infer_node_type_datatypes(t, &g, Some(&sampling));
+            infer_node_type_datatypes(t, &g, &sampling);
         }
         // With 11 of 1001 values sampled the outlier is probably missed.
         // (Deterministic seed: assert the concrete outcome.)

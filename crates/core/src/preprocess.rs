@@ -35,6 +35,10 @@
 //! clustering (identical vectors always share every hash bucket) at a
 //! fraction of the hashing and embedding work. See
 //! [`crate::cluster::cluster_elements`].
+//!
+//! `rep_of` also feeds extraction: a signature fixes everything Algorithm 2
+//! reads, so candidate types are built once per row, weighted by the row's
+//! element count ([`crate::extract::candidate_node_types_from_rows`]).
 
 use pg_hive_embed::{canonical_token, HashEmbedder};
 use pg_hive_graph::{EdgeId, GraphBatch, NodeId, PropertyGraph, Symbol};
@@ -155,7 +159,11 @@ pub struct EdgeRepr {
 /// representation equality — two nodes whose signatures differ only in
 /// ordering get separate rows with *equal* vectors, which LSH clusters
 /// together anyway.
-fn encode_sections(out: &mut Vec<u32>, sections: &[&[Symbol]], keys: impl Iterator<Item = Symbol>) {
+pub(crate) fn encode_sections(
+    out: &mut Vec<u32>,
+    sections: &[&[Symbol]],
+    keys: impl Iterator<Item = Symbol>,
+) {
     out.clear();
     out.extend(sections.iter().map(|s| s.len() as u32));
     for section in sections {

@@ -23,6 +23,13 @@
 //! one resident `SchemaState`, absorbs only the chunks appended since the
 //! previous pass, and re-finalizes — no full re-discovery per pass.
 //!
+//! [`SchemaState::postprocess`] fills datatypes and cardinalities from the
+//! graph the pooled types' member lists point into. The full scan runs in
+//! element order: one pass over the nodes and one over the edges, each
+//! joining the kinds of every pooled type that lists the element. The
+//! sampled mode (`--sample`) runs per type, on a seeded sample of that
+//! type's members.
+//!
 //! ## Concurrency contract
 //!
 //! Every absorb entry point ([`SchemaState::absorb_node_candidates`],
@@ -42,6 +49,7 @@ use crate::config::SamplingConfig;
 use crate::extract::{merge_edge_candidates, merge_node_candidates};
 use crate::postprocess::{
     compute_edge_type_cardinality, infer_edge_type_datatypes, infer_node_type_datatypes,
+    join_kinds_in_element_order,
 };
 use crate::schema::{EdgeType, LabelSet, NodeType, SchemaGraph};
 use pg_hive_graph::PropertyGraph;
@@ -214,23 +222,45 @@ impl SchemaState {
     }
 
     /// Run post-processing (datatype inference, cardinalities — stages
-    /// (e)–(g)) over every pooled type's members against `g`. Kinds are
+    /// (e)–(g)) over every pooled type's members against `g`. Without
+    /// `sampling`, datatypes come from one pass over `g`'s nodes and one
+    /// over its edges, in element order, joining every pooled type's kinds
+    /// at once; with it, each type samples its own members. Kinds are
     /// lattice joins and cardinality bounds are maxima, so re-running after
     /// more batches were absorbed only ever refines monotonically.
     pub fn postprocess(&mut self, g: &PropertyGraph, sampling: Option<&SamplingConfig>) {
         self.dirty_all = true;
-        for t in self.labeled_nodes.values_mut() {
-            infer_node_type_datatypes(t, g, sampling);
+        let nodes = self
+            .labeled_nodes
+            .values_mut()
+            .chain(self.abstract_nodes.values_mut());
+        let edges = self
+            .labeled_edges
+            .values_mut()
+            .chain(self.abstract_edges.values_mut());
+        match sampling {
+            None => {
+                let nodes = nodes
+                    .map(|t| (&mut t.props, t.members.as_slice()))
+                    .collect();
+                let node_props = g.nodes().map(|(_, n)| n.props.as_slice());
+                join_kinds_in_element_order(nodes, g.keys(), g.node_count(), node_props);
+                let edges = edges
+                    .map(|t| (&mut t.props, t.members.as_slice()))
+                    .collect();
+                let edge_props = g.edges().map(|(_, e)| e.props.as_slice());
+                join_kinds_in_element_order(edges, g.keys(), g.edge_count(), edge_props);
+            }
+            Some(sampling) => {
+                nodes.for_each(|t| infer_node_type_datatypes(t, g, sampling));
+                edges.for_each(|t| infer_edge_type_datatypes(t, g, sampling));
+            }
         }
-        for t in self.abstract_nodes.values_mut() {
-            infer_node_type_datatypes(t, g, sampling);
-        }
-        for t in self.labeled_edges.values_mut() {
-            infer_edge_type_datatypes(t, g, sampling);
-            compute_edge_type_cardinality(t, g);
-        }
-        for t in self.abstract_edges.values_mut() {
-            infer_edge_type_datatypes(t, g, sampling);
+        for t in self
+            .labeled_edges
+            .values_mut()
+            .chain(self.abstract_edges.values_mut())
+        {
             compute_edge_type_cardinality(t, g);
         }
     }
