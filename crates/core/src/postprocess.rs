@@ -44,12 +44,17 @@ pub fn infer_kind_of_values<'a, I: IntoIterator<Item = &'a str>>(values: I) -> O
 
 /// The kind of one [`Value`] through its *lexical* form — the §4.4 rule is
 /// defined on serialized values, so a `Str("123")` re-infers as Integer.
-/// Strings are inspected in place; every other variant is formatted into
-/// `scratch` (its `Display` is exactly [`Value::lexical`]) so the hot loop
-/// never allocates per value.
-fn value_kind_via_lexical(v: &Value, scratch: &mut String) -> ValueKind {
+/// The one value-kind function of discovery's full and sampled scans and
+/// of the validator. Strings are inspected in place. An `Int` always
+/// re-infers as INTEGER and a `Bool` as BOOLEAN, so neither is formatted.
+/// Every other variant is formatted into `scratch` (its `Display` is
+/// exactly [`Value::lexical`]), because `inf`, `NaN` and a year past 9999
+/// re-infer as STRING; the hot loop never allocates per value.
+pub(crate) fn value_kind_via_lexical(v: &Value, scratch: &mut String) -> ValueKind {
     match v {
         Value::Str(s) => infer_value_kind(s),
+        Value::Int(_) => ValueKind::Integer,
+        Value::Bool(_) => ValueKind::Boolean,
         other => {
             scratch.clear();
             let _ = write!(scratch, "{other}");
@@ -537,5 +542,78 @@ mod tests {
         }
         let c = s.edge_types[0].cardinality.unwrap();
         assert_eq!(c.class().notation(), "0:1");
+    }
+
+    /// A value of every variant: `pick` chooses the variant or a fixed
+    /// edge case, `bits` fills the variant's fields, `text` a string.
+    fn value_of(pick: u8, bits: u64, text: String) -> Value {
+        let year = (bits % 24_001) as i32 - 12_000;
+        let month = (bits >> 16) as u8 % 14;
+        let day = (bits >> 24) as u8 % 33;
+        match pick % 20 {
+            0 => Value::Int(bits as i64),
+            1 => Value::Int(i64::MIN),
+            2 => Value::Int(i64::MAX),
+            3 => Value::Float(f64::from_bits(bits)),
+            4 => Value::Float(2.0),
+            5 => Value::Float(1e300),
+            6 => Value::Float(f64::INFINITY),
+            7 => Value::Float(f64::NEG_INFINITY),
+            8 => Value::Float(f64::NAN),
+            9 => Value::Float((bits % 2001) as f64 / 8.0 - 125.0),
+            10 => Value::Bool(bits & 1 == 1),
+            11 => Value::Date { year, month, day },
+            12 => Value::Date {
+                year: 10_000,
+                month: 1,
+                day: 2,
+            },
+            13 => Value::Date {
+                year: -5,
+                month: 3,
+                day: 4,
+            },
+            14 => Value::DateTime {
+                year,
+                month,
+                day,
+                hour: (bits >> 32) as u8 % 25,
+                minute: (bits >> 40) as u8 % 61,
+                second: (bits >> 48) as u8 % 61,
+            },
+            15 => Value::DateTime {
+                year: 10_000,
+                month: 12,
+                day: 31,
+                hour: 23,
+                minute: 59,
+                second: 59,
+            },
+            16 => Value::Str(text),
+            17 => Value::Str(format!(" {} ", bits as i64)),
+            18 => Value::Str(Value::Float(f64::from_bits(bits)).to_string()),
+            _ => Value::Str(
+                ["123", "TRUE", "inf", "NaN", "2020-01-01", "-0", "1e5", ""][bits as usize % 8]
+                    .to_string(),
+            ),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn value_kind_equals_lexical_reinference(
+            pick in proptest::prelude::any::<u8>(),
+            bits in proptest::prelude::any::<u64>(),
+            text in "[a-z0-9.:T+ -]{0,12}",
+        ) {
+            let v = value_of(pick, bits, text);
+            let mut scratch = String::from("stale");
+            proptest::prop_assert_eq!(
+                value_kind_via_lexical(&v, &mut scratch),
+                infer_value_kind(&v.lexical())
+            );
+        }
     }
 }

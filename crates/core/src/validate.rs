@@ -18,13 +18,36 @@
 //! - **endpoints** — an edge endpoint id is never declared as a node
 //!   (`dangling-endpoint`), or the (source, target) label-set pair is not
 //!   declared for the edge type (`ill-typed-endpoint`).
+//!
+//! # Verdicts per label set
+//!
+//! A record's type is found through its label set, and an input holds few
+//! distinct label sets. So [`Validator::check_buf`] interns each record's
+//! label set in the id → label-set registry and keeps, per interned
+//! label-set id, the node type, the edge type and the endpoint-set id that
+//! set resolves to. The `String`-keyed lookups run once per distinct label
+//! set, not once per record. Within a record, keys are matched against a
+//! per-type key table with a MANDATORY bitmask, and the strings of a
+//! violation are built only for an example the buffer keeps; a record
+//! that conforms allocates nothing.
+//!
+//! # Types that share a label set
+//!
+//! Several types can share one label set; every pair of ABSTRACT types
+//! does. They compile into one matched type: keys unioned, kinds joined
+//! (unconstrained if any of them leaves a key unconstrained), a key
+//! MANDATORY only where every one of them has it as MANDATORY, and edge
+//! endpoint pairs unioned. An element that mixes two such types' keys
+//! therefore passes.
 
-use crate::postprocess::infer_value_kind;
-use crate::schema::{LabelSet, SchemaGraph};
+use crate::postprocess::value_kind_via_lexical;
+use crate::schema::{LabelSet, PropertySpec, SchemaGraph};
+use pg_hive_graph::stream::raw::PropsRef;
 use pg_hive_graph::{
-    LabelSetRegistry, RawGraphSource, RecordBuf, RecordRef, StreamError, Value, ValueKind,
+    Interner, LabelSetRegistry, RawGraphSource, RecordBuf, RecordRef, StreamError, Symbol,
+    ValueKind,
 };
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 // ---------------------------------------------------------------------------
@@ -109,41 +132,115 @@ impl fmt::Display for StreamViolation {
     }
 }
 
-/// A node or edge type compiled for per-record checking: expected key set
-/// with per-key datatype and cardinality (MANDATORY vs OPTIONAL).
+/// One declared key of a [`CompiledType`].
+#[derive(Debug)]
+struct KeySpec {
+    name: String,
+    /// Inferred datatype (`None` = unconstrained).
+    kind: Option<ValueKind>,
+}
+
+/// A node or edge type compiled for per-record checking: the declared keys
+/// in name order, one slot each, with per-key datatype and a bitmask of
+/// the MANDATORY slots. A record's key finds its slot through the schema's
+/// key interner and `table`, so checking a record allocates nothing.
 #[derive(Debug)]
 struct CompiledType {
-    /// Declared keys → inferred datatype (`None` = unconstrained).
-    keys: HashMap<String, Option<ValueKind>>,
-    /// Keys every instance must carry (`f_T(p) = 1`, §4.4).
-    mandatory: Vec<String>,
+    /// Slot → declared key, in key-name order.
+    keys: Vec<KeySpec>,
+    /// `(key symbol, slot)`, sorted by symbol.
+    table: Vec<(u32, u32)>,
+    /// Bit `slot` is set when every instance must carry that key
+    /// (`f_T(p) = 1`, §4.4).
+    mandatory: Vec<u64>,
     /// Rendering of the label set for violation details.
     label_text: String,
 }
 
-/// An edge type adds the declared endpoint label-set pairs, as ids into
-/// the compiled schema's endpoint-set pool.
+/// An edge type adds the declared endpoint label-set pairs, as sorted ids
+/// into the compiled schema's endpoint-set pool.
 #[derive(Debug)]
 struct CompiledEdgeType {
     base: CompiledType,
-    endpoints: HashSet<(u32, u32)>,
+    endpoints: Vec<(u32, u32)>,
+}
+
+/// The types that share one label set, folded into one check.
+#[derive(Debug)]
+struct TypeFold<'s> {
+    labels: &'s LabelSet,
+    /// Key → (joined kind, number of folded types that have it as
+    /// MANDATORY).
+    keys: BTreeMap<String, (Option<ValueKind>, usize)>,
+    /// Endpoint-set id pairs of the edge types folded so far.
+    endpoints: Vec<(u32, u32)>,
+    types: usize,
+}
+
+impl<'s> TypeFold<'s> {
+    /// The fold of `labels` in `folds`, found through `index` (sorted label
+    /// symbols `key` → fold index) and created on first sight.
+    fn of<'f>(
+        index: &mut HashMap<Box<[u32]>, u32>,
+        key: Box<[u32]>,
+        folds: &'f mut Vec<TypeFold<'s>>,
+        labels: &'s LabelSet,
+    ) -> &'f mut TypeFold<'s> {
+        let i = *index.entry(key).or_insert(folds.len() as u32) as usize;
+        if i == folds.len() {
+            folds.push(TypeFold {
+                labels,
+                keys: BTreeMap::new(),
+                endpoints: Vec::new(),
+                types: 0,
+            });
+        }
+        &mut folds[i]
+    }
+
+    /// Fold one more type's properties in: keys union, and kinds join
+    /// (`None`, unconstrained, absorbs).
+    fn add(&mut self, props: &BTreeMap<String, PropertySpec>, instance_count: u64) {
+        for (key, spec) in props {
+            let mandatory = spec.is_mandatory(instance_count) as usize;
+            match self.keys.get_mut(key) {
+                Some((kind, n)) => {
+                    *kind = kind.zip(spec.kind).map(|(a, b)| a.join(b));
+                    *n += mandatory;
+                }
+                None => {
+                    self.keys.insert(key.clone(), (spec.kind, mandatory));
+                }
+            }
+        }
+        self.types += 1;
+    }
 }
 
 /// A finalized [`SchemaGraph`] compiled into symbol-keyed lookup tables
 /// for streaming conformance checks: label-set → expected key set, per-key
 /// datatype/cardinality, and edge-type endpoint constraints. Compile once,
 /// validate any number of inputs (also concurrently — lookups take `&self`).
+///
+/// Types that share a label set compile into one check (see the
+/// [module docs](self#types-that-share-a-label-set)).
 #[derive(Debug)]
 pub struct CompiledSchema {
     /// Label string → dense symbol. Labels absent here appear in no type.
     label_syms: HashMap<String, u32>,
-    /// Sorted label-symbol set → node type.
-    node_types: HashMap<Box<[u32]>, CompiledType>,
+    /// Every key some type declares; the symbols key each type's `table`.
+    key_syms: Interner,
+    /// Sorted label-symbol set → node type (dense index into `nodes`).
+    node_types: HashMap<Box<[u32]>, u32>,
+    nodes: Vec<CompiledType>,
     /// Sorted label-symbol set → edge type (dense index into `edges`).
-    edge_types: HashMap<Box<[u32]>, usize>,
+    edge_types: HashMap<Box<[u32]>, u32>,
     edges: Vec<CompiledEdgeType>,
     /// Sorted label-symbol set → endpoint-set pool id.
     endpoint_sets: HashMap<Box<[u32]>, u32>,
+    /// Schema types, counting every type that shares a label set.
+    node_type_count: usize,
+    edge_type_count: usize,
 }
 
 impl CompiledSchema {
@@ -151,42 +248,76 @@ impl CompiledSchema {
     pub fn compile(schema: &SchemaGraph) -> Self {
         let mut c = CompiledSchema {
             label_syms: HashMap::new(),
+            key_syms: Interner::new(),
             node_types: HashMap::new(),
+            nodes: Vec::new(),
             edge_types: HashMap::new(),
             edges: Vec::new(),
             endpoint_sets: HashMap::new(),
+            node_type_count: schema.node_types.len(),
+            edge_type_count: schema.edge_types.len(),
         };
+        let mut node_folds = Vec::new();
         for ty in &schema.node_types {
             let key = c.intern_set(&ty.labels);
-            c.node_types
-                .insert(key, compile_type(&ty.labels, &ty.props, ty.instance_count));
+            TypeFold::of(&mut c.node_types, key, &mut node_folds, &ty.labels)
+                .add(&ty.props, ty.instance_count);
         }
+        let mut edge_folds = Vec::new();
         for ty in &schema.edge_types {
             let key = c.intern_set(&ty.labels);
-            let mut endpoints = HashSet::new();
-            for (src, tgt) in &ty.endpoints {
-                let s = c.intern_endpoint_set(src);
-                let t = c.intern_endpoint_set(tgt);
-                endpoints.insert((s, t));
-            }
-            let idx = c.edges.len();
-            c.edges.push(CompiledEdgeType {
-                base: compile_type(&ty.labels, &ty.props, ty.instance_count),
-                endpoints,
-            });
-            c.edge_types.insert(key, idx);
+            let endpoints: Vec<(u32, u32)> = (ty.endpoints.iter())
+                .map(|(s, t)| (c.intern_endpoint_set(s), c.intern_endpoint_set(t)))
+                .collect();
+            let fold = TypeFold::of(&mut c.edge_types, key, &mut edge_folds, &ty.labels);
+            fold.add(&ty.props, ty.instance_count);
+            fold.endpoints.extend(endpoints);
+        }
+        for fold in node_folds {
+            let ty = c.compile_type(fold);
+            c.nodes.push(ty);
+        }
+        for mut fold in edge_folds {
+            let mut endpoints = std::mem::take(&mut fold.endpoints);
+            endpoints.sort_unstable();
+            endpoints.dedup();
+            let base = c.compile_type(fold);
+            c.edges.push(CompiledEdgeType { base, endpoints });
         }
         c
     }
 
-    /// Number of compiled node types.
+    /// Number of node types in the compiled schema, counting each of the
+    /// types that share a label set.
     pub fn node_type_count(&self) -> usize {
-        self.node_types.len()
+        self.node_type_count
     }
 
-    /// Number of compiled edge types.
+    /// Number of edge types in the compiled schema, counting each of the
+    /// types that share a label set.
     pub fn edge_type_count(&self) -> usize {
-        self.edge_types.len()
+        self.edge_type_count
+    }
+
+    fn compile_type(&mut self, fold: TypeFold) -> CompiledType {
+        let mut keys = Vec::with_capacity(fold.keys.len());
+        let mut table = Vec::with_capacity(fold.keys.len());
+        let mut mandatory = vec![0u64; fold.keys.len().div_ceil(64)];
+        for (slot, (name, (kind, mandatory_in))) in fold.keys.into_iter().enumerate() {
+            table.push((self.key_syms.intern(&name).0, slot as u32));
+            // MANDATORY only where every folded type has it as MANDATORY.
+            if mandatory_in == fold.types {
+                mandatory[slot / 64] |= 1 << (slot % 64);
+            }
+            keys.push(KeySpec { name, kind });
+        }
+        table.sort_unstable();
+        CompiledType {
+            keys,
+            table,
+            mandatory,
+            label_text: render_labels(fold.labels.iter().map(String::as_str)),
+        }
     }
 
     /// Intern every label of `labels` and return the sorted symbol set.
@@ -209,46 +340,87 @@ impl CompiledSchema {
         *self.endpoint_sets.entry(key).or_insert(next)
     }
 
-    /// Resolve observed labels (any order) to the sorted symbol set in
-    /// `scratch`. `false` when a label appears in no type — the set then
-    /// cannot match anything.
-    fn resolve<'a>(&self, labels: impl Iterator<Item = &'a str>, scratch: &mut Vec<u32>) -> bool {
+    /// The id `table` (`node_types`, `edge_types` or `endpoint_sets`)
+    /// gives observed labels in any order, resolved to the sorted symbol
+    /// set in `scratch`. `None` also when a label appears in no type.
+    fn find(
+        &self,
+        table: &HashMap<Box<[u32]>, u32>,
+        labels: &[String],
+        scratch: &mut Vec<u32>,
+    ) -> Option<u32> {
         scratch.clear();
         for l in labels {
-            match self.label_syms.get(l) {
-                Some(&s) => scratch.push(s),
-                None => return false,
-            }
+            scratch.push(*self.label_syms.get(l)?);
         }
         scratch.sort_unstable();
         scratch.dedup();
-        true
-    }
-
-    /// Endpoint-set pool id of an observed (sorted-symbol) label set, if
-    /// any edge type declares it.
-    fn endpoint_id(&self, scratch: &[u32]) -> Option<u32> {
-        self.endpoint_sets.get(scratch).copied()
+        table.get(scratch.as_slice()).copied()
     }
 }
 
-fn compile_type(
-    labels: &LabelSet,
-    props: &std::collections::BTreeMap<String, crate::schema::PropertySpec>,
-    instance_count: u64,
-) -> CompiledType {
-    let mut keys = HashMap::with_capacity(props.len());
-    let mut mandatory = Vec::new();
-    for (k, spec) in props {
-        keys.insert(k.clone(), spec.kind);
-        if spec.is_mandatory(instance_count) {
-            mandatory.push(k.clone());
-        }
+impl CompiledType {
+    /// Slot of a declared key symbol.
+    fn slot(&self, sym: Symbol) -> Option<usize> {
+        let i = self.table.binary_search_by_key(&sym.0, |&(s, _)| s).ok()?;
+        Some(self.table[i].1 as usize)
     }
-    CompiledType {
-        keys,
-        mandatory,
-        label_text: render_labels(labels.iter().map(String::as_str)),
+
+    /// Key-set, per-key datatype, and per-key cardinality (MANDATORY)
+    /// checks of one record's properties, shared by nodes and edges. Each
+    /// occurrence of a key is checked, in record order; absent MANDATORY
+    /// keys follow in key-name order.
+    fn check_props(
+        &self,
+        key_syms: &Interner,
+        element: ElementId<'_>,
+        props: PropsRef<'_>,
+        scratch: &mut KeyScratch,
+        tally: &mut Tally,
+    ) {
+        let seen = &mut scratch.seen;
+        seen.clear();
+        seen.resize(self.mandatory.len(), 0);
+        for (key, value) in props.iter() {
+            let Some(slot) = key_syms.get(key).and_then(|sym| self.slot(sym)) else {
+                tally.emit(ViolationKind::ExtraKey, element, || {
+                    format!("key '{key}' not declared for {}", self.label_text)
+                });
+                continue;
+            };
+            seen[slot / 64] |= 1 << (slot % 64);
+            match self.keys[slot].kind {
+                // STRING tops the lattice: every observed kind joins to it.
+                None | Some(ValueKind::String) => {}
+                Some(declared) => {
+                    // Same inference as discovery: the kind of the
+                    // lexical form.
+                    let observed = value_kind_via_lexical(value, &mut scratch.lexical);
+                    if declared.join(observed) != declared {
+                        tally.emit(ViolationKind::TypeMismatch, element, || {
+                            format!(
+                                "key '{key}': declared {}, observed {}",
+                                declared.gql_name(),
+                                observed.gql_name()
+                            )
+                        });
+                    }
+                }
+            }
+        }
+        for (w, &mask) in self.mandatory.iter().enumerate() {
+            let mut missing = mask & !seen[w];
+            while missing != 0 {
+                let slot = w * 64 + missing.trailing_zeros() as usize;
+                missing &= missing - 1;
+                tally.emit(ViolationKind::MissingKey, element, || {
+                    format!(
+                        "mandatory key '{}' of {} absent",
+                        self.keys[slot].name, self.label_text
+                    )
+                });
+            }
+        }
     }
 }
 
@@ -261,6 +433,59 @@ fn render_labels<'a>(labels: impl Iterator<Item = &'a str>) -> String {
     }
 }
 
+/// Per-record scratch of the key checks, reused across records.
+#[derive(Debug, Default)]
+struct KeyScratch {
+    /// Bit `slot` set: the record carries that declared key.
+    seen: Vec<u64>,
+    /// A non-string value's lexical form, for datatype inference.
+    lexical: String,
+}
+
+/// The element a violation names; rendered only when an example is kept.
+#[derive(Debug, Clone, Copy)]
+enum ElementId<'r> {
+    Node(&'r str),
+    Edge(&'r str, &'r str),
+}
+
+impl fmt::Display for ElementId<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ElementId::Node(id) => f.write_str(id),
+            ElementId::Edge(src, tgt) => write!(f, "{src}->{tgt}"),
+        }
+    }
+}
+
+/// Violation counters and the bounded example buffer.
+#[derive(Debug)]
+struct Tally {
+    counts: [u64; 7],
+    examples: Vec<StreamViolation>,
+    max_examples: usize,
+}
+
+impl Tally {
+    /// Count one violation. The element and `detail` strings are built
+    /// only when the example buffer keeps it.
+    fn emit(
+        &mut self,
+        kind: ViolationKind,
+        element: ElementId<'_>,
+        detail: impl FnOnce() -> String,
+    ) {
+        self.counts[kind.index()] += 1;
+        if self.examples.len() < self.max_examples {
+            self.examples.push(StreamViolation {
+                kind,
+                element: element.to_string(),
+                detail: detail(),
+            });
+        }
+    }
+}
+
 /// An edge whose endpoint label sets were not both known when the edge was
 /// read — re-checked at every chunk boundary and finally at
 /// [`Validator::finish`], riding the registry exactly like the chunked
@@ -269,9 +494,8 @@ fn render_labels<'a>(labels: impl Iterator<Item = &'a str>) -> String {
 struct DeferredEdge {
     src: String,
     tgt: String,
-    element: String,
     /// Dense index into [`CompiledSchema::edges`].
-    ty: usize,
+    ty: u32,
 }
 
 /// Outcome of a streaming validation run: per-category counters, a
@@ -320,6 +544,24 @@ impl StreamValidationReport {
     }
 }
 
+/// Verdict-table entry not computed yet.
+const UNSEEN: u32 = u32::MAX;
+/// Verdict-table entry: the label set matches nothing.
+const NO_MATCH: u32 = u32::MAX - 1;
+
+/// The cached verdict of label-set id `ls` in `table`, computed by
+/// `compute` on first sight.
+fn verdict(table: &mut Vec<u32>, ls: u32, compute: impl FnOnce() -> Option<u32>) -> Option<u32> {
+    let i = ls as usize;
+    if i >= table.len() {
+        table.resize(i + 1, UNSEEN);
+    }
+    if table[i] == UNSEEN {
+        table[i] = compute().unwrap_or(NO_MATCH);
+    }
+    (table[i] != NO_MATCH).then_some(table[i])
+}
+
 /// Streaming conformance checker: folds [`RawGraphSource`] records through
 /// a [`CompiledSchema`] with O(chunk) residency. Only the id → label-set
 /// registry (shared with the chunked reader) and the deferred-edge buffer
@@ -335,16 +577,19 @@ impl StreamValidationReport {
 pub struct Validator<'a> {
     schema: &'a CompiledSchema,
     registry: LabelSetRegistry,
+    /// Per registry label-set id: the node type, the edge type and the
+    /// endpoint-set id that set resolves to (see [`verdict`]).
+    node_verdicts: Vec<u32>,
+    edge_verdicts: Vec<u32>,
+    endpoint_verdicts: Vec<u32>,
     deferred: Vec<DeferredEdge>,
-    counts: [u64; 7],
-    examples: Vec<StreamViolation>,
-    max_examples: usize,
+    tally: Tally,
     max_violations: Option<u64>,
     nodes_checked: u64,
     edges_checked: u64,
     stopped_early: bool,
     scratch: Vec<u32>,
-    seen_keys: Vec<String>,
+    keys: KeyScratch,
 }
 
 /// Default bound on the example buffer.
@@ -356,23 +601,28 @@ impl<'a> Validator<'a> {
         Validator {
             schema,
             registry: LabelSetRegistry::default(),
+            node_verdicts: Vec::new(),
+            edge_verdicts: Vec::new(),
+            endpoint_verdicts: Vec::new(),
             deferred: Vec::new(),
-            counts: [0; 7],
-            examples: Vec::new(),
-            max_examples: DEFAULT_MAX_EXAMPLES,
+            tally: Tally {
+                counts: [0; 7],
+                examples: Vec::new(),
+                max_examples: DEFAULT_MAX_EXAMPLES,
+            },
             max_violations: None,
             nodes_checked: 0,
             edges_checked: 0,
             stopped_early: false,
             scratch: Vec::new(),
-            seen_keys: Vec::new(),
+            keys: KeyScratch::default(),
         }
     }
 
     /// Override the example-buffer bound (`usize::MAX` keeps every
     /// violation — used by `--report` and the injection harness).
     pub fn with_max_examples(mut self, max: usize) -> Self {
-        self.max_examples = max;
+        self.tally.max_examples = max;
         self
     }
 
@@ -385,7 +635,7 @@ impl<'a> Validator<'a> {
 
     /// Violations counted so far.
     pub fn violation_count(&self) -> u64 {
-        self.counts.iter().sum()
+        self.tally.counts.iter().sum()
     }
 
     /// Elements checked so far (nodes + edges).
@@ -433,38 +683,34 @@ impl<'a> Validator<'a> {
         Ok(true)
     }
 
-    /// Check the record currently in `buf`.
+    /// Check the record currently in `buf`. Its label set is interned in
+    /// the registry, and the type it matches is looked up once per
+    /// distinct label set, not once per record.
     pub fn check_buf(&mut self, buf: &RecordBuf) {
-        match buf.view() {
-            RecordRef::Node { .. } => {
-                // Register id → label set first: endpoint checks of edges
-                // (this chunk or a later one) resolve against the registry.
-                self.registry.insert_record(buf);
-            }
-            RecordRef::Edge { .. } => {}
-        }
+        let schema = self.schema;
         match buf.view() {
             RecordRef::Node { id, labels, props } => {
+                // Register id → label set first: endpoint checks of edges
+                // (this chunk or a later one) resolve against the registry.
+                let ls = self.registry.insert_record(buf);
                 self.nodes_checked += 1;
-                let resolved = self.schema.resolve(labels.iter(), &mut self.scratch);
-                let ty = if resolved {
-                    self.schema.node_types.get(self.scratch.as_slice())
-                } else {
-                    None
-                };
+                let element = ElementId::Node(id);
+                let ty = verdict(&mut self.node_verdicts, ls, || {
+                    schema.find(&schema.node_types, self.registry.set(ls), &mut self.scratch)
+                });
                 let Some(ty) = ty else {
-                    let detail = format!("label set {{{}}}", render_labels(labels.iter()));
-                    self.emit(ViolationKind::UnknownNodeLabels, id.to_string(), detail);
+                    self.tally
+                        .emit(ViolationKind::UnknownNodeLabels, element, || {
+                            format!("label set {{{}}}", render_labels(labels.iter()))
+                        });
                     return;
                 };
-                check_props(
-                    ty,
-                    id,
-                    props.iter(),
-                    &mut self.seen_keys,
-                    &mut self.counts,
-                    &mut self.examples,
-                    self.max_examples,
+                schema.nodes[ty as usize].check_props(
+                    &schema.key_syms,
+                    element,
+                    props,
+                    &mut self.keys,
+                    &mut self.tally,
                 );
             }
             RecordRef::Edge {
@@ -474,76 +720,69 @@ impl<'a> Validator<'a> {
                 props,
             } => {
                 self.edges_checked += 1;
-                let element = format!("{src}->{tgt}");
-                let resolved = self.schema.resolve(labels.iter(), &mut self.scratch);
-                let idx = if resolved {
-                    self.schema.edge_types.get(self.scratch.as_slice()).copied()
-                } else {
-                    None
-                };
-                let Some(idx) = idx else {
-                    let detail = format!("label set {{{}}}", render_labels(labels.iter()));
-                    self.emit(ViolationKind::UnknownEdgeLabels, element, detail);
+                let element = ElementId::Edge(src, tgt);
+                let ls = self.registry.intern_buf(buf);
+                let ty = verdict(&mut self.edge_verdicts, ls, || {
+                    schema.find(&schema.edge_types, self.registry.set(ls), &mut self.scratch)
+                });
+                let Some(ty) = ty else {
+                    self.tally
+                        .emit(ViolationKind::UnknownEdgeLabels, element, || {
+                            format!("label set {{{}}}", render_labels(labels.iter()))
+                        });
                     return;
                 };
-                check_props(
-                    &self.schema.edges[idx].base,
-                    &element,
-                    props.iter(),
-                    &mut self.seen_keys,
-                    &mut self.counts,
-                    &mut self.examples,
-                    self.max_examples,
+                schema.edges[ty as usize].base.check_props(
+                    &schema.key_syms,
+                    element,
+                    props,
+                    &mut self.keys,
+                    &mut self.tally,
                 );
-                if self.registry.label_set(src).is_some() && self.registry.label_set(tgt).is_some()
-                {
-                    self.check_endpoints(src.to_string(), tgt.to_string(), element, idx);
-                } else {
+                match (self.registry.get(src), self.registry.get(tgt)) {
+                    (Some(s), Some(t)) => self.check_endpoints(s, t, ty, element),
                     // One or both endpoints not yet declared: defer, like
                     // the chunked reader's cross-chunk stubs.
-                    self.deferred.push(DeferredEdge {
+                    _ => self.deferred.push(DeferredEdge {
                         src: src.to_string(),
                         tgt: tgt.to_string(),
-                        element,
-                        ty: idx,
-                    });
+                        ty,
+                    }),
                 }
             }
         }
     }
 
     /// Endpoint conformance for an edge whose endpoints are both
-    /// registered.
-    fn check_endpoints(&mut self, src: String, tgt: String, element: String, ty: usize) {
-        let sid = self.endpoint_set_id(&src);
-        let tid = self.endpoint_set_id(&tgt);
-        let declared = match (sid, tid) {
-            (Some(s), Some(t)) => self.schema.edges[ty].endpoints.contains(&(s, t)),
+    /// registered, with label-set ids `src` and `tgt`.
+    fn check_endpoints(&mut self, src: u32, tgt: u32, ty: u32, element: ElementId<'_>) {
+        let schema = self.schema;
+        let mut endpoint = |ls: u32| {
+            verdict(&mut self.endpoint_verdicts, ls, || {
+                schema.find(
+                    &schema.endpoint_sets,
+                    self.registry.set(ls),
+                    &mut self.scratch,
+                )
+            })
+        };
+        let edge = &schema.edges[ty as usize];
+        let declared = match (endpoint(src), endpoint(tgt)) {
+            (Some(s), Some(t)) => edge.endpoints.binary_search(&(s, t)).is_ok(),
             _ => false,
         };
         if !declared {
-            let s = render_labels(self.registry.label_set(&src).unwrap().iter().map(|l| &**l));
-            let t = render_labels(self.registry.label_set(&tgt).unwrap().iter().map(|l| &**l));
-            let detail = format!(
-                "endpoint labels {{{s}}} -> {{{t}}} not declared for {}",
-                self.schema.edges[ty].base.label_text
-            );
-            self.emit(ViolationKind::IllTypedEndpoint, element, detail);
+            let registry = &self.registry;
+            self.tally
+                .emit(ViolationKind::IllTypedEndpoint, element, || {
+                    let s = render_labels(registry.set(src).iter().map(String::as_str));
+                    let t = render_labels(registry.set(tgt).iter().map(String::as_str));
+                    format!(
+                        "endpoint labels {{{s}}} -> {{{t}}} not declared for {}",
+                        edge.base.label_text
+                    )
+                });
         }
-    }
-
-    /// Endpoint-set pool id of a registered node id's label set.
-    fn endpoint_set_id(&mut self, id: &str) -> Option<u32> {
-        let labels = self.registry.label_set(id)?;
-        // Inline resolve: borrow of registry forbids self.schema.resolve
-        // into self.scratch while labels is alive, so go through a local.
-        let mut syms = Vec::with_capacity(labels.len());
-        for l in labels {
-            syms.push(*self.schema.label_syms.get(l.as_str())?);
-        }
-        syms.sort_unstable();
-        syms.dedup();
-        self.schema.endpoint_id(&syms)
     }
 
     /// Re-check deferred edges against the registry. With `finality`,
@@ -552,26 +791,23 @@ impl<'a> Validator<'a> {
     fn resolve_deferred(&mut self, finality: bool) {
         let pending = std::mem::take(&mut self.deferred);
         for edge in pending {
-            let src_known = self.registry.label_set(&edge.src).is_some();
-            let tgt_known = self.registry.label_set(&edge.tgt).is_some();
-            if src_known && tgt_known {
-                self.check_endpoints(edge.src, edge.tgt, edge.element, edge.ty);
-            } else if finality {
-                let mut missing: Vec<&str> = Vec::new();
-                if !src_known {
-                    missing.push(&edge.src);
+            let element = ElementId::Edge(&edge.src, &edge.tgt);
+            match (self.registry.get(&edge.src), self.registry.get(&edge.tgt)) {
+                (Some(s), Some(t)) => self.check_endpoints(s, t, edge.ty, element),
+                (s, t) if finality => {
+                    self.tally
+                        .emit(ViolationKind::DanglingEndpoint, element, || {
+                            let mut missing: Vec<&str> = Vec::new();
+                            if s.is_none() {
+                                missing.push(&edge.src);
+                            }
+                            if t.is_none() {
+                                missing.push(&edge.tgt);
+                            }
+                            format!("undeclared endpoint id(s): {}", missing.join(", "))
+                        });
                 }
-                if !tgt_known {
-                    missing.push(&edge.tgt);
-                }
-                let detail = format!("undeclared endpoint id(s): {}", missing.join(", "));
-                self.emit(
-                    ViolationKind::DanglingEndpoint,
-                    edge.element.clone(),
-                    detail,
-                );
-            } else {
-                self.deferred.push(edge);
+                _ => self.deferred.push(edge),
             }
         }
     }
@@ -582,10 +818,10 @@ impl<'a> Validator<'a> {
     pub fn merge(&mut self, other: Validator<'a>) {
         self.registry.merge(&other.registry);
         self.deferred.extend(other.deferred);
-        for (i, n) in other.counts.iter().enumerate() {
-            self.counts[i] += n;
+        for (i, n) in other.tally.counts.iter().enumerate() {
+            self.tally.counts[i] += n;
         }
-        self.examples.extend(other.examples);
+        self.tally.examples.extend(other.tally.examples);
         self.nodes_checked += other.nodes_checked;
         self.edges_checked += other.edges_checked;
         self.stopped_early |= other.stopped_early;
@@ -596,114 +832,16 @@ impl<'a> Validator<'a> {
     /// buffer canonically, and produce the report.
     pub fn finish(mut self) -> StreamValidationReport {
         self.resolve_deferred(true);
-        self.examples.sort();
-        self.examples.truncate(self.max_examples);
+        let mut examples = self.tally.examples;
+        examples.sort();
+        examples.truncate(self.tally.max_examples);
         StreamValidationReport {
-            counts: self.counts,
-            examples: self.examples,
+            counts: self.tally.counts,
+            examples,
             nodes_checked: self.nodes_checked,
             edges_checked: self.edges_checked,
             stopped_early: self.stopped_early,
         }
-    }
-
-    fn emit(&mut self, kind: ViolationKind, element: String, detail: String) {
-        emit_violation(
-            &mut self.counts,
-            &mut self.examples,
-            self.max_examples,
-            kind,
-            element,
-            detail,
-        );
-    }
-}
-
-/// Key-set, per-key datatype, and per-key cardinality (MANDATORY) checks
-/// shared by nodes and edges. Free function so `check_buf` can borrow the
-/// compiled type and the counter state disjointly.
-fn check_props<'v>(
-    ty: &CompiledType,
-    element: &str,
-    props: impl Iterator<Item = (&'v str, &'v Value)>,
-    seen: &mut Vec<String>,
-    counts: &mut [u64; 7],
-    examples: &mut Vec<StreamViolation>,
-    max_examples: usize,
-) {
-    seen.clear();
-    for (key, value) in props {
-        seen.push(key.to_string());
-        match ty.keys.get(key) {
-            None => {
-                let detail = format!("key '{key}' not declared for {}", ty.label_text);
-                emit_violation(
-                    counts,
-                    examples,
-                    max_examples,
-                    ViolationKind::ExtraKey,
-                    element.to_string(),
-                    detail,
-                );
-            }
-            Some(Some(declared)) => {
-                // Same inference as discovery: the kind of the lexical
-                // form. Non-string values take the
-                // (allocating) lexical detour only on the mismatch-free
-                // path's rare branch; string values borrow directly.
-                let observed = match value {
-                    Value::Str(s) => infer_value_kind(s),
-                    other => infer_value_kind(&other.lexical()),
-                };
-                if declared.join(observed) != *declared {
-                    let detail = format!(
-                        "key '{key}': declared {}, observed {}",
-                        declared.gql_name(),
-                        observed.gql_name()
-                    );
-                    emit_violation(
-                        counts,
-                        examples,
-                        max_examples,
-                        ViolationKind::TypeMismatch,
-                        element.to_string(),
-                        detail,
-                    );
-                }
-            }
-            Some(None) => {}
-        }
-    }
-    for key in &ty.mandatory {
-        if !seen.iter().any(|k| k == key) {
-            let detail = format!("mandatory key '{key}' of {} absent", ty.label_text);
-            emit_violation(
-                counts,
-                examples,
-                max_examples,
-                ViolationKind::MissingKey,
-                element.to_string(),
-                detail,
-            );
-        }
-    }
-}
-
-fn emit_violation(
-    counts: &mut [u64; 7],
-    examples: &mut Vec<StreamViolation>,
-    max_examples: usize,
-    kind: ViolationKind,
-    element: String,
-    detail: String,
-) {
-    counts[kind.index()] += 1;
-    if examples.len() < max_examples {
-        examples.push(StreamViolation {
-            kind,
-            element,
-            detail,
-        });
     }
 }
 
@@ -886,6 +1024,127 @@ mod tests {
             assert_eq!(merged.examples, serial.examples, "cut at {cut}");
             assert_eq!(merged.total(), serial.total());
         }
+    }
+
+    /// Two ABSTRACT node types (disjoint key sets, both unlabeled) and one
+    /// labeled type, as pgt text.
+    fn two_abstract_types_pgt() -> String {
+        let mut s = String::new();
+        for i in 0..200 {
+            s.push_str(&format!("N a{i} - alpha=1,beta=x{i}\n"));
+        }
+        for i in 0..200 {
+            let k = i % 9 + 1;
+            s.push_str(&format!("N b{i} - gamma=2020-01-0{k},delta=true\n"));
+        }
+        for i in 0..100 {
+            s.push_str(&format!("N p{i} Person name=n{i}\n"));
+        }
+        s
+    }
+
+    #[test]
+    fn types_sharing_a_label_set_all_compile() {
+        let text = two_abstract_types_pgt();
+        let mut reader = pg_hive_graph::ChunkedTextReader::new(
+            pg_hive_graph::stream::pgt::PgtSource::new(text.as_bytes()),
+            100_000,
+        );
+        let schema = Discoverer::new(PipelineConfig::elsh_adaptive())
+            .discover_stream(std::iter::from_fn(|| reader.next_chunk().unwrap()))
+            .schema;
+        let abstract_types = schema.node_types.iter().filter(|t| t.is_abstract()).count();
+        assert_eq!((schema.node_types.len(), abstract_types), (3, 2));
+        let compiled = CompiledSchema::compile(&schema);
+        assert_eq!(compiled.node_type_count(), 3, "every type is counted");
+        let mut v = Validator::new(&compiled).with_max_examples(usize::MAX);
+        let mut src = pg_hive_graph::stream::pgt::PgtSource::new(text.as_bytes());
+        v.validate_source(&mut src, 64, |_, _| {}).unwrap();
+        let report = v.finish();
+        assert!(
+            report.is_valid(),
+            "{} violations: {:?}",
+            report.total(),
+            &report.examples[..3.min(report.examples.len())]
+        );
+        assert_eq!(report.nodes_checked, 500);
+
+        // The folded check: the union of both types' keys, none MANDATORY
+        // (no key is in both), kinds joined per key.
+        let mixed = "N m - alpha=1,delta=true\nN q - gamma=x\n";
+        let mut v = Validator::new(&compiled).with_max_examples(usize::MAX);
+        let mut src = pg_hive_graph::stream::pgt::PgtSource::new(mixed.as_bytes());
+        v.validate_source(&mut src, 64, |_, _| {}).unwrap();
+        let report = v.finish();
+        assert_eq!(report.total(), 1, "{:?}", report.examples);
+        assert_eq!(report.examples[0].kind, ViolationKind::TypeMismatch);
+        assert_eq!(report.examples[0].element, "q");
+    }
+
+    #[test]
+    fn shared_label_set_folds_keys_kinds_mandatory_and_endpoints() {
+        use crate::schema::{label_set, EdgeType, NodeType, PropertySpec};
+        let spec = |occurrences: u64, kind: Option<ValueKind>| PropertySpec { occurrences, kind };
+        let node = |props: Vec<(&str, PropertySpec)>| NodeType {
+            labels: label_set(&["A"]),
+            props: props.into_iter().map(|(k, p)| (k.to_string(), p)).collect(),
+            instance_count: 4,
+            members: Vec::new(),
+        };
+        let edge = |src: &str, tgt: &str| EdgeType {
+            labels: label_set(&["R"]),
+            props: Default::default(),
+            endpoints: [(label_set(&[src]), label_set(&[tgt]))].into(),
+            instance_count: 1,
+            members: Vec::new(),
+            cardinality: None,
+        };
+        let schema = SchemaGraph {
+            node_types: vec![
+                node(vec![
+                    ("both", spec(4, Some(ValueKind::Integer))),
+                    ("free", spec(4, Some(ValueKind::Integer))),
+                    ("one", spec(4, Some(ValueKind::Date))),
+                ]),
+                node(vec![
+                    ("both", spec(4, Some(ValueKind::Float))),
+                    ("free", spec(1, None)),
+                ]),
+            ],
+            edge_types: vec![edge("A", "A"), edge("A", "B")],
+        };
+        let compiled = CompiledSchema::compile(&schema);
+        assert_eq!(compiled.node_type_count(), 2);
+        assert_eq!(compiled.edge_type_count(), 2);
+        let text = "N a A both=1.5,free=x\n\
+                    N b A both=2,one=2020-01-01,free=true\n\
+                    N c A one=x\n\
+                    N z B -\n\
+                    E a b R -\n\
+                    E a z R -\n\
+                    E z a R -\n";
+        let mut v = Validator::new(&compiled).with_max_examples(usize::MAX);
+        let mut src = pg_hive_graph::stream::pgt::PgtSource::new(text.as_bytes());
+        v.validate_source(&mut src, 64, |_, _| {}).unwrap();
+        let report = v.finish();
+        // `both` is MANDATORY in both types, kinds INT ⊔ FLOAT = FLOAT;
+        // `free` is unconstrained (one type leaves it so) and OPTIONAL;
+        // `one` is OPTIONAL (one type lacks it) and stays a DATE. The
+        // endpoint pairs union: A -> A and A -> B pass, B -> A does not.
+        let found: Vec<(ViolationKind, &str)> = (report.examples.iter())
+            .map(|v| (v.kind, v.element.as_str()))
+            .collect();
+        assert_eq!(
+            found,
+            vec![
+                (ViolationKind::UnknownNodeLabels, "z"),
+                (ViolationKind::MissingKey, "c"),
+                (ViolationKind::TypeMismatch, "c"),
+                (ViolationKind::IllTypedEndpoint, "z->a"),
+            ],
+            "{:?}",
+            report.examples
+        );
     }
 
     #[test]

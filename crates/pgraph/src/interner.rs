@@ -7,13 +7,17 @@
 //!
 //! # Storage layout
 //!
-//! Interned strings are bump-allocated into one shared arena (`String`) and
-//! addressed by `(offset, len)` spans, so interning `n` strings costs
-//! amortized **one** growing allocation instead of `2n` individual ones
-//! (the old layout kept an owned `String` per entry *plus* an owned map
-//! key). Lookup goes through a small open-addressing hash index that stores
-//! only symbol ids — the map "key" is the span into the arena itself, so no
-//! string bytes are ever duplicated.
+//! Interned strings are bump-allocated into one shared arena (`String`),
+//! so interning `n` strings costs amortized **one** growing allocation
+//! instead of `2n` individual ones. Each symbol has one 8-byte entry,
+//! `(end, tag)`: the arena offset where its bytes end, and the high 32 bits
+//! of its hash. A symbol's bytes start where the previous symbol's end, so
+//! the entry needs no start offset. Lookup goes through a small
+//! open-addressing hash index that stores only symbol ids; the index
+//! position comes from the hash's low bits. A probe compares the tag of
+//! each occupied slot it passes before it reads the arena, so a miss costs
+//! one entry read per slot, not a string compare (two cache misses), and a
+//! hit compares bytes once, barring a 1-in-2^32 tag collision.
 
 /// An interned string handle. `u32` keeps element structs compact; no real
 /// dataset comes close to 2^32 distinct labels or keys (IYP, the largest in
@@ -42,15 +46,22 @@ fn hash_str(s: &str) -> u64 {
     h ^ (h >> 33)
 }
 
+/// The tag an entry keeps: the hash bits the index position does not use.
+fn tag_of(h: u64) -> u32 {
+    (h >> 32) as u32
+}
+
 /// Append-only string interner backed by a bump arena.
 #[derive(Debug, Default, Clone)]
 pub struct Interner {
     /// All interned bytes, concatenated in insertion order.
     arena: String,
-    /// `(offset, len)` of each symbol's bytes inside `arena`.
-    spans: Vec<(u32, u32)>,
+    /// `(end, tag)` of each symbol: where its bytes end inside `arena`
+    /// (they start at the previous symbol's end), and the high 32 bits of
+    /// its hash.
+    entries: Vec<(u32, u32)>,
     /// Open-addressing index: each slot holds `symbol + 1` (0 = empty).
-    /// Power-of-two capacity; rebuilt on growth by re-hashing the spans.
+    /// Power-of-two capacity; rebuilt on growth by re-hashing the strings.
     index: Vec<u32>,
 }
 
@@ -60,20 +71,24 @@ impl Interner {
         Self::default()
     }
 
-    fn span_str(&self, span: (u32, u32)) -> &str {
-        &self.arena[span.0 as usize..(span.0 + span.1) as usize]
+    /// The bytes of symbol index `i`.
+    fn str_at(&self, i: usize) -> &str {
+        let start = if i == 0 { 0 } else { self.entries[i - 1].0 };
+        &self.arena[start as usize..self.entries[i].0 as usize]
     }
 
     /// Probe for `s` (with hash `h`). Returns the slot index holding it, or
     /// the first empty slot where it would be inserted.
     fn probe(&self, s: &str, h: u64) -> usize {
         let mask = self.index.len() - 1;
+        let tag = tag_of(h);
         let mut slot = (h as usize) & mask;
         loop {
             match self.index[slot] {
                 0 => return slot,
                 sym => {
-                    if self.span_str(self.spans[(sym - 1) as usize]) == s {
+                    let i = (sym - 1) as usize;
+                    if self.entries[i].1 == tag && self.str_at(i) == s {
                         return slot;
                     }
                 }
@@ -87,8 +102,8 @@ impl Interner {
         self.index.clear();
         self.index.resize(cap, 0);
         let mask = cap - 1;
-        for (i, &span) in self.spans.iter().enumerate() {
-            let mut slot = (hash_str(self.span_str(span)) as usize) & mask;
+        for i in 0..self.entries.len() {
+            let mut slot = (hash_str(self.str_at(i)) as usize) & mask;
             while self.index[slot] != 0 {
                 slot = (slot + 1) & mask;
             }
@@ -100,16 +115,17 @@ impl Interner {
     pub fn intern(&mut self, s: &str) -> Symbol {
         // Keep the load factor below ~7/8 (counting the entry about to be
         // inserted) so probe chains stay short.
-        if (self.spans.len() + 1) * 8 >= self.index.len() * 7 {
+        if (self.entries.len() + 1) * 8 >= self.index.len() * 7 {
             self.grow_index();
         }
-        let slot = self.probe(s, hash_str(s));
+        let h = hash_str(s);
+        let slot = self.probe(s, h);
         if self.index[slot] != 0 {
             return Symbol(self.index[slot] - 1);
         }
-        let sym = Symbol(self.spans.len() as u32);
-        self.spans.push((self.arena.len() as u32, s.len() as u32));
+        let sym = Symbol(self.entries.len() as u32);
         self.arena.push_str(s);
+        self.entries.push((self.arena.len() as u32, tag_of(h)));
         self.index[slot] = sym.0 + 1;
         sym
     }
@@ -127,25 +143,22 @@ impl Interner {
 
     /// Resolve a symbol back to its string.
     pub fn resolve(&self, sym: Symbol) -> &str {
-        self.span_str(self.spans[sym.index()])
+        self.str_at(sym.index())
     }
 
     /// Number of distinct interned strings.
     pub fn len(&self) -> usize {
-        self.spans.len()
+        self.entries.len()
     }
 
     /// Whether nothing has been interned yet.
     pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
+        self.entries.is_empty()
     }
 
     /// Iterate over `(Symbol, &str)` pairs in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (Symbol, &str)> {
-        self.spans
-            .iter()
-            .enumerate()
-            .map(|(i, &span)| (Symbol(i as u32), self.span_str(span)))
+        (0..self.entries.len()).map(|i| (Symbol(i as u32), self.str_at(i)))
     }
 
     /// The stable **canonical-id view**: `canonical_ids()[sym.index()]` is
@@ -171,12 +184,9 @@ impl Interner {
     /// assert_eq!(b.canonical_ids(), vec![0, 1]);
     /// ```
     pub fn canonical_ids(&self) -> Vec<u32> {
-        let mut order: Vec<u32> = (0..self.spans.len() as u32).collect();
-        order.sort_by(|&a, &b| {
-            self.span_str(self.spans[a as usize])
-                .cmp(self.span_str(self.spans[b as usize]))
-        });
-        let mut canon = vec![0u32; self.spans.len()];
+        let mut order: Vec<u32> = (0..self.entries.len() as u32).collect();
+        order.sort_by(|&a, &b| self.str_at(a as usize).cmp(self.str_at(b as usize)));
+        let mut canon = vec![0u32; self.entries.len()];
         for (rank, &sym) in order.iter().enumerate() {
             canon[sym as usize] = rank as u32;
         }

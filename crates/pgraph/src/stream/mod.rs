@@ -245,9 +245,11 @@ impl LabelSetRegistry {
         self.intern_scratch(|| labels.to_vec())
     }
 
-    /// Intern the label set of the record in `buf` without allocating on
-    /// the repeat path.
-    pub(crate) fn intern_buf(&mut self, buf: &RecordBuf) -> u32 {
+    /// Intern the label set of the record in `buf` (a node's or an edge's)
+    /// and return its dense id, without allocating on the repeat path. Ids
+    /// are keyed by the labels in record order, so `A;B` and `B;A` get two
+    /// ids; [`Self::set`] resolves either back to its labels.
+    pub fn intern_buf(&mut self, buf: &RecordBuf) -> u32 {
         self.scratch.clear();
         for &span in &buf.labels {
             let sym = self.label_syms.intern(buf.str(span));
@@ -297,8 +299,9 @@ impl LabelSetRegistry {
         self.id_ls[sym.index()]
     }
 
-    /// Label-set id of a registered node id.
-    pub(crate) fn get(&self, id: &str) -> Option<u32> {
+    /// Label-set id of a registered node id: one lookup that both tells
+    /// whether the id is known and keys per-set tables.
+    pub fn get(&self, id: &str) -> Option<u32> {
         self.sym_of(id).map(|s| self.ls_of(s))
     }
 
@@ -307,8 +310,9 @@ impl LabelSetRegistry {
         self.id_syms.get(id).is_some()
     }
 
-    /// Resolve an interned label-set id.
-    pub(crate) fn set(&self, ls: u32) -> &[String] {
+    /// Resolve an interned label-set id to its labels, in the order of the
+    /// record that interned it first.
+    pub fn set(&self, ls: u32) -> &[String] {
         &self.sets[ls as usize]
     }
 
@@ -320,18 +324,19 @@ impl LabelSetRegistry {
         self.get(id).map(|ls| self.set(ls))
     }
 
-    /// Register the node record currently held in `buf` (id → label set),
-    /// returning `true` when the id was already present (the new set wins).
-    /// External streaming consumers — the schema validator's cross-chunk
-    /// endpoint checks, the statistics fold's edge patterns — go through
-    /// this entry point; the chunked reader uses the internal span-level
-    /// path.
+    /// Register the node record currently held in `buf` (id → label set;
+    /// on a repeated id the new set wins), returning the interned id of its
+    /// label set. External streaming consumers — the schema validator's
+    /// cross-chunk endpoint checks, the statistics fold's edge patterns —
+    /// go through this entry point; the chunked reader uses the internal
+    /// span-level path.
     /// Calling it with an edge record registers the edge's *source* id,
     /// so callers must route node records only.
-    pub fn insert_record(&mut self, buf: &RecordBuf) -> bool {
+    pub fn insert_record(&mut self, buf: &RecordBuf) -> u32 {
         let ls = self.intern_buf(buf);
         let id = buf.str(buf.id);
-        self.insert_ls(id, ls)
+        self.insert_ls(id, ls);
+        ls
     }
 
     /// The current generation — the stamp new and refreshed bindings
