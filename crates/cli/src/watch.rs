@@ -367,9 +367,8 @@ fn warning_breakdown(w: &StreamWarnings) -> String {
 /// what still does not resolve is counted as unresolved and dropped (its
 /// endpoint may yet arrive in a later pass, but the resident state cannot
 /// hold unembedded records indefinitely). The pass's state is a delta
-/// merged into both the resident state and the combined fold —
-/// associativity makes this byte-identical to folding chunk states
-/// straight into the resident state.
+/// merged into the resident state — associativity makes this
+/// byte-identical to folding chunk states straight into it.
 fn absorb_pass(
     run: &mut WatchRun,
     sources: Vec<Box<dyn RawGraphSource>>,
@@ -397,7 +396,6 @@ fn absorb_pass(
     run.ingest.warnings.absorb(&pass.warnings);
     run.ingest.warnings.unresolved_edges += pass.pending.len() as u64;
     run.ingest.registry = pass.registry;
-    run.combined.merge(pass.state.clone());
     run.ingest.state.merge(pass.state);
     Ok((pass.elements, chunks))
 }
@@ -429,15 +427,6 @@ struct WatchRun {
     /// label-set registry, and the warning totals across passes. Edges
     /// still pending after a pass are dropped, so `pending` stays empty.
     ingest: Ingest,
-    /// The resident ⊕ retained fold, maintained **incrementally**: every
-    /// pass's delta state is merged into both `ingest.state` and this, so
-    /// the reported schema comes from one `finalize_cached` call — O(1) on
-    /// a no-drift pass, O(dirty pools) on a labeled-only append — instead
-    /// of the old clone-everything-and-finalize on every pass. Rebuilt from
-    /// scratch only on the structural events incremental maintenance
-    /// cannot express: a partition expiring from the window, an input
-    /// rotation resetting the resident state, or a checkpoint resume.
-    combined: SchemaState,
     pass: u64,
     /// Completed partition states, most recent first, capped at `--keep`.
     retained: VecDeque<SchemaState>,
@@ -449,10 +438,9 @@ struct WatchRun {
 
 impl WatchRun {
     /// A run over the resident fold `ingest` at pass `pass`, with an empty
-    /// retained window: the combined fold starts as the resident state.
+    /// retained window.
     fn new(ingest: Ingest, pass: u64, cache: SignatureCache) -> Self {
         Self {
-            combined: ingest.state.clone(),
             ingest,
             pass,
             retained: VecDeque::new(),
@@ -462,19 +450,14 @@ impl WatchRun {
 
     /// The schema this watch reports: the resident partition merged with
     /// every retained one ("the schema of the last K partitions"),
-    /// finalized through the dirty-pool cache.
-    fn merged_schema(&mut self) -> SchemaGraph {
-        self.combined.finalize_cached()
-    }
-
-    /// Recompute `combined` from the resident state and the retained
-    /// window — the slow path for window expiry / rotation / resume.
-    fn rebuild_combined(&mut self) {
+    /// finalized. Folded on demand each pass: a window holds at most
+    /// `--keep` partitions, and merge is associative and commutative.
+    fn merged_schema(&self) -> SchemaGraph {
         let mut acc = self.ingest.state.clone();
         for s in &self.retained {
             acc.merge(s.clone());
         }
-        self.combined = acc;
+        acc.finalize()
     }
 
     /// Roll the resident partition into the retained window: the resident
@@ -495,13 +478,7 @@ impl WatchRun {
                 .generation()
                 .saturating_sub(keep as u32);
             self.ingest.registry.compact_before(min_gen);
-            // A partition left the window: merge cannot subtract, so the
-            // combined fold is rebuilt from what remains.
-            self.rebuild_combined();
         }
-        // No expiry → the fold's *content* is unchanged (the resident
-        // state moved into the window and an empty state took its place),
-        // so `combined` stays valid as-is.
     }
 }
 
@@ -713,7 +690,6 @@ pub fn run_watch(
             // fire a spurious drift event.
             if let (Some(dir), Some(k), Some(_)) = (state_dir, keep, partition_passes) {
                 r.retained = load_retained(dir, k, &config)?;
-                r.rebuild_combined();
             }
             run = r;
             schema = run.merged_schema();
@@ -789,7 +765,6 @@ pub fn run_watch(
         if read.rotated {
             eprintln!("pass {pass}: input rotated/truncated — re-ingesting from scratch");
             run.ingest.state = discoverer.new_state();
-            run.rebuild_combined();
             // Preserve the generation counter across the reset so any
             // retained partitions keep their place in the compaction
             // arithmetic.

@@ -196,7 +196,9 @@ pub const READ_AHEAD: usize = 2;
 /// the point).
 #[derive(Debug, Clone)]
 pub struct AbsorbReport {
-    /// Elements (nodes + edges) consumed by this pass.
+    /// Elements (nodes + edges) consumed by this pass. Endpoint stubs are
+    /// not elements of the input and are not counted, so the count does
+    /// not depend on the chunk size.
     pub elements: u64,
     /// Wall-clock per chunk of this pass, in input order.
     pub chunk_times: Vec<Duration>,
@@ -563,11 +565,12 @@ impl Discoverer {
             chunks.enumerate(),
             |chunk| {
                 let t = Instant::now();
-                let elements = chunk.node_count() + chunk.edge_count();
+                let resident = chunk.node_count() + chunk.edge_count();
+                let declared = resident - chunk.stub_count();
                 let (chunk_state, entry) = self.chunk_state(&chunk, cache);
-                (chunk_state, entry, elements, t.elapsed())
+                (chunk_state, entry, (declared, resident), t.elapsed())
             },
-            |(chunk_state, entry, elements, time)| {
+            |(chunk_state, entry, (declared, resident), time)| {
                 // Inserting here, in input order, rather than on the worker
                 // makes the cache's FIFO order — and so its snapshot bytes
                 // — the same for every thread count.
@@ -575,8 +578,8 @@ impl Discoverer {
                     cache.insert(fingerprint, clusterings);
                 }
                 state.merge(chunk_state);
-                report.elements += elements as u64;
-                report.max_chunk_elements = report.max_chunk_elements.max(elements);
+                report.elements += declared as u64;
+                report.max_chunk_elements = report.max_chunk_elements.max(resident);
                 report.chunk_times.push(time);
                 true
             },
@@ -1268,6 +1271,49 @@ mod tests {
             assert_eq!(parallel.elements, serial.elements, "threads {threads}");
             assert_eq!(parallel.warnings, serial.warnings, "threads {threads}");
             assert_eq!(parallel.pending.len(), 1);
+        }
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn edges_past_the_pending_cap_are_carried_and_counted_once() {
+        // 1,100 edges wait for endpoints: more than the pending cap (1,024)
+        // at the small chunk sizes. In a tree they are carried to the root
+        // however many were evicted; read as one file after their nodes,
+        // stubs do not count as elements.
+        use pg_hive_graph::stream::pgt::PgtSource;
+        use std::fmt::Write as _;
+        use std::fs;
+        let root = std::env::temp_dir().join(format!("pg-hive-evict-unit-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        fs::create_dir_all(&root).unwrap();
+        let (mut nodes, mut edges) = (String::new(), String::new());
+        for i in 0..50 {
+            writeln!(nodes, "N p{i} Person -").unwrap();
+        }
+        for i in 0..1100 {
+            writeln!(edges, "E p{} p{} KNOWS -", i % 50, i * 7 % 50).unwrap();
+        }
+        fs::write(root.join("a.pgt"), &nodes).unwrap();
+        fs::write(root.join("b.pgt"), &edges).unwrap();
+        let source = MultiSource::enumerate(&root).unwrap();
+        let whole = format!("{nodes}{edges}");
+        let d = Discoverer::new(PipelineConfig::elsh_adaptive());
+        for chunk_size in [2, 100, 1000] {
+            let tree = d.discover_tree(&source, chunk_size, 1).unwrap();
+            let knows = &tree.state.finalize().edge_types;
+            assert_eq!(knows.len(), 1);
+            assert_eq!(knows[0].instance_count, 1100, "chunk size {chunk_size}");
+            assert!(tree.pending.is_empty(), "chunk size {chunk_size}");
+            let w = tree.warnings;
+            assert_eq!((w.evicted_edges, w.unresolved_edges), (0, 0), "{w:?}");
+            assert_eq!(tree.elements, 1150, "chunk size {chunk_size}");
+
+            let mut file = Ingest::new(d.new_state());
+            let unit = UnitSource::Inline(Box::new(PgtSource::new(whole.as_bytes())));
+            d.absorb_unit(&mut file, unit, chunk_size, 1, None, &mut |_| {})
+                .unwrap();
+            assert_eq!(file.elements, 1150, "chunk size {chunk_size}");
         }
         fs::remove_dir_all(&root).unwrap();
     }

@@ -9,7 +9,7 @@
 //!
 //! - the full-scan stage (f) runs once per element class, over the
 //!   elements in element order, joining every type's kinds at once
-//!   ([`join_kinds_in_element_order`]);
+//!   (`join_kinds_in_element_order`);
 //! - the sampled stage (f) (`--sample`) runs per type, on a seeded sample
 //!   of that type's members ([`infer_node_type_datatypes`],
 //!   [`infer_edge_type_datatypes`]);

@@ -26,9 +26,9 @@
 //! cardinality — depends only on the body and the chunk size, never on
 //! arrival order. Cross-request edges (endpoint declared by some *other*
 //! request) always travel the carried-pending path: the body's unit is
-//! merged into the tenant's accumulator and [`Ingest::resolve`]
-//! materializes each resolved edge as its own stub mini-graph — a
-//! per-edge observation identical no matter *when* the endpoint finally
+//! merged into the tenant's accumulator and [`Ingest::resolve`] gives each
+//! resolved edge its own stub pair, in one mini-graph per edge signature —
+//! a per-edge observation identical no matter *when* the endpoint finally
 //! shows up. Request bodies are the unit of observation exactly as tree
 //! files are offline, so the tree equivalence proof carries over
 //! verbatim.
@@ -582,14 +582,15 @@ impl ServeCore {
         }
         // Commit. Cross-batch edges (endpoint declared by some other
         // request, past or future) always travel the carried-pending path
-        // and resolve as stub mini-graphs — a fixed per-edge observation,
-        // so resolution *timing* can never change the schema bytes.
+        // and resolve on stub pairs of their own — a fixed per-edge
+        // observation, so resolution *timing* can never change the schema
+        // bytes.
         let before = t.ingest.elements;
         t.ingest.merge(unit);
         let resolved = t.ingest.resolve(&self.discoverer);
         t.pass += 1;
         let absorbed = t.ingest.elements - before;
-        let schema = t.ingest.state.finalize_cached();
+        let schema = t.ingest.state.finalize();
         let diff = diff_schemas(t.current(), &schema);
         let pass = t.pass;
         let body = format!(

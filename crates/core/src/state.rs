@@ -22,6 +22,8 @@
 //! The split is what makes drift monitoring cheap: `pg-hive watch` keeps
 //! one resident `SchemaState`, absorbs only the chunks appended since the
 //! previous pass, and re-finalizes — no full re-discovery per pass.
+//! Finalize is a pure function of the pools, and nothing memoizes it:
+//! callers finalize on demand.
 //!
 //! [`SchemaState::postprocess`] fills datatypes and cardinalities from the
 //! graph the pooled types' member lists point into. The full scan runs in
@@ -88,17 +90,6 @@ pub struct SchemaState {
     pub(crate) abstract_nodes: BTreeMap<KeySet, NodeType>,
     pub(crate) labeled_edges: BTreeMap<LabelSet, EdgeType>,
     pub(crate) abstract_edges: BTreeMap<KeySet, EdgeType>,
-    /// Labeled node pools touched since the last [`Self::finalize_cached`].
-    dirty_nodes: BTreeSet<LabelSet>,
-    /// Labeled edge pools touched since the last [`Self::finalize_cached`].
-    dirty_edges: BTreeSet<LabelSet>,
-    /// Set by any mutation the per-pool dirty sets cannot describe
-    /// (abstract absorbs, post-processing, member clears) — forces the
-    /// next [`Self::finalize_cached`] to recompute from scratch.
-    dirty_all: bool,
-    /// The last finalized schema, reusable while nothing is dirty and
-    /// patchable per-pool while the state has no abstract patterns.
-    finalize_cache: Option<SchemaGraph>,
 }
 
 impl SchemaState {
@@ -110,10 +101,6 @@ impl SchemaState {
             abstract_nodes: BTreeMap::new(),
             labeled_edges: BTreeMap::new(),
             abstract_edges: BTreeMap::new(),
-            dirty_nodes: BTreeSet::new(),
-            dirty_edges: BTreeSet::new(),
-            dirty_all: false,
-            finalize_cache: None,
         }
     }
 
@@ -151,9 +138,6 @@ impl SchemaState {
     pub fn absorb_node_candidates(&mut self, cands: Vec<NodeType>) {
         for cand in cands {
             if cand.labels.is_empty() {
-                // Abstract patterns participate in global Jaccard-θ
-                // resolution — no per-pool patch can describe their effect.
-                self.dirty_all = true;
                 pool(
                     &mut self.abstract_nodes,
                     key_set(&cand.props),
@@ -161,7 +145,6 @@ impl SchemaState {
                     |a, b| a.absorb(b),
                 );
             } else {
-                self.dirty_nodes.insert(cand.labels.clone());
                 pool(
                     &mut self.labeled_nodes,
                     cand.labels.clone(),
@@ -176,7 +159,6 @@ impl SchemaState {
     pub fn absorb_edge_candidates(&mut self, cands: Vec<EdgeType>) {
         for cand in cands {
             if cand.labels.is_empty() {
-                self.dirty_all = true;
                 pool(
                     &mut self.abstract_edges,
                     key_set(&cand.props),
@@ -184,7 +166,6 @@ impl SchemaState {
                     |a, b| a.absorb(b),
                 );
             } else {
-                self.dirty_edges.insert(cand.labels.clone());
                 pool(
                     &mut self.labeled_edges,
                     cand.labels.clone(),
@@ -229,7 +210,6 @@ impl SchemaState {
     /// lattice joins and cardinality bounds are maxima, so re-running after
     /// more batches were absorbed only ever refines monotonically.
     pub fn postprocess(&mut self, g: &PropertyGraph, sampling: Option<&SamplingConfig>) {
-        self.dirty_all = true;
         let nodes = self
             .labeled_nodes
             .values_mut()
@@ -268,7 +248,6 @@ impl SchemaState {
     /// Drop all member lists — mandatory before a chunk-local state leaves
     /// its chunk (the ids are chunk-local and die with it).
     pub fn clear_members(&mut self) {
-        self.dirty_all = true;
         for t in self.labeled_nodes.values_mut() {
             t.members.clear();
         }
@@ -313,58 +292,10 @@ impl SchemaState {
         schema
     }
 
-    /// [`Self::finalize`] with **incremental reuse** — always returns the
-    /// exact schema `finalize()` would (the pure path stays the equality
-    /// oracle; the equivalence suite proptests the identity), but spends
-    /// only O(what changed since the previous call):
-    ///
-    /// - nothing absorbed since the last call → the cached schema is
-    ///   returned as-is (a no-op `watch` pass finalizes in O(1));
-    /// - only labeled pools were touched and the state holds **no**
-    ///   abstract patterns → the cached schema is patched at exactly the
-    ///   dirty label sets (labeled finalization is per-pool independent:
-    ///   each labeled type maps to one schema type, so replacing the dirty
-    ///   entries and re-sorting reproduces the full recompute);
-    /// - anything else (abstract absorbs, post-processing, member clears)
-    ///   → full recompute. Abstract patterns resolve against *all* labeled
-    ///   types with the global Jaccard-θ rules of Algorithm 2, so a
-    ///   labeled change can flip a resolution decision — no sound per-pool
-    ///   patch exists and the cache is rebuilt instead.
-    ///
-    /// Abstract pools only ever grow, so "no abstract patterns now"
-    /// guarantees the cached schema was also computed without any — the
-    /// patch never has to undo a resolution.
-    pub fn finalize_cached(&mut self) -> SchemaGraph {
-        let clean = self.dirty_nodes.is_empty() && self.dirty_edges.is_empty() && !self.dirty_all;
-        let patchable =
-            !self.dirty_all && self.abstract_nodes.is_empty() && self.abstract_edges.is_empty();
-        let fresh = match self.finalize_cache.take() {
-            Some(cached) if clean => cached,
-            Some(mut cached) if patchable => {
-                for labels in &self.dirty_nodes {
-                    let t = self.labeled_nodes[labels].clone();
-                    match cached.node_type_by_labels(labels) {
-                        Some(i) => cached.node_types[i] = t,
-                        None => cached.node_types.push(t),
-                    }
-                }
-                for labels in &self.dirty_edges {
-                    let t = self.labeled_edges[labels].clone();
-                    match cached.edge_type_by_labels(labels) {
-                        Some(i) => cached.edge_types[i] = t,
-                        None => cached.edge_types.push(t),
-                    }
-                }
-                cached.sort_canonical();
-                cached
-            }
-            _ => self.finalize(),
-        };
-        self.dirty_nodes.clear();
-        self.dirty_edges.clear();
-        self.dirty_all = false;
-        self.finalize_cache = Some(fresh.clone());
-        fresh
+    /// [`Self::finalize`] under its old name. Only the benchmark harness in
+    /// `perfbench/` still calls it; it goes once that harness stops.
+    pub fn finalize_cached(&self) -> SchemaGraph {
+        self.finalize()
     }
 }
 
@@ -504,60 +435,6 @@ mod tests {
             .map(|t| t.labels.iter().cloned().collect::<Vec<_>>().join("|"))
             .collect();
         assert_eq!(labels, vec!["", "Alpha", "Zed"], "canonical order");
-    }
-
-    #[test]
-    fn finalize_cached_equals_full_finalize_across_interleavings() {
-        let mut s = SchemaState::new(0.9);
-        // Cold call (no cache yet).
-        assert_eq!(s.finalize_cached(), s.finalize());
-        // Labeled-only appends: the patch path.
-        s.absorb_node_candidates(vec![node_type(&["Person"], &["name"], 2)]);
-        s.absorb_edge_candidates(vec![EdgeType {
-            labels: label_set(&["KNOWS"]),
-            props: BTreeMap::new(),
-            endpoints: [(label_set(&["Person"]), label_set(&["Person"]))].into(),
-            instance_count: 1,
-            members: vec![],
-            cardinality: None,
-        }]);
-        assert_eq!(s.finalize_cached(), s.finalize());
-        // No-op pass: cached clone.
-        assert_eq!(s.finalize_cached(), s.finalize());
-        // Append into an existing pool and a brand-new pool.
-        s.absorb_node_candidates(vec![
-            node_type(&["Person"], &["age"], 3),
-            node_type(&["Org"], &["url"], 1),
-        ]);
-        assert_eq!(s.finalize_cached(), s.finalize());
-        // An abstract pattern arrives: forces and keeps forcing the full
-        // path (resolution is global).
-        s.absorb_node_candidates(vec![node_type(&[], &["name", "age"], 1)]);
-        assert_eq!(s.finalize_cached(), s.finalize());
-        s.absorb_node_candidates(vec![node_type(&["Person"], &["name"], 1)]);
-        assert_eq!(s.finalize_cached(), s.finalize());
-        assert_eq!(s.finalize_cached(), s.finalize());
-    }
-
-    #[test]
-    fn finalize_cached_tracks_merge_and_clear_members() {
-        let mut s = SchemaState::new(0.9);
-        s.absorb_node_candidates(vec![node_type(&["Person"], &["name"], 2)]);
-        let _ = s.finalize_cached();
-        let mut other = SchemaState::new(0.9);
-        other.absorb_node_candidates(vec![node_type(&["Zed"], &["z"], 1)]);
-        s.merge(other);
-        assert_eq!(s.finalize_cached(), s.finalize());
-        let mut with_members = node_type(&["Person"], &["name"], 1);
-        with_members.members = vec![7];
-        s.absorb_node_candidates(vec![with_members]);
-        let _ = s.finalize_cached();
-        s.clear_members();
-        assert_eq!(
-            s.finalize_cached(),
-            s.finalize(),
-            "clear_members must invalidate the cache"
-        );
     }
 
     #[test]

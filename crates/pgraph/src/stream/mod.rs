@@ -30,7 +30,8 @@
 //! not errors. Edges that reference an id *never* declared anywhere are
 //! dropped and counted ([`StreamWarnings::unresolved_edges`]). Edges that
 //! arrive *before* their endpoint's `N` record are buffered (bounded) and
-//! resolved once the node appears.
+//! resolved once the node appears; past the bound the oldest is dropped,
+//! or carried in carry mode ([`ChunkedTextReader::set_carry_unresolved`]).
 //!
 //! Stubs are **marked** on the chunk graph
 //! ([`crate::PropertyGraph::is_stub`]) and the discovery pipeline excludes
@@ -136,7 +137,8 @@ pub struct StreamWarnings {
     /// Edges that arrived before an endpoint's node record and were
     /// buffered until it appeared.
     pub deferred_edges: u64,
-    /// Deferred edges evicted because the pending buffer overflowed.
+    /// Deferred edges evicted and dropped because the pending buffer
+    /// overflowed (in carry mode evicted edges are carried, not counted).
     pub evicted_edges: u64,
     /// Node ids declared more than once. Each declaration still becomes its
     /// own node; later declarations win in the endpoint registry.
@@ -168,8 +170,8 @@ pub struct UnitEnd {
     /// The reader's id → label-set registry: its seed plus every binding
     /// the unit declared.
     pub registry: LabelSetRegistry,
-    /// Edges whose endpoints the registry never bound, in arrival order
-    /// (see [`ChunkedTextReader::take_pending`]).
+    /// The unit's carried edges, in arrival order (see
+    /// [`ChunkedTextReader::take_pending`]).
     pub pending: Vec<Record>,
     /// The unit's warning counts; carried edges are not counted as
     /// unresolved.
@@ -440,6 +442,8 @@ pub struct ChunkedTextReader<S> {
     pending_cap: usize,
     registry: LabelSetRegistry,
     pending: VecDeque<Record>,
+    /// Edges evicted from `pending` in carry mode, oldest first.
+    evicted: Vec<Record>,
     /// When set, end-of-stream pending edges whose endpoints never appeared
     /// are **retained** (extractable via [`Self::take_pending`]) instead of
     /// being dropped and counted unresolved — the per-unit mode, where
@@ -510,6 +514,7 @@ impl<S: RawGraphSource> ChunkedTextReader<S> {
             pending_cap: chunk_size.saturating_mul(4).max(1024),
             registry,
             pending: VecDeque::new(),
+            evicted: Vec::new(),
             carry_unresolved: false,
             warnings: StreamWarnings::default(),
             max_resident: 0,
@@ -530,19 +535,24 @@ impl<S: RawGraphSource> ChunkedTextReader<S> {
         self.registry
     }
 
-    /// Retain end-of-stream unresolved edges instead of dropping them (see
+    /// Retain end-of-stream unresolved edges, and edges evicted from the
+    /// full pending buffer, instead of dropping them (see
     /// [`Self::take_pending`]). Set this **before** draining the reader.
     pub fn set_carry_unresolved(&mut self, on: bool) {
         self.carry_unresolved = on;
     }
 
-    /// Drain the edges still pending after the stream ended — edges whose
-    /// endpoint ids this stream never declared. Meaningful after
-    /// [`Self::set_carry_unresolved`]`(true)` and a fully drained stream;
-    /// the ingest fold collects these and resolves them against the
-    /// **merged** registry of every unit. Returned in arrival order.
+    /// Drain the carried edges: those still pending after the stream ended
+    /// (their endpoint ids this stream never declared) and those evicted
+    /// from the full pending buffer (their endpoints may have come later).
+    /// Meaningful after [`Self::set_carry_unresolved`]`(true)` and a fully
+    /// drained stream; the ingest fold collects these and resolves them
+    /// against the **merged** registry of every unit. Returned in arrival
+    /// order, the evicted edges first.
     pub fn take_pending(&mut self) -> Vec<Record> {
-        self.pending.drain(..).collect()
+        let mut carried = std::mem::take(&mut self.evicted);
+        carried.extend(self.pending.drain(..));
+        carried
     }
 
     /// Warnings accumulated so far (final after the last chunk).
@@ -649,6 +659,8 @@ impl<S: RawGraphSource> ChunkedTextReader<S> {
                                 load_pending(&mut self.buf, victim);
                                 let (s_sym, t_sym) = self.edge_syms();
                                 self.accept_edge(&mut b, s_sym, t_sym, &mut budget);
+                            } else if self.carry_unresolved {
+                                self.evicted.push(victim);
                             } else {
                                 self.warnings.evicted_edges += 1;
                                 self.warnings.unresolved_edges += 1;
@@ -1053,6 +1065,24 @@ E d f LOCATED_IN -
         while bare.next_chunk().unwrap().is_some() {}
         assert_eq!(bare.warnings().unresolved_edges, 1);
         assert!(bare.take_pending().is_empty());
+    }
+
+    #[test]
+    fn carry_mode_hands_back_evicted_edges_in_arrival_order() {
+        // More dangling edges than the pending cap (1,024 at chunk size 4):
+        // in carry mode the evicted ones come back too, oldest first.
+        let mut text = String::from("N a Person -\n");
+        for i in 0..1_500 {
+            text.push_str(&format!("E a ghost{i} KNOWS -\n"));
+        }
+        let mut r = ChunkedTextReader::new(PgtSource::new(text.as_bytes()), 4);
+        r.set_carry_unresolved(true);
+        while r.next_chunk().unwrap().is_some() {}
+        let w = r.warnings();
+        assert_eq!((w.unresolved_edges, w.evicted_edges), (0, 0), "{w:?}");
+        let targets: Vec<String> = r.take_pending().into_iter().map(|e| e.tgt).collect();
+        let expected: Vec<String> = (0..1_500).map(|i| format!("ghost{i}")).collect();
+        assert_eq!(targets, expected);
     }
 
     #[test]

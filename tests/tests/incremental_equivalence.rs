@@ -2,19 +2,13 @@
 //! hot path takes must be **byte-identical** in strict schema text to the
 //! uncached engine it replaces.
 //!
-//! Three oracles, each the retained slow path of one optimization:
+//! Two oracles, each the retained slow path of one optimization:
 //!
-//! 1. **Dirty-pool finalize** — `SchemaState::finalize_cached` against the
-//!    full `finalize`, under random interleavings of absorbs, watch-style
-//!    partition rolls (window expiry), and snapshot save/load mid-sequence.
-//!    The interleaving also replays `watch`'s incremental `combined =
-//!    resident ⊕ retained` maintenance (per-pass delta merges, rebuild only
-//!    on expiry) against a from-scratch rebuild every pass.
-//! 2. **Signature cache** — `absorb_stream_cached` (cold, warm, and
+//! 1. **Signature cache** — `absorb_stream_cached` (cold, warm, and
 //!    resumed from serialized cache lines) against `absorb_stream`, across
 //!    wire formats × chunk sizes × thread counts, asserting the warm pass
 //!    actually hits.
-//! 3. **Batched pending resolution** — `resolve_pending` (one mini-graph
+//! 2. **Batched pending resolution** — `resolve_pending` (one mini-graph
 //!    per endpoint-signature group) against `resolve_pending_reference`
 //!    (`support/resolve.rs`, one mini-graph per carried edge): same
 //!    resolved count, same leftovers, same schema.
@@ -24,7 +18,7 @@
 
 use pg_hive_core::serialize::pg_schema_strict;
 use pg_hive_core::snapshot::{ResumeContext, SnapshotConfig};
-use pg_hive_core::{Discoverer, Ingest, PipelineConfig, SchemaState, SignatureCache};
+use pg_hive_core::{Discoverer, Ingest, PipelineConfig, SignatureCache};
 use pg_hive_graph::loader::save_text;
 use pg_hive_graph::stream::csv::{save_edges_csv, save_nodes_csv, CsvSource};
 use pg_hive_graph::stream::jsonl::{save_jsonl, JsonlSource};
@@ -33,9 +27,7 @@ use pg_hive_graph::{
     ChunkedTextReader, GraphBuilder, LabelSetRegistry, PropertyGraph, RawGraphSource, Value,
 };
 use proptest::prelude::*;
-use std::collections::VecDeque;
 use std::io::Cursor;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 #[path = "support/resolve.rs"]
 mod resolve;
@@ -88,119 +80,10 @@ fn arb_graph() -> impl Strategy<Value = PropertyGraph> {
         })
 }
 
-static CASE: AtomicUsize = AtomicUsize::new(0);
-
-fn temp_path(tag: &str) -> std::path::PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!(
-        "pg-hive-incr-prop-{}-{}-{tag}",
-        std::process::id(),
-        CASE.fetch_add(1, Ordering::Relaxed)
-    ));
-    p
-}
-
-/// One step of the watch-style interleaving.
-#[derive(Clone, Debug)]
-enum Op {
-    /// Absorb a chunked pass of graph `idx` into the resident state.
-    Absorb(usize),
-    /// Roll the partition window: retain the resident state, start fresh.
-    Roll,
-    /// Checkpoint the resident state to disk and resume from the file.
-    SaveLoad,
-}
-
-/// Integer-coded op mix (the vendored proptest has no `prop_oneof`):
-/// weights 4 absorb : 2 roll : 1 save-load.
-fn arb_ops(graphs: usize, len: usize) -> impl Strategy<Value = Vec<Op>> {
-    proptest::collection::vec((0u8..7, 0..graphs), 1..len).prop_map(|codes| {
-        codes
-            .into_iter()
-            .map(|(code, idx)| match code {
-                0..=3 => Op::Absorb(idx),
-                4..=5 => Op::Roll,
-                _ => Op::SaveLoad,
-            })
-            .collect()
-    })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Oracle 1: under random absorb / roll / save-load interleavings, the
-    /// incrementally-maintained merged view finalized with
-    /// `finalize_cached` equals a from-scratch rebuild finalized with the
-    /// full `finalize` — after **every** step, not just at the end.
-    #[test]
-    fn interleaved_cached_finalize_matches_full_rebuild(
-        graphs in proptest::collection::vec(arb_graph(), 2..4),
-        ops in arb_ops(2, 12),
-        keep in 1usize..3,
-        threads in 1usize..=3,
-    ) {
-        let d = Discoverer::new(PipelineConfig::elsh_adaptive());
-        let mut state = d.new_state();
-        let mut retained: VecDeque<SchemaState> = VecDeque::new();
-        // Watch's steady-state invariant: `combined` = state ⊕ retained,
-        // maintained by per-pass delta merges and rebuilt only on window
-        // expiry — never recomputed on the healthy path.
-        let mut combined = d.new_state();
-        for op in &ops {
-            match op {
-                Op::Absorb(i) => {
-                    let g = graphs[*i % graphs.len()].clone();
-                    let mut delta = d.new_state();
-                    d.absorb_stream(std::iter::once(g), &mut delta, threads);
-                    combined.merge(delta.clone());
-                    state.merge(delta);
-                }
-                Op::Roll => {
-                    retained.push_front(std::mem::replace(&mut state, d.new_state()));
-                    if retained.len() > keep {
-                        retained.truncate(keep);
-                        // Expiry is subtractive; merge cannot subtract, so
-                        // this is the one case that must rebuild.
-                        combined = state.clone();
-                        for r in &retained {
-                            combined.merge(r.clone());
-                        }
-                    }
-                }
-                Op::SaveLoad => {
-                    let path = temp_path("ckpt");
-                    ResumeContext {
-                        config: SnapshotConfig::new(d.config(), 1),
-                        ingest: Ingest::new(state),
-                        cache: SignatureCache::default(),
-                        watch: None,
-                    }
-                    .save(&path)
-                    .expect("state saved");
-                    state = ResumeContext::load(&path).expect("state loads").ingest.state;
-                    let _ = std::fs::remove_file(&path);
-                }
-            }
-            // Oracle: rebuild the merged view from scratch, full finalize.
-            let mut oracle = state.clone();
-            for r in &retained {
-                oracle.merge(r.clone());
-            }
-            prop_assert_eq!(
-                pg_schema_strict(&combined.finalize_cached(), "G"),
-                pg_schema_strict(&oracle.finalize(), "G"),
-                "diverged after {:?} (keep {}, threads {})", op, keep, threads
-            );
-            // The resident state's own cached finalize agrees too.
-            prop_assert_eq!(
-                pg_schema_strict(&state.finalize_cached(), "G"),
-                pg_schema_strict(&state.clone().finalize(), "G")
-            );
-        }
-    }
-
-    /// Oracle 2: the signature-cache stream — cold, warm, and resumed from
+    /// Oracle 1: the signature-cache stream — cold, warm, and resumed from
     /// serialized cache lines — is byte-identical to the uncached engine
     /// for every wire format, chunk size, and thread count, and the warm
     /// pass actually re-uses memoized clusterings.
@@ -268,7 +151,7 @@ proptest! {
         }
     }
 
-    /// Oracle 3: batched pending-edge resolution (one mini-graph per
+    /// Oracle 2: batched pending-edge resolution (one mini-graph per
     /// endpoint-signature group) returns exactly what the per-edge
     /// reference does — same resolved count, same leftover records, same
     /// finalized schema.

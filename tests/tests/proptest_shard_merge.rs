@@ -10,6 +10,10 @@
 //! folds, or offline `merge-state` over saved shards — produce one
 //! byte-identical schema. A hand-picked fold order would only certify one
 //! tree shape; the random tree certifies the algebra.
+//!
+//! The streamed counts obey the same rule: however a graph is cut into
+//! files and chunks, every node and edge counts once and every edge whose
+//! endpoints some file declares resolves.
 
 use pg_hive_core::snapshot::{ResumeContext, SnapshotConfig};
 use pg_hive_core::{Discoverer, PipelineConfig, SchemaState, SignatureCache};
@@ -138,6 +142,27 @@ fn units(g: &PropertyGraph, cuts: (u8, u8, u8)) -> Vec<Unit> {
     ]
 }
 
+/// Write `g`'s pgt lines into `files` files under `dir`, `picks` choosing
+/// each line's file. With `edges_only`, no node line goes to the last
+/// file, which then holds only edges into the other files' nodes.
+fn split_pgt(g: &PropertyGraph, dir: &Path, files: usize, edges_only: bool, picks: &[u8]) {
+    let node_files = if edges_only { files - 1 } else { files };
+    let mut texts = vec![String::new(); files];
+    for (i, line) in save_text(g).lines().enumerate() {
+        let pick = usize::from(picks[i % picks.len()]);
+        let f = if line.starts_with("N ") {
+            pick % node_files
+        } else {
+            pick % files
+        };
+        texts[f].push_str(line);
+        texts[f].push('\n');
+    }
+    for (f, text) in texts.iter().enumerate() {
+        std::fs::write(dir.join(format!("part{f}.pgt")), text).unwrap();
+    }
+}
+
 static CASE: AtomicUsize = AtomicUsize::new(0);
 
 fn temp_case_dir(tag: &str) -> std::path::PathBuf {
@@ -255,6 +280,48 @@ proptest! {
             shard_count,
             picks
         );
+    }
+
+    /// Streamed counts do not depend on where the input is cut: split into
+    /// 2–3 files, read at chunk sizes 1, 3 and 1000 on 1 and 3 threads,
+    /// the run counts every element once (endpoint stubs are not
+    /// elements), its schema holds every node and edge instance, and no
+    /// edge is left pending.
+    #[test]
+    fn streamed_counts_do_not_depend_on_the_cut(
+        g in arb_graph(),
+        files in 2usize..=3,
+        edges_only in any::<bool>(),
+        picks in proptest::collection::vec(any::<u8>(), 1..32),
+    ) {
+        let d = Discoverer::new(PipelineConfig::elsh_adaptive());
+        let dir = temp_case_dir("counts");
+        split_pgt(&g, &dir, files, edges_only, &picks);
+        let source = MultiSource::enumerate(&dir).expect("split dir enumerates");
+        let (nodes, edges) = (g.node_count() as u64, g.edge_count() as u64);
+        let mut seen = Vec::new();
+        for chunk in [1, 3, 1000] {
+            for threads in [1, 3] {
+                let acc = d
+                    .discover_tree(&source, chunk, threads)
+                    .expect("valid generated input");
+                let schema = acc.state.finalize();
+                seen.push((
+                    (chunk, threads),
+                    acc.elements,
+                    schema.node_instances(),
+                    schema.edge_instances(),
+                    acc.pending.len(),
+                ));
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        for (at, elements, node_instances, edge_instances, pending) in seen {
+            prop_assert_eq!(elements, nodes + edges, "{:?}", at);
+            prop_assert_eq!(node_instances, nodes, "{:?}", at);
+            prop_assert_eq!(edge_instances, edges, "{:?}", at);
+            prop_assert_eq!(pending, 0, "{:?}", at);
+        }
     }
 
     /// Merging a state with a clone of itself is *structurally*
