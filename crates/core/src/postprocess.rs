@@ -17,9 +17,9 @@
 
 use crate::config::SamplingConfig;
 use crate::schema::{Cardinality, EdgeType, NodeType, PropertySpec};
+use pg_hive_graph::value::value_kind_via_lexical;
 use pg_hive_graph::{EdgeId, Interner, NodeId, PropertyGraph, Symbol, Value, ValueKind};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// Priority-based inference of a single lexical value (§4.4): integer,
 /// float, boolean, ISO date/timestamp, else string. Builds no value, so a
@@ -40,27 +40,6 @@ pub fn infer_kind_of_values<'a, I: IntoIterator<Item = &'a str>>(values: I) -> O
         });
     }
     kind
-}
-
-/// The kind of one [`Value`] through its *lexical* form — the §4.4 rule is
-/// defined on serialized values, so a `Str("123")` re-infers as Integer.
-/// The one value-kind function of discovery's full and sampled scans and
-/// of the validator. Strings are inspected in place. An `Int` always
-/// re-infers as INTEGER and a `Bool` as BOOLEAN, so neither is formatted.
-/// Every other variant is formatted into `scratch` (its `Display` is
-/// exactly [`Value::lexical`]), because `inf`, `NaN` and a year past 9999
-/// re-infer as STRING; the hot loop never allocates per value.
-pub(crate) fn value_kind_via_lexical(v: &Value, scratch: &mut String) -> ValueKind {
-    match v {
-        Value::Str(s) => infer_value_kind(s),
-        Value::Int(_) => ValueKind::Integer,
-        Value::Bool(_) => ValueKind::Boolean,
-        other => {
-            scratch.clear();
-            let _ = write!(scratch, "{other}");
-            infer_value_kind(scratch)
-        }
-    }
 }
 
 /// Full-scan stage (f) for every type of one element class at once.
@@ -599,8 +578,91 @@ mod tests {
         }
     }
 
+    /// Pieces of a pgt value token (no whitespace, no comma), separated by
+    /// spaces: ordinary characters; `%XX` escapes that are valid, invalid
+    /// or multi-byte; and whole forms at the edges of every kind.
+    const PIECES: &str = "a Z 0 7 - . : T e + = é 日 %34 %32 %2D %2E %3A %54 %25 %2C %3D %0A \
+        %C3%A9 %E3%80%80 %C2%A0 %F0%9F%98%80 % %G1 %2 %C3 %FF %ED%A0%80 %C3%41 \
+        9223372036854775807 -9223372036854775808 9223372036854775808 -9223372036854775809 \
+        1e300 1e400 inf NaN 2.0 true FALSE 10000-01-02 -005-03-04 +001-01-01 2024-02-29 \
+        10000-12-31T23:59:59 -001-01-01T00:00:60Z 2020-01-02T03:04:05Z";
+    /// Escaped whitespace that may surround a token.
+    const SPACES: [&str; 3] = ["%20", "%09", "%E3%80%80"];
+
+    /// The one property a source yields, through a parsing buffer and a
+    /// text-values buffer: `(key, kind, value)` from each, or `None` when
+    /// the source rejects the record or yields no property.
+    fn read_prop<S: pg_hive_graph::RawGraphSource>(
+        mut open: impl FnMut() -> S,
+    ) -> Option<[(String, ValueKind, Value); 2]> {
+        let mut scratch = String::from("stale");
+        let mut read = |mut buf: pg_hive_graph::RecordBuf| {
+            open().read_record(&mut buf).ok()?;
+            let (pg_hive_graph::RecordRef::Node { props, .. }
+            | pg_hive_graph::RecordRef::Edge { props, .. }) = buf.view();
+            let p = props.iter().next()?;
+            Some((
+                p.key().to_string(),
+                p.kind(&mut scratch),
+                p.value().into_owned(),
+            ))
+        };
+        let parsed = read(pg_hive_graph::RecordBuf::new());
+        let text = read(pg_hive_graph::RecordBuf::text_values());
+        assert_eq!(parsed.is_some(), text.is_some());
+        Some([parsed?, text?])
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(4096))]
+
+        /// A text value's kind and value are exactly the parsed value's:
+        /// `value_kind_via_lexical(&Value::parse_lexical(percent_decode(t)))`
+        /// and `Value::parse_lexical(percent_decode(t))` for a pgt token
+        /// `t`, and the same without decoding for a CSV cell and a JSONL
+        /// string, number or literal holding the decoded text.
+        #[test]
+        fn text_values_read_as_their_parsed_value(
+            lead in 0usize..4,
+            body in proptest::collection::vec(0usize..256, 0..5),
+            trail in 0usize..4,
+        ) {
+            let space = |i: usize| SPACES.get(i).copied().unwrap_or("");
+            let pieces: Vec<&str> = PIECES.split_whitespace().collect();
+            let token: String = std::iter::once(space(lead))
+                .chain(body.iter().map(|&i| pieces[i % pieces.len()]))
+                .chain(std::iter::once(space(trail)))
+                .collect();
+            let mut scratch = String::new();
+            let decoded = pg_hive_graph::loader::percent_decode(&token, &mut scratch).to_string();
+            let v = Value::parse_lexical(&decoded);
+            let one = ("k".to_string(), value_kind_via_lexical(&v, &mut String::new()), v);
+            let want = [one.clone(), one];
+
+            // pgt: the token as written, still percent-encoded.
+            let line = format!("N a - k={token}\n");
+            let pgt = read_prop(|| pg_hive_graph::stream::pgt::PgtSource::new(line.as_bytes()));
+            proptest::prop_assert_eq!(pgt, Some(want.clone()), "{}", token);
+
+            // CSV: the decoded text as one quoted cell.
+            let csv = format!("id,labels,k\na,,\"{}\"\n", decoded.replace('"', "\"\""));
+            let cell = read_prop(|| {
+                pg_hive_graph::stream::csv::CsvSource::new(csv.as_bytes(), None)
+            });
+            proptest::prop_assert_eq!(cell, Some(want.clone()));
+
+            // JSONL: the decoded text as a string, and bare where it reads
+            // as a JSON number or literal.
+            let escaped = pg_hive_graph::json_escape(&decoded);
+            for (value, bare) in [(format!("\"{escaped}\""), false), (decoded.clone(), true)] {
+                let json = format!("{{\"type\":\"node\",\"id\":\"a\",\"props\":{{\"k\":{value}}}}}\n");
+                let got = read_prop(|| pg_hive_graph::stream::jsonl::JsonlSource::new(json.as_bytes()));
+                match got {
+                    Some(got) => proptest::prop_assert_eq!(got, want.clone()),
+                    None => proptest::prop_assert!(bare, "a JSON string always reads: {}", json),
+                }
+            }
+        }
 
         #[test]
         fn value_kind_equals_lexical_reinference(

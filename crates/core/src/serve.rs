@@ -1149,9 +1149,12 @@ fn reason_phrase(status: u16) -> &'static str {
     }
 }
 
+/// Send `resp` as one `write_all`: head and body go out together, not as a
+/// dozen small writes on a `TCP_NODELAY` socket.
 fn write_response<W: Write>(w: &mut W, resp: &Response) -> io::Result<()> {
+    let mut out = Vec::with_capacity(resp.body.len() + 128);
     write!(
-        w,
+        out,
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
         resp.status,
         reason_phrase(resp.status),
@@ -1159,7 +1162,8 @@ fn write_response<W: Write>(w: &mut W, resp: &Response) -> io::Result<()> {
         resp.body.len(),
         if resp.close { "close" } else { "keep-alive" }
     )?;
-    w.write_all(&resp.body)?;
+    out.extend_from_slice(&resp.body);
+    w.write_all(&out)?;
     w.flush()
 }
 
@@ -1679,6 +1683,35 @@ E 1 3 MEMBER_OF from=1835\n";
         let want = format!("\"elements_ingested\":{}", ROUNDS * 3);
         assert!(body.contains(&want), "{body}");
         assert_eq!(schema_bytes(&core, "hot"), oracle(&[BATCH_A]));
+    }
+
+    #[test]
+    fn a_response_leaves_in_one_write() {
+        /// Counts `write` calls and keeps what they wrote.
+        #[derive(Default)]
+        struct Counting {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let resp = Response::json(200, "{\"ok\":true}".to_string());
+        let mut w = Counting::default();
+        write_response(&mut w, &resp).unwrap();
+        assert_eq!(w.writes, 1);
+        assert_eq!(
+            String::from_utf8(w.bytes).unwrap(),
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+             Content-Length: 11\r\nConnection: keep-alive\r\n\r\n{\"ok\":true}"
+        );
     }
 
     #[test]

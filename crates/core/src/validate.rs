@@ -31,6 +31,15 @@
 //! violation are built only for an example the buffer keeps; a record
 //! that conforms allocates nothing.
 //!
+//! # Values stay text
+//!
+//! [`Validator::validate_source`] reads records into a
+//! [`RecordBuf::text_values`] buffer, so property values arrive as text
+//! (pgt values still percent-encoded). Only a key declared with a
+//! non-STRING kind classifies its value, from the decoded text in a
+//! reused scratch; every other value is never decoded, and none is ever
+//! built as a [`pg_hive_graph::Value`].
+//!
 //! # Types that share a label set
 //!
 //! Several types can share one label set; every pair of ABSTRACT types
@@ -40,7 +49,6 @@
 //! endpoint pairs unioned. An element that mixes two such types' keys
 //! therefore passes.
 
-use crate::postprocess::value_kind_via_lexical;
 use crate::schema::{LabelSet, PropertySpec, SchemaGraph};
 use pg_hive_graph::stream::raw::PropsRef;
 use pg_hive_graph::{
@@ -381,7 +389,8 @@ impl CompiledType {
         let seen = &mut scratch.seen;
         seen.clear();
         seen.resize(self.mandatory.len(), 0);
-        for (key, value) in props.iter() {
+        for prop in props.iter() {
+            let key = prop.key();
             let Some(slot) = key_syms.get(key).and_then(|sym| self.slot(sym)) else {
                 tally.emit(ViolationKind::ExtraKey, element, || {
                     format!("key '{key}' not declared for {}", self.label_text)
@@ -394,8 +403,8 @@ impl CompiledType {
                 None | Some(ValueKind::String) => {}
                 Some(declared) => {
                     // Same inference as discovery: the kind of the
-                    // lexical form.
-                    let observed = value_kind_via_lexical(value, &mut scratch.lexical);
+                    // lexical form, read off a text value's decoded text.
+                    let observed = prop.kind(&mut scratch.lexical);
                     if declared.join(observed) != declared {
                         tally.emit(ViolationKind::TypeMismatch, element, || {
                             format!(
@@ -438,7 +447,7 @@ fn render_labels<'a>(labels: impl Iterator<Item = &'a str>) -> String {
 struct KeyScratch {
     /// Bit `slot` set: the record carries that declared key.
     seen: Vec<u64>,
-    /// A non-string value's lexical form, for datatype inference.
+    /// A value's decoded text or lexical form, for datatype inference.
     lexical: String,
 }
 
@@ -656,7 +665,9 @@ impl<'a> Validator<'a> {
         mut on_chunk: impl FnMut(u64, u64),
     ) -> Result<bool, StreamError> {
         let chunk = chunk_size.max(1) as u64;
-        let mut buf = RecordBuf::new();
+        // Values stay text: only a key declared with a non-STRING kind
+        // decodes its value, and no value is ever built.
+        let mut buf = RecordBuf::text_values();
         let mut in_chunk = 0u64;
         let mut chunk_no = 0u64;
         while source.read_record(&mut buf)? {
@@ -685,7 +696,8 @@ impl<'a> Validator<'a> {
 
     /// Check the record currently in `buf`. Its label set is interned in
     /// the registry, and the type it matches is looked up once per
-    /// distinct label set, not once per record.
+    /// distinct label set, not once per record. `buf` may hold parsed or
+    /// text values; the verdicts are the same.
     pub fn check_buf(&mut self, buf: &RecordBuf) {
         let schema = self.schema;
         match buf.view() {

@@ -174,6 +174,7 @@ impl GraphBuilder {
         &mut self,
         buf: &mut crate::stream::RecordBuf,
     ) -> Vec<(crate::Symbol, Value)> {
+        debug_assert!(buf.prop_texts.is_empty(), "graphs take parsed values");
         let text = &buf.text;
         let mut out: Vec<(crate::Symbol, Value)> = buf
             .props

@@ -87,7 +87,8 @@ impl GraphStats {
 /// patterns + node ids) memory — no resident graph, no per-chunk stub
 /// nodes. Element and pattern counts match [`GraphStats::compute`] on the
 /// fully-loaded graph. The fold runs on the calling thread over one reused
-/// [`RecordBuf`].
+/// [`RecordBuf::text_values`] buffer: patterns need property keys only, so
+/// no value is ever decoded or parsed.
 ///
 /// Edge patterns need endpoint label sets; a compact id → label-set
 /// registry provides them. Edges referencing a node id that only appears
@@ -119,14 +120,14 @@ pub fn stream_stats<S: RawGraphSource>(mut source: S) -> Result<(GraphStats, u64
             .map(|ls| sorted_set(ls.iter().map(String::as_str)))
     };
 
-    let mut buf = RecordBuf::new();
+    let mut buf = RecordBuf::text_values();
     while source.read_record(&mut buf)? {
         match buf.view() {
             RecordRef::Node { labels, props, .. } => {
                 nodes += 1;
                 registry.insert_record(&buf);
                 let ls = sorted_set(labels.iter());
-                let keys = sorted_set(props.iter().map(|(k, _)| k));
+                let keys = sorted_set(props.iter().map(|p| p.key()));
                 node_labels.extend(ls.iter().cloned());
                 node_label_sets.insert(ls.clone());
                 node_patterns.insert((ls, keys));
@@ -139,7 +140,7 @@ pub fn stream_stats<S: RawGraphSource>(mut source: S) -> Result<(GraphStats, u64
             } => {
                 edges += 1;
                 let ls = sorted_set(labels.iter());
-                let keys = sorted_set(props.iter().map(|(k, _)| k));
+                let keys = sorted_set(props.iter().map(|p| p.key()));
                 edge_labels.extend(ls.iter().cloned());
                 edge_label_sets.insert(ls.clone());
                 match (endpoint(&registry, src), endpoint(&registry, tgt)) {

@@ -166,7 +166,8 @@ impl<R: BufRead> CsvHalf<R> {
         self.cells.get(i).map_or((0, 0), |&(span, _)| span)
     }
 
-    /// Fill `buf.labels` and `buf.props` from the current row's cells.
+    /// Fill `buf.labels` and the properties from the current row's cells;
+    /// a property's value text is its unescaped cell.
     fn fill_buf(&self, buf: &mut RecordBuf, labels_cell: usize) {
         let text = &buf.text;
         let base = text.as_ptr() as usize;
@@ -185,9 +186,8 @@ impl<R: BufRead> CsvHalf<R> {
             if len == 0 && !quoted {
                 continue;
             }
-            let value = Value::parse_lexical(&buf.text[off as usize..(off + len) as usize]);
             let key = buf.push_str(k);
-            buf.props.push((key, value));
+            buf.push_prop(key, (off, len));
         }
     }
 }

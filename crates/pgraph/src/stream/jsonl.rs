@@ -414,10 +414,10 @@ impl<'a> RawParser<'a> {
         }
     }
 
-    /// The `props` value: each pair's key decodes into `buf`'s text and
-    /// its value parses to a [`Value`] (duplicate keys push both pairs,
-    /// `null` means absent — both as before). Returns the deferred
-    /// semantic error, if any.
+    /// The `props` value: each pair's key and value text decode into
+    /// `buf`'s text, and [`RecordBuf::push_prop`] parses the value or keeps
+    /// the text (duplicate keys push both pairs, `null` means absent — both
+    /// as before). Returns the deferred semantic error, if any.
     fn props_into(
         &mut self,
         buf: &mut RecordBuf,
@@ -440,38 +440,36 @@ impl<'a> RawParser<'a> {
                     self.skip_ws();
                     self.expect(':')?;
                     self.skip_ws();
-                    match self.chars.peek().copied() {
+                    // The value text: the unescaped string, the number or
+                    // the literal, which `parse_lexical` reads as the JSON
+                    // value it spells.
+                    let value = match self.chars.peek().copied() {
                         Some((_, '"')) => {
-                            scratch.clear();
-                            self.string_into(scratch)?;
-                            let v = Value::parse_lexical(scratch);
-                            let k = buf.push_str(key);
-                            buf.props.push((k, v));
+                            let start = buf.text.len() as u32;
+                            self.string_into(&mut buf.text)?;
+                            Some((start, buf.text.len() as u32 - start))
                         }
                         Some((_, c)) if c == '-' || c.is_ascii_digit() => {
-                            let v = Value::parse_lexical(self.number_raw()?);
-                            let k = buf.push_str(key);
-                            buf.props.push((k, v));
+                            Some(buf.push_str(self.number_raw()?))
                         }
                         Some((_, 't' | 'f' | 'n')) => match self.keyword()? {
-                            Kw::True => {
-                                let k = buf.push_str(key);
-                                buf.props.push((k, Value::Bool(true)));
-                            }
-                            Kw::False => {
-                                let k = buf.push_str(key);
-                                buf.props.push((k, Value::Bool(false)));
-                            }
-                            Kw::Null => {}
+                            Kw::True => Some(buf.push_str("true")),
+                            Kw::False => Some(buf.push_str("false")),
+                            Kw::Null => None,
                         },
                         Some((_, '{' | '[')) => {
                             self.skip_value(scratch)?;
                             err.get_or_insert_with(|| {
                                 format!("property \"{key}\": nested arrays/objects unsupported")
                             });
+                            None
                         }
                         Some((i, c)) => return Err(format!("unexpected '{c}' at byte {i}")),
                         None => return Err("unexpected end of input".into()),
+                    };
+                    if let Some(value) = value {
+                        let k = buf.push_str(key);
+                        buf.push_prop(k, value);
                     }
                     self.skip_ws();
                     match self.chars.next() {

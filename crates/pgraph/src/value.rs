@@ -139,6 +139,28 @@ impl Value {
     }
 }
 
+/// The kind of one [`Value`] through its *lexical* form — the §4.4 rule is
+/// defined on serialized values, so a `Str("123")` re-infers as Integer.
+/// The one value-kind function of discovery's full and sampled scans and
+/// of the validator. Strings are inspected in place. An `Int` always
+/// re-infers as INTEGER and a `Bool` as BOOLEAN, so neither is formatted.
+/// Every other variant is formatted into `scratch` (its `Display` is
+/// exactly [`Value::lexical`]), because `inf`, `NaN` and a year past 9999
+/// re-infer as STRING; the hot loop never allocates per value.
+pub fn value_kind_via_lexical(v: &Value, scratch: &mut String) -> ValueKind {
+    match v {
+        Value::Str(s) => Value::lexical_kind(s),
+        Value::Int(_) => ValueKind::Integer,
+        Value::Bool(_) => ValueKind::Boolean,
+        other => {
+            use std::fmt::Write as _;
+            scratch.clear();
+            let _ = write!(scratch, "{other}");
+            Value::lexical_kind(scratch)
+        }
+    }
+}
+
 /// The §4.4 decision procedure on a trimmed lexical form: the most specific
 /// non-string value `t` denotes, or `None` for the string fallback. None of
 /// these values allocate.

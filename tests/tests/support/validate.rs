@@ -1,7 +1,10 @@
 //! Test-support reference for streaming validation: the per-record
 //! `CompiledSchema` and `Validator` that `pg_hive_core::validate` replaced
-//! with per-label-set verdicts, copied verbatim apart from crate paths and
-//! a public `counts` field. It looks every record's type up through
+//! with per-label-set verdicts, copied verbatim apart from crate paths, a
+//! public `counts` field and reading each property as a key and a `Value`
+//! through `PropRef`. It parses every value as it reads the record (a
+//! `RecordBuf::new` buffer), so it stays independent of the product's
+//! text values. It looks every record's type up through
 //! `String`-keyed maps, allocates a key list per record, and resolves each
 //! edge endpoint twice. Types that share a label set keep only the last
 //! one, so callers must give it schemas whose label sets are distinct.
@@ -13,6 +16,7 @@ use pg_hive_core::{LabelSet, SchemaGraph, StreamViolation, ViolationKind};
 use pg_hive_graph::{
     LabelSetRegistry, RawGraphSource, RecordBuf, RecordRef, StreamError, Value, ValueKind,
 };
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
 /// [`ViolationKind`]'s position in [`ViolationKind::ALL`].
@@ -371,7 +375,7 @@ impl<'a> Validator<'a> {
                 check_props(
                     ty,
                     id,
-                    props.iter(),
+                    props.iter().map(|p| (p.key(), p.value())),
                     &mut self.seen_keys,
                     &mut self.counts,
                     &mut self.examples,
@@ -400,7 +404,7 @@ impl<'a> Validator<'a> {
                 check_props(
                     &self.schema.edges[idx].base,
                     &element,
-                    props.iter(),
+                    props.iter().map(|p| (p.key(), p.value())),
                     &mut self.seen_keys,
                     &mut self.counts,
                     &mut self.examples,
@@ -536,7 +540,7 @@ impl<'a> Validator<'a> {
 fn check_props<'v>(
     ty: &CompiledType,
     element: &str,
-    props: impl Iterator<Item = (&'v str, &'v Value)>,
+    props: impl Iterator<Item = (&'v str, Cow<'v, Value>)>,
     seen: &mut Vec<String>,
     counts: &mut [u64; 7],
     examples: &mut Vec<StreamViolation>,
@@ -562,7 +566,7 @@ fn check_props<'v>(
                 // form. Non-string values take the
                 // (allocating) lexical detour only on the mismatch-free
                 // path's rare branch; string values borrow directly.
-                let observed = match value {
+                let observed = match &*value {
                     Value::Str(s) => infer_value_kind(s),
                     other => infer_value_kind(&other.lexical()),
                 };
